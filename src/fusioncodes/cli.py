@@ -30,6 +30,7 @@ from .compiler import (
 )
 from .fusion import FusionSpec, erasure_analysis, validate_dual_swap
 from .graphs import (
+    PROGENITOR_CAP,
     GraphState,
     ResourceCapExceeded,
     build_progenitor,
@@ -115,10 +116,22 @@ def _load_bias(args) -> tuple:
 
 def _resolve_code(sequence: str):
     try:
-        g = build_progenitor(sequence)
+        return code_from_progenitor(build_progenitor(sequence), code_id=sequence)
     except ValueError as exc:
         raise ConfigError(f"bad code id {sequence!r}: {exc}") from exc
-    return code_from_progenitor(g, code_id=sequence)
+
+
+def _load_outer(path: str) -> GraphState:
+    try:
+        with open(path) as fh:
+            return GraphState.from_json_dict(json.load(fh))
+    except ValueError as exc:
+        raise ConfigError(f"bad outer graph {path}: {exc}") from exc
+
+
+def _check_code_size(n: int) -> None:
+    if n > PROGENITOR_CAP:
+        raise ResourceCapExceeded(f"code size {n} exceeds cap {PROGENITOR_CAP}")
 
 
 def _positive_int(text: str) -> int:
@@ -184,13 +197,17 @@ def cmd_optimize_w(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.n_min > args.n_max:
+        print(f"usage error: --n-min {args.n_min} exceeds --n-max {args.n_max}", file=sys.stderr)
+        return EXIT_USAGE
+    _check_code_size(args.n_max)
     rand, passive, _, raw = _load_bias(args)
     bias = rand if args.bias == "randomized" else passive
     manifest = _manifest(args, "threshold", raw)
     rows = []
     winners = []
     for n in range(args.n_min, args.n_max + 1):
-        results = search_best_code(n, bias, p_fail=args.p_fail, threads=args.threads)
+        results = search_best_code(n, bias, p_fail=args.p_fail)
         best = results[0]
         rows.append(
             [
@@ -223,13 +240,15 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.n is not None:
+        _check_code_size(args.n)
     rand, _, err, raw = _load_bias(args)
     if err is None:
         raise ConfigError("missing key: epsilon_M (required for region computation)")
     if args.code:
         code = _resolve_code(args.code)
     else:
-        results = search_best_code(args.n, rand, p_fail=args.p_fail, threads=args.threads)
+        results = search_best_code(args.n, rand, p_fail=args.p_fail)
         code = _resolve_code(results[0].code_id)
         print(f"using n={args.n} winner {code.code_id}")
     points = correctable_region(code, rand, err, p_fail=args.p_fail, grid_points=args.grid_points)
@@ -244,8 +263,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    with open(args.outer) as fh:
-        outer = GraphState.from_json_dict(json.load(fh))
+    outer = _load_outer(args.outer)
     inner = _resolve_code(args.inner)
     mode = Mode(args.mode)
     seq = compile_generation(outer, inner, mode)
@@ -320,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("--config", help="JSON config with outer-code thresholds")
-        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, help="recorded in the manifest; no randomness is used")
         p.add_argument("--p-fail", type=float, default=0.5, help="physical fusion failure probability")
 

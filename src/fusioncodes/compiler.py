@@ -9,9 +9,10 @@ and a logical path edge.  The emitter-plus-memory variant keeps all
 measurements on the short-lived emitter spin by inserting a SWAP after
 the CZ for path edges.
 
-Verification replays a sequence with wire-level semantics (exact state
-vectors for small targets, the graph measurement rule otherwise) and
-compares against the concatenated target graph: the outer graph with an
+Verification replays a sequence wire by wire through one interpreter
+that drives either an exact state vector (up to 12 photons by default)
+or a sign-exact stabilizer tableau (any size), and compares the photon
+state against the concatenated target graph: the outer graph with an
 inner block embedded at every node and the virtual node of each block
 measured in X with outcome +1.
 """
@@ -34,7 +35,8 @@ from .graphs import (
     is_tree,
     unmarked_tree_key,
 )
-from .pauli import PauliOperator, gf2_reduce
+from .pauli import PauliOperator
+from .tableau import BranchImpossible, StabilizerTableau
 from . import statevec
 
 
@@ -81,7 +83,6 @@ class GenerationSequence:
     mode: Mode
     outer_ops: str  # LEAF/PATH_EDGE letters for outer vertices 1..m-1
     inner_ops: str  # letters for the inner block photons
-    emitter_count: int = 2
 
     @property
     def outer_size(self) -> int:
@@ -129,7 +130,11 @@ def derive_marked_sequence(g: GraphState) -> str:
     """LEAF/PATH_EDGE sequence generating this marked graph, if any."""
     if g.n == 1:
         return ""
-    seq = _marked_sequence_index(g.n - 1).get(canonical_key(g))
+    try:
+        key = canonical_key(g)
+    except ValueError as exc:  # not a tree, so no single emitter makes it
+        raise CompileError(f"graph is not generatable by a single emitter: {exc}") from exc
+    seq = _marked_sequence_index(g.n - 1).get(key)
     if seq is None:
         raise CompileError("graph is not generatable by a single emitter with this marking")
     return seq
@@ -235,7 +240,7 @@ def count_resources(seq: GenerationSequence) -> ResourceCount:
     spin_spin = sum(1 for i in seq.ops if i.op in (Op.CZ, Op.SWAP))
     photons = seq.photon_count
     exempt = {0} if seq.mode is Mode.EMITTER_MEMORY else set()
-    depth = {e: 0 for e in range(seq.emitter_count)}
+    depth = {0: 0, 1: 0}
     best = 0
     for ins in seq.ops:
         if ins.op in (Op.INIT_EMITTER, Op.REINIT):
@@ -327,244 +332,116 @@ def build_concatenated_target(outer_ops: str, inner_ops: str) -> ConcatenatedTar
     )
 
 
-# -- graph-rule simulation ----------------------------------------------
+# -- replaying a sequence -------------------------------------------------
 
 
-def _toggle_neighborhood(edges: set[tuple[int, int]], nbrs: list[int]) -> None:
-    for i, u in enumerate(nbrs):
-        for v in nbrs[i + 1 :]:
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                edges.remove(e)
-            else:
-                edges.add(e)
+def _run(seq: GenerationSequence, backend) -> list[int]:
+    """Replay ``seq`` on a backend; returns the wire of each photon in
+    emission order, followed by the final wires of spin slots 0 and 1.
 
-
-def _neighbors(edges: set[tuple[int, int]], v: int) -> list[int]:
-    return sorted(u if w == v else w for u, w in edges if v in (u, w))
-
-
-def measure_x_graph(edges: set[tuple[int, int]], a: int, prefer_below: int | None = None) -> None:
-    """Remove vertex ``a`` by an X measurement (+1 outcome), in place.
-
-    Uses the special-neighbor reduction: complement at the special
-    neighbor, then at ``a``, delete ``a``, and complement at the special
-    neighbor again.  Local corrections on the remaining qubits are
-    dropped; with the special neighbor chosen among wires that never
-    interact again (ids below ``prefer_below``) this only shifts the
-    final state by local Cliffords.
+    Photon k is emitted onto wire k and the two slots start on wires P and
+    P+1 (P photons), all in |+>.  A pending rotation turns an emission
+    into a path edge: the photon flies off with the spin's old wire and
+    the spin keeps the fresh one.  The backend supplies ``cz(a, b)``,
+    ``measure_x(w)`` and ``reinit(w)``.
     """
-    nbrs = _neighbors(edges, a)
-    if not nbrs:
-        return
-    below = [v for v in nbrs if prefer_below is None or v < prefer_below]
-    b0 = below[0] if below else nbrs[0]
-    _toggle_neighborhood(edges, _neighbors(edges, b0))
-    _toggle_neighborhood(edges, _neighbors(edges, a))
-    for u in _neighbors(edges, a):
-        edges.discard((min(a, u), max(a, u)))
-    _toggle_neighborhood(edges, _neighbors(edges, b0))
-
-
-def _simulate_graph(seq: GenerationSequence) -> set[tuple[int, int]]:
-    """Wire graph left on the photons after running the sequence."""
     n_photons = seq.photon_count
-    edges: set[tuple[int, int]] = set()
-    next_fresh = n_photons
-    slot_vertex: dict[int, int] = {}
-    pending_rot: dict[int, bool] = {}
-    photon = 0
-
-    def fresh() -> int:
-        nonlocal next_fresh
-        next_fresh += 1
-        return next_fresh - 1
-
-    for ins in seq.ops:
-        if ins.op is Op.INIT_EMITTER or ins.op is Op.REINIT:
-            slot_vertex[ins.targets[0]] = fresh()
-            pending_rot[ins.targets[0]] = False
-        elif ins.op is Op.SPIN_ROTATION:
-            pending_rot[ins.targets[0]] = not pending_rot.get(ins.targets[0], False)
-        elif ins.op is Op.EMIT_PHOTON:
-            e = ins.targets[0]
-            cur = slot_vertex[e]
-            new = fresh()
-            edges.add((min(cur, new), max(cur, new)))
-            if pending_rot.get(e):
-                # path edge: the photon carries the old role, the spin the new
-                slot_vertex[e] = new
-                _relabel(edges, {cur: photon})
-                pending_rot[e] = False
-            else:
-                _relabel(edges, {new: photon})
-            photon += 1
-        elif ins.op is Op.CZ:
-            a, b = slot_vertex[ins.targets[0]], slot_vertex[ins.targets[1]]
-            e = (min(a, b), max(a, b))
-            if e in edges:
-                edges.remove(e)
-            else:
-                edges.add(e)
-        elif ins.op is Op.SWAP:
-            a, b = ins.targets
-            slot_vertex[a], slot_vertex[b] = slot_vertex[b], slot_vertex[a]
-        elif ins.op is Op.MEASURE_X:
-            measure_x_graph(edges, slot_vertex[ins.targets[0]], prefer_below=n_photons)
-    return edges
-
-
-def _relabel(edges: set[tuple[int, int]], mapping: dict[int, int]) -> None:
-    if not mapping:
-        return
-    swapped = {(min(mapping.get(u, u), mapping.get(v, v)), max(mapping.get(u, u), mapping.get(v, v))) for u, v in edges}
-    edges.clear()
-    edges.update(swapped)
-
-
-def _reduce_target_graph(target: ConcatenatedTarget) -> set[tuple[int, int]]:
-    edges = set(target.edges)
-    for v in target.virtual_wires():
-        measure_x_graph(edges, v, prefer_below=target.n_photons)
-    return edges
-
-
-# -- state-vector simulation ---------------------------------------------
-
-
-def _simulate_statevector(seq: GenerationSequence, outcome_overrides: dict[int, int] | None = None):
-    """Exact simulation; returns (photon state, applied measurement outcomes).
-
-    Wires live on tensor axes; emitter slots keep their own axes and are
-    reset to |+> by measurement, so reinitialization is free.  Photon
-    axes are reordered to emission order at the end.
-    """
-    overrides = outcome_overrides or {}
-    n_axes = seq.photon_count + 2
-    if n_axes > 24:
-        raise VerificationError("state-vector verification limited to 24 wires")
-    state = statevec.plus_state(n_axes)
-    slot_axis = {0: seq.photon_count, 1: seq.photon_count + 1}
-    photon_axis: dict[int, int] = {}
+    slot_wire = {0: n_photons, 1: n_photons + 1}
     pending_rot = {0: False, 1: False}
-    last_outcome = {0: +1, 1: +1}
-    photon = 0
-    next_axis = 0
-    measure_index = 0
-    outcomes = []
-
-    def alloc_axis() -> int:
-        nonlocal next_axis
-        next_axis += 1
-        return next_axis - 1
-
+    photon_wire: list[int] = []
     for ins in seq.ops:
-        if ins.op is Op.INIT_EMITTER:
-            pass  # slots start in |+>
-        elif ins.op is Op.REINIT:
-            e = ins.targets[0]
-            if last_outcome[e] == -1:
-                # the measurement left |->; re-prepare |+>
-                state = statevec.apply_pauli(state, PauliOperator.single(n_axes, slot_axis[e], "Z"))
-                last_outcome[e] = +1
-        elif ins.op is Op.SPIN_ROTATION:
-            pending_rot[ins.targets[0]] = not pending_rot[ins.targets[0]]
+        e = ins.targets[0]
+        if ins.op is Op.SPIN_ROTATION:
+            pending_rot[e] = not pending_rot[e]
         elif ins.op is Op.EMIT_PHOTON:
-            e = ins.targets[0]
-            new_axis = alloc_axis()
-            state = statevec.apply_cz(state, slot_axis[e], new_axis)
+            new_wire = len(photon_wire)
+            backend.cz(slot_wire[e], new_wire)
             if pending_rot[e]:
-                photon_axis[photon] = slot_axis[e]
-                slot_axis[e] = new_axis
-                pending_rot[e] = False
-            else:
-                photon_axis[photon] = new_axis
-            photon += 1
-        elif ins.op is Op.CZ:
-            state = statevec.apply_cz(state, slot_axis[ins.targets[0]], slot_axis[ins.targets[1]])
-        elif ins.op is Op.SWAP:
-            a, b = ins.targets
-            slot_axis[a], slot_axis[b] = slot_axis[b], slot_axis[a]
-        elif ins.op is Op.MEASURE_X:
-            outcome = overrides.get(measure_index, +1)
-            measure_index += 1
-            outcomes.append(outcome)
-            state, prob = statevec.project_x_plus(state, slot_axis[ins.targets[0]], n_axes, outcome)
-            if prob < 1e-12:
-                raise VerificationError("measurement branch has zero probability")
-            state = state / np.sqrt(prob)
-            last_outcome[ins.targets[0]] = outcome
-    # reorder axes to (photon 0 .. photon P-1, slot 0, slot 1), then drop
-    # the slot wires, which every branch leaves in |+>
-    perm = [photon_axis[k] for k in range(photon)] + [slot_axis[0], slot_axis[1]]
-    tensor = state.reshape([2] * n_axes, order="F").transpose(perm)
-    state = tensor.flatten(order="F")
-    state = statevec.drop_plus_qubit(state, photon + 1, n_axes)
-    state = statevec.drop_plus_qubit(state, photon, n_axes - 1)
-    return state, outcomes
-
-
-def _simulate_tableau(seq: GenerationSequence):
-    """Sign-exact stabilizer run; returns the photon-wire generators."""
-    from .tableau import StabilizerTableau
-
-    n_wires = seq.photon_count + 2
-    tab = StabilizerTableau(n_wires)
-    slot_wire = {0: seq.photon_count, 1: seq.photon_count + 1}
-    photon_wire: dict[int, int] = {}
-    pending_rot = {0: False, 1: False}
-    photon = 0
-    next_wire = 0
-
-    def alloc() -> int:
-        nonlocal next_wire
-        next_wire += 1
-        return next_wire - 1
-
-    for ins in seq.ops:
-        if ins.op in (Op.INIT_EMITTER, Op.REINIT):
-            pass  # slots start in |+> and measurements restore it
-        elif ins.op is Op.SPIN_ROTATION:
-            pending_rot[ins.targets[0]] = not pending_rot[ins.targets[0]]
-        elif ins.op is Op.EMIT_PHOTON:
-            e = ins.targets[0]
-            new_wire = alloc()
-            tab.cz(slot_wire[e], new_wire)
-            if pending_rot[e]:
-                photon_wire[photon] = slot_wire[e]
+                photon_wire.append(slot_wire[e])
                 slot_wire[e] = new_wire
                 pending_rot[e] = False
             else:
-                photon_wire[photon] = new_wire
-            photon += 1
+                photon_wire.append(new_wire)
         elif ins.op is Op.CZ:
-            tab.cz(slot_wire[ins.targets[0]], slot_wire[ins.targets[1]])
+            backend.cz(slot_wire[ins.targets[0]], slot_wire[ins.targets[1]])
         elif ins.op is Op.SWAP:
             a, b = ins.targets
             slot_wire[a], slot_wire[b] = slot_wire[b], slot_wire[a]
         elif ins.op is Op.MEASURE_X:
-            tab.measure_x_plus(slot_wire[ins.targets[0]])
-    # relabel wires into emission order and restrict to the photons
-    perm = {photon_wire[k]: k for k in range(photon)}
-    perm[slot_wire[0]] = photon
-    perm[slot_wire[1]] = photon + 1
-    remap = []
+            backend.measure_x(slot_wire[e])
+        elif ins.op is Op.REINIT:
+            backend.reinit(slot_wire[e])
+        # INIT_EMITTER: slots start in |+>
+    return photon_wire + [slot_wire[0], slot_wire[1]]
+
+
+class _StateVectorBackend:
+    """Exact amplitudes with little-endian wires.
+
+    X measurements take the outcome listed in ``outcome_overrides`` under
+    their index, +1 otherwise; a -1 outcome leaves |->, which ``reinit``
+    turns back into |+>.
+    """
+
+    def __init__(self, n_wires: int, outcome_overrides: dict[int, int] | None = None):
+        if n_wires > 24:
+            raise VerificationError("state-vector verification limited to 24 wires")
+        self.n = n_wires
+        self.state = statevec.plus_state(n_wires)
+        self.overrides = outcome_overrides or {}
+        self.outcomes: list[int] = []
+        self.minus: set[int] = set()
+
+    def cz(self, a: int, b: int) -> None:
+        self.state = statevec.apply_cz(self.state, a, b)
+
+    def measure_x(self, wire: int) -> None:
+        outcome = self.overrides.get(len(self.outcomes), +1)
+        self.outcomes.append(outcome)
+        state, prob = statevec.project_x_plus(self.state, wire, self.n, outcome)
+        if prob < 1e-12:
+            raise VerificationError("measurement branch has zero probability")
+        self.state = state / np.sqrt(prob)
+        if outcome == -1:
+            self.minus.add(wire)
+
+    def reinit(self, wire: int) -> None:
+        if wire in self.minus:
+            self.state = statevec.apply_pauli(self.state, PauliOperator.single(self.n, wire, "Z"))
+            self.minus.discard(wire)
+
+
+def _photon_statevector(seq: GenerationSequence, outcome_overrides: dict[int, int] | None = None):
+    """Exact replay; returns (photon state in emission order, measurement outcomes)."""
+    backend = _StateVectorBackend(seq.photon_count + 2, outcome_overrides)
+    order = _run(seq, backend)
+    n = backend.n
+    state = backend.state.reshape([2] * n, order="F").transpose(order).flatten(order="F")
+    # every branch leaves both slot wires in |+>
+    state = statevec.drop_plus_qubit(state, n - 1, n)
+    state = statevec.drop_plus_qubit(state, n - 2, n - 1)
+    return state, backend.outcomes
+
+
+def _photon_stabilizers(seq: GenerationSequence) -> list[PauliOperator]:
+    """Sign-exact replay; returns generators on the photon wires in emission order."""
+    tab = StabilizerTableau(seq.photon_count + 2)
+    order = _run(seq, tab)
+    rows = []
     for row in tab.rows:
         x = z = 0
-        for w, k in perm.items():
+        for k, w in enumerate(order):
             x |= ((row.x_bits >> w) & 1) << k
             z |= ((row.z_bits >> w) & 1) << k
-        remap.append(PauliOperator(row.n, x, z, row.phase))
-    tab.rows = remap
-    return tab.restricted_rows((1 << photon) - 1)
+        rows.append(PauliOperator(row.n, x, z, row.phase))
+    tab.rows = rows
+    return tab.restricted_rows((1 << seq.photon_count) - 1)
 
 
-def _target_tableau(target: ConcatenatedTarget):
-    from .tableau import StabilizerTableau
-
+def _target_stabilizers(target: ConcatenatedTarget) -> list[PauliOperator]:
     tab = StabilizerTableau.graph_state(target.n_total, target.edges)
     for v in target.virtual_wires():
-        tab.measure_x_plus(v)
+        tab.measure_x(v)
     return tab.restricted_rows((1 << target.n_photons) - 1)
 
 
@@ -579,151 +456,6 @@ def _target_statevector(target: ConcatenatedTarget) -> np.ndarray:
         state = statevec.drop_plus_qubit(state, v, n)
         n -= 1
     return state
-
-
-# -- local Clifford equivalence (binary symplectic test) ------------------
-
-
-def _solve_gf2_nullspace(rows: list[int], width: int) -> list[int]:
-    """Nullspace basis via full Gaussian elimination on bit rows."""
-    mat = [r for r in rows if r]
-    pivots: list[tuple[int, int]] = []  # (column, row value)
-    reduced: list[int] = []
-    for row in mat:
-        cur = row
-        for col, val in pivots:
-            if (cur >> col) & 1:
-                cur ^= val
-        if cur:
-            col = (cur & -cur).bit_length() - 1
-            # reduce existing pivots by the new row
-            pivots = [(c, v ^ cur if (v >> col) & 1 else v) for c, v in pivots]
-            pivots.append((col, cur))
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for free in range(width):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for col, val in pivots:
-            if (val >> free) & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return basis
-
-
-def lc_equivalent(stab_a: list[int], stab_b: list[int], n: int, search_cap: int = 26) -> bool:
-    """Are two n-qubit stabilizer groups related by single-qubit Cliffords?
-
-    Rows are packed as x | (z << n).  A per-qubit invertible symplectic
-    transform maps rowspace(A) onto rowspace(B) iff every transformed
-    A-generator commutes symplectically with all of B (the stabilizer
-    rowspace is maximally isotropic, so commutation is membership).
-    That condition is linear in the 4n diagonal unknowns; the solution
-    space is then searched for a transform invertible on every qubit.
-    """
-    if len(stab_a) != n or len(stab_b) != n:
-        raise ValueError("need full stabilizer generator sets")
-    mask = (1 << n) - 1
-    ax = [r & mask for r in stab_a]
-    az = [r >> n for r in stab_a]
-    bx = [r & mask for r in stab_b]
-    bz = [r >> n for r in stab_b]
-
-    # unknowns u = (a | b<<n | c<<2n | d<<3n), the per-qubit 2x2 entries
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            coeff_a = ax[i] & bz[k]
-            coeff_c = az[i] & bz[k]
-            coeff_b = ax[i] & bx[k]
-            coeff_d = az[i] & bx[k]
-            rows.append(coeff_a | (coeff_b << n) | (coeff_c << (2 * n)) | (coeff_d << (3 * n)))
-    basis = _solve_gf2_nullspace(rows, 4 * n)
-    if len(basis) > search_cap:
-        raise VerificationError(
-            f"local-equivalence solution space too large to search ({len(basis)} dimensions)"
-        )
-
-    reduced_b = gf2_reduce(list(stab_b))
-
-    def in_b_span(target: int) -> bool:
-        for row in reduced_b:
-            h = row.bit_length() - 1
-            if (target >> h) & 1:
-                target ^= row
-        return target == 0
-
-    def valid(u: int) -> bool:
-        a = u & mask
-        b = (u >> n) & mask
-        c = (u >> (2 * n)) & mask
-        d = (u >> (3 * n)) & mask
-        if (a & d) ^ (b & c) != mask:
-            return False
-        for i in range(n):
-            tx = (ax[i] & a) ^ (az[i] & c)
-            tz = (ax[i] & b) ^ (az[i] & d)
-            if not in_b_span(tx | (tz << n)):
-                return False
-        return True
-
-    # enumerate the solution space in chunks, screening on the per-qubit
-    # determinant with vectorized 64-bit lanes (n <= 64 here)
-    if n > 64:
-        raise VerificationError("local-equivalence check limited to 64 qubits")
-    dim = len(basis)
-    ba = np.array([v & mask for v in basis], dtype=np.uint64)
-    bb = np.array([(v >> n) & mask for v in basis], dtype=np.uint64)
-    bc = np.array([(v >> (2 * n)) & mask for v in basis], dtype=np.uint64)
-    bd = np.array([(v >> (3 * n)) & mask for v in basis], dtype=np.uint64)
-    low = min(dim, 18)
-    table = np.zeros((1 << low, 4), dtype=np.uint64)
-    for j in range(low):
-        half = 1 << j
-        table[half : 2 * half] = table[:half]
-        table[half : 2 * half, 0] ^= ba[j]
-        table[half : 2 * half, 1] ^= bb[j]
-        table[half : 2 * half, 2] ^= bc[j]
-        table[half : 2 * half, 3] ^= bd[j]
-    full = np.uint64(mask)
-    for prefix in range(1 << (dim - low)):
-        pa = pb = pc = pd = 0
-        rem, j = prefix, low
-        while rem:
-            if rem & 1:
-                pa ^= int(ba[j])
-                pb ^= int(bb[j])
-                pc ^= int(bc[j])
-                pd ^= int(bd[j])
-            rem >>= 1
-            j += 1
-        a = table[:, 0] ^ np.uint64(pa)
-        b = table[:, 1] ^ np.uint64(pb)
-        c = table[:, 2] ^ np.uint64(pc)
-        d = table[:, 3] ^ np.uint64(pd)
-        hits = np.nonzero(((a & d) ^ (b & c)) == full)[0]
-        for h in hits:
-            u = int(a[h]) | (int(b[h]) << n) | (int(c[h]) << (2 * n)) | (int(d[h]) << (3 * n))
-            if valid(u):
-                return True
-    return False
-
-
-def graphs_lc_equivalent(edges_a, n_a: int, edges_b, n_b: int) -> bool:
-    if n_a != n_b:
-        return False
-    if set(edges_a) == set(edges_b):
-        return True
-
-    def stab_rows(edges, n):
-        adj = [0] * n
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return [(1 << i) | (adj[i] << n) for i in range(n)]
-
-    return lc_equivalent(stab_rows(edges_a, n_a), stab_rows(edges_b, n_b), n_a)
 
 
 # -- verification ---------------------------------------------------------
@@ -747,11 +479,11 @@ def verify_sequence(
 ) -> VerificationResult:
     """Check a sequence against the concatenated target construction.
 
-    ``method``: 'statevector' (exact amplitudes, up to 12 photons),
-    'stabilizer' (sign-exact stabilizer update, any size; the default
-    beyond 12 photons), or 'graph' (graph-rule simulation that drops
-    measurement byproducts and accepts local-Clifford equivalence; can
-    be slow on highly symmetric targets).
+    ``method``: 'statevector' (exact amplitudes, small targets only) or
+    'stabilizer' (sign-exact stabilizer tableau, any size); 'auto' takes
+    the state vector up to 12 photons and the tableau beyond.  Both
+    replay the sequence with every spin measurement forced to +1 and
+    compare the photon state with the target exactly, signs included.
     """
     target = expected or build_concatenated_target(seq.outer_ops, seq.inner_ops)
     if target.n_photons != seq.photon_count:
@@ -759,7 +491,7 @@ def verify_sequence(
     if method == "auto":
         method = "statevector" if seq.photon_count <= 12 else "stabilizer"
     if method == "statevector":
-        got, _ = _simulate_statevector(seq)
+        got, _ = _photon_statevector(seq)
         want = _target_statevector(target)
         if statevec.states_equal_up_to_phase(got, want):
             return VerificationResult(True, method)
@@ -771,17 +503,12 @@ def verify_sequence(
             {"overlap": overlap},
         )
     if method == "stabilizer":
-        from .tableau import BranchImpossible
-
         try:
-            got_rows = _simulate_tableau(seq)
+            got_rows = _photon_stabilizers(seq)
         except (BranchImpossible, ValueError) as exc:
             return VerificationResult(False, method, f"simulation diverged: {exc}")
-        from .tableau import StabilizerTableau
-
-        want_rows = _target_tableau(target)
         got_canon = StabilizerTableau.canonical(got_rows)
-        want_canon = StabilizerTableau.canonical(want_rows)
+        want_canon = StabilizerTableau.canonical(_target_stabilizers(target))
         if got_canon == want_canon:
             return VerificationResult(True, method)
         diverging = sorted(set(got_canon) ^ set(want_canon))
@@ -790,20 +517,5 @@ def verify_sequence(
             method,
             "compiled stabilizers differ from the target state",
             {"divergent_generators": diverging[:4]},
-        )
-    if method == "graph":
-        got_edges = _simulate_graph(seq)
-        stray = [e for e in got_edges if e[0] >= target.n_photons or e[1] >= target.n_photons]
-        if stray:
-            return VerificationResult(False, method, f"photons still entangled with spins: {stray}")
-        want_edges = _reduce_target_graph(target)
-        if graphs_lc_equivalent(got_edges, target.n_photons, want_edges, target.n_photons):
-            return VerificationResult(True, method)
-        diff = sorted(set(got_edges) ^ set(want_edges))
-        return VerificationResult(
-            False,
-            method,
-            "compiled graph is not locally equivalent to the target",
-            {"edge_difference": diff, "got": sorted(got_edges), "want": sorted(want_edges)},
         )
     raise ValueError(f"unknown method {method!r}")

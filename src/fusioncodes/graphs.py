@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 from .pauli import PauliOperator, ResourceCapExceeded, StabilizerGroup
 
@@ -75,7 +74,21 @@ class GraphState:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GraphState":
-        return GraphState.from_edges(data["n"], data["edges"], data.get("emitter", 0))
+        """Parse ``{"n": .., "edges": [[u, v], ...], "emitter": ..}``; raises
+        ValueError on anything else, so untrusted files fail cleanly."""
+        if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+            raise ValueError("graph JSON must be an object with keys 'n' and 'edges'")
+        n, edges, emitter = data["n"], data["edges"], data.get("emitter", 0)
+
+        def is_int(x) -> bool:
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        pairs_ok = isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in edges
+        )
+        if not (is_int(n) and is_int(emitter) and pairs_ok):
+            raise ValueError("graph JSON needs integer 'n' and 'emitter' and 'edges' as [u, v] integer pairs")
+        return GraphState.from_edges(n, edges, emitter)
 
     def to_dot(self, name: str = "g") -> str:
         lines = [f"graph {name} {{"]
@@ -191,10 +204,6 @@ def _coerce_ops(ops) -> list[GenerationOp]:
     return list(ops)
 
 
-def ops_string(ops: list[GenerationOp]) -> str:
-    return "".join(op.value for op in ops)
-
-
 # -- isomorphism and enumeration -------------------------------------
 
 
@@ -225,21 +234,12 @@ def _rooted_tree_key(g: GraphState, root: int) -> str:
 def canonical_key(g: GraphState) -> str:
     """Canonical string identifying (graph, emitter) up to isomorphism.
 
-    Trees use rooted canonical labeling with the emitter pinned as root;
-    other graphs fall back to minimizing the edge signature over all
-    relabelings that fix the emitter (fine at the sizes handled here).
+    Rooted canonical labeling with the emitter pinned as root.  Every
+    single-emitter progenitor is a tree, so other graphs are rejected.
     """
-    if is_tree(g):
-        return "T" + _rooted_tree_key(g, g.emitter)
-    others = [v for v in range(g.n) if v != g.emitter]
-    best = None
-    for perm in permutations(range(1, g.n)):
-        relabel = {g.emitter: 0}
-        relabel.update({v: p for v, p in zip(others, perm)})
-        sig = tuple(sorted((min(relabel[u], relabel[v]), max(relabel[u], relabel[v])) for u, v in g.edges))
-        if best is None or sig < best:
-            best = sig
-    return f"G{g.n}:" + ";".join(f"{u}-{v}" for u, v in (best or ()))
+    if not is_tree(g):
+        raise ValueError("marked canonical key implemented for trees only")
+    return "T" + _rooted_tree_key(g, g.emitter)
 
 
 def unmarked_tree_key(g: GraphState) -> str:

@@ -71,10 +71,6 @@ class LossPolynomial:
             coeffs.pop()
         return tuple(coeffs)
 
-    def float_coeffs(self, p_fail: float) -> list[float]:
-        """float eta^2 coefficients for fast repeated evaluation."""
-        return [float(c) for c in self.eta2_coeffs(Fraction(p_fail).limit_denominator(1 << 30))]
-
     def is_normalized(self) -> bool:
         """True iff this is the sum over all 3^n patterns (so identically 1)."""
         expect = {}

@@ -155,22 +155,6 @@ def qubitwise_commutes(a: PauliOperator, available_x: int, available_z: int) -> 
     return (a.x_bits & ~available_x) == 0 and (a.z_bits & ~available_z) == 0
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of bit-vector rows."""
-    basis: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            h = row.bit_length() - 1
-            if h in basis:
-                row ^= basis[h]
-            else:
-                basis[h] = row
-                rank += 1
-                break
-    return rank
-
-
 def gf2_reduce(rows: list[int]) -> list[int]:
     """Independent basis (one row per leading bit) spanning the given rows."""
     basis: dict[int, int] = {}
@@ -183,15 +167,6 @@ def gf2_reduce(rows: list[int]) -> list[int]:
                 basis[h] = row
                 break
     return [basis[h] for h in sorted(basis, reverse=True)]
-
-
-def gf2_in_span(rows: list[int], target: int) -> bool:
-    """True iff ``target`` lies in the GF(2) span of ``rows``."""
-    for row in gf2_reduce(rows):
-        h = row.bit_length() - 1
-        if (target >> h) & 1:
-            target ^= row
-    return target == 0
 
 
 @dataclass(frozen=True)
@@ -210,7 +185,7 @@ class StabilizerGroup:
             if not commutes(a, b):
                 raise ValueError(f"generators do not commute: {a} vs {b}")
         rows = [g.x_bits | (g.z_bits << self.n) for g in self.generators]
-        if gf2_rank(rows) != len(rows):
+        if len(gf2_reduce(rows)) != len(rows):
             raise ValueError("generators are not independent")
 
     @property

@@ -32,11 +32,6 @@ def graph_state(n: int, edges) -> np.ndarray:
     return state
 
 
-def append_plus_qubit(state: np.ndarray) -> np.ndarray:
-    """Add one qubit in |+> as the new highest tensor factor."""
-    return np.kron(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), state)
-
-
 def apply_pauli(state: np.ndarray, p: PauliOperator) -> np.ndarray:
     """Apply a signed Pauli given in bit-packed form.
 
@@ -68,13 +63,6 @@ def project_pauli(state: np.ndarray, p: PauliOperator, outcome: int) -> tuple[np
     out = 0.5 * (state + outcome * apply_pauli(state, p))
     prob = float(np.vdot(out, out).real)
     return out, prob
-
-
-def normalize(state: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(state)
-    if norm < 1e-12:
-        raise ValueError("cannot normalize a null state")
-    return state / norm
 
 
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

@@ -5,7 +5,7 @@ verified here consist of |+> preparations, CZ gates and X measurements
 postselected on +1, so measurement updates never need an outcome drawn
 from destabilizer bookkeeping.  Signs are carried exactly through the
 bit-packed Pauli arithmetic, which makes the final comparison an exact
-state-equality check rather than an up-to-local-Clifford one.
+state-equality check.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class StabilizerTableau:
             new_rows.append(PauliOperator(row.n, row.x_bits, z, phase))
         self.rows = new_rows
 
-    def measure_x_plus(self, wire: int) -> None:
+    def measure_x(self, wire: int) -> None:
         """Project wire onto X=+1 and update; raises if that branch is null."""
         x_row = PauliOperator.single(self.n, wire, "X")
         anti = [k for k, row in enumerate(self.rows) if (row.z_bits >> wire) & 1]
@@ -63,34 +63,16 @@ class StabilizerTableau:
                 self.rows[k] = multiply(self.rows[k], pivot)
             self.rows[anti[0]] = x_row
             return
-        # outcome already determined: X_wire must be a +1 group element
-        basis = {}
-        for row in self.rows:
-            cur = row
-            key = cur.x_bits | (cur.z_bits << self.n)
-            while key:
-                h = key.bit_length() - 1
-                if h in basis:
-                    cur = multiply(cur, basis[h])
-                    key = cur.x_bits | (cur.z_bits << self.n)
-                else:
-                    basis[h] = cur
-                    break
-        goal = x_row
-        cur = goal
-        key = cur.x_bits | (cur.z_bits << self.n)
-        acc = PauliOperator.identity(self.n)
-        while key:
-            h = key.bit_length() - 1
-            if h not in basis:
-                raise BranchImpossible(f"X on wire {wire} is not determined")
-            acc = multiply(acc, basis[h])
-            cur = multiply(cur, basis[h])
-            key = cur.x_bits | (cur.z_bits << self.n)
-        if acc.x_bits != x_row.x_bits or acc.z_bits != 0:
-            raise BranchImpossible(f"cannot reduce X on wire {wire}")
-        if acc.sign != 1:
+        # outcome already determined: X_wire must be a +1 group element,
+        # i.e. reduce to +I against the echelon basis
+        rest = _reduce(x_row, _echelon(self.rows))
+        if _key(rest):
+            raise BranchImpossible(f"X on wire {wire} is not determined")
+        if rest.phase != 0:
             raise BranchImpossible(f"forced +1 outcome on wire {wire} has zero probability")
+
+    def reinit(self, wire: int) -> None:
+        """No-op: the only measurements are +1 X projections, which leave |+>."""
 
     def restricted_rows(self, keep_mask: int) -> list[PauliOperator]:
         """Generators supported inside ``keep_mask`` (other wires must be
@@ -122,21 +104,7 @@ class StabilizerTableau:
     @staticmethod
     def canonical(rows: list[PauliOperator]) -> tuple:
         """Unique signed reduced form of a commuting generator list."""
-        if not rows:
-            return ()
-        n = rows[0].n
-        basis: dict[int, PauliOperator] = {}
-        for row in rows:
-            cur = row
-            key = cur.x_bits | (cur.z_bits << n)
-            while key:
-                h = key.bit_length() - 1
-                if h in basis:
-                    cur = multiply(cur, basis[h])
-                    key = cur.x_bits | (cur.z_bits << n)
-                else:
-                    basis[h] = cur
-                    break
+        basis = _echelon(rows)
         # back-substitute in increasing pivot order so each finished row is
         # free of every other pivot position, giving a unique reduced form
         for h in sorted(basis):
@@ -144,8 +112,31 @@ class StabilizerTableau:
             for h2 in sorted(basis):
                 if h2 >= h:
                     break
-                key = cur.x_bits | (cur.z_bits << n)
-                if (key >> h2) & 1:
+                if (_key(cur) >> h2) & 1:
                     cur = multiply(cur, basis[h2])
             basis[h] = cur
         return tuple((p.x_bits, p.z_bits, p.phase) for _, p in sorted(basis.items(), reverse=True))
+
+
+def _key(row: PauliOperator) -> int:
+    return row.x_bits | (row.z_bits << row.n)
+
+
+def _reduce(row: PauliOperator, basis: dict[int, PauliOperator]) -> PauliOperator:
+    """Multiply ``row`` by basis rows while its leading bit has a pivot."""
+    key = _key(row)
+    while key and (key.bit_length() - 1) in basis:
+        row = multiply(row, basis[key.bit_length() - 1])
+        key = _key(row)
+    return row
+
+
+def _echelon(rows: list[PauliOperator]) -> dict[int, PauliOperator]:
+    """Signed row echelon basis of ``rows``, keyed by leading bit of x | z << n."""
+    basis: dict[int, PauliOperator] = {}
+    for row in rows:
+        cur = _reduce(row, basis)
+        key = _key(cur)
+        if key:
+            basis[key.bit_length() - 1] = cur
+    return basis

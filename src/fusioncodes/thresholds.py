@@ -320,7 +320,7 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
     )
 
 
-def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5, threads: int = 1) -> list[ThresholdResult]:
+def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list[ThresholdResult]:
     """Loss thresholds of every single-emitter inner code of this size.
 
     Results are sorted by decreasing threshold, ties broken by code id.
@@ -329,13 +329,7 @@ def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5, threads
         raise ValueError("code size must be between 1 and 8")
     records = enumerate_progenitor_records(n_code)
     codes = [code_from_progenitor(r.graph, code_id=r.sequence) for r in records]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: loss_threshold(c, bias, p_fail), codes))
-    else:
-        results = [loss_threshold(c, bias, p_fail) for c in codes]
+    results = [loss_threshold(c, bias, p_fail) for c in codes]
     results.sort(key=lambda r: (-r.gamma_star, r.code_id))
     return results
 

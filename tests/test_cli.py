@@ -1,7 +1,10 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusioncodes.cli import main
 from fusioncodes.thresholds import (
@@ -102,6 +105,12 @@ class TestThreshold:
         main(["threshold", "--config", cfg, "--n-max", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n_min, n_max, expected", [("9", "9", 4), ("5", "3", 2)])
+    def test_size_range_checked_before_search(self, tmp_path, n_min, n_max, expected):
+        out = tmp_path / "t.csv"
+        assert main(["threshold", "--n-min", n_min, "--n-max", n_max, "--out", str(out)]) == expected
+        assert not out.exists()
+
 
 class TestRegion:
     def test_zero_epsilon_map_warns_but_succeeds(self, tmp_path, capsys):
@@ -130,6 +139,10 @@ class TestRegion:
         cfg = write_config(tmp_path, with_epsilon=False)
         out = tmp_path / "region.csv"
         assert main(["region", "--code", "LL", "--config", cfg, "--out", str(out)]) == 3
+
+    def test_size_over_cap(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["region", "--n", "9", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 4
 
 
 class TestCompile:
@@ -173,6 +186,22 @@ class TestCompile:
         )
         assert main(["compile", "--outer", str(outer), "--inner", "L", "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize(
+        "outer_json, inner",
+        [
+            ({"n": 3}, "L"),
+            ([[0, 1], [1, 2]], "L"),
+            ({"n": 3, "edges": [[1, 1]]}, "L"),
+            ({"n": 3, "edges": [[0, 5]]}, "L"),
+            ({"n": 3, "edges": [[0, 1], [1, 2]]}, ""),
+        ],
+        ids=["no-edges", "list-root", "self-loop", "out-of-range", "empty-inner"],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, outer_json, inner):
+        outer = tmp_path / "outer.json"
+        outer.write_text(json.dumps(outer_json))
+        assert main(["compile", "--outer", str(outer), "--inner", inner, "--out", str(tmp_path / "x")]) == 3
+
 
 class TestDuals:
     def test_duals_all_verified(self, tmp_path):
@@ -192,3 +221,48 @@ class TestManifest:
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
         assert da["manifest"]["config_digest"] == db["manifest"]["config_digest"]
         assert da["manifest"]["version"]
+        # nothing machine-dependent enters the parameters
+        assert "threads" not in da["manifest"]["parameters"]
+
+
+# Outer graphs stay at n <= 8 so no input reaches the exponential outer scan.
+def _tree(n):
+    parents = st.tuples(*[st.integers(0, v - 1) for v in range(1, n)])
+    return parents.map(lambda ps: {"n": n, "edges": [[p, v] for v, p in enumerate(ps, start=1)]})
+
+
+_pair = st.lists(st.integers(-1, 8), min_size=2, max_size=2)
+_vertex = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2))
+_outer_json = st.one_of(
+    st.integers(1, 8).flatmap(_tree),
+    st.integers(0, 8).flatmap(
+        lambda n: st.fixed_dictionaries({"n": st.just(n), "edges": st.lists(_pair, max_size=n + 2)})
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": st.one_of(st.integers(-1, 8), st.booleans(), st.text(max_size=2), st.none()),
+            "edges": st.one_of(
+                st.lists(st.one_of(st.lists(_vertex, max_size=3), st.integers(), st.none()), max_size=6),
+                st.integers(),
+                st.text(max_size=3),
+            ),
+            "emitter": st.one_of(st.integers(-1, 8), st.none()),
+        },
+    ),
+    st.lists(st.integers(0, 8), max_size=4),
+    st.text(max_size=4),
+    st.none(),
+)
+_inner = st.one_of(st.text(alphabet="LP", max_size=9), st.text(alphabet="LPlx ", max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer_json=_outer_json, inner=_inner)
+def test_compile_boundary_never_raises(outer_json, inner):
+    with tempfile.TemporaryDirectory() as tmp:
+        outer = os.path.join(tmp, "outer.json")
+        with open(outer, "w") as fh:
+            json.dump(outer_json, fh)
+        code = main(["compile", "--outer", outer, "--inner", inner, "--out", os.path.join(tmp, "run")])
+    assert code in {0, 3, 4, 5}

@@ -1,6 +1,5 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
 from fusioncodes import statevec
@@ -14,15 +13,13 @@ from fusioncodes.compiler import (
     compile_generation,
     count_resources,
     derive_outer_sequence,
-    graphs_lc_equivalent,
-    lc_equivalent,
-    measure_x_graph,
     verify_sequence,
     _inner_wire_roles,
-    _simulate_statevector,
+    _photon_statevector,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
-from fusioncodes.pauli import PauliOperator, gf2_reduce, multiply
+from fusioncodes.pauli import PauliOperator, multiply
+from fusioncodes.tableau import BranchImpossible, StabilizerTableau
 
 
 def inner_code(seq):
@@ -87,6 +84,9 @@ class TestCompile:
         cycle = GraphState.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(CompileError):
             derive_outer_sequence(cycle)
+        # no single emitter makes a cyclic progenitor, so no inner block either
+        with pytest.raises(CompileError):
+            compile_generation(build_progenitor("P"), code_from_progenitor(cycle), Mode.TWO_EMITTER)
 
     def test_single_vertex_outer(self):
         seq = compile_generation(GraphState(1, frozenset(), 0), inner_code("LL"), Mode.TWO_EMITTER)
@@ -119,73 +119,6 @@ class TestResources:
         assert rc.max_emitter_depth <= two.max_emitter_depth + 2
 
 
-class TestMeasureXRule:
-    def test_rule_matches_state_vector_up_to_local_cliffords(self):
-        for npho in range(1, 5):
-            for rec in enumerate_progenitor_records(npho):
-                g = rec.graph
-                for a in range(g.n):
-                    if g.degree(a) == 0:
-                        continue
-                    st = statevec.graph_state(g.n, g.edges)
-                    st, prob = statevec.project_x_plus(st, a, g.n, +1)
-                    assert prob > 1e-12
-                    st = statevec.drop_plus_qubit(st / np.linalg.norm(st), a, g.n)
-                    m = g.n - 1
-                    rows_state = []
-                    for xz in range(4**m):
-                        x, z = xz & ((1 << m) - 1), xz >> m
-                        if x == 0 and z == 0:
-                            continue
-                        for ph in (0, 2):
-                            p = PauliOperator(m, x, z, ph)
-                            if np.allclose(statevec.apply_pauli(st, p), st, atol=1e-9):
-                                rows_state.append(x | (z << m))
-                                break
-                    rows_state = gf2_reduce(rows_state)
-                    assert len(rows_state) == m
-
-                    edges = set(g.edges)
-                    measure_x_graph(edges, a)
-
-                    def rl(v):
-                        return v if v < a else v - 1
-
-                    edges2 = {(min(rl(u), rl(v)), max(rl(u), rl(v))) for u, v in edges}
-                    adj = [0] * m
-                    for u, v in edges2:
-                        adj[u] |= 1 << v
-                        adj[v] |= 1 << u
-                    rows_graph = [(1 << i) | (adj[i] << m) for i in range(m)]
-                    assert lc_equivalent(rows_state, rows_graph, m), (rec.sequence, a)
-
-    def test_isolated_vertex_measurement_is_trivial(self):
-        edges = {(0, 1)}
-        measure_x_graph(edges, 2)
-        assert edges == {(0, 1)}
-
-
-class TestLcEquivalence:
-    def test_triangle_and_path(self):
-        assert graphs_lc_equivalent({(0, 1), (0, 2), (1, 2)}, 3, {(0, 1), (1, 2)}, 3)
-
-    def test_star_and_chain_of_four_differ(self):
-        assert not graphs_lc_equivalent({(0, 1), (0, 2), (0, 3)}, 4, {(0, 1), (1, 2), (2, 3)}, 4)
-
-    def test_lc_orbit_members_are_equivalent(self):
-        from fusioncodes.graphs import local_complement
-
-        g = build_progenitor("LPLP")
-        h = g
-        for q in (0, 2, 1, 4):
-            h = local_complement(h, q)
-        assert graphs_lc_equivalent(g.edges, g.n, h.edges, h.n)
-
-    def test_equal_graphs_fast_path(self):
-        g = build_progenitor("LPL")
-        assert graphs_lc_equivalent(g.edges, g.n, g.edges, g.n)
-
-
 class TestVerification:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_small_targets_all_methods_agree(self, mode):
@@ -197,7 +130,7 @@ class TestVerification:
         ]
         for outer_ops, inner_ops in cases:
             seq = compile_generation(build_progenitor(outer_ops), inner_code(inner_ops), mode)
-            for method in ("statevector", "stabilizer", "graph"):
+            for method in ("statevector", "stabilizer"):
                 res = verify_sequence(seq, method=method)
                 assert res.ok, (mode, outer_ops, inner_ops, method, res.message)
 
@@ -206,21 +139,21 @@ class TestVerification:
         res = verify_sequence(seq)
         assert res.ok and res.method == "stabilizer"
 
-    def test_graph_method_on_moderate_target(self):
-        seq = compile_generation(build_progenitor("PLPPLPPLP"), inner_code("LPL"), Mode.TWO_EMITTER)
-        res = verify_sequence(seq, method="graph")
-        assert res.ok
-
     def test_fault_injection_reports_failure(self):
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
         ops = list(seq.ops)
         cz_at = [k for k, i in enumerate(ops) if i.op is Op.CZ]
         del ops[cz_at[1]]
         bad = dataclasses.replace(seq, ops=tuple(ops))
-        for method in ("statevector", "stabilizer", "graph"):
+        for method in ("statevector", "stabilizer"):
             res = verify_sequence(bad, method=method)
             assert not res.ok
             assert res.message
+
+    def test_unknown_method_rejected(self):
+        seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
+        with pytest.raises(ValueError):
+            verify_sequence(seq, method="graph")
 
     def test_photon_count_mismatch_detected(self):
         seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
@@ -255,7 +188,7 @@ class TestVerification:
                 op = multiply(op, lift(inner.logical_z, u))
             return op
 
-        base, _ = _simulate_statevector(seq)
+        base, _ = _photon_statevector(seq)
         assert all(
             statevec.expectation(base, logical_stabilizer(v)).real == pytest.approx(1.0)
             for v in range(m)
@@ -263,7 +196,7 @@ class TestVerification:
         n_meas = sum(1 for i in seq.ops if i.op is Op.MEASURE_X)
         flipped = []
         for j in range(n_meas):
-            st, _ = _simulate_statevector(seq, {j: -1})
+            st, _ = _photon_statevector(seq, {j: -1})
             vals = [statevec.expectation(st, logical_stabilizer(v)).real for v in range(m)]
             neg = [v for v, val in enumerate(vals) if val == pytest.approx(-1.0)]
             assert len(neg) == 1, vals
@@ -278,6 +211,16 @@ class TestVerification:
                 if target is None:
                     target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
                 assert verify_sequence(seq, expected=target, method="statevector").ok
+
+
+class TestStabilizerTableau:
+    def test_determined_x_outcome_is_checked_with_sign(self):
+        tab = StabilizerTableau(2)  # |++>: X on either wire is already +1
+        tab.measure_x(0)
+        assert StabilizerTableau.canonical(tab.rows) == StabilizerTableau.canonical(StabilizerTableau(2).rows)
+        tab.rows = [PauliOperator.single(2, 0, "X", sign=-1), PauliOperator.single(2, 1, "X")]  # |-+>
+        with pytest.raises(BranchImpossible):
+            tab.measure_x(0)
 
 
 class TestSerialization:
