@@ -5,7 +5,9 @@ atomically (temp file + rename) together with a run manifest carrying
 the command, parameters, config digest and tool version, so repeated
 runs with identical inputs produce byte-identical files.
 
-Exit codes: 0 ok, 2 usage, 3 config, 4 resource cap, 5 verification
+Exit codes: 0 ok, 2 usage (including a --p-fail or --eta-grid value
+outside [0, 1] or not a number), 3 config (unreadable or malformed
+config, outer-graph or code input), 4 resource cap, 5 verification
 failure.
 """
 
@@ -105,9 +107,9 @@ def _write_csv(path: str, header: list[str], rows: list[list], manifest: dict) -
 def _load_bias(args) -> tuple:
     """(randomized, passive, error-config, raw-config-dict) from --config or defaults."""
     if getattr(args, "config", None):
+        rand, passive, err = load_config(args.config)  # first: bad files become ConfigError
         with open(args.config) as fh:
             raw = json.load(fh)
-        rand, passive, err = load_config(args.config)
         return rand, passive, err, raw
     rand = default_bias_config(BiasMode.RANDOMIZED)
     passive = default_bias_config(BiasMode.PASSIVE)
@@ -139,6 +141,27 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
+
+
+def _grid_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for nan too
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
+def _eta_grid(text: str) -> str:
+    """Comma-separated transmissions in [0, 1]; kept as text for the manifest."""
+    for item in text.split(","):
+        _probability(item)
+    return text
 
 
 def _parse_w(text: str, n: int) -> tuple[int, ...]:
@@ -339,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="JSON config with outer-code thresholds")
         p.add_argument("--seed", type=int, help="recorded in the manifest; no randomness is used")
-        p.add_argument("--p-fail", type=float, default=0.5, help="physical fusion failure probability")
+        p.add_argument("--p-fail", type=_probability, default=0.5, help="physical fusion failure probability")
 
     p = sub.add_parser("enumerate", help="enumerate single-emitter progenitor graphs")
     p.add_argument("--n", type=_positive_int, required=True, help="photon count (1..8)")
@@ -350,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="erasure analysis of one code and failure basis")
     p.add_argument("--code", required=True, help="code id (generation sequence, e.g. LLP)")
     p.add_argument("--w", help="failure-basis bits, one per code qubit")
-    p.add_argument("--eta-grid", help="comma-separated transmissions to evaluate")
+    p.add_argument("--eta-grid", type=_eta_grid, help="comma-separated transmissions to evaluate")
     p.add_argument("--out", required=True)
     common(p, config=False)
     p.set_defaults(func=cmd_analyze)
@@ -374,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=_positive_int, help="use the loss winner of this size")
     group.add_argument("--code", help="explicit code id")
-    p.add_argument("--grid-points", type=_positive_int, default=21)
+    p.add_argument("--grid-points", type=_grid_size, default=21)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_region)

@@ -10,11 +10,11 @@ measurements on the short-lived emitter spin by inserting a SWAP after
 the CZ for path edges.
 
 Verification replays a sequence wire by wire through one interpreter
-that drives either an exact state vector (up to 12 photons by default)
-or a sign-exact stabilizer tableau (any size), and compares the photon
-state against the concatenated target graph: the outer graph with an
-inner block embedded at every node and the virtual node of each block
-measured in X with outcome +1.
+that drives either an exact state vector (by default up to 12 photons
+and 16 target wires) or a sign-exact stabilizer tableau (any size),
+and compares the photon state against the concatenated target graph:
+the outer graph with an inner block embedded at every node and the
+virtual node of each block measured in X with outcome +1.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ from .graphs import (
 from .pauli import PauliOperator
 from .tableau import BranchImpossible, StabilizerTableau
 from . import statevec
+
+# 'auto' verification limits of the state vector: photons of the replay,
+# and photons plus one virtual wire per outer vertex for the target
+AUTO_MAX_PHOTONS = 12
+AUTO_MAX_WIRES = 16
 
 
 class CompileError(ValueError):
@@ -481,7 +486,9 @@ def verify_sequence(
 
     ``method``: 'statevector' (exact amplitudes, small targets only) or
     'stabilizer' (sign-exact stabilizer tableau, any size); 'auto' takes
-    the state vector up to 12 photons and the tableau beyond.  Both
+    the state vector when there are at most 12 photons and the target's
+    vector, which carries one more wire per outer vertex, spans at most
+    16 wires, and the tableau otherwise.  Both
     replay the sequence with every spin measurement forced to +1 and
     compare the photon state with the target exactly, signs included.
     """
@@ -489,7 +496,8 @@ def verify_sequence(
     if target.n_photons != seq.photon_count:
         return VerificationResult(False, "none", "photon count differs from target")
     if method == "auto":
-        method = "statevector" if seq.photon_count <= 12 else "stabilizer"
+        small = seq.photon_count <= AUTO_MAX_PHOTONS and target.n_total <= AUTO_MAX_WIRES
+        method = "statevector" if small else "stabilizer"
     if method == "statevector":
         got, _ = _photon_statevector(seq)
         want = _target_statevector(target)

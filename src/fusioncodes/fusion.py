@@ -8,9 +8,11 @@ lost.  A logical parity is recovered when some representative of the
 corresponding logical set is reconstructible qubit by qubit.
 
 Patterns are classified once per code over all 4^n per-qubit
-availability states (none / ZZ only / XX only / both); every failure
-basis then just filters that table, which keeps the 2^n basis scan and
-erasure polynomials exact and fast.
+availability states (none / ZZ only / XX only / both).  Each of the 3^n
+success/failure/loss patterns lands on one table state per failure
+basis, so one gather over the table yields integer pattern counts for
+all 2^n bases at once, which keeps the basis scan and the erasure
+polynomials exact and fast.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import GraphCode, logical_set
-from .lpoly import LossPolynomial
+from .lpoly import LossPolynomial, eta2_numerators
 from .pauli import ResourceCapExceeded, enumerate_group, gf2_reduce
 
 FUSION_CAP = 8
@@ -108,6 +110,26 @@ def recoverable(logical_pair, outcomes, w_bits) -> bool:
 
 # -- per-code availability table --------------------------------------
 
+# gather indices held at once while counting all failure bases
+GATHER_CHUNK = 1 << 17
+
+
+@lru_cache(maxsize=FUSION_CAP)
+def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low, spread, key) over the 3^n success/failure/loss patterns.
+
+    ``low`` is a pattern's availability-table index with every failed
+    pair read as ZZ, ``spread`` has bit 2i set for each failed pair i and
+    ``key`` is s*(n+1)+f.  Under failure basis w the pattern sits at
+    index low + (spread & spread(w)): the bit turns digit ZZ (1) into XX (2).
+    """
+    trits = (np.arange(3**n, dtype=np.int64)[:, None] // 3 ** np.arange(n)) % 3  # 0 loss, 1 fail, 2 success
+    quad = 4 ** np.arange(n, dtype=np.int64)
+    low = (np.array([AVAIL_NONE, AVAIL_ZZ, AVAIL_BOTH])[trits] * quad).sum(axis=1)
+    spread = ((trits == 1) * quad).sum(axis=1)
+    key = (trits == 2).sum(axis=1) * (n + 1) + (trits == 1).sum(axis=1)
+    return low, spread, key
+
 
 class CodeFusionTable:
     """Classification of all 4^n availability states for one code."""
@@ -140,33 +162,43 @@ class CodeFusionTable:
                 cov = ((p.x_bits & ~self.ax_mask) == 0) & ((p.z_bits & ~self.az_mask) == 0)
                 rep[cov & (rep < 0)] = k
             self.rep_index[basis] = rep
+        self._counts: dict[str | None, np.ndarray] = {}
 
     def consistent(self, w_mask: int) -> np.ndarray:
         """Patterns whose failure outcomes agree with the basis vector."""
         return ((self.fail_xx_mask & ~w_mask) == 0) & ((self.fail_zz_mask & w_mask) == 0)
 
-    def success_polynomial(self, basis: str, w_mask: int) -> LossPolynomial:
-        select = self.consistent(w_mask) & (self.rep_index[basis] >= 0)
-        key = self.n_success.astype(np.int64) * (self.n + 1) + self.n_fail
-        counts = np.bincount(key[select], minlength=(self.n + 1) ** 2)
-        poly = LossPolynomial(self.n)
-        for k, c in enumerate(counts):
-            if c:
-                s, f = divmod(k, self.n + 1)
-                poly.add_pattern(s, f, self.n - s - f, int(c))
-        return poly
+    def counts(self, basis: str | None) -> np.ndarray:
+        """int64 C[w, s*(n+1)+f] for every failure basis w at once.
 
-    def full_polynomial(self, w_mask: int) -> LossPolynomial:
-        """Sum over every consistent pattern; identically 1 when normalized."""
-        select = self.consistent(w_mask)
-        key = self.n_success.astype(np.int64) * (self.n + 1) + self.n_fail
-        counts = np.bincount(key[select], minlength=(self.n + 1) ** 2)
-        poly = LossPolynomial(self.n)
-        for k, c in enumerate(counts):
-            if c:
-                s, f = divmod(k, self.n + 1)
-                poly.add_pattern(s, f, self.n - s - f, int(c))
-        return poly
+        Row w counts the patterns with s successes and f failures whose
+        failures agree with w (bit i set: pair i recovers XX) and that
+        recover the paired ``basis`` parity.  ``basis=None`` counts every
+        pattern that lands on a w-consistent table state, so each of its
+        rows should be the multinomials n!/(s!f!l!).  Cached per basis.
+        """
+        if basis not in self._counts:
+            self._counts[basis] = self._gather_counts(basis)
+        return self._counts[basis]
+
+    def _gather_counts(self, basis: str | None) -> np.ndarray:
+        n, n_bases, n_keys = self.n, 1 << self.n, (self.n + 1) ** 2
+        low, spread, key = _patterns(n)
+        w_all = np.arange(n_bases, dtype=np.int64)
+        w_spread = ((w_all[:, None] >> np.arange(n)) & 1) @ (4 ** np.arange(n, dtype=np.int64))
+        recovers = self.rep_index[basis] >= 0 if basis else None
+        step = max(1, GATHER_CHUNK // len(low))
+        out = np.empty((n_bases, n_keys), dtype=np.int64)
+        for start in range(0, n_bases, step):
+            w = w_all[start : start + step, None]
+            idx = low + (spread & w_spread[start : start + step, None])
+            if basis:
+                hit = recovers[idx]
+            else:
+                hit = ((self.fail_xx_mask[idx] & ~w) | (self.fail_zz_mask[idx] & w)) == 0
+            flat = (np.arange(len(w))[:, None] * n_keys + key)[hit]
+            out[start : start + len(w)] = np.bincount(flat, minlength=len(w) * n_keys).reshape(len(w), n_keys)
+        return out
 
     def pattern_outcomes(self, avail_idx: int) -> tuple[Outcome, ...]:
         outs = []
@@ -227,11 +259,12 @@ def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
     if len(spec.w) != code.n_code:
         raise ValueError(f"failure basis length {len(spec.w)} != {code.n_code} code qubits")
     table = fusion_table(code)
+    n, w = code.n_code, spec.w_mask
     return ErasureReport(
         code=code,
         spec=spec,
-        p_success_xx=table.success_polynomial("X", spec.w_mask),
-        p_success_zz=table.success_polynomial("Z", spec.w_mask),
+        p_success_xx=LossPolynomial.from_counts(n, table.counts("X")[w]),
+        p_success_zz=LossPolynomial.from_counts(n, table.counts("Z")[w]),
     )
 
 
@@ -485,40 +518,6 @@ def error_analysis(code: GraphCode, spec: FusionSpec, epsilon: float) -> ErrorRe
     )
 
 
-# -- failure-basis optimization ----------------------------------------
-
-
-@dataclass
-class OptimizationResult:
-    w_star: tuple[int, ...]
-    value: float
-    report: ErasureReport
-    per_w_values: dict[tuple[int, ...], float]
-
-
-def optimize_failure_bases(code: GraphCode, objective, p_fail: float = 0.5) -> OptimizationResult:
-    """Exhaustive scan of all 2^n failure-basis vectors.
-
-    ``objective`` maps an ErasureReport to a scalar to maximize (e.g. a
-    loss tolerance).  Ties keep the lowest basis vector read as a binary
-    integer, so results are reproducible.
-    """
-    n = code.n_code
-    if n > FUSION_CAP:
-        raise ResourceCapExceeded(f"{n} code qubits exceeds cap {FUSION_CAP}")
-    best = None
-    values = {}
-    for w_mask in range(1 << n):
-        w = tuple((w_mask >> i) & 1 for i in range(n))
-        report = erasure_analysis(code, FusionSpec(eta=1.0, p_fail=p_fail, w=w))
-        val = float(objective(report))
-        values[w] = val
-        if best is None or val > best[0]:
-            best = (val, w, report)
-    value, w_star, report = best
-    return OptimizationResult(w_star=w_star, value=value, report=report, per_w_values=values)
-
-
 # -- dual-code consistency ---------------------------------------------
 
 
@@ -528,16 +527,18 @@ def dual_failure_basis(w: tuple[int, ...], swapped_qubit: int) -> tuple[int, ...
 
 
 def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=Fraction(1, 2)) -> bool:
-    """Check the exact polynomial swap p_xx <-> p_zz for every basis."""
+    """Check the exact polynomial swap p_xx <-> p_zz for every basis.
+
+    Compares the integer eta^2 numerators of all 2^n bases at once:
+    the code's XX (ZZ) row under w must equal the dual's ZZ (XX) row
+    under w with the pivot bit flipped.
+    """
     n = code.n_code
-    table = fusion_table(code)
-    dual_table = fusion_table(dual)
-    for w_mask in range(1 << n):
-        dual_mask = w_mask ^ (1 << swapped_qubit)
-        xx = table.success_polynomial("X", w_mask).eta2_coeffs(p_fail)
-        zz = table.success_polynomial("Z", w_mask).eta2_coeffs(p_fail)
-        if dual_table.success_polynomial("Z", dual_mask).eta2_coeffs(p_fail) != xx:
-            return False
-        if dual_table.success_polynomial("X", dual_mask).eta2_coeffs(p_fail) != zz:
-            return False
-    return True
+    flipped = np.arange(1 << n) ^ (1 << swapped_qubit)
+
+    def numerators(c: GraphCode, basis: str) -> np.ndarray:
+        return eta2_numerators(fusion_table(c).counts(basis), n, p_fail)[0]
+
+    return np.array_equal(numerators(code, "X"), numerators(dual, "Z")[flipped]) and np.array_equal(
+        numerators(code, "Z"), numerators(dual, "X")[flipped]
+    )

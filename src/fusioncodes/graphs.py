@@ -88,7 +88,10 @@ class GraphState:
         )
         if not (is_int(n) and is_int(emitter) and pairs_ok):
             raise ValueError("graph JSON needs integer 'n' and 'emitter' and 'edges' as [u, v] integer pairs")
-        return GraphState.from_edges(n, edges, emitter)
+        graph = GraphState.from_edges(n, edges, emitter)
+        if len(graph.edges) != len(edges):
+            raise ValueError("graph JSON lists an edge twice")
+        return graph
 
     def to_dot(self, name: str = "g") -> str:
         lines = [f"graph {name} {{"]

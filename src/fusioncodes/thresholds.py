@@ -12,15 +12,16 @@ baseline the logical encodings are compared against.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
+
+import numpy as np
 
 from .codes import GraphCode, code_from_progenitor
 from .fusion import ErrorAnalyzer, fusion_table
 from .graphs import enumerate_progenitor_records
-from .lpoly import eval_eta2_coeffs
+from .lpoly import eta2_float_coeffs
 
 BISECTION_TOL = 1e-9
 
@@ -45,23 +46,26 @@ class MonotonicityError(RuntimeError):
     """An erasure rate failed to be nondecreasing in the loss grid."""
 
 
-def randomized_bias_rate(p_xx: float, p_zz: float) -> float:
-    """Erasure rate after uniformly randomizing the failure bases."""
-    for v in (p_xx, p_zz):
-        if not 0.0 <= v <= 1.0 + 1e-12:
-            raise ValueError(f"rate out of range: {v}")
+def _check_rates(*rates) -> None:
+    """Probabilities within rounding (1e-12) of [0, 1]; 1 - P(success) can round below 0."""
+    for v in map(np.asarray, rates):
+        bad = ~((v >= -1e-12) & (v <= 1.0 + 1e-12))
+        if bad.any():
+            raise ValueError(f"rate out of range: {v[bad].flat[0]}")
+
+
+def randomized_bias_rate(p_xx, p_zz):
+    """Erasure rate after uniformly randomizing the failure bases (elementwise on arrays)."""
+    _check_rates(p_xx, p_zz)
     return 0.5 * (p_xx + p_zz)
 
 
-def bias_ratio(p_xx: float, p_zz: float) -> float:
+def bias_ratio(p_xx, p_zz):
     """min/max of the two erasure rates; both zero counts as unbiased (1)."""
-    for v in (p_xx, p_zz):
-        if not 0.0 <= v <= 1.0 + 1e-12:
-            raise ValueError(f"rate out of range: {v}")
-    hi = max(p_xx, p_zz)
-    if hi == 0.0:
-        return 1.0
-    return min(p_xx, p_zz) / hi
+    _check_rates(p_xx, p_zz)
+    hi = np.maximum(p_xx, p_zz)
+    ratio = np.minimum(p_xx, p_zz) / np.where(hi == 0.0, 1.0, hi)
+    return np.where(hi == 0.0, 1.0, ratio)[()]
 
 
 def invert_baseline_threshold(
@@ -76,18 +80,18 @@ def invert_baseline_threshold(
     return 1.0 - (1.0 - p_fail / 2.0) * (1.0 - gamma) ** n_photons
 
 
-def _interp_table(table: tuple[tuple[float, float], ...], x: float) -> float:
-    """Piecewise-linear lookup with flat extrapolation."""
-    xs = [p[0] for p in table]
-    if x <= xs[0]:
-        return table[0][1]
-    if x >= xs[-1]:
-        return table[-1][1]
-    j = bisect_left(xs, x)
-    x0, y0 = table[j - 1]
-    x1, y1 = table[j]
-    t = (x - x0) / (x1 - x0)
-    return y0 * (1 - t) + y1 * t
+def _interp_table(table: tuple[tuple[float, float], ...], x):
+    """Piecewise-linear lookup with flat extrapolation, elementwise on arrays."""
+    xs, ys = np.array(table, dtype=np.float64).T
+    x = np.asarray(x, dtype=np.float64)
+    y = np.where(x <= xs[0], ys[0], ys[-1])
+    inner = (x > xs[0]) & (x < xs[-1])
+    if inner.any():
+        xi = x[inner]
+        j = np.searchsorted(xs, xi, side="left")
+        t = (xi - xs[j - 1]) / (xs[j] - xs[j - 1])
+        y[inner] = ys[j - 1] * (1 - t) + ys[j] * t
+    return y if y.ndim else float(y)
 
 
 @dataclass(frozen=True)
@@ -182,27 +186,39 @@ def load_config(path) -> tuple[BiasConfig, BiasConfig, ErrorThresholdConfig | No
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     if "p_tilde_randomized" not in raw:
         raise ConfigError("missing key: p_tilde_randomized")
-    p_tilde = raw["p_tilde_randomized"]
-    if not isinstance(p_tilde, (int, float)):
-        raise ConfigError("p_tilde_randomized must be a number")
+    p_tilde = _number(raw["p_tilde_randomized"], "p_tilde_randomized")
     biased_raw = raw.get("p_tilde_biased")
-    biased = (
-        tuple((float(b), float(p)) for b, p in biased_raw)
-        if biased_raw
-        else default_passive_table(float(p_tilde))
-    )
-    randomized = BiasConfig(BiasMode.RANDOMIZED, float(p_tilde), biased)
-    passive = BiasConfig(BiasMode.PASSIVE, float(p_tilde), biased)
+    biased = _pairs(biased_raw, "p_tilde_biased") if biased_raw else default_passive_table(p_tilde)
+    randomized = BiasConfig(BiasMode.RANDOMIZED, p_tilde, biased)
+    passive = BiasConfig(BiasMode.PASSIVE, p_tilde, biased)
     err = None
     if raw.get("epsilon_M"):
-        err = ErrorThresholdConfig(tuple((float(p), float(e)) for p, e in raw["epsilon_M"]))
+        err = ErrorThresholdConfig(_pairs(raw["epsilon_M"], "epsilon_M"))
     return randomized, passive, err
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _pairs(rows, what: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 2 for r in rows):
+        raise ConfigError(f"{what} must be a list of [x, y] number pairs")
+    return tuple((_number(a, what), _number(b, what)) for a, b in rows)
 
 
 def config_to_json_dict(bias: BiasConfig, err: ErrorThresholdConfig | None = None) -> dict:
@@ -240,83 +256,90 @@ class ThresholdResult:
             raise ValueError(f"gamma_star out of range: {self.gamma_star}")
 
 
-def _rate_fns(code: GraphCode, w_mask: int, p_fail: float):
-    """Fast erasure-rate evaluators (eta^2-power coefficient form)."""
+def _basis_coeffs(code: GraphCode, p_fail: float, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
     table = fusion_table(code)
-    pf = Fraction(p_fail).limit_denominator(1 << 30)
-    cx = [float(c) for c in table.success_polynomial("X", w_mask).eta2_coeffs(pf)]
-    cz = [float(c) for c in table.success_polynomial("Z", w_mask).eta2_coeffs(pf)]
-
-    def rates(gamma: float) -> tuple[float, float]:
-        eta = 1.0 - gamma
-        return 1.0 - eval_eta2_coeffs(cx, eta), 1.0 - eval_eta2_coeffs(cz, eta)
-
-    return rates
+    return tuple(eta2_float_coeffs(table.counts(b)[rows], code.n_code, p_fail) for b in ("X", "Z"))
 
 
-def _assert_monotone(rates, label: str) -> None:
+def _erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(p_xx, p_zz) per coefficient row at photon loss gamma: one Horner pass over all rows."""
+    eta = 1.0 - gamma
+    x = eta * eta
+    sx = sz = 0.0
+    for j in range(cx.shape[1] - 1, -1, -1):
+        sx = sx * x + cx[:, j]
+        sz = sz * x + cz[:, j]
+    return 1.0 - sx, 1.0 - sz
+
+
+def _feasible(bias: BiasConfig, p_xx, p_zz):
+    if bias.mode is BiasMode.RANDOMIZED:
+        return randomized_bias_rate(p_xx, p_zz) <= bias.p_tilde_randomized
+    return np.maximum(p_xx, p_zz) <= bias.passive_threshold(bias_ratio(p_xx, p_zz))
+
+
+def _assert_monotone(code: GraphCode, cx: np.ndarray, cz: np.ndarray) -> None:
+    """Averaged erasure rate of every basis nondecreasing on a 21-point loss grid."""
     grid = [i / 20.0 for i in range(21)]
-    prev = -1.0
-    for gamma in grid:
-        cur = randomized_bias_rate(*rates(gamma))
-        if cur < prev - 1e-12:
-            raise MonotonicityError(f"erasure rate not monotone in loss for {label} at gamma={gamma}")
-        prev = cur
+    avg = np.array([randomized_bias_rate(*_erasure_rates(cx, cz, gamma)) for gamma in grid])
+    drops = avg[1:] < avg[:-1] - 1e-12
+    if drops.any():
+        w = int(np.flatnonzero(drops.any(axis=0))[0])
+        gamma = grid[int(np.flatnonzero(drops[:, w])[0]) + 1]
+        label = f"{code.code_id or 'code'} w={w:0{code.n_code}b}"
+        raise MonotonicityError(f"erasure rate not monotone in loss for {label} at gamma={gamma}")
 
 
-def _bisect_largest_feasible(feasible, tol: float = BISECTION_TOL) -> float:
-    """Largest gamma in [0, 1) with feasible(gamma), assuming one crossing."""
-    if not feasible(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+def _bisect_largest_feasible(feasible, size: int, tol: float = BISECTION_TOL) -> np.ndarray:
+    """Largest gamma in [0, 1) with feasible(gamma) per entry, each feasible at
+    zero loss and assumed to cross once.
+
+    ``feasible`` maps ``size`` losses to as many booleans.  The entries
+    bisect in lockstep: each sees the float steps of a scalar bisection,
+    and as every bracket is the same power of two wide, all of them
+    stop after the same number of halvings.
+    """
+    lo, hi = np.zeros(size), np.ones(size)
+    while (hi - lo > tol).any():
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+        ok = feasible(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return lo
 
 
 def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> ThresholdResult:
-    """Scan all failure bases; bisect the largest tolerable photon loss."""
+    """Largest tolerable photon loss over all 2^n failure bases, bisected together.
+
+    Ties keep the lowest basis vector read as a binary integer (bit i is
+    qubit i), unless a later one is better by more than 1e-12.
+    """
     n = code.n_code
-    best_gamma = -1.0
-    best_w = 0
-    best_diag: dict = {}
-    for w_mask in range(1 << n):
-        rates = _rate_fns(code, w_mask, p_fail)
-        _assert_monotone(rates, f"{code.code_id or 'code'} w={w_mask:0{n}b}")
-        if bias.mode is BiasMode.RANDOMIZED:
-
-            def feasible(gamma):
-                return randomized_bias_rate(*rates(gamma)) <= bias.p_tilde_randomized
-
-        else:
-
-            def feasible(gamma):
-                p_xx, p_zz = rates(gamma)
-                return max(p_xx, p_zz) <= bias.passive_threshold(bias_ratio(p_xx, p_zz))
-
-        gamma = _bisect_largest_feasible(feasible)
-        if gamma > best_gamma + 1e-12:
-            best_gamma = gamma
-            best_w = w_mask
-            p_xx, p_zz = rates(gamma)
-            best_diag = {
-                "p_erase_xx": p_xx,
-                "p_erase_zz": p_zz,
-                "averaged": randomized_bias_rate(p_xx, p_zz),
-                "bias_ratio": bias_ratio(p_xx, p_zz),
-                "feasible_at_zero_loss": gamma > 0.0 or feasible(0.0),
-            }
+    cx, cz = _basis_coeffs(code, p_fail)
+    _assert_monotone(code, cx, cz)
+    ok = _feasible(bias, *_erasure_rates(cx, cz, 0.0))
+    fx, fz = cx[ok], cz[ok]
+    gammas = np.zeros(1 << n)
+    gammas[ok] = _bisect_largest_feasible(lambda g: _feasible(bias, *_erasure_rates(fx, fz, g)), len(fx))
+    g = gammas.tolist()
+    best = 0
+    for w in range(1, 1 << n):
+        if g[w] > g[best] + 1e-12:
+            best = w
+    p_xx, p_zz = (float(r[0]) for r in _erasure_rates(cx[best : best + 1], cz[best : best + 1], g[best]))
     return ThresholdResult(
         code_id=code.code_id,
         n_code=n,
-        w_star=tuple((best_w >> i) & 1 for i in range(n)),
-        gamma_star=max(best_gamma, 0.0),
+        w_star=tuple((best >> i) & 1 for i in range(n)),
+        gamma_star=g[best],
         bias_mode=bias.mode,
-        diagnostics=best_diag,
+        diagnostics={
+            "p_erase_xx": p_xx,
+            "p_erase_zz": p_zz,
+            "averaged": randomized_bias_rate(p_xx, p_zz),
+            "bias_ratio": float(bias_ratio(p_xx, p_zz)),
+            "feasible_at_zero_loss": bool(ok[best]),
+        },
     )
 
 
@@ -349,7 +372,7 @@ def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> T
     def feasible(gamma):
         return 1.0 - (1.0 - p_fail / 2.0) * (1.0 - gamma) ** n_photons <= p_tilde
 
-    gamma = _bisect_largest_feasible(feasible)
+    gamma = float(_bisect_largest_feasible(feasible, 1)[0]) if feasible(0.0) else 0.0
     return ThresholdResult(
         code_id=f"boosted-pfail-{p_fail}",
         n_code=0,
@@ -401,12 +424,13 @@ def correctable_region(
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []
-    rates = _rate_fns(code, sum(1 << i for i, b in enumerate(result.w_star) if b), p_fail)
+    w = sum(1 << i for i, b in enumerate(result.w_star) if b)
+    cx, cz = _basis_coeffs(code, p_fail, slice(w, w + 1))
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
     points = []
     for i in range(grid_points):
         gamma = gamma_star * i / (grid_points - 1)
-        p_bar = randomized_bias_rate(*rates(gamma))
+        p_bar = float(randomized_bias_rate(*_erasure_rates(cx, cz, gamma))[0])
         eps_m = err.epsilon_m(p_bar)
 
         def feasible(eps):

@@ -65,6 +65,18 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert main(["analyze", "--code", "LL", "--w", "0", "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p-fail", "1.5"), ("--p-fail", "nan"), ("--p-fail", "-0.1"), ("--eta-grid", "1,x"),
+         ("--eta-grid", "1.0,1.5"), ("--eta-grid", "inf")],
+    )
+    def test_bad_number_is_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--code", "LL", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestOptimizeW:
     def test_reports_best_basis(self, tmp_path):
@@ -97,6 +109,19 @@ class TestThreshold:
         bad.write_text(json.dumps({"p_tilde_biased": [[0, 0.2], [1, 0.1]]}))
         out = tmp_path / "t.csv"
         assert main(["threshold", "--config", str(bad), "--n-max", "1", "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("key", ["p_tilde_biased", "epsilon_M"])
+    @pytest.mark.parametrize("rows", [[[0.1]], [[0.1, "x"]], [0.1, 0.2], {"a": 1}, [[0.1, 1e999]]])
+    def test_malformed_config_rows_are_config_errors(self, tmp_path, key, rows):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_tilde_randomized": 0.14, key: rows}))
+        out = tmp_path / "t.csv"
+        assert main(["threshold", "--config", str(cfg), "--n-max", "2", "--out", str(out)]) == 3
+
+    def test_undecodable_config_is_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"p_tilde_randomized": 0.14}')
+        assert main(["threshold", "--config", str(cfg), "--n-max", "2", "--out", str(tmp_path / "t.csv")]) == 3
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -143,6 +168,12 @@ class TestRegion:
     def test_size_over_cap(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["region", "--n", "9", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 4
+
+    def test_single_grid_point_is_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--code", "LL", "--config", cfg, "--grid-points", "1", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
 
 
 class TestCompile:
@@ -194,8 +225,9 @@ class TestCompile:
             ({"n": 3, "edges": [[1, 1]]}, "L"),
             ({"n": 3, "edges": [[0, 5]]}, "L"),
             ({"n": 3, "edges": [[0, 1], [1, 2]]}, ""),
+            ({"n": 2, "edges": [[0, 1], [1, 0]]}, "L"),
         ],
-        ids=["no-edges", "list-root", "self-loop", "out-of-range", "empty-inner"],
+        ids=["no-edges", "list-root", "self-loop", "out-of-range", "empty-inner", "duplicate-edge"],
     )
     def test_bad_input_is_config_error(self, tmp_path, outer_json, inner):
         outer = tmp_path / "outer.json"
@@ -266,3 +298,66 @@ def test_compile_boundary_never_raises(outer_json, inner):
             json.dump(outer_json, fh)
         code = main(["compile", "--outer", outer, "--inner", inner, "--out", os.path.join(tmp, "run")])
     assert code in {0, 3, 4, 5}
+
+
+# Flags and config JSON of the numeric commands, with codes of at most 4
+# qubits; "CONFIG" stands for the path of the drawn config file.
+_number_text = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "-0", "1e-320", "x", "", "0.5.1", "0x1"]),
+)
+_json_number = st.one_of(
+    st.floats(0, 1), st.floats(), st.integers(), st.booleans(), st.text(max_size=2), st.none()
+)
+_rows = st.one_of(
+    st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)).map(list), max_size=4).map(sorted),
+    st.lists(st.lists(_json_number, max_size=3), max_size=4),
+    _json_number,
+)
+_config_json = st.one_of(
+    st.fixed_dictionaries(
+        {"p_tilde_randomized": st.one_of(st.floats(0.01, 0.6), _json_number)},
+        optional={"p_tilde_biased": _rows, "epsilon_M": _rows},
+    ),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=3),
+)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _numeric_args(draw):
+    command = draw(st.sampled_from(["analyze", "optimize-w", "threshold"]))
+    args = [command]
+    if command != "threshold":
+        args += ["--code", draw(st.one_of(st.text(alphabet="LP", min_size=1, max_size=4), st.text("LPx", max_size=3)))]
+    args += draw(_optional("--p-fail", _number_text))
+    if command == "analyze":
+        args += draw(_optional("--w", st.text(alphabet="01x", max_size=5)))
+        args += draw(_optional("--eta-grid", st.lists(_number_text, min_size=1, max_size=3).map(",".join)))
+        return args
+    args += draw(_optional("--bias", st.sampled_from(["randomized", "passive", "both"])))
+    args += draw(_optional("--config", st.just("CONFIG")))
+    if command == "threshold":
+        args += draw(_optional("--n-min", st.integers(-1, 4).map(str)))
+        args += ["--n-max", str(draw(st.integers(0, 4)))]
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=_numeric_args(), config=_config_json)
+def test_numeric_boundary_never_raises(args, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = [path if a == "CONFIG" else a for a in args] + ["--out", os.path.join(tmp, "out")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 2, 3, 4, 5}

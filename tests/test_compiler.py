@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -138,6 +139,18 @@ class TestVerification:
         seq = compile_generation(build_progenitor("PLPPLPPLP"), inner_code("LPL"), Mode.TWO_EMITTER)
         res = verify_sequence(seq)
         assert res.ok and res.method == "stabilizer"
+
+    def test_auto_bounds_target_wires(self):
+        # 12 photons, but the target vector of a 12-vertex chain of bare
+        # qubits spans 24 wires (256 MB): the tableau takes it
+        seq = compile_generation(build_progenitor("P" * 11), inner_code("L"), Mode.TWO_EMITTER)
+        start = time.perf_counter()
+        res = verify_sequence(seq)
+        assert res.ok and res.method == "stabilizer"
+        assert time.perf_counter() - start < 1.0
+        # 12 photons on 16 wires still fit the state vector
+        small = compile_generation(build_progenitor("PPP"), inner_code("LPL"), Mode.TWO_EMITTER)
+        assert verify_sequence(small).method == "statevector"
 
     def test_fault_injection_reports_failure(self):
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)

@@ -15,16 +15,16 @@ from fusioncodes.fusion import (
     fusion_table,
     joint_flip_distribution,
     measurement_patterns,
-    optimize_failure_bases,
     pattern_probability,
     pauli_flip_probability,
     recoverable,
     validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
+from fusioncodes.lpoly import LossPolynomial, eta2_float_coeffs, eta2_numerators
 from fusioncodes.pauli import PauliOperator, enumerate_group
 
-from oracles import dense_graph_state, pauli_matrix
+from oracles import basis_counts, dense_graph_state, eta2_coeffs, pauli_matrix
 
 S, F, L = Outcome.SUCCESS, Outcome.FAIL, Outcome.LOSS
 
@@ -224,10 +224,9 @@ class TestPatternProbability:
     def test_patterns_sum_to_one_exactly(self):
         for seq in ("L", "LL", "LP", "LLP"):
             code = code_of(seq)
-            table = fusion_table(code)
-            for w in all_w(code.n_code):
-                mask = sum(1 << i for i, b in enumerate(w) if b)
-                assert table.full_polynomial(mask).is_normalized()
+            totals = fusion_table(code).counts(None)
+            for mask in range(1 << code.n_code):
+                assert LossPolynomial.from_counts(code.n_code, totals[mask]).is_normalized()
 
 
 class TestRecoverable:
@@ -414,24 +413,50 @@ class TestErrorAnalysis:
                     assert abs(got[row] - want) < 1e-12
 
 
-class TestOptimizeFailureBases:
-    def test_symmetric_objective_on_bare_code(self):
-        # randomized-bias average is w-independent for the bare code
-        def avg_success(rep):
-            return 0.5 * (rep.success_probability("X", 0.95) + rep.success_probability("Z", 0.95))
+def small_codes(n_max=5):
+    return [code_of(r.sequence) for n in range(1, n_max + 1) for r in enumerate_progenitor_records(n)]
 
-        res = optimize_failure_bases(code_of("L"), avg_success)
-        assert res.w_star == (0,)
-        vals = list(res.per_w_values.values())
-        assert vals[0] == pytest.approx(vals[1])
 
-    def test_constant_objective_tie_break(self):
-        res = optimize_failure_bases(code_of("LL"), lambda rep: 1.0)
-        assert res.w_star == (0, 0)
+class TestAllBasesEngine:
+    """The all-bases counts and coefficients against one-basis-at-a-time oracles."""
 
-    def test_scan_covers_all_vectors(self):
-        res = optimize_failure_bases(code_of("LP"), lambda rep: rep.success_probability("X", 0.9))
-        assert len(res.per_w_values) == 4
+    def test_counts_match_per_basis_scan(self):
+        for code in small_codes(4) + [code_of("LLPLPLPL")]:
+            table = fusion_table(code)
+            n = code.n_code
+            for basis in ("X", "Z", None):
+                rows = table.counts(basis)
+                assert rows.shape == (1 << n, (n + 1) ** 2)
+                for w in range(1 << n):
+                    assert LossPolynomial.from_counts(n, rows[w]).counts == basis_counts(table, basis, w)
+
+    @pytest.mark.parametrize("p_fail", [0.5, 0.25, 0.3, 0.1234567])
+    def test_float_coeffs_bit_identical_to_fraction_oracle(self, p_fail):
+        pf = Fraction(p_fail).limit_denominator(1 << 30)
+        # 0.1234567 takes the Python-int route; n <= 5 keeps its oracle quick
+        codes = small_codes() + ([code_of("LLPLPLPL")] if p_fail != 0.1234567 else [])
+        for code in codes:
+            table = fusion_table(code)
+            n = code.n_code
+            for basis in ("X", "Z"):
+                got = eta2_float_coeffs(table.counts(basis), n, p_fail)
+                for w in range(1 << n):
+                    want = [float(c) for c in eta2_coeffs(basis_counts(table, basis, w), n, pf)]
+                    assert got[w].tolist() == want, (code.code_id, basis, w)
+
+    def test_numerator_dtype_follows_magnitude_bound(self):
+        counts = fusion_table(code_of("LLPL")).counts("X")
+        assert eta2_numerators(counts, 4, 0.3)[0].dtype == np.int64
+        num, den = eta2_numerators(counts, 4, 0.1234567)
+        assert num.dtype == object and den == Fraction(0.1234567).limit_denominator(1 << 30).denominator ** 4
+
+    def test_swap_check_rejects_a_wrong_pivot(self):
+        rejected = 0
+        for rec in enumerate_progenitor_records(3):
+            code = code_from_progenitor(rec.graph, code_id=rec.sequence)
+            dual, swapped = dual_code_with_map(code)
+            rejected += sum(not validate_dual_swap(code, dual, k) for k in range(3) if k != swapped)
+        assert rejected > 0
 
 
 class TestDualSwap:
@@ -455,5 +480,5 @@ class TestDualSwap:
                 a = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
                 b = erasure_analysis(double, FusionSpec(1.0, 0.5, w2))
                 pf = Fraction(1, 2)
-                assert a.p_success_xx.eta2_coeffs(pf) == b.p_success_xx.eta2_coeffs(pf)
-                assert a.p_success_zz.eta2_coeffs(pf) == b.p_success_zz.eta2_coeffs(pf)
+                assert eta2_coeffs(a.p_success_xx.counts, 3, pf) == eta2_coeffs(b.p_success_xx.counts, 3, pf)
+                assert eta2_coeffs(a.p_success_zz.counts, 3, pf) == eta2_coeffs(b.p_success_zz.counts, 3, pf)

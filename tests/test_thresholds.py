@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code
-from fusioncodes.graphs import build_progenitor
+from fusioncodes.fusion import fusion_table
+from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
     BiasMode,
@@ -21,6 +23,8 @@ from fusioncodes.thresholds import (
     randomized_bias_rate,
     search_best_code,
 )
+
+import oracles
 
 
 def code_of(seq):
@@ -53,6 +57,8 @@ class TestBiasRates:
             randomized_bias_rate(-0.1, 0.5)
         with pytest.raises(ValueError):
             bias_ratio(1.5, 0.5)
+        with pytest.raises(ValueError, match="3.375"):
+            randomized_bias_rate(np.array([0.1, 3.375]), np.array([0.2, 0.2]))
 
 
 class TestBaselineInversion:
@@ -122,6 +128,32 @@ class TestLossThreshold:
         res = loss_threshold(code_of("LLL"), bias)
         assert res.bias_mode is BiasMode.PASSIVE
         assert 0.0 < res.gamma_star < 0.1
+
+    def test_rounding_below_zero_is_not_out_of_range(self):
+        # at p_fail = 0.3 the rounded success probability of LLL reaches
+        # 1 + 2^-52 at zero loss, so its erasure rate is -2^-52 there
+        res = loss_threshold(code_of("LLL"), BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold()), 0.3)
+        assert 0.0 < res.gamma_star < 0.1
+
+
+class TestAllBasesAgainstOracle:
+    @pytest.mark.parametrize("mode", list(BiasMode))
+    def test_gamma_and_basis_match_scalar_scan(self, mode):
+        bias = default_bias_config(mode)
+        for n in range(1, 6):
+            for rec in enumerate_progenitor_records(n):
+                code = code_of(rec.sequence)
+                res = loss_threshold(code, bias)
+                gamma, w = oracles.loss_threshold(fusion_table(code), bias)
+                assert res.gamma_star == gamma, rec.sequence
+                assert res.w_star == tuple((w >> i) & 1 for i in range(n)), rec.sequence
+
+    def test_array_interpolation_matches_scalar(self):
+        cfg = default_bias_config(BiasMode.PASSIVE)
+        xs = np.array([-0.5, 0.0, 0.01, 0.05, 0.5, 0.73, 0.95, 1.0, 2.0])
+        got = cfg.passive_threshold(xs)
+        assert got.tolist() == [cfg.passive_threshold(float(x)) for x in xs]
+        assert got.tolist() == [oracles.interp_table(cfg.p_tilde_biased, float(x)) for x in xs]
 
 
 class TestSearch:
