@@ -268,7 +268,7 @@ def cmd_region(args) -> int:
     rand, _, err, raw = _load_bias(args)
     if err is None:
         raise ConfigError("missing key: epsilon_M (required for region computation)")
-    if args.code:
+    if args.code is not None:
         code = _resolve_code(args.code)
     else:
         results = search_best_code(args.n, rand, p_fail=args.p_fail)

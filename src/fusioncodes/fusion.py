@@ -18,7 +18,6 @@ polynomials exact and fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,12 +34,6 @@ AVAIL_NONE = 0  # photon loss: no parity
 AVAIL_ZZ = 1  # failure recovering ZZ
 AVAIL_XX = 2  # failure recovering XX
 AVAIL_BOTH = 3  # successful fusion: XX and ZZ
-
-
-class Outcome(Enum):
-    LOSS = "loss"
-    FAIL = "fail"
-    SUCCESS = "success"
 
 
 @dataclass(frozen=True)
@@ -64,50 +57,6 @@ class FusionSpec:
         return sum(1 << i for i, b in enumerate(self.w) if b)
 
 
-@dataclass(frozen=True)
-class MeasurementPattern:
-    """Per-pair outcomes with their occurrence-probability monomial."""
-
-    outcomes: tuple[Outcome, ...]
-    probability: LossPolynomial
-
-
-def pattern_probability(outcomes, spec: FusionSpec) -> LossPolynomial:
-    """Occurrence probability of one SUCCESS/FAIL/LOSS assignment."""
-    outs = tuple(outcomes)
-    s = sum(1 for o in outs if o is Outcome.SUCCESS)
-    f = sum(1 for o in outs if o is Outcome.FAIL)
-    l = len(outs) - s - f
-    poly = LossPolynomial(len(outs))
-    poly.add_pattern(s, f, l)
-    return poly
-
-
-def availability_masks(outcomes, w_bits) -> tuple[int, int]:
-    """(XX-available, ZZ-available) bit masks for a pattern under w."""
-    ax = az = 0
-    for i, o in enumerate(outcomes):
-        if o is Outcome.SUCCESS:
-            ax |= 1 << i
-            az |= 1 << i
-        elif o is Outcome.FAIL:
-            if w_bits[i]:
-                ax |= 1 << i
-            else:
-                az |= 1 << i
-    return ax, az
-
-
-def recoverable(logical_pair, outcomes, w_bits) -> bool:
-    """Can the paired parity of this logical representative be read out?
-
-    Per qubit in the support: X needs the XX parity, Z needs ZZ, Y needs
-    both; lost pairs provide nothing.
-    """
-    ax, az = availability_masks(outcomes, w_bits)
-    return (logical_pair.x_bits & ~ax) == 0 and (logical_pair.z_bits & ~az) == 0
-
-
 # -- per-code availability table --------------------------------------
 
 # gather indices held at once while counting all failure bases
@@ -129,6 +78,31 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spread = ((trits == 1) * quad).sum(axis=1)
     key = (trits == 2).sum(axis=1) * (n + 1) + (trits == 1).sum(axis=1)
     return low, spread, key
+
+
+def _lowest_readable(reps, n: int) -> np.ndarray:
+    """int16 index of the first of ``reps`` each of the 4^n states can read out, else -1.
+
+    A representative is readable exactly on the states at or above its
+    minimal one (per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH) in the
+    per-qubit order NONE <= ZZ, XX <= BOTH.  Seeding every minimal state
+    with its index and taking running minima up that order, one qubit at
+    a time, leaves each state the lowest index among those it can read.
+    """
+    unread = len(reps)
+    best = np.full(4**n, unread, dtype=np.int16)
+    bits = np.arange(n)
+    x = (np.array([p.x_bits for p in reps])[:, None] >> bits) & 1
+    z = (np.array([p.z_bits for p in reps])[:, None] >> bits) & 1
+    minimal = ((AVAIL_XX * x + AVAIL_ZZ * z) * 4**bits).sum(axis=1)
+    np.minimum.at(best, minimal, np.arange(unread, dtype=np.int16))
+    for i in range(n):
+        digit = best.reshape(-1, 4, 4**i)  # axis 1 is qubit i's availability digit
+        for up in (AVAIL_ZZ, AVAIL_XX):
+            np.minimum(digit[:, up], digit[:, AVAIL_NONE], out=digit[:, up])
+        np.minimum(digit[:, AVAIL_BOTH], np.minimum(digit[:, AVAIL_ZZ], digit[:, AVAIL_XX]), out=digit[:, AVAIL_BOTH])
+    best[best == unread] = -1
+    return best
 
 
 class CodeFusionTable:
@@ -155,13 +129,7 @@ class CodeFusionTable:
         self.az_mask = (((digits == AVAIL_BOTH) | (digits == AVAIL_ZZ)) * bits).sum(axis=1)
 
         self.reps = {"X": logical_set(code, "X"), "Z": logical_set(code, "Z")}
-        self.rep_index = {}
-        for basis in ("X", "Z"):
-            rep = np.full(size, -1, dtype=np.int16)
-            for k, p in enumerate(self.reps[basis]):
-                cov = ((p.x_bits & ~self.ax_mask) == 0) & ((p.z_bits & ~self.az_mask) == 0)
-                rep[cov & (rep < 0)] = k
-            self.rep_index[basis] = rep
+        self.rep_index = {basis: _lowest_readable(self.reps[basis], n) for basis in ("X", "Z")}
         self._counts: dict[str | None, np.ndarray] = {}
 
     def consistent(self, w_mask: int) -> np.ndarray:
@@ -199,15 +167,6 @@ class CodeFusionTable:
             flat = (np.arange(len(w))[:, None] * n_keys + key)[hit]
             out[start : start + len(w)] = np.bincount(flat, minlength=len(w) * n_keys).reshape(len(w), n_keys)
         return out
-
-    def pattern_outcomes(self, avail_idx: int) -> tuple[Outcome, ...]:
-        outs = []
-        for i in range(self.n):
-            d = (avail_idx >> (2 * i)) & 3
-            outs.append(
-                Outcome.SUCCESS if d == AVAIL_BOTH else Outcome.LOSS if d == AVAIL_NONE else Outcome.FAIL
-            )
-        return tuple(outs)
 
 
 @lru_cache(maxsize=8)
@@ -268,23 +227,6 @@ def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
     )
 
 
-def measurement_patterns(code: GraphCode, spec: FusionSpec, basis: str):
-    """The recovering patterns M_X or M_Z with representatives, in index order."""
-    table = fusion_table(code)
-    select = table.consistent(spec.w_mask) & (table.rep_index[basis] >= 0)
-    reps = table.reps[basis]
-    out = []
-    for avail_idx in np.nonzero(select)[0]:
-        outcomes = table.pattern_outcomes(int(avail_idx))
-        out.append(
-            (
-                MeasurementPattern(outcomes, pattern_probability(outcomes, spec)),
-                reps[int(table.rep_index[basis][avail_idx])],
-            )
-        )
-    return out
-
-
 # -- depolarizing flips ------------------------------------------------
 
 
@@ -302,9 +244,10 @@ def joint_flip_distribution(epsilon: float, exact: bool = False) -> dict[tuple[i
     depolarizing channel: each photon is clean with probability 1-eps,
     or suffers X, Y or Z with probability eps/3.  A single-photon X
     flips the ZZ parity, Z flips XX, Y flips both; the pair flip is the
-    XOR of the two photons' contributions.
+    XOR of the two photons' contributions.  Float mode also takes an
+    array of epsilons and returns arrays.
     """
-    if not 0.0 <= epsilon <= 1.0:
+    if not np.all((0.0 <= epsilon) & (epsilon <= 1.0)):
         raise ValueError(f"epsilon out of range: {epsilon}")
     one = Fraction(1) if exact else 1.0
     eps = Fraction(epsilon).limit_denominator(10**12) if exact else epsilon
@@ -316,8 +259,8 @@ def joint_flip_distribution(epsilon: float, exact: bool = False) -> dict[tuple[i
     return dist
 
 
-def _flip_bias(epsilon: float) -> float:
-    """Common bias factor E[(-1)^flip] per touched pair.
+def _flip_bias(epsilon):
+    """Common bias factor E[(-1)^flip] per touched pair (elementwise on arrays).
 
     For the depolarizing channel the XX, ZZ and joint (Y-type) parity
     flips all have the same probability p, so a group element touching a
@@ -327,25 +270,44 @@ def _flip_bias(epsilon: float) -> float:
     bias_u = 1.0 - 2.0 * (dist[(1, 0)] + dist[(1, 1)])
     bias_v = 1.0 - 2.0 * (dist[(0, 1)] + dist[(1, 1)])
     bias_uv = 1.0 - 2.0 * (dist[(1, 0)] + dist[(0, 1)])
-    assert abs(bias_u - bias_v) < 1e-15 and abs(bias_u - bias_uv) < 1e-15
+    assert np.all(abs(bias_u - bias_v) < 1e-15) and np.all(abs(bias_u - bias_uv) < 1e-15)
     return bias_u
+
+
+def _bias_powers(epsilon, n: int) -> np.ndarray:
+    """(1-2p)^k for k = 0..n along a new last axis: the same pow as raising the bias to a weight."""
+    return np.asarray(_flip_bias(epsilon))[..., None] ** np.arange(n + 1.0)
 
 
 # -- maximum-likelihood error decoding ---------------------------------
 
 
 def _fwht_rows(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform along the last axis."""
+    """In-place Walsh-Hadamard transform along the last axis of a C-contiguous array.
+
+    Stage h views that axis as (blocks, 2, h) and maps each half pair
+    (x, y) to (x + y, x - y), so a length-m axis takes log2(m) whole-array
+    steps whatever the leading dimensions.
+    """
     m = a.shape[-1]
     h = 1
     while h < m:
-        for start in range(0, m, 2 * h):
-            x = a[..., start : start + h].copy()
-            y = a[..., start + h : start + 2 * h]
-            a[..., start : start + h] = x + y
-            a[..., start + h : start + 2 * h] = x - y
+        pairs = a.reshape(-1, m // (2 * h), 2, h, copy=False)
+        x, y = pairs[:, :, 0], pairs[:, :, 1]
+        total = x + y
+        np.subtract(x, y, out=y)
+        x[...] = total
         h *= 2
     return a
+
+
+def _mean_rate(p: np.ndarray, perr: np.ndarray):
+    """Probability-weighted mean of perr over the patterns (last axis); 0 where no pattern can occur."""
+    dot = np.vecdot(p, perr)  # on C-contiguous rows, the same BLAS dot as np.dot row by row
+    total = np.broadcast_to(p.sum(axis=-1), np.shape(dot))
+    mean = np.zeros(np.shape(dot))
+    np.divide(dot, total, out=mean, where=total > 0.0)
+    return mean if mean.ndim else float(mean)
 
 
 class ErrorAnalyzer:
@@ -356,7 +318,10 @@ class ErrorAnalyzer:
     parities, and flips the recovered logical parity to the likelier
     value.  The joint law of (syndrome, logical flip) is the Walsh
     transform of per-group-element biases (1-2p)^weight, so each
-    pattern reduces to one small transform.
+    pattern reduces to one small transform.  Patterns are grouped by
+    subgroup rank r and only the distinct weight rows of a group are
+    transformed; every method also takes arrays of epsilon (and eta),
+    which add leading axes to its result.
     """
 
     def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5):
@@ -413,8 +378,9 @@ class ErrorAnalyzer:
             packed = {}
             for r, items in groups.items():
                 rows = np.array([row for row, _ in items], dtype=np.int64)
-                mat = np.stack([wv for _, wv in items]).astype(np.float64)
-                packed[r] = (rows, mat)
+                distinct, inverse = np.unique(np.stack([wv for _, wv in items]), axis=0, return_inverse=True)
+                # rows[i] has weight row distinct[inverse[i]]
+                packed[r] = (rows, (inverse.reshape(-1), distinct))
             self._sides[basis] = {
                 "idxs": idxs,
                 "s": s_cnt,
@@ -424,9 +390,11 @@ class ErrorAnalyzer:
                 "lweight": lweight,
             }
 
-    def pattern_probabilities(self, basis: str, eta: float) -> np.ndarray:
+    def pattern_probabilities(self, basis: str, eta) -> np.ndarray:
         side = self._sides[basis]
         a = eta * eta
+        if np.ndim(a):
+            a = a[..., None]
         return (
             (1.0 - self.p_fail) ** side["s"]
             * self.p_fail ** side["f"]
@@ -434,38 +402,36 @@ class ErrorAnalyzer:
             * (1.0 - a) ** side["l"]
         )
 
-    def pattern_error_rates(self, basis: str, epsilon: float) -> np.ndarray:
+    def pattern_error_rates(self, basis: str, epsilon) -> np.ndarray:
         """Conditional logical error rate per recovering pattern."""
         side = self._sides[basis]
-        bias = _flip_bias(epsilon)
-        out = np.zeros(len(side["idxs"]), dtype=np.float64)
-        for r, (rows, wmat) in side["groups"].items():
-            beta = bias**wmat
-            t = _fwht_rows(beta.copy()) / float(wmat.shape[1])
+        powers = _bias_powers(epsilon, self.n)
+        out = np.empty(powers.shape[:-1] + side["idxs"].shape)
+        for r, (rows, (inverse, weights)) in side["groups"].items():
+            t = _fwht_rows(np.take(powers, weights, axis=-1)) / float(weights.shape[1])
             half = 1 << r
-            out[rows] = np.minimum(t[:, :half], t[:, half:]).sum(axis=1)
+            out[..., rows] = np.minimum(t[..., :half], t[..., half:]).sum(axis=-1)[..., inverse]
         return out
 
-    def pattern_uncorrected_rates(self, basis: str, epsilon: float) -> np.ndarray:
+    def pattern_uncorrected_rates(self, basis: str, epsilon) -> np.ndarray:
         side = self._sides[basis]
-        bias = _flip_bias(epsilon)
-        return 0.5 * (1.0 - bias ** side["lweight"].astype(np.float64))
+        return 0.5 * (1.0 - np.take(_bias_powers(epsilon, self.n), side["lweight"], axis=-1))
 
-    def rates(self, eta: float, epsilon: float, corrections: bool = True) -> dict[str, float]:
-        """Erasure-weighted logical error rate for each parity."""
+    def rates(self, eta, epsilon, corrections: bool = True, probs: dict | None = None) -> dict:
+        """Erasure-weighted logical error rate for each parity.
+
+        ``probs`` holds ``pattern_probabilities`` per basis at this eta, for
+        callers that try many epsilons at one eta.
+        """
         result = {}
         for basis in ("X", "Z"):
-            p = self.pattern_probabilities(basis, eta)
-            total = p.sum()
-            if total <= 0.0:
-                result[basis] = 0.0
-                continue
+            p = self.pattern_probabilities(basis, eta) if probs is None else probs[basis]
             perr = (
                 self.pattern_error_rates(basis, epsilon)
                 if corrections
                 else self.pattern_uncorrected_rates(basis, epsilon)
             )
-            result[basis] = float(np.dot(p, perr) / total)
+            result[basis] = _mean_rate(p, perr)
         return result
 
 
@@ -500,20 +466,21 @@ def error_analysis(code: GraphCode, spec: FusionSpec, epsilon: float) -> ErrorRe
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon out of range: {epsilon}")
     ana = _analyzer(code, tuple(spec.w), spec.p_fail)
-    with_corr = ana.rates(spec.eta, epsilon, corrections=True)
-    without = ana.rates(spec.eta, epsilon, corrections=False)
-    per_pattern = {
-        basis: (ana._sides[basis]["idxs"].copy(), ana.pattern_error_rates(basis, epsilon))
-        for basis in ("X", "Z")
-    }
+    per_pattern, corrected, uncorrected = {}, {}, {}
+    for basis in ("X", "Z"):
+        p = ana.pattern_probabilities(basis, spec.eta)
+        perr = ana.pattern_error_rates(basis, epsilon)
+        per_pattern[basis] = (ana._sides[basis]["idxs"].copy(), perr)
+        corrected[basis] = _mean_rate(p, perr)
+        uncorrected[basis] = _mean_rate(p, ana.pattern_uncorrected_rates(basis, epsilon))
     return ErrorReport(
         code=code,
         spec=spec,
         epsilon=epsilon,
-        p_error_xx=with_corr["X"],
-        p_error_zz=with_corr["Z"],
-        p_error_xx_uncorrected=without["X"],
-        p_error_zz_uncorrected=without["Z"],
+        p_error_xx=corrected["X"],
+        p_error_zz=corrected["Z"],
+        p_error_xx_uncorrected=uncorrected["X"],
+        p_error_zz_uncorrected=uncorrected["Z"],
         pattern_rates=per_pattern,
     )
 

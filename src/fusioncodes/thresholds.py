@@ -291,20 +291,21 @@ def _assert_monotone(code: GraphCode, cx: np.ndarray, cz: np.ndarray) -> None:
         raise MonotonicityError(f"erasure rate not monotone in loss for {label} at gamma={gamma}")
 
 
-def _bisect_largest_feasible(feasible, size: int, tol: float = BISECTION_TOL) -> np.ndarray:
-    """Largest gamma in [0, 1) with feasible(gamma) per entry, each feasible at
-    zero loss and assumed to cross once.
+def _bisect_largest_feasible(feasible, size: int, upper: float = 1.0, tol: float = BISECTION_TOL) -> np.ndarray:
+    """Largest value in [0, upper) with feasible(value) per entry, each feasible
+    at zero and assumed to cross once.
 
-    ``feasible`` maps ``size`` losses to as many booleans.  The entries
-    bisect in lockstep: each sees the float steps of a scalar bisection,
-    and as every bracket is the same power of two wide, all of them
-    stop after the same number of halvings.
+    ``feasible`` maps ``size`` values to as many booleans.  The entries
+    bisect in lockstep, and each one stops when its own bracket is within
+    ``tol``, so every entry sees the float steps of a scalar bisection.
     """
-    lo, hi = np.zeros(size), np.ones(size)
-    while (hi - lo > tol).any():
+    lo, hi = np.zeros(size), np.full(size, upper)
+    open_ = hi - lo > tol
+    while open_.any():
         mid = 0.5 * (lo + hi)
         ok = feasible(mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
+        open_ = hi - lo > tol
     return lo
 
 
@@ -397,6 +398,10 @@ def boost_level_parameters(level: int) -> tuple[float, int]:
 # -- correctable region -------------------------------------------------
 
 
+# grid points bisected together: bounds the (points, patterns) arrays of the decoder
+REGION_CHUNK = 32
+
+
 @dataclass
 class RegionPoint:
     gamma: float
@@ -426,30 +431,30 @@ def correctable_region(
         return []
     w = sum(1 << i for i, b in enumerate(result.w_star) if b)
     cx, cz = _basis_coeffs(code, p_fail, slice(w, w + 1))
+    gammas = gamma_star * np.arange(grid_points) / (grid_points - 1)
+    eps_m = err.epsilon_m(randomized_bias_rate(*_erasure_rates(cx, cz, gammas)))
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
-    points = []
-    for i in range(grid_points):
-        gamma = gamma_star * i / (grid_points - 1)
-        p_bar = float(randomized_bias_rate(*_erasure_rates(cx, cz, gamma))[0])
-        eps_m = err.epsilon_m(p_bar)
+    boundary = np.concatenate(
+        [
+            _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK], epsilon_cap)
+            for s in range(0, grid_points, REGION_CHUNK)
+        ]
+    )
+    return [RegionPoint(gamma=g, epsilon_boundary=e) for g, e in zip(gammas.tolist(), boundary.tolist())]
 
-        def feasible(eps):
-            r = analyzer.rates(1.0 - gamma, eps)
-            return 0.5 * (r["X"] + r["Z"]) <= eps_m
 
-        if not feasible(0.0):
-            boundary = 0.0
-        else:
-            lo, hi = 0.0, epsilon_cap
-            if feasible(hi):
-                boundary = hi
-            else:
-                while hi - lo > BISECTION_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if feasible(mid):
-                        lo = mid
-                    else:
-                        hi = mid
-                boundary = lo
-        points.append(RegionPoint(gamma=gamma, epsilon_boundary=boundary))
-    return points
+def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarray, cap: float) -> np.ndarray:
+    """Boundary epsilon per transmission: 0 where epsilon=0 is already infeasible,
+    ``cap`` where the cap is feasible, else bisected, all points in lockstep."""
+    probs = {basis: analyzer.pattern_probabilities(basis, eta) for basis in ("X", "Z")}
+
+    def feasible(eps, points):
+        r = analyzer.rates(eta[points], eps, probs={b: p[points] for b, p in probs.items()})
+        return 0.5 * (r["X"] + r["Z"]) <= eps_m[points]
+
+    at_zero = feasible(np.zeros(len(eta)), slice(None))
+    at_cap = at_zero & feasible(np.full(len(eta), cap), slice(None))
+    boundary = np.where(at_cap, cap, 0.0)
+    inner = at_zero & ~at_cap
+    boundary[inner] = _bisect_largest_feasible(lambda eps: feasible(eps, inner), int(inner.sum()), cap)
+    return boundary

@@ -5,16 +5,26 @@ products, on purpose sharing no code with the package's bit-packed
 algebra, so the two can check each other.  The erasure oracles redo the
 loss-threshold scan one failure basis at a time, in exact ``Fraction``
 arithmetic and scalar floats; they share only the availability table.
+The pattern oracles list outcomes object by object, and the decoder
+oracles redo the region one grid point and one epsilon at a time with
+the block-loop Walsh transform.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+from fusioncodes.fusion import AVAIL_BOTH, AVAIL_NONE, ErrorAnalyzer, FusionSpec, _flip_bias, fusion_table
+from fusioncodes.lpoly import LossPolynomial
+from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
+from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,3 +147,164 @@ def loss_threshold(table, bias, p_fail: float = 0.5) -> tuple[float, int]:
         if lo > best[0] + 1e-12:
             best = (lo, w)
     return best
+
+
+# -- object-level measurement patterns -----------------------------------
+
+
+class Outcome(Enum):
+    LOSS = "loss"
+    FAIL = "fail"
+    SUCCESS = "success"
+
+
+@dataclass(frozen=True)
+class MeasurementPattern:
+    """Per-pair outcomes with their occurrence-probability monomial."""
+
+    outcomes: tuple[Outcome, ...]
+    probability: LossPolynomial
+
+
+def pattern_probability(outcomes, spec: FusionSpec) -> LossPolynomial:
+    """Occurrence probability of one SUCCESS/FAIL/LOSS assignment."""
+    outs = tuple(outcomes)
+    s = sum(1 for o in outs if o is Outcome.SUCCESS)
+    f = sum(1 for o in outs if o is Outcome.FAIL)
+    poly = LossPolynomial(len(outs))
+    poly.add_pattern(s, f, len(outs) - s - f)
+    return poly
+
+
+def availability_masks(outcomes, w_bits) -> tuple[int, int]:
+    """(XX-available, ZZ-available) bit masks for a pattern under w."""
+    ax = az = 0
+    for i, o in enumerate(outcomes):
+        if o is Outcome.SUCCESS:
+            ax |= 1 << i
+            az |= 1 << i
+        elif o is Outcome.FAIL:
+            if w_bits[i]:
+                ax |= 1 << i
+            else:
+                az |= 1 << i
+    return ax, az
+
+
+def recoverable(logical_pair, outcomes, w_bits) -> bool:
+    """Can the paired parity of this logical representative be read out?
+
+    Per qubit in the support: X needs the XX parity, Z needs ZZ, Y needs
+    both; lost pairs provide nothing.
+    """
+    ax, az = availability_masks(outcomes, w_bits)
+    return (logical_pair.x_bits & ~ax) == 0 and (logical_pair.z_bits & ~az) == 0
+
+
+def pattern_outcomes(table, avail_idx: int) -> tuple[Outcome, ...]:
+    """Per-pair outcomes of one availability-table state."""
+    digits = [(avail_idx >> (2 * i)) & 3 for i in range(table.n)]
+    return tuple(
+        Outcome.SUCCESS if d == AVAIL_BOTH else Outcome.LOSS if d == AVAIL_NONE else Outcome.FAIL for d in digits
+    )
+
+
+def measurement_patterns(code, spec: FusionSpec, basis: str):
+    """The recovering patterns M_X or M_Z with representatives, in index order."""
+    table = fusion_table(code)
+    select = table.consistent(spec.w_mask) & (table.rep_index[basis] >= 0)
+    out = []
+    for avail_idx in np.nonzero(select)[0]:
+        outcomes = pattern_outcomes(table, int(avail_idx))
+        rep = table.reps[basis][int(table.rep_index[basis][avail_idx])]
+        out.append((MeasurementPattern(outcomes, pattern_probability(outcomes, spec)), rep))
+    return out
+
+
+def rep_index_scan(table, basis: str) -> np.ndarray:
+    """Lowest representative each table state can read out, by one full-table scan per representative."""
+    rep = np.full(4**table.n, -1, dtype=np.int16)
+    for k, p in enumerate(table.reps[basis]):
+        cov = ((p.x_bits & ~table.ax_mask) == 0) & ((p.z_bits & ~table.az_mask) == 0)
+        rep[cov & (rep < 0)] = k
+    return rep
+
+
+# -- the decoder one grid point and one epsilon at a time ------------------
+
+
+def fwht_blocks(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard transform along the last axis, block by block."""
+    m = a.shape[-1]
+    h = 1
+    while h < m:
+        for start in range(0, m, 2 * h):
+            x = a[..., start : start + h].copy()
+            y = a[..., start + h : start + 2 * h]
+            a[..., start : start + h] = x + y
+            a[..., start + h : start + 2 * h] = x - y
+        h *= 2
+    return a
+
+
+def pattern_error_rates(ana: ErrorAnalyzer, basis: str, epsilon: float) -> np.ndarray:
+    """Per-pattern error rates from every pattern's own weight row, raised to float powers."""
+    side = ana._sides[basis]
+    bias = _flip_bias(epsilon)
+    out = np.zeros(len(side["idxs"]), dtype=np.float64)
+    for r, (rows, (inverse, weights)) in side["groups"].items():
+        wmat = weights[inverse].astype(np.float64)
+        t = fwht_blocks(bias**wmat) / float(wmat.shape[1])
+        half = 1 << r
+        out[rows] = np.minimum(t[:, :half], t[:, half:]).sum(axis=1)
+    return out
+
+
+def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: bool = True) -> dict[str, float]:
+    """Erasure-weighted logical error rate per parity at one (eta, epsilon) point."""
+    result = {}
+    for basis in ("X", "Z"):
+        p = ana.pattern_probabilities(basis, eta)
+        total = p.sum()
+        if total <= 0.0:
+            result[basis] = 0.0
+            continue
+        if corrections:
+            perr = pattern_error_rates(ana, basis, epsilon)
+        else:
+            perr = 0.5 * (1.0 - _flip_bias(epsilon) ** ana._sides[basis]["lweight"].astype(np.float64))
+        result[basis] = float(np.dot(p, perr) / total)
+    return result
+
+
+def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=0.2) -> list[tuple[float, float]]:
+    """(gamma, boundary epsilon) pairs by one scalar bisection per grid point."""
+    result = package_loss_threshold(code, bias, p_fail)
+    gamma_star = result.gamma_star
+    if gamma_star <= 0.0:
+        return []
+    w = sum(1 << i for i, b in enumerate(result.w_star) if b)
+    cx, cz = _basis_coeffs(code, p_fail, slice(w, w + 1))
+    analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
+    points = []
+    for i in range(grid_points):
+        gamma = gamma_star * i / (grid_points - 1)
+        p_bar = float(randomized_bias_rate(*_erasure_rates(cx, cz, gamma))[0])
+        eps_m = err.epsilon_m(p_bar)
+
+        def feasible(eps):
+            r = error_rates(analyzer, 1.0 - gamma, eps)
+            return 0.5 * (r["X"] + r["Z"]) <= eps_m
+
+        if not feasible(0.0):
+            boundary = 0.0
+        elif feasible(epsilon_cap):
+            boundary = epsilon_cap
+        else:
+            lo, hi = 0.0, epsilon_cap
+            while hi - lo > BISECTION_TOL:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+            boundary = lo
+        points.append((gamma, boundary))
+    return points

@@ -31,6 +31,7 @@ from fusioncodes.thresholds import (
     search_best_code,
 )
 
+from oracles import pattern_outcomes
 from test_fusion import (
     all_w,
     oracle_pattern_error,
@@ -154,7 +155,7 @@ def test_a6_oracle_equivalence():
                         oracle_rates = np.array(
                             [
                                 oracle_pattern_error(
-                                    code, table.pattern_outcomes(int(avail)), w, basis, eps
+                                    code, pattern_outcomes(table, int(avail)), w, basis, eps
                                 )
                                 for avail in side["idxs"]
                             ]

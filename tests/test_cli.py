@@ -361,3 +361,38 @@ def test_numeric_boundary_never_raises(args, config):
         except SystemExit as exc:
             code = exc.code
     assert code in {0, 2, 3, 4, 5}
+
+
+# region with codes of at most 4 qubits, any grid size, p_fail at and
+# between its ends and drawn epsilon_M rows, most of them valid so that
+# regions get computed: exercises empty regions and grid points where no
+# recovering pattern can occur.
+_epsilon_m = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.05)), min_size=1, max_size=4, unique_by=lambda r: r[0])
+
+
+@st.composite
+def _region_case(draw):
+    valid = draw(st.integers(0, 3)) > 0
+    code = draw(st.text(alphabet="LP", min_size=1, max_size=4) if valid else st.text("LPx", max_size=3))
+    args = ["region", "--code", code, "--grid-points", str(draw(st.integers(2, 200)))]
+    p_fail = st.one_of(st.sampled_from(["0", "1", "0.5", "0.25"]), st.floats(0, 1).map(repr), _number_text)
+    args += draw(_optional("--p-fail", p_fail))
+    rows = [list(r) for r in sorted(draw(_epsilon_m))] if draw(st.integers(0, 3)) > 0 else draw(_rows)
+    p_tilde = draw(st.one_of(st.floats(0.01, 0.6), st.just(0.1430585)))
+    return args, {"p_tilde_randomized": p_tilde, "epsilon_M": rows}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_region_case())
+def test_region_boundary_never_raises(case):
+    args, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = args + ["--config", path, "--out", os.path.join(tmp, "region.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 2, 3, 4, 5}

@@ -8,23 +8,31 @@ from fusioncodes.codes import code_from_progenitor, dual_code_with_map, logical_
 from fusioncodes.fusion import (
     ErrorAnalyzer,
     FusionSpec,
-    Outcome,
+    _fwht_rows,
     dual_failure_basis,
     erasure_analysis,
     error_analysis,
     fusion_table,
     joint_flip_distribution,
-    measurement_patterns,
-    pattern_probability,
     pauli_flip_probability,
-    recoverable,
     validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import LossPolynomial, eta2_float_coeffs, eta2_numerators
 from fusioncodes.pauli import PauliOperator, enumerate_group
 
-from oracles import basis_counts, dense_graph_state, eta2_coeffs, pauli_matrix
+import oracles
+from oracles import (
+    Outcome,
+    basis_counts,
+    dense_graph_state,
+    eta2_coeffs,
+    measurement_patterns,
+    pattern_outcomes,
+    pattern_probability,
+    pauli_matrix,
+    recoverable,
+)
 
 S, F, L = Outcome.SUCCESS, Outcome.FAIL, Outcome.LOSS
 
@@ -393,7 +401,7 @@ class TestErrorAnalysis:
                     got = ana.pattern_error_rates(basis, eps)
                     table = fusion_table(code)
                     for row, avail in enumerate(side["idxs"]):
-                        outcomes = table.pattern_outcomes(int(avail))
+                        outcomes = pattern_outcomes(table, int(avail))
                         want = oracle_pattern_error(code, outcomes, w, basis, eps)
                         assert want is not None
                         assert abs(got[row] - want) < 1e-12
@@ -408,7 +416,7 @@ class TestErrorAnalysis:
                 side = ana._sides[basis]
                 got = ana.pattern_error_rates(basis, 0.01)
                 for row, avail in list(enumerate(side["idxs"]))[::5]:
-                    outcomes = table.pattern_outcomes(int(avail))
+                    outcomes = pattern_outcomes(table, int(avail))
                     want = oracle_pattern_error(code, outcomes, w, basis, 0.01)
                     assert abs(got[row] - want) < 1e-12
 
@@ -450,6 +458,12 @@ class TestAllBasesEngine:
         num, den = eta2_numerators(counts, 4, 0.1234567)
         assert num.dtype == object and den == Fraction(0.1234567).limit_denominator(1 << 30).denominator ** 4
 
+    def test_rep_index_up_closure_matches_scan(self):
+        for code in small_codes(6) + [code_of("LLPLPLPL"), code_of("LLLLLLLL")]:
+            table = fusion_table(code)
+            for basis in ("X", "Z"):
+                assert np.array_equal(table.rep_index[basis], oracles.rep_index_scan(table, basis)), code.code_id
+
     def test_swap_check_rejects_a_wrong_pivot(self):
         rejected = 0
         for rec in enumerate_progenitor_records(3):
@@ -457,6 +471,72 @@ class TestAllBasesEngine:
             dual, swapped = dual_code_with_map(code)
             rejected += sum(not validate_dual_swap(code, dual, k) for k in range(3) if k != swapped)
         assert rejected > 0
+
+
+class TestDecoderArrays:
+    """The butterfly, the distinct-row gather and the epsilon arrays, bit for bit."""
+
+    CASES = [("LL", (0, 0)), ("LPL", (1, 0, 1)), ("LLPL", (1, 0, 0, 1)), ("LLPLPL", (1, 0, 0, 1, 0, 1))]
+    EPS = np.array([0.0, 1e-9, 0.0031, 0.05, 0.2, 0.75, 1.0])
+
+    def test_butterfly_matches_block_loop(self):
+        rng = np.random.default_rng(7)
+        for k in range(1, 9):
+            for lead in ((), (3,), (2, 5)):
+                a = rng.standard_normal(lead + (1 << k,))
+                assert _fwht_rows(a.copy()).tobytes() == oracles.fwht_blocks(a.copy()).tobytes(), (k, lead)
+
+    def test_distinct_rows_scatter_to_every_pattern(self):
+        for seq, w in self.CASES:
+            ana = ErrorAnalyzer(code_of(seq), w)
+            for basis in ("X", "Z"):
+                groups = ana._sides[basis]["groups"]
+                rows = np.concatenate([rows for rows, _ in groups.values()])
+                assert sorted(rows.tolist()) == list(range(len(ana._sides[basis]["idxs"])))
+                for rows, (inverse, weights) in groups.values():
+                    assert len(inverse) == len(rows) and len(np.unique(weights, axis=0)) == len(weights)
+
+    def test_scalar_rates_match_per_row_formula(self):
+        for seq, w in self.CASES:
+            ana = ErrorAnalyzer(code_of(seq), w)
+            for eps in self.EPS.tolist():
+                for basis in ("X", "Z"):
+                    got = ana.pattern_error_rates(basis, eps)
+                    assert got.tobytes() == oracles.pattern_error_rates(ana, basis, eps).tobytes(), (seq, eps)
+                for eta in (0.0, 0.9, 1.0):
+                    for corr in (True, False):
+                        assert ana.rates(eta, eps, corr) == oracles.error_rates(ana, eta, eps, corr), (seq, eps)
+
+    def test_epsilon_array_equals_stacked_scalar_calls(self):
+        etas = np.linspace(0.8, 1.0, len(self.EPS))
+        for seq, w in self.CASES:
+            ana = ErrorAnalyzer(code_of(seq), w)
+            for basis in ("X", "Z"):
+                for method in (ana.pattern_error_rates, ana.pattern_uncorrected_rates):
+                    stacked = np.stack([method(basis, e) for e in self.EPS.tolist()])
+                    assert method(basis, self.EPS).tobytes() == stacked.tobytes(), (seq, basis)
+                probs = np.stack([ana.pattern_probabilities(basis, e) for e in etas.tolist()])
+                assert ana.pattern_probabilities(basis, etas).tobytes() == probs.tobytes()
+            for corr in (True, False):
+                got = ana.rates(etas, self.EPS, corr)
+                for i, (eta, eps) in enumerate(zip(etas.tolist(), self.EPS.tolist())):
+                    want = ana.rates(eta, eps, corr)
+                    assert (float(got["X"][i]), float(got["Z"][i])) == (want["X"], want["Z"]), (seq, i)
+
+    def test_error_report_matches_per_row_formula(self):
+        for seq, w in self.CASES:
+            code = code_of(seq)
+            for eta, eps in ((1.0, 0.01), (0.93, 0.05), (0.0, 0.02)):
+                rep = error_analysis(code, FusionSpec(eta, 0.5, w), eps)
+                ana = ErrorAnalyzer(code, w)
+                corr = oracles.error_rates(ana, eta, eps)
+                unc = oracles.error_rates(ana, eta, eps, corrections=False)
+                assert (rep.p_error_xx, rep.p_error_zz) == (corr["X"], corr["Z"])
+                assert (rep.p_error_xx_uncorrected, rep.p_error_zz_uncorrected) == (unc["X"], unc["Z"])
+                for basis in ("X", "Z"):
+                    idxs, rates = rep.pattern_rates[basis]
+                    assert np.array_equal(idxs, ana._sides[basis]["idxs"])
+                    assert rates.tobytes() == oracles.pattern_error_rates(ana, basis, eps).tobytes()
 
 
 class TestDualSwap:

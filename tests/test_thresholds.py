@@ -8,9 +8,11 @@ from fusioncodes.fusion import fusion_table
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
+    REGION_CHUNK,
     BiasMode,
     ConfigError,
     ErrorThresholdConfig,
+    _bisect_largest_feasible,
     boost_level_parameters,
     boosted_baseline,
     bias_ratio,
@@ -232,6 +234,48 @@ class TestRegion:
         err = ErrorThresholdConfig(example_error_threshold_table())
         with pytest.raises(ValueError):
             correctable_region(code_of("LL"), bias, err)
+
+
+class TestRegionAgainstOracle:
+    """The lockstep region against one scalar bisection per grid point."""
+
+    @staticmethod
+    def _both(code, p_fail=0.5, grid_points=21):
+        bias = default_bias_config(BiasMode.RANDOMIZED)
+        err = ErrorThresholdConfig(example_error_threshold_table())
+        got = correctable_region(code, bias, err, p_fail=p_fail, grid_points=grid_points)
+        want = oracles.correctable_region(code, bias, err, p_fail=p_fail, grid_points=grid_points)
+        return [(p.gamma, p.epsilon_boundary) for p in got], want
+
+    @pytest.mark.parametrize("p_fail", [0.5, 0.25])
+    def test_boundaries_equal_scalar_bisection(self, p_fail):
+        seqs = [r.sequence for n in range(1, 5) for r in enumerate_progenitor_records(n)] + ["LLPLPL", "LLPLPP"]
+        nonempty = 0
+        for seq in seqs:
+            got, want = self._both(code_of(seq), p_fail)
+            assert got == want, seq
+            nonempty += any(eps > 0.0 for _, eps in got)
+        assert nonempty >= 3
+
+    def test_chunk_seam(self):
+        got, want = self._both(code_of("LLPL"), grid_points=REGION_CHUNK + 3)
+        assert len(got) == REGION_CHUNK + 3
+        assert got == want
+
+    def test_each_entry_stops_like_a_scalar_bisection(self):
+        def scalar(cut, upper):
+            lo, hi = 0.0, upper
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mid <= cut else (lo, mid)
+            return lo
+
+        # 16e-9 (1 + 1e-15) halves to widths within rounding of the
+        # tolerance, where brackets of equal start width stop apart
+        for upper in (0.2, 1.0, 16e-9 * (1 + 1e-15)):
+            cuts = np.random.default_rng(5).random(200) * upper
+            got = _bisect_largest_feasible(lambda v: v <= cuts, len(cuts), upper)
+            assert got.tolist() == [scalar(c, upper) for c in cuts.tolist()], upper
 
 
 class TestConfig:
