@@ -287,6 +287,7 @@ def cmd_region(args) -> int:
 
 def cmd_compile(args) -> int:
     outer = _load_outer(args.outer)
+    _check_code_size(len(args.inner))
     inner = _resolve_code(args.inner)
     mode = Mode(args.mode)
     seq = compile_generation(outer, inner, mode)

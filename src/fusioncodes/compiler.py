@@ -9,6 +9,9 @@ and a logical path edge.  The emitter-plus-memory variant keeps all
 measurements on the short-lived emitter spin by inserting a SWAP after
 the CZ for path edges.
 
+Both the outer and the inner LEAF/PATH_EDGE letters come from one O(n)
+walk along the graph's caterpillar spine; any caterpillar compiles.
+
 Verification replays a sequence wire by wire through one interpreter
 that drives either an exact state vector (by default up to 12 photons
 and 16 target wires) or a sign-exact stabilizer tableau (any size),
@@ -21,20 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .codes import GraphCode
-from .graphs import (
-    GraphState,
-    build_progenitor,
-    canonical_key,
-    enumerate_progenitor_records,
-    is_caterpillar,
-    is_tree,
-    unmarked_tree_key,
-)
+from .graphs import GraphState, build_progenitor, caterpillar_spine
 from .pauli import PauliOperator
 from .tableau import BranchImpossible, StabilizerTableau
 from . import statevec
@@ -126,45 +120,51 @@ class ResourceCount:
 # -- decomposition of targets into generation sequences ----------------
 
 
-@lru_cache(maxsize=None)
-def _marked_sequence_index(n_photons: int) -> dict[str, str]:
-    return {canonical_key(rec.graph): rec.sequence for rec in enumerate_progenitor_records(n_photons)}
+# A sequence L^a0 P L^a1 P ... P L^ak grows the path v0..vk with a_i
+# leaves on v_i and the emitter on vk, so the sequences of a caterpillar
+# read its spine in either direction, extended by at most one leaf at each
+# end.  The representative is the one of smallest binary-counter value (a
+# 'P' at index i weighs 2^i), as in ``enumerate_progenitor_records``.  A
+# head leaf turns the first letter into P and a tail leaf the last one, so
+# the representative extends only where the emitter forces it: a leaf
+# emitter is the tail.  Everything is one O(n) walk.
+
+
+def _letters(counts: list[int]) -> str:
+    return "P".join("L" * c for c in counts)
 
 
 def derive_marked_sequence(g: GraphState) -> str:
     """LEAF/PATH_EDGE sequence generating this marked graph, if any."""
     if g.n == 1:
         return ""
-    try:
-        key = canonical_key(g)
-    except ValueError as exc:  # not a tree, so no single emitter makes it
-        raise CompileError(f"graph is not generatable by a single emitter: {exc}") from exc
-    seq = _marked_sequence_index(g.n - 1).get(key)
-    if seq is None:
+    spine = caterpillar_spine(g)
+    if spine is None:
+        raise CompileError("graph is not generatable by a single emitter: not a caterpillar tree")
+    spine = spine or [(g.emitter, 1)]  # a single edge
+    counts = [c for _, c in spine]
+    leaf = g.emitter not in {v for v, _ in spine}
+    end = next(iter(g.neighbors(g.emitter))) if leaf else g.emitter
+    if end == spine[0][0]:
+        counts.reverse()
+    elif end != spine[-1][0]:
         raise CompileError("graph is not generatable by a single emitter with this marking")
-    return seq
-
-
-@lru_cache(maxsize=None)
-def _unmarked_sequence_index(n_photons: int) -> dict[str, str]:
-    index: dict[str, str] = {}
-    for s in range(1 << n_photons):
-        ops = "".join("P" if (s >> i) & 1 else "L" for i in range(n_photons))
-        key = unmarked_tree_key(build_progenitor(ops))
-        index.setdefault(key, ops)
-    return index
+    if leaf:
+        counts[-1:] = [counts[-1] - 1, 0]
+    return _letters(counts)
 
 
 def derive_outer_sequence(g: GraphState) -> str:
     """Generation sequence for an outer target, emitter mark ignored."""
     if g.n == 1:
         return ""
-    if not is_tree(g) or not is_caterpillar(g):
+    spine = caterpillar_spine(g)
+    if spine is None:
         raise CompileError("outer graph must be a star, chain, or caterpillar")
-    seq = _unmarked_sequence_index(g.n - 1).get(unmarked_tree_key(g))
-    if seq is None:
-        raise CompileError("outer graph is outside the generatable class")
-    return seq
+    ops = _letters([c for _, c in spine] or [1])
+    # the reverse reads the spine backwards; the smaller counter value is
+    # the string whose reverse is lexicographically smaller
+    return max(ops, ops[::-1])
 
 
 # -- compilation --------------------------------------------------------

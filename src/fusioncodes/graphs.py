@@ -245,56 +245,44 @@ def canonical_key(g: GraphState) -> str:
     return "T" + _rooted_tree_key(g, g.emitter)
 
 
-def unmarked_tree_key(g: GraphState) -> str:
-    """Canonical key of a tree ignoring the emitter mark (centroid rooted)."""
-    if not is_tree(g):
-        raise ValueError("unmarked canonical key implemented for trees only")
-    # Peel leaves to find the 1-2 centroids.
-    if g.n == 1:
-        return "T()"
-    degree = {v: g.degree(v) for v in range(g.n)}
-    remaining = set(range(g.n))
-    layer = [v for v in remaining if degree[v] <= 1]
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            for u in g.neighbors(v):
-                if u in remaining:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return "T*" + min(_rooted_tree_key(g, c) for c in remaining)
+def caterpillar_spine(g: GraphState) -> list[tuple[int, int]] | None:
+    """Spine of a caterpillar tree as (vertex, leaf count) pairs in path
+    order, or None when ``g`` is not a caterpillar tree.
+
+    The spine is the path of internal (degree >= 2) vertices, empty for
+    n <= 2.  One adjacency build, so O(n).
+    """
+    if len(g.edges) != g.n - 1:
+        return None
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != g.n:
+        return None
+    # the internal vertices of a tree span a subtree: a path iff no
+    # internal vertex has three internal neighbors
+    links = {v: [u for u in adj[v] if len(adj[u]) > 1] for v in range(g.n) if len(adj[v]) > 1}
+    if any(len(nbrs) > 2 for nbrs in links.values()):
+        return None
+    spine: list[tuple[int, int]] = []
+    prev, cur = None, next((v for v, nbrs in links.items() if len(nbrs) < 2), None)
+    while cur is not None:
+        spine.append((cur, len(adj[cur]) - len(links[cur])))
+        prev, cur = cur, next((u for u in links[cur] if u != prev), None)
+    return spine
 
 
 def is_caterpillar(g: GraphState) -> bool:
     """Tree whose non-leaf vertices form a path (chains and stars included)."""
-    if not is_tree(g):
-        return False
-    if g.n <= 3:
-        return True
-    spine = [v for v in range(g.n) if g.degree(v) >= 2]
-    if not spine:
-        return g.n <= 2
-    for v in spine:
-        if sum(1 for u in g.neighbors(v) if u in spine) > 2:
-            return False
-    ends = [v for v in spine if sum(1 for u in g.neighbors(v) if u in spine) <= 1]
-    if len(spine) == 1:
-        return True
-    if len(ends) != 2:
-        return False
-    # connected path check over the spine
-    seen = {ends[0]}
-    cur = ends[0]
-    while True:
-        nxt = [u for u in g.neighbors(cur) if u in spine and u not in seen]
-        if not nxt:
-            break
-        cur = nxt[0]
-        seen.add(cur)
-    return len(seen) == len(spine)
+    return caterpillar_spine(g) is not None
 
 
 @dataclass(frozen=True)

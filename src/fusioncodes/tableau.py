@@ -39,11 +39,15 @@ class StabilizerTableau:
 
         X_a -> X_a Z_b and X_b -> X_b Z_a; a generator picks up a sign
         when both X components are present and exactly one Z is (the
-        XX <-> YY exchange)."""
+        XX <-> YY exchange).  A row with no X on a or b is unchanged."""
         if a == b:
             raise ValueError("CZ needs two distinct wires")
+        touched = (1 << a) | (1 << b)
         new_rows = []
         for row in self.rows:
+            if not row.x_bits & touched:
+                new_rows.append(row)
+                continue
             xa = (row.x_bits >> a) & 1
             xb = (row.x_bits >> b) & 1
             za = (row.z_bits >> a) & 1

@@ -7,7 +7,8 @@ loss-threshold scan one failure basis at a time, in exact ``Fraction``
 arithmetic and scalar floats; they share only the availability table.
 The pattern oracles list outcomes object by object, and the decoder
 oracles redo the region one grid point and one epsilon at a time with
-the block-loop Walsh transform.
+the block-loop Walsh transform.  The sequence oracles find a graph's
+generation sequence by keying every LEAF/PATH_EDGE string of its size.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from fusioncodes.fusion import AVAIL_BOTH, AVAIL_NONE, ErrorAnalyzer, FusionSpec, _flip_bias, fusion_table
+from fusioncodes.graphs import _rooted_tree_key, build_progenitor, canonical_key, enumerate_progenitor_records
 from fusioncodes.lpoly import LossPolynomial
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
@@ -308,3 +311,51 @@ def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=
             boundary = lo
         points.append((gamma, boundary))
     return points
+
+
+def _unmarked_tree_key(g) -> str:
+    """Canonical key of a tree ignoring the emitter mark (centroid rooted)."""
+    if g.n == 1:
+        return "T()"
+    # peel leaves down to the one or two centroids
+    degree = {v: g.degree(v) for v in range(g.n)}
+    remaining = set(range(g.n))
+    layer = [v for v in remaining if degree[v] <= 1]
+    while len(remaining) > 2:
+        nxt = []
+        for v in layer:
+            remaining.discard(v)
+            for u in g.neighbors(v):
+                if u in remaining:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return "T*" + min(_rooted_tree_key(g, c) for c in remaining)
+
+
+@lru_cache(maxsize=None)
+def _unmarked_index(n_photons: int) -> dict[str, str]:
+    index: dict[str, str] = {}
+    for s in range(1 << n_photons):
+        ops = "".join("P" if (s >> i) & 1 else "L" for i in range(n_photons))
+        index.setdefault(_unmarked_tree_key(build_progenitor(ops)), ops)
+    return index
+
+
+@lru_cache(maxsize=None)
+def _marked_index(n_photons: int) -> dict[str, str]:
+    records = enumerate_progenitor_records(n_photons, cap=n_photons)
+    return {canonical_key(rec.graph): rec.sequence for rec in records}
+
+
+def outer_sequence_scan(g) -> str | None:
+    """First op string in binary-counter order whose progenitor is ``g``
+    up to isomorphism, emitter mark ignored; ``g`` must be a tree."""
+    return _unmarked_index(g.n - 1).get(_unmarked_tree_key(g)) if g.n > 1 else ""
+
+
+def marked_sequence_scan(g) -> str | None:
+    """First op string in binary-counter order whose progenitor is ``g``
+    up to isomorphism with the emitter pinned; ``g`` must be a tree."""
+    return _marked_index(g.n - 1).get(canonical_key(g)) if g.n > 1 else ""

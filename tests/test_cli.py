@@ -217,6 +217,11 @@ class TestCompile:
         )
         assert main(["compile", "--outer", str(outer), "--inner", "L", "--out", str(tmp_path / "x")]) == 3
 
+    def test_inner_over_cap_is_resource_error(self, tmp_path):
+        outer = tmp_path / "outer.json"
+        outer.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        assert main(["compile", "--outer", str(outer), "--inner", "L" * 9, "--out", str(tmp_path / "x")]) == 4
+
     @pytest.mark.parametrize(
         "outer_json, inner",
         [
@@ -257,7 +262,6 @@ class TestManifest:
         assert "threads" not in da["manifest"]["parameters"]
 
 
-# Outer graphs stay at n <= 8 so no input reaches the exponential outer scan.
 def _tree(n):
     parents = st.tuples(*[st.integers(0, v - 1) for v in range(1, n)])
     return parents.map(lambda ps: {"n": n, "edges": [[p, v] for v, p in enumerate(ps, start=1)]})
@@ -266,7 +270,7 @@ def _tree(n):
 _pair = st.lists(st.integers(-1, 8), min_size=2, max_size=2)
 _vertex = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2))
 _outer_json = st.one_of(
-    st.integers(1, 8).flatmap(_tree),
+    st.integers(1, 24).flatmap(_tree),
     st.integers(0, 8).flatmap(
         lambda n: st.fixed_dictionaries({"n": st.just(n), "edges": st.lists(_pair, max_size=n + 2)})
     ),

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from fusioncodes.compiler import (
     build_concatenated_target,
     compile_generation,
     count_resources,
+    derive_marked_sequence,
     derive_outer_sequence,
     verify_sequence,
     _inner_wire_roles,
@@ -21,6 +24,8 @@ from fusioncodes.compiler import (
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
 from fusioncodes.pauli import PauliOperator, multiply
 from fusioncodes.tableau import BranchImpossible, StabilizerTableau
+
+from oracles import marked_sequence_scan, outer_sequence_scan
 
 
 def inner_code(seq):
@@ -93,6 +98,76 @@ class TestCompile:
         seq = compile_generation(GraphState(1, frozenset(), 0), inner_code("LL"), Mode.TWO_EMITTER)
         assert op_count(seq, Op.CZ) == 0
         assert verify_sequence(seq, method="statevector").ok
+
+
+def relabel(g, perm, emitter=None):
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    return GraphState.from_edges(g.n, edges, perm[g.emitter if emitter is None else emitter])
+
+
+def random_caterpillar(m, rng):
+    spine = max(m // 2, 1)
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(rng.randrange(spine), v) for v in range(spine, m)]
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return relabel(GraphState.from_edges(m, edges), perm)
+
+
+class TestSequenceWalk:
+    def test_walk_matches_scan(self):
+        rng = random.Random(5)
+        for n in range(1, 11):
+            for ops in map("".join, itertools.product("LP", repeat=n)):
+                perm = list(range(n + 1))
+                rng.shuffle(perm)
+                g = relabel(build_progenitor(ops), perm)
+                assert derive_outer_sequence(g) == outer_sequence_scan(g), ops
+                assert derive_marked_sequence(g) == marked_sequence_scan(g), ops
+
+    def test_marked_walk_matches_scan_for_every_emitter(self):
+        # includes emitters in mid-spine and on leaves of mid-spine vertices,
+        # which no single emitter can end at
+        rng = random.Random(6)
+        for n in range(1, 8):
+            for ops in map("".join, itertools.product("LP", repeat=n)):
+                perm = list(range(n + 1))
+                rng.shuffle(perm)
+                for e in range(n + 1):
+                    g = relabel(build_progenitor(ops), perm, emitter=e)
+                    want = marked_sequence_scan(g)
+                    if want is None:
+                        with pytest.raises(CompileError):
+                            derive_marked_sequence(g)
+                    else:
+                        assert derive_marked_sequence(g) == want, (ops, e)
+
+    def test_marked_walk_rejects(self):
+        chain_mid = GraphState.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], emitter=2)
+        with pytest.raises(CompileError):
+            derive_marked_sequence(chain_mid)
+        # n - 1 edges, but a triangle plus an isolated vertex
+        disconnected = GraphState.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        for derive in (derive_marked_sequence, derive_outer_sequence):
+            with pytest.raises(CompileError):
+                derive(disconnected)
+        spider = GraphState.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        with pytest.raises(CompileError):
+            derive_outer_sequence(spider)
+
+    def test_large_caterpillar_compiles_and_verifies(self):
+        # ROADMAP item 4 gate: 64 outer vertices x 8 photons = 512 photons
+        g = random_caterpillar(64, random.Random(64))
+        start = time.perf_counter()
+        for mode in Mode:
+            seq = compile_generation(g, inner_code("LLPLPLPL"), mode)
+            res = verify_sequence(seq, method="stabilizer")
+            assert res.ok and seq.photon_count == 512, (mode, res.message)
+        assert time.perf_counter() - start < 2.0
+        big = random_caterpillar(2000, random.Random(2000))
+        start = time.perf_counter()
+        outer_ops = derive_outer_sequence(big)
+        assert time.perf_counter() - start < 1.0
+        assert len(outer_ops) == 1999
 
 
 class TestResources:
