@@ -44,8 +44,8 @@ from .thresholds import (
     config_to_json_dict,
     correctable_region,
     default_bias_config,
-    load_config,
     loss_threshold,
+    read_config,
     search_best_code,
 )
 
@@ -107,10 +107,7 @@ def _write_csv(path: str, header: list[str], rows: list[list], manifest: dict) -
 def _load_bias(args) -> tuple:
     """(randomized, passive, error-config, raw-config-dict) from --config or defaults."""
     if getattr(args, "config", None):
-        rand, passive, err = load_config(args.config)  # first: bad files become ConfigError
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        return rand, passive, err, raw
+        return read_config(args.config)
     rand = default_bias_config(BiasMode.RANDOMIZED)
     passive = default_bias_config(BiasMode.PASSIVE)
     return rand, passive, None, config_to_json_dict(rand)

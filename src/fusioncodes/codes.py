@@ -9,7 +9,6 @@ products) that act trivially on q.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,9 +54,6 @@ class GraphCode:
             "logical_z": [p.to_string() for p in logical_set(self, "Z")],
             "stabilizer_generators": [g.to_string() for g in self.stabilizers.generators],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _restrict(p: PauliOperator, drop: int) -> PauliOperator:

@@ -14,10 +14,13 @@ walk along the graph's caterpillar spine; any caterpillar compiles.
 
 Verification replays a sequence wire by wire through one interpreter
 that drives either an exact state vector (by default up to 12 photons
-and 16 target wires) or a sign-exact stabilizer tableau (any size),
-and compares the photon state against the concatenated target graph:
-the outer graph with an inner block embedded at every node and the
-virtual node of each block measured in X with outcome +1.
+and 16 target wires) or a sign-exact stabilizer tableau (any size).
+The target is the concatenated graph: the outer graph with an inner
+block embedded at every node and the virtual node of each block
+measured in X with outcome +1.  The state vector is compared with the
+target's amplitudes; on the tableau, the target is built on the
+replay's own wires and each of its generators must be a +1 element of
+the compiled stabilizer group.
 """
 
 from __future__ import annotations
@@ -428,26 +431,29 @@ def _photon_statevector(seq: GenerationSequence, outcome_overrides: dict[int, in
     return state, backend.outcomes
 
 
-def _photon_stabilizers(seq: GenerationSequence) -> list[PauliOperator]:
-    """Sign-exact replay; returns generators on the photon wires in emission order."""
-    tab = StabilizerTableau(seq.photon_count + 2)
-    order = _run(seq, tab)
-    rows = []
-    for row in tab.rows:
-        x = z = 0
-        for k, w in enumerate(order):
-            x |= ((row.x_bits >> w) & 1) << k
-            z |= ((row.z_bits >> w) & 1) << k
-        rows.append(PauliOperator(row.n, x, z, row.phase))
-    tab.rows = rows
-    return tab.restricted_rows((1 << seq.photon_count) - 1)
+def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) -> tuple[int, PauliOperator, bool] | None:
+    """(index, row, missing) of the first target generator that is not a
+    +1 element of the compiled group, or None when the states are equal;
+    ``missing`` is False for a generator the group holds with sign -1.
 
-
-def _target_stabilizers(target: ConcatenatedTarget) -> list[PauliOperator]:
-    tab = StabilizerTableau.graph_state(target.n_total, target.edges)
+    The replay runs on P + 2 + m wires: P photons, two spin slots and m
+    outer vertices that no instruction touches, so they stay in |+>.  The
+    target is built on the same wires, photon k on the wire ``_run``
+    returns for it and virtual vertex b on wire P + 2 + b; after its X
+    measurements both states are pure on the same wires, and the final
+    slot wires are isolated |+> vertices of the target.
+    """
+    got = StabilizerTableau(seq.photon_count + 2 + target.n_virtual)
+    wire = _run(seq, got)[: seq.photon_count]
+    wire += range(seq.photon_count + 2, got.n)
+    want = StabilizerTableau.graph_state(got.n, [(wire[u], wire[v]) for u, v in target.edges])
     for v in target.virtual_wires():
-        tab.measure_x(v)
-    return tab.restricted_rows((1 << target.n_photons) - 1)
+        want.measure_x(wire[v])
+    stray = got.first_non_member(want.rows)
+    if stray is None:
+        return None
+    k, rest = stray
+    return k, want.rows[k], bool(rest.x_bits | rest.z_bits)
 
 
 def _target_statevector(target: ConcatenatedTarget) -> np.ndarray:
@@ -488,9 +494,13 @@ def verify_sequence(
     'stabilizer' (sign-exact stabilizer tableau, any size); 'auto' takes
     the state vector when there are at most 12 photons and the target's
     vector, which carries one more wire per outer vertex, spans at most
-    16 wires, and the tableau otherwise.  Both
-    replay the sequence with every spin measurement forced to +1 and
-    compare the photon state with the target exactly, signs included.
+    16 wires, and the tableau otherwise.  Both replay the sequence with
+    every spin measurement forced to +1 and check the photon state
+    against the target exactly, signs included: the state vector by
+    overlap, the tableau by testing each target generator for
+    membership in the compiled group.  A failed tableau check names the
+    first target generator that the group lacks or holds with sign -1
+    (on the replay's wires) in ``message`` and ``detail``.
     """
     target = expected or build_concatenated_target(seq.outer_ops, seq.inner_ops)
     if target.n_photons != seq.photon_count:
@@ -512,18 +522,17 @@ def verify_sequence(
         )
     if method == "stabilizer":
         try:
-            got_rows = _photon_stabilizers(seq)
-        except (BranchImpossible, ValueError) as exc:
+            stray = _stabilizer_mismatch(seq, target)
+        except BranchImpossible as exc:
             return VerificationResult(False, method, f"simulation diverged: {exc}")
-        got_canon = StabilizerTableau.canonical(got_rows)
-        want_canon = StabilizerTableau.canonical(_target_stabilizers(target))
-        if got_canon == want_canon:
+        if stray is None:
             return VerificationResult(True, method)
-        diverging = sorted(set(got_canon) ^ set(want_canon))
+        k, row, missing = stray
+        how = "is missing from" if missing else "has sign -1 in"
         return VerificationResult(
             False,
             method,
-            "compiled stabilizers differ from the target state",
-            {"divergent_generators": diverging[:4]},
+            f"target generator {k} ({row}) {how} the compiled group",
+            {"generator_index": k, "generator": row.to_string(), "missing": missing},
         )
     raise ValueError(f"unknown method {method!r}")

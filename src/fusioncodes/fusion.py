@@ -452,9 +452,6 @@ class ErrorReport:
     p_error_zz_uncorrected: float
     pattern_rates: dict = None
 
-    def average_error(self) -> float:
-        return 0.5 * (self.p_error_xx + self.p_error_zz)
-
 
 @lru_cache(maxsize=8)
 def _analyzer(code: GraphCode, w: tuple[int, ...], p_fail: float) -> ErrorAnalyzer:

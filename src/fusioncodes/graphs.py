@@ -62,9 +62,6 @@ class GraphState:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -180,31 +177,21 @@ def lc_pauli_transform(p: PauliOperator, q: int, g: GraphState) -> PauliOperator
 # -- generation operations -------------------------------------------
 
 
-def apply_generation_op(g: GraphState, op: GenerationOp) -> GraphState:
-    """Grow the graph by one photon attached to the emitter.
-
-    LEAF keeps the emitter mark in place; PATH_EDGE moves it to the new
-    vertex, so the old emitter vertex becomes a photon.
-    """
-    new = g.n
-    edges = g.edges | {(min(g.emitter, new), max(g.emitter, new))}
-    if op is GenerationOp.LEAF:
-        return GraphState(g.n + 1, edges, g.emitter)
-    return GraphState(g.n + 1, edges, new)
-
-
 def build_progenitor(ops: str | list[GenerationOp]) -> GraphState:
-    """Apply a LEAF/PATH_EDGE sequence to a lone emitter vertex."""
-    g = GraphState(1, frozenset(), 0)
-    for op in _coerce_ops(ops):
-        g = apply_generation_op(g, op)
-    return g
+    """Apply a LEAF/PATH_EDGE sequence to a lone emitter vertex.
 
-
-def _coerce_ops(ops) -> list[GenerationOp]:
-    if isinstance(ops, str):
-        return [GenerationOp(ch) for ch in ops]
-    return list(ops)
+    Each photon becomes the next vertex, attached to the current emitter;
+    LEAF keeps the emitter mark in place and PATH_EDGE moves it to the new
+    vertex, so the old emitter vertex becomes a photon.  One pass, one
+    ``GraphState``.
+    """
+    emitter = 0
+    edges = []
+    for new, op in enumerate(map(GenerationOp, ops), start=1):
+        edges.append((emitter, new))
+        if op is GenerationOp.PATH_EDGE:
+            emitter = new
+    return GraphState(len(edges) + 1, frozenset(edges), emitter)
 
 
 # -- isomorphism and enumeration -------------------------------------

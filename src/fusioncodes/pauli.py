@@ -104,18 +104,12 @@ class PauliOperator:
     def letter(self, qubit: int) -> str:
         return _BITS_TO_CHAR[((self.x_bits >> qubit) & 1, (self.z_bits >> qubit) & 1)]
 
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
     def to_string(self) -> str:
         sgn = "+" if self.phase == 0 else "-" if self.phase == 2 else ("+i" if self.phase == 1 else "-i")
         return sgn + "".join(self.letter(q) for q in range(self.n))
 
     def __str__(self):
         return self.to_string()
-
-    def negate(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x_bits, self.z_bits, self.phase + 2)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

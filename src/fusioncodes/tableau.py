@@ -4,8 +4,10 @@ Tracks stabilizer generators only (no destabilizers): the circuits
 verified here consist of |+> preparations, CZ gates and X measurements
 postselected on +1, so measurement updates never need an outcome drawn
 from destabilizer bookkeeping.  Signs are carried exactly through the
-bit-packed Pauli arithmetic, which makes the final comparison an exact
-state-equality check.
+bit-packed Pauli arithmetic.  Two pure states on the same wires are
+equal iff every generator of one is a +1 element of the other's group,
+so ``first_non_member`` is an exact, sign-exact state-equality check
+(the deterministic-measurement test of Aaronson and Gottesman's CHP).
 """
 
 from __future__ import annotations
@@ -67,59 +69,27 @@ class StabilizerTableau:
                 self.rows[k] = multiply(self.rows[k], pivot)
             self.rows[anti[0]] = x_row
             return
-        # outcome already determined: X_wire must be a +1 group element,
-        # i.e. reduce to +I against the echelon basis
-        rest = _reduce(x_row, _echelon(self.rows))
-        if _key(rest):
+        # outcome already determined: X_wire must be a +1 group element
+        stray = self.first_non_member([x_row])
+        if stray and _key(stray[1]):
             raise BranchImpossible(f"X on wire {wire} is not determined")
-        if rest.phase != 0:
+        if stray:
             raise BranchImpossible(f"forced +1 outcome on wire {wire} has zero probability")
 
     def reinit(self, wire: int) -> None:
         """No-op: the only measurements are +1 X projections, which leave |+>."""
 
-    def restricted_rows(self, keep_mask: int) -> list[PauliOperator]:
-        """Generators supported inside ``keep_mask`` (other wires must be
-        in definite X states with their X rows present)."""
-        rows = list(self.rows)
-        outside = ~keep_mask
-        # clear X components outside the kept wires using their pure-X rows
-        pure = {}
-        for row in rows:
-            if row.z_bits == 0 and row.x_bits.bit_count() == 1 and row.x_bits & outside:
-                pure[row.x_bits] = row
-        cleaned = []
-        for row in rows:
-            if row.z_bits == 0 and row.x_bits in pure:
-                continue
-            cur = row
-            rem = cur.x_bits & outside
-            while rem:
-                bit = rem & -rem
-                if bit not in pure:
-                    raise ValueError("cannot isolate kept wires")
-                cur = multiply(cur, pure[bit])
-                rem = cur.x_bits & outside
-            if cur.z_bits & outside:
-                raise ValueError("kept wires still entangled with dropped wires")
-            cleaned.append(cur)
-        return cleaned
-
-    @staticmethod
-    def canonical(rows: list[PauliOperator]) -> tuple:
-        """Unique signed reduced form of a commuting generator list."""
-        basis = _echelon(rows)
-        # back-substitute in increasing pivot order so each finished row is
-        # free of every other pivot position, giving a unique reduced form
-        for h in sorted(basis):
-            cur = basis[h]
-            for h2 in sorted(basis):
-                if h2 >= h:
-                    break
-                if (_key(cur) >> h2) & 1:
-                    cur = multiply(cur, basis[h2])
-            basis[h] = cur
-        return tuple((p.x_bits, p.z_bits, p.phase) for _, p in sorted(basis.items(), reverse=True))
+    def first_non_member(self, rows: list[PauliOperator]) -> tuple[int, PauliOperator] | None:
+        """Index and residue of the first of ``rows`` that is not a +1
+        element of this group, or None.  The residue is -I for a row the
+        group holds with sign -1, and not proportional to I for a row it
+        does not hold at all."""
+        basis = _echelon(self.rows)
+        for k, row in enumerate(rows):
+            rest = _reduce(row, basis)
+            if _key(rest) or rest.phase:
+                return k, rest
+        return None
 
 
 def _key(row: PauliOperator) -> int:

@@ -183,6 +183,11 @@ def default_bias_config(mode: BiasMode = BiasMode.RANDOMIZED) -> BiasConfig:
 
 def load_config(path) -> tuple[BiasConfig, BiasConfig, ErrorThresholdConfig | None]:
     """Parse the JSON config; returns (randomized, passive, error) configs."""
+    return read_config(path)[:3]
+
+
+def read_config(path) -> tuple[BiasConfig, BiasConfig, ErrorThresholdConfig | None, dict]:
+    """``load_config`` plus the parsed JSON object, from one read of the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -200,7 +205,7 @@ def load_config(path) -> tuple[BiasConfig, BiasConfig, ErrorThresholdConfig | No
     err = None
     if raw.get("epsilon_M"):
         err = ErrorThresholdConfig(_pairs(raw["epsilon_M"], "epsilon_M"))
-    return randomized, passive, err
+    return randomized, passive, err, raw
 
 
 def _number(value, what: str) -> float:

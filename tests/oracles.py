@@ -8,7 +8,8 @@ arithmetic and scalar floats; they share only the availability table.
 The pattern oracles list outcomes object by object, and the decoder
 oracles redo the region one grid point and one epsilon at a time with
 the block-loop Walsh transform.  The sequence oracles find a graph's
-generation sequence by keying every LEAF/PATH_EDGE string of its size.
+generation sequence by keying every LEAF/PATH_EDGE string of its size,
+and ``apply_generation_op`` grows a progenitor one letter at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from math import comb
 import numpy as np
 
 from fusioncodes.fusion import AVAIL_BOTH, AVAIL_NONE, ErrorAnalyzer, FusionSpec, _flip_bias, fusion_table
-from fusioncodes.graphs import _rooted_tree_key, build_progenitor, canonical_key, enumerate_progenitor_records
+from fusioncodes.graphs import (
+    GenerationOp,
+    GraphState,
+    _rooted_tree_key,
+    build_progenitor,
+    canonical_key,
+    enumerate_progenitor_records,
+)
 from fusioncodes.lpoly import LossPolynomial
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
@@ -311,6 +319,19 @@ def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=
             boundary = lo
         points.append((gamma, boundary))
     return points
+
+
+def apply_generation_op(g: GraphState, op: GenerationOp) -> GraphState:
+    """Grow the graph by one photon attached to the emitter.
+
+    LEAF keeps the emitter mark in place; PATH_EDGE moves it to the new
+    vertex, so the old emitter vertex becomes a photon.
+    """
+    new = g.n
+    edges = g.edges | {(min(g.emitter, new), max(g.emitter, new))}
+    if op is GenerationOp.LEAF:
+        return GraphState(g.n + 1, edges, g.emitter)
+    return GraphState(g.n + 1, edges, new)
 
 
 def _unmarked_tree_key(g) -> str:

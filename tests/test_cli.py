@@ -261,6 +261,21 @@ class TestManifest:
         # nothing machine-dependent enters the parameters
         assert "threads" not in da["manifest"]["parameters"]
 
+    def test_config_is_read_once(self, tmp_path, monkeypatch):
+        # the digest must describe the config that was parsed, so the
+        # file is opened once, not once to parse and again to digest
+        cfg = write_config(tmp_path)
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["optimize-w", "--code", "LL", "--config", cfg, "--out", str(tmp_path / "w.json")]) == 0
+        assert opened.count(cfg) == 1
+
 
 def _tree(n):
     parents = st.tuples(*[st.integers(0, v - 1) for v in range(1, n)])

@@ -8,6 +8,8 @@ import pytest
 from fusioncodes import statevec
 from fusioncodes.codes import code_from_progenitor
 from fusioncodes.compiler import (
+    AUTO_MAX_PHOTONS,
+    AUTO_MAX_WIRES,
     CompileError,
     GenerationSequence,
     Mode,
@@ -20,6 +22,7 @@ from fusioncodes.compiler import (
     verify_sequence,
     _inner_wire_roles,
     _photon_statevector,
+    _target_statevector,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
 from fusioncodes.pauli import PauliOperator, multiply
@@ -169,6 +172,16 @@ class TestSequenceWalk:
         assert time.perf_counter() - start < 1.0
         assert len(outer_ops) == 1999
 
+    def test_2048_photon_caterpillar_verifies(self):
+        # 256 outer vertices x 8 photons, both modes, by the membership check
+        g = random_caterpillar(256, random.Random(256))
+        start = time.perf_counter()
+        for mode in Mode:
+            seq = compile_generation(g, inner_code("LLPLPLPL"), mode)
+            res = verify_sequence(seq, method="stabilizer")
+            assert res.ok and seq.photon_count == 2048, (mode, res.message)
+        assert time.perf_counter() - start < 3.0
+
 
 class TestResources:
     def test_empty_sequence(self):
@@ -226,6 +239,45 @@ class TestVerification:
         # 12 photons on 16 wires still fit the state vector
         small = compile_generation(build_progenitor("PPP"), inner_code("LPL"), Mode.TWO_EMITTER)
         assert verify_sequence(small).method == "statevector"
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_stabilizer_agrees_with_statevector_everywhere(self, mode):
+        # every compiled sequence that 'auto' sends to the state vector
+        # (inner codes up to the 8-photon cap of the compile command), as
+        # compiled and with each CZ, SWAP and rotation deleted in turn
+        checked = failed = 0
+        for m in range(1, AUTO_MAX_PHOTONS + 1):
+            sizes = [n for n in range(1, 9) if m * n <= AUTO_MAX_PHOTONS and m * (n + 1) <= AUTO_MAX_WIRES]
+            records = enumerate_progenitor_records(m - 1, cap=m) if m > 1 else []
+            outers = sorted({derive_outer_sequence(rec.graph) for rec in records} or {""})
+            for outer_ops, n in itertools.product(outers, sizes):
+                outer = build_progenitor(outer_ops) if outer_ops else GraphState(1, frozenset(), 0)
+                for rec in enumerate_progenitor_records(n):
+                    seq = compile_generation(outer, inner_code(rec.sequence), mode)
+                    target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
+                    want = _target_statevector(target)
+                    cuts = [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)]
+                    for k in [None] + cuts:
+                        ops = seq.ops if k is None else seq.ops[:k] + seq.ops[k + 1 :]
+                        variant = dataclasses.replace(seq, ops=ops)
+                        # the state-vector verdict, with the target built once
+                        by_vector = statevec.states_equal_up_to_phase(_photon_statevector(variant)[0], want)
+                        res = verify_sequence(variant, target, "stabilizer")
+                        assert res.ok == by_vector, (outer_ops, rec.sequence, k, res.message)
+                        assert res.ok or k is not None, (outer_ops, rec.sequence, res.message)
+                        checked += 1
+                        failed += not res.ok
+        assert (checked, failed) == {Mode.TWO_EMITTER: (1926, 1534), Mode.EMITTER_MEMORY: (2158, 1751)}[mode]
+
+    def test_failed_stabilizer_check_names_the_generator(self):
+        seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
+        ops = list(seq.ops)
+        del ops[[k for k, i in enumerate(ops) if i.op is Op.CZ][1]]
+        res = verify_sequence(dataclasses.replace(seq, ops=tuple(ops)), method="stabilizer")
+        detail = res.detail
+        assert not res.ok and detail["missing"]
+        assert f"target generator {detail['generator_index']} ({detail['generator']}) is missing" in res.message
+        assert PauliOperator.from_string(detail["generator"]).n == seq.photon_count + 2 + seq.outer_size
 
     def test_fault_injection_reports_failure(self):
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
@@ -305,10 +357,21 @@ class TestStabilizerTableau:
     def test_determined_x_outcome_is_checked_with_sign(self):
         tab = StabilizerTableau(2)  # |++>: X on either wire is already +1
         tab.measure_x(0)
-        assert StabilizerTableau.canonical(tab.rows) == StabilizerTableau.canonical(StabilizerTableau(2).rows)
+        assert tab.rows == StabilizerTableau(2).rows
         tab.rows = [PauliOperator.single(2, 0, "X", sign=-1), PauliOperator.single(2, 1, "X")]  # |-+>
         with pytest.raises(BranchImpossible):
             tab.measure_x(0)
+
+    def test_membership_check_sees_signs(self):
+        plus = StabilizerTableau(2).rows  # |++>
+        minus = StabilizerTableau(2)
+        minus.rows = [PauliOperator.single(2, 0, "X", sign=-1), PauliOperator.single(2, 1, "X")]  # |-+>
+        assert StabilizerTableau(2).first_non_member(plus) is None
+        assert minus.first_non_member(plus) == (0, PauliOperator(2, 0, 0, 2))  # held as -X: residue -I
+        zero = StabilizerTableau(2)
+        zero.rows = [PauliOperator.single(2, 0, "Z"), PauliOperator.single(2, 1, "X")]  # |0+>
+        k, rest = zero.first_non_member(plus)
+        assert k == 0 and rest.x_bits | rest.z_bits
 
 
 class TestSerialization:

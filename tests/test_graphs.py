@@ -7,7 +7,6 @@ from fusioncodes.graphs import (
     GenerationOp,
     GraphState,
     ProgenitorRecord,
-    apply_generation_op,
     build_progenitor,
     canonical_key,
     enumerate_progenitor_records,
@@ -20,6 +19,8 @@ from fusioncodes.graphs import (
     stabilizer_generators,
 )
 from fusioncodes.pauli import PauliOperator, ResourceCapExceeded, enumerate_group
+
+from oracles import apply_generation_op
 
 
 def G(n, edges, emitter=0):
@@ -121,6 +122,19 @@ class TestGenerationOps:
     def test_path_edge_moves_emitter(self):
         g = apply_generation_op(G(1, []), GenerationOp.PATH_EDGE)
         assert g.edges == frozenset({(0, 1)}) and g.emitter == 1
+
+    def test_build_is_left_fold_of_single_ops(self):
+        for n in range(9):
+            for ops in map("".join, itertools.product("LP", repeat=n)):
+                g = G(1, [])
+                for op in ops:
+                    g = apply_generation_op(g, GenerationOp(op))
+                assert build_progenitor(ops) == g, ops
+                assert build_progenitor([GenerationOp(op) for op in ops]) == g, ops
+
+    def test_build_rejects_unknown_letter(self):
+        with pytest.raises(ValueError):
+            build_progenitor("LXP")
 
     def test_three_leaves_make_a_star(self):
         g = build_progenitor("LLL")
