@@ -7,10 +7,11 @@ w_i: 1 recovers XX, 0 recovers ZZ), and nothing if either photon is
 lost.  A logical parity is recovered when some representative of the
 corresponding logical set is reconstructible qubit by qubit.
 
-Patterns are classified once per code over all 4^n per-qubit
-availability states (none / ZZ only / XX only / both).  Each of the 3^n
-success/failure/loss patterns lands on one table state per failure
-basis, so one gather over the table yields integer pattern counts for
+Each code keeps one index over the 4^n per-qubit availability states
+(none / ZZ only / XX only / both): the first logical representative
+each state can read out.  Each of the 3^n success/failure/loss patterns
+lands on one state per failure basis, and that placement depends on n
+alone, so one gather over the index yields integer pattern counts for
 all 2^n bases at once, which keeps the basis scan and the erasure
 polynomials exact and fast.
 """
@@ -59,8 +60,11 @@ class FusionSpec:
 
 # -- per-code availability table --------------------------------------
 
-# gather indices held at once while counting all failure bases
-GATHER_CHUNK = 1 << 17
+# gather indices held at once while counting all failure bases; at 2^14
+# (128 KiB of int64) the temporaries of one chunk stay on the allocator's
+# heap, while 2^17 took fresh pages for every chunk and ran the n=8 gather
+# 2.5x slower
+GATHER_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=FUSION_CAP)
@@ -71,6 +75,8 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair read as ZZ, ``spread`` has bit 2i set for each failed pair i and
     ``key`` is s*(n+1)+f.  Under failure basis w the pattern sits at
     index low + (spread & spread(w)): the bit turns digit ZZ (1) into XX (2).
+    Patterns count up in base 3 (trit i is pair i) and each trit maps to
+    a larger digit the larger it is, so under every w the indices increase.
     """
     trits = (np.arange(3**n, dtype=np.int64)[:, None] // 3 ** np.arange(n)) % 3  # 0 loss, 1 fail, 2 success
     quad = 4 ** np.arange(n, dtype=np.int64)
@@ -106,7 +112,7 @@ def _lowest_readable(reps, n: int) -> np.ndarray:
 
 
 class CodeFusionTable:
-    """Classification of all 4^n availability states for one code."""
+    """Readable-representative index of one code over the 4^n availability states."""
 
     def __init__(self, code: GraphCode):
         n = code.n_code
@@ -114,57 +120,32 @@ class CodeFusionTable:
             raise ResourceCapExceeded(f"{n} code qubits exceeds cap {FUSION_CAP}")
         self.code = code
         self.n = n
-        size = 4**n
-        idx = np.arange(size, dtype=np.int64)
-        shifts = 2 * np.arange(n, dtype=np.int64)
-        digits = (idx[:, None] >> shifts) & 3
-        bits = 1 << np.arange(n, dtype=np.int64)
-
-        self.n_success = (digits == AVAIL_BOTH).sum(axis=1).astype(np.int8)
-        self.n_fail = ((digits == AVAIL_XX) | (digits == AVAIL_ZZ)).sum(axis=1).astype(np.int8)
-        self.n_loss = (n - self.n_success - self.n_fail).astype(np.int8)
-        self.fail_xx_mask = ((digits == AVAIL_XX) * bits).sum(axis=1)
-        self.fail_zz_mask = ((digits == AVAIL_ZZ) * bits).sum(axis=1)
-        self.ax_mask = (((digits == AVAIL_BOTH) | (digits == AVAIL_XX)) * bits).sum(axis=1)
-        self.az_mask = (((digits == AVAIL_BOTH) | (digits == AVAIL_ZZ)) * bits).sum(axis=1)
-
         self.reps = {"X": logical_set(code, "X"), "Z": logical_set(code, "Z")}
         self.rep_index = {basis: _lowest_readable(self.reps[basis], n) for basis in ("X", "Z")}
-        self._counts: dict[str | None, np.ndarray] = {}
+        self._counts: dict[str, np.ndarray] = {}
 
-    def consistent(self, w_mask: int) -> np.ndarray:
-        """Patterns whose failure outcomes agree with the basis vector."""
-        return ((self.fail_xx_mask & ~w_mask) == 0) & ((self.fail_zz_mask & w_mask) == 0)
-
-    def counts(self, basis: str | None) -> np.ndarray:
+    def counts(self, basis: str) -> np.ndarray:
         """int64 C[w, s*(n+1)+f] for every failure basis w at once.
 
-        Row w counts the patterns with s successes and f failures whose
-        failures agree with w (bit i set: pair i recovers XX) and that
-        recover the paired ``basis`` parity.  ``basis=None`` counts every
-        pattern that lands on a w-consistent table state, so each of its
-        rows should be the multinomials n!/(s!f!l!).  Cached per basis.
+        Row w counts the patterns with s successes and f failures, placed
+        under w (bit i set: pair i recovers XX), that recover the paired
+        ``basis`` parity.  Cached per basis.
         """
         if basis not in self._counts:
             self._counts[basis] = self._gather_counts(basis)
         return self._counts[basis]
 
-    def _gather_counts(self, basis: str | None) -> np.ndarray:
+    def _gather_counts(self, basis: str) -> np.ndarray:
         n, n_bases, n_keys = self.n, 1 << self.n, (self.n + 1) ** 2
         low, spread, key = _patterns(n)
         w_all = np.arange(n_bases, dtype=np.int64)
         w_spread = ((w_all[:, None] >> np.arange(n)) & 1) @ (4 ** np.arange(n, dtype=np.int64))
-        recovers = self.rep_index[basis] >= 0 if basis else None
+        recovers = self.rep_index[basis] >= 0
         step = max(1, GATHER_CHUNK // len(low))
         out = np.empty((n_bases, n_keys), dtype=np.int64)
         for start in range(0, n_bases, step):
-            w = w_all[start : start + step, None]
-            idx = low + (spread & w_spread[start : start + step, None])
-            if basis:
-                hit = recovers[idx]
-            else:
-                hit = ((self.fail_xx_mask[idx] & ~w) | (self.fail_zz_mask[idx] & w)) == 0
-            flat = (np.arange(len(w))[:, None] * n_keys + key)[hit]
+            w = w_spread[start : start + step, None]
+            flat = (np.arange(len(w))[:, None] * n_keys + key)[recovers[low + (spread & w)]]
             out[start : start + len(w)] = np.bincount(flat, minlength=len(w) * n_keys).reshape(len(w), n_keys)
         return out
 
@@ -230,48 +211,20 @@ def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
 # -- depolarizing flips ------------------------------------------------
 
 
-def pauli_flip_probability(epsilon: float) -> float:
-    """Chance a fused pair's measured parity is flipped by depolarizing noise."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon out of range: {epsilon}")
-    return 4.0 * ((epsilon / 3.0) * (1.0 - epsilon) + epsilon**2 / 9.0)
-
-
-def joint_flip_distribution(epsilon: float, exact: bool = False) -> dict[tuple[int, int], float | Fraction]:
-    """Joint law of (XX flip, ZZ flip) on one fused pair.
-
-    Enumerates the 16 two-photon Pauli assignments of the single-qubit
-    depolarizing channel: each photon is clean with probability 1-eps,
-    or suffers X, Y or Z with probability eps/3.  A single-photon X
-    flips the ZZ parity, Z flips XX, Y flips both; the pair flip is the
-    XOR of the two photons' contributions.  Float mode also takes an
-    array of epsilons and returns arrays.
-    """
-    if not np.all((0.0 <= epsilon) & (epsilon <= 1.0)):
-        raise ValueError(f"epsilon out of range: {epsilon}")
-    one = Fraction(1) if exact else 1.0
-    eps = Fraction(epsilon).limit_denominator(10**12) if exact else epsilon
-    probs = {(0, 0): one - eps, (0, 1): eps / 3, (1, 1): eps / 3, (1, 0): eps / 3}
-    dist: dict[tuple[int, int], float | Fraction] = {(0, 0): 0 * one, (0, 1): 0 * one, (1, 0): 0 * one, (1, 1): 0 * one}
-    for (u1, v1), p1 in probs.items():
-        for (u2, v2), p2 in probs.items():
-            dist[(u1 ^ u2, v1 ^ v2)] += p1 * p2
-    return dist
-
-
 def _flip_bias(epsilon):
     """Common bias factor E[(-1)^flip] per touched pair (elementwise on arrays).
 
-    For the depolarizing channel the XX, ZZ and joint (Y-type) parity
-    flips all have the same probability p, so a group element touching a
-    pair contributes 1-2p regardless of its letter there.
+    Each photon is clean with probability a = 1-eps or suffers X, Y or Z
+    with probability b = eps/3; X flips the pair's ZZ parity, Z flips XX
+    and Y both.  The XX, ZZ and joint parity flips therefore share one
+    probability p = P(1,0) + P(1,1) over the 16 two-photon assignments,
+    and a group element touching a pair contributes 1-2p whatever its
+    letter there.  The sums keep the enumeration's addition order, so
+    the result is bit for bit that of summing all 16 terms.
     """
-    dist = joint_flip_distribution(epsilon)
-    bias_u = 1.0 - 2.0 * (dist[(1, 0)] + dist[(1, 1)])
-    bias_v = 1.0 - 2.0 * (dist[(0, 1)] + dist[(1, 1)])
-    bias_uv = 1.0 - 2.0 * (dist[(1, 0)] + dist[(0, 1)])
-    assert np.all(abs(bias_u - bias_v) < 1e-15) and np.all(abs(bias_u - bias_uv) < 1e-15)
-    return bias_u
+    a, b = 1.0 - epsilon, epsilon / 3
+    ab, bb = a * b, b * b
+    return 1.0 - 2.0 * ((ab + bb + bb + ab) + (ab + bb + ab + bb))
 
 
 def _bias_powers(epsilon, n: int) -> np.ndarray:
@@ -330,45 +283,45 @@ class ErrorAnalyzer:
         self.code = code
         self.w = tuple(w)
         self.p_fail = p_fail
-        self.n = code.n_code
+        self.n = n = code.n_code
         table = fusion_table(code)
-        w_mask = sum(1 << i for i, b in enumerate(w) if b)
-        consistent = table.consistent(w_mask)
+        low, spread, key = _patterns(n)
+        # the w-consistent table states, one per pattern, in increasing order
+        states = low + (spread & sum(4**i for i, b in enumerate(self.w) if b))
+        s_all, f_all = divmod(key, n + 1)
+        # bit 2i of a state is pair i's ZZ parity, bit 2i+1 its XX parity
+        bits = (states[:, None] >> np.arange(2 * n)) & 1
+        az = (bits[:, 0::2] << np.arange(n)).sum(axis=1, dtype=np.int16)
+        ax = (bits[:, 1::2] << np.arange(n)).sum(axis=1, dtype=np.int16)
 
         stab_elems = enumerate_group(code.stabilizers)
-        stab_xz = [(p.x_bits, p.z_bits) for p in stab_elems]
+        sx = np.array([p.x_bits for p in stab_elems], dtype=np.int16)
+        sz = np.array([p.z_bits for p in stab_elems], dtype=np.int16)
+        # readable[k, e]: element e needs only parities that state k recovers
+        readable = ((sx & ~ax[:, None]) | (sz & ~az[:, None])) == 0
+        elems = np.array([p.x_bits | (p.z_bits << n) for p in stab_elems])
+        mask_n = (1 << n) - 1
 
         self._sides = {}
         for basis in ("X", "Z"):
-            select = consistent & (table.rep_index[basis] >= 0)
-            idxs = np.nonzero(select)[0]
+            rep_of = table.rep_index[basis][states]
+            select = np.nonzero(rep_of >= 0)[0]
             reps = table.reps[basis]
-            s_cnt = table.n_success[idxs].astype(np.float64)
-            f_cnt = table.n_fail[idxs].astype(np.float64)
-            l_cnt = table.n_loss[idxs].astype(np.float64)
             groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-            lweight = np.zeros(len(idxs), dtype=np.int8)
-            for row, avail in enumerate(idxs):
-                ax = int(table.ax_mask[avail])
-                az = int(table.az_mask[avail])
-                rep = reps[int(table.rep_index[basis][avail])]
+            lweight = np.zeros(len(select), dtype=np.int8)
+            for row, k in enumerate(select):
+                rep = reps[int(rep_of[k])]
                 lweight[row] = rep.weight
-                members = [
-                    x | (z << self.n)
-                    for (x, z) in stab_xz
-                    if (x & ~ax) == 0 and (z & ~az) == 0
-                ]
-                gens = gf2_reduce(members)
+                gens = gf2_reduce(elems[readable[k]].tolist())
                 r = len(gens)
-                mask_n = (1 << self.n) - 1
-                base = [(g & mask_n, g >> self.n) for g in gens]
+                base = [(g & mask_n, g >> n) for g in gens]
                 # subgroup <gens> x {1, rep}: bit j < r -> generator j, top bit -> rep
                 weights = np.zeros(1 << (r + 1), dtype=np.int8)
                 cur = [(0, 0)] * (1 << r)
                 for y in range(1, 1 << r):
-                    low = (y & -y).bit_length() - 1
+                    low_bit = (y & -y).bit_length() - 1
                     px, pz = cur[y & (y - 1)]
-                    cur[y] = (px ^ base[low][0], pz ^ base[low][1])
+                    cur[y] = (px ^ base[low_bit][0], pz ^ base[low_bit][1])
                 for y in range(1 << r):
                     x0, z0 = cur[y]
                     weights[y] = (x0 | z0).bit_count()
@@ -381,11 +334,13 @@ class ErrorAnalyzer:
                 distinct, inverse = np.unique(np.stack([wv for _, wv in items]), axis=0, return_inverse=True)
                 # rows[i] has weight row distinct[inverse[i]]
                 packed[r] = (rows, (inverse.reshape(-1), distinct))
+            s_cnt = s_all[select].astype(np.float64)
+            f_cnt = f_all[select].astype(np.float64)
             self._sides[basis] = {
-                "idxs": idxs,
+                "idxs": states[select],
                 "s": s_cnt,
                 "f": f_cnt,
-                "l": l_cnt,
+                "l": n - s_cnt - f_cnt,
                 "groups": packed,
                 "lweight": lweight,
             }
@@ -483,11 +438,6 @@ def error_analysis(code: GraphCode, spec: FusionSpec, epsilon: float) -> ErrorRe
 
 
 # -- dual-code consistency ---------------------------------------------
-
-
-def dual_failure_basis(w: tuple[int, ...], swapped_qubit: int) -> tuple[int, ...]:
-    """Failure basis seen by the dual code: flip the bit at the pivot qubit."""
-    return tuple((1 - b) if i == swapped_qubit else b for i, b in enumerate(w))
 
 
 def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=Fraction(1, 2)) -> bool:

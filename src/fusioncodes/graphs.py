@@ -11,7 +11,6 @@ end of the spine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,14 +100,6 @@ class GraphState:
         return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g: GraphState) -> str:
-    return json.dumps(g.to_json_dict(), sort_keys=True)
-
-
-def graph_from_json(text: str) -> GraphState:
-    return GraphState.from_json_dict(json.loads(text))
-
-
 # -- stabilizers and local complementation ---------------------------
 
 
@@ -134,44 +125,6 @@ def local_complement(g: GraphState, q: int) -> GraphState:
             else:
                 edges.add(e)
     return GraphState(g.n, frozenset(edges), g.emitter)
-
-
-# Letter images under conjugation by the local-complementation Clifford
-# at q (an X-axis quarter rotation on q, Z-axis quarter rotations on its
-# neighbors).  Entries are (letter, sign).
-_LC_ON_VERTEX = {"X": ("X", 1), "Y": ("Z", 1), "Z": ("Y", -1), "I": ("I", 1)}
-_LC_ON_NEIGHBOR = {"X": ("Y", -1), "Y": ("X", 1), "Z": ("Z", 1), "I": ("I", 1)}
-
-
-def lc_pauli_transform(p: PauliOperator, q: int, g: GraphState) -> PauliOperator:
-    """Image of ``p`` under the local complementation at ``q`` of ``g``.
-
-    Per-qubit substitution with signs multiplied through; qubit support
-    is preserved.  The convention is fixed so that the stabilizer group
-    of ``g`` maps exactly onto that of ``local_complement(g, q)``.
-    """
-    if p.n != g.n:
-        raise ValueError("operator size does not match graph")
-    if not 0 <= q < g.n:
-        raise ValueError(f"vertex {q} out of range")
-    nbr = g.neighbors(q)
-    x = z = 0
-    phase = p.phase
-    for v in range(g.n):
-        letter = p.letter(v)
-        if v == q:
-            letter, sgn = _LC_ON_VERTEX[letter]
-        elif v in nbr:
-            letter, sgn = _LC_ON_NEIGHBOR[letter]
-        else:
-            sgn = 1
-        if sgn < 0:
-            phase += 2
-        if letter in ("X", "Y"):
-            x |= 1 << v
-        if letter in ("Z", "Y"):
-            z |= 1 << v
-    return PauliOperator(p.n, x, z, phase)
 
 
 # -- generation operations -------------------------------------------

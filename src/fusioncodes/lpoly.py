@@ -14,7 +14,7 @@ basis scan stays exact until its final, correctly rounded division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -59,15 +59,6 @@ class LossPolynomial:
         for (s, f, l), c in sorted(self.counts.items()):
             total += c * (1.0 - p_fail) ** s * p_fail**f * a ** (s + f) * b**l
         return total
-
-    def is_normalized(self) -> bool:
-        """True iff this is the sum over all 3^n patterns (so identically 1)."""
-        expect = {}
-        for s in range(self.n + 1):
-            for f in range(self.n + 1 - s):
-                l = self.n - s - f
-                expect[(s, f, l)] = factorial(self.n) // (factorial(s) * factorial(f) * factorial(l))
-        return self.counts == expect
 
 
 def eta2_numerators(counts: np.ndarray, n: int, p_fail) -> tuple[np.ndarray, int]:

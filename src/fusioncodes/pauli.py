@@ -139,16 +139,6 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
 
 
-def qubitwise_commutes(a: PauliOperator, available_x: int, available_z: int) -> bool:
-    """True iff ``a`` is reconstructible qubit by qubit from measured parities.
-
-    ``available_x`` / ``available_z`` are bit masks of the qubits whose X /
-    Z parity was recovered.  An X letter needs the X parity, Z needs Z,
-    Y needs both; identity letters need nothing.
-    """
-    return (a.x_bits & ~available_x) == 0 and (a.z_bits & ~available_z) == 0
-
-
 def gf2_reduce(rows: list[int]) -> list[int]:
     """Independent basis (one row per leading bit) spanning the given rows."""
     basis: dict[int, int] = {}

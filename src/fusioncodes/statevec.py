@@ -18,11 +18,12 @@ def plus_state(n: int) -> np.ndarray:
 
 
 def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    mask = ((idx >> i) & 1) & ((idx >> j) & 1)
-    out = state.copy()
-    out[mask == 1] *= -1.0
-    return out
+    """Negate, in place, the amplitudes with qubits i and j both 1; returns ``state``."""
+    lo, hi = min(i, j), max(i, j)
+    # axes: rest, qubit hi, qubits between, qubit lo, qubits below
+    view = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, copy=False)
+    view[:, 1, :, 1] *= -1.0
+    return state
 
 
 def graph_state(n: int, edges) -> np.ndarray:
@@ -52,10 +53,6 @@ def apply_pauli(state: np.ndarray, p: PauliOperator) -> np.ndarray:
     y_count = (p.x_bits & p.z_bits).bit_count()
     out *= (1j) ** ((p.phase + y_count) % 4)
     return out
-
-
-def expectation(state: np.ndarray, p: PauliOperator) -> complex:
-    return complex(np.vdot(state, apply_pauli(state, p)))
 
 
 def project_pauli(state: np.ndarray, p: PauliOperator, outcome: int) -> tuple[np.ndarray, float]:

@@ -2,29 +2,46 @@
 
 The state oracles are built from raw 2x2 matrices and numpy kron
 products, on purpose sharing no code with the package's bit-packed
-algebra, so the two can check each other.  The erasure oracles redo the
-loss-threshold scan one failure basis at a time, in exact ``Fraction``
-arithmetic and scalar floats; they share only the availability table.
-The pattern oracles list outcomes object by object, and the decoder
-oracles redo the region one grid point and one epsilon at a time with
-the block-loop Walsh transform.  The sequence oracles find a graph's
-generation sequence by keying every LEAF/PATH_EDGE string of its size,
-and ``apply_generation_op`` grows a progenitor one letter at a time.
+algebra, so the two can check each other.  The availability-state
+oracles decode every one of the 4^n table states digit by digit, once
+per size.  The erasure oracles redo the loss-threshold scan one failure
+basis at a time, in exact ``Fraction`` arithmetic and scalar floats;
+they share only the readable-representative index.  The pattern
+oracles list outcomes object by object, and the decoder oracles build
+the decoder's weight rows one table state at a time and redo the
+region one grid point and one epsilon at a time with the block-loop
+Walsh transform and the 16-term flip enumeration.  The sequence oracles
+find a graph's generation sequence by keying every LEAF/PATH_EDGE
+string of its size, and ``apply_generation_op`` grows a progenitor one
+letter at a time.  The rest are small helpers that only tests use:
+JSON round trips, Pauli images under local complementation, dual
+failure bases and state-vector expectations.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
+from types import SimpleNamespace
 
 import numpy as np
 
-from fusioncodes.fusion import AVAIL_BOTH, AVAIL_NONE, ErrorAnalyzer, FusionSpec, _flip_bias, fusion_table
+from fusioncodes.fusion import (
+    AVAIL_BOTH,
+    AVAIL_NONE,
+    AVAIL_XX,
+    AVAIL_ZZ,
+    ErrorAnalyzer,
+    FusionSpec,
+    _patterns,
+    fusion_table,
+)
 from fusioncodes.graphs import (
     GenerationOp,
     GraphState,
@@ -34,6 +51,8 @@ from fusioncodes.graphs import (
     enumerate_progenitor_records,
 )
 from fusioncodes.lpoly import LossPolynomial
+from fusioncodes.pauli import PauliOperator, enumerate_group, gf2_reduce
+from fusioncodes.statevec import apply_pauli
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
@@ -94,6 +113,71 @@ def project(state: np.ndarray, mat: np.ndarray, outcome: int) -> np.ndarray:
     return 0.5 * (state + outcome * (mat @ state.reshape(dim, 1)).ravel())
 
 
+def expectation(state: np.ndarray, p: PauliOperator) -> complex:
+    return complex(np.vdot(state, apply_pauli(state, p)))
+
+
+# -- the availability table, digit by digit --------------------------------
+
+
+@lru_cache(maxsize=None)
+def state_arrays(n: int) -> SimpleNamespace:
+    """Per-state outcome counts and parity masks over the 4^n availability states.
+
+    Digit i of a state is pair i's availability: ``fail_xx_mask`` /
+    ``fail_zz_mask`` mark the failed pairs that recovered XX / ZZ, and
+    ``ax_mask`` / ``az_mask`` every pair whose XX / ZZ parity is known.
+    """
+    idx = np.arange(4**n, dtype=np.int64)
+    digits = (idx[:, None] >> 2 * np.arange(n, dtype=np.int64)) & 3
+    bits = 1 << np.arange(n, dtype=np.int64)
+    n_success = (digits == AVAIL_BOTH).sum(axis=1).astype(np.int8)
+    n_fail = ((digits == AVAIL_XX) | (digits == AVAIL_ZZ)).sum(axis=1).astype(np.int8)
+    return SimpleNamespace(
+        n_success=n_success,
+        n_fail=n_fail,
+        n_loss=(n - n_success - n_fail).astype(np.int8),
+        fail_xx_mask=((digits == AVAIL_XX) * bits).sum(axis=1),
+        fail_zz_mask=((digits == AVAIL_ZZ) * bits).sum(axis=1),
+        ax_mask=(((digits == AVAIL_BOTH) | (digits == AVAIL_XX)) * bits).sum(axis=1),
+        az_mask=(((digits == AVAIL_BOTH) | (digits == AVAIL_ZZ)) * bits).sum(axis=1),
+    )
+
+
+def consistent(n: int, w_mask: int) -> np.ndarray:
+    """Table states whose failure outcomes agree with the failure basis."""
+    arr = state_arrays(n)
+    return ((arr.fail_xx_mask & ~w_mask) == 0) & ((arr.fail_zz_mask & w_mask) == 0)
+
+
+@lru_cache(maxsize=None)
+def consistent_counts(n: int) -> np.ndarray:
+    """int64 C[w, s*(n+1)+f] of the patterns placed under each failure basis w
+    that land on a state whose XX failures lie in w and ZZ failures outside it.
+
+    Every pattern should, so each row should be the multinomials n!/(s!f!l!).
+    """
+    low, spread, key = _patterns(n)
+    arr = state_arrays(n)
+    out = np.zeros((1 << n, (n + 1) ** 2), dtype=np.int64)
+    for w in range(1 << n):
+        idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
+        hit = ((arr.fail_xx_mask[idx] & ~w) | (arr.fail_zz_mask[idx] & w)) == 0
+        out[w] = np.bincount(key[hit], minlength=(n + 1) ** 2)
+    return out
+
+
+def is_normalized(poly: LossPolynomial) -> bool:
+    """True iff ``poly`` is the sum over all 3^n patterns (so identically 1)."""
+    n = poly.n
+    expect = {
+        (s, f, n - s - f): factorial(n) // (factorial(s) * factorial(f) * factorial(n - s - f))
+        for s in range(n + 1)
+        for f in range(n + 1 - s)
+    }
+    return poly.counts == expect
+
+
 # -- erasure coefficients and thresholds, one failure basis at a time ----
 
 
@@ -101,10 +185,11 @@ def basis_counts(table, basis: str, w_mask: int) -> dict[tuple[int, int, int], i
     """{(s, f, l): count} of the table states consistent with one failure
     basis that recover the paired ``basis`` parity (None: every one)."""
     n = table.n
-    select = ((table.fail_xx_mask & ~w_mask) == 0) & ((table.fail_zz_mask & w_mask) == 0)
+    arr = state_arrays(n)
+    select = consistent(n, w_mask)
     if basis is not None:
         select &= table.rep_index[basis] >= 0
-    sf = np.stack([table.n_success[select], table.n_fail[select]], axis=1).astype(np.int64)
+    sf = np.stack([arr.n_success[select], arr.n_fail[select]], axis=1).astype(np.int64)
     pairs, counts = np.unique(sf, axis=0, return_counts=True)
     return {(int(s), int(f), n - int(s) - int(f)): int(c) for (s, f), c in zip(pairs, counts)}
 
@@ -223,7 +308,7 @@ def pattern_outcomes(table, avail_idx: int) -> tuple[Outcome, ...]:
 def measurement_patterns(code, spec: FusionSpec, basis: str):
     """The recovering patterns M_X or M_Z with representatives, in index order."""
     table = fusion_table(code)
-    select = table.consistent(spec.w_mask) & (table.rep_index[basis] >= 0)
+    select = consistent(table.n, spec.w_mask) & (table.rep_index[basis] >= 0)
     out = []
     for avail_idx in np.nonzero(select)[0]:
         outcomes = pattern_outcomes(table, int(avail_idx))
@@ -234,14 +319,99 @@ def measurement_patterns(code, spec: FusionSpec, basis: str):
 
 def rep_index_scan(table, basis: str) -> np.ndarray:
     """Lowest representative each table state can read out, by one full-table scan per representative."""
+    arr = state_arrays(table.n)
     rep = np.full(4**table.n, -1, dtype=np.int16)
     for k, p in enumerate(table.reps[basis]):
-        cov = ((p.x_bits & ~table.ax_mask) == 0) & ((p.z_bits & ~table.az_mask) == 0)
+        cov = ((p.x_bits & ~arr.ax_mask) == 0) & ((p.z_bits & ~arr.az_mask) == 0)
         rep[cov & (rep < 0)] = k
     return rep
 
 
-# -- the decoder one grid point and one epsilon at a time ------------------
+# -- the decoder, one table state, grid point and epsilon at a time --------
+
+
+def pauli_flip_probability(epsilon: float) -> float:
+    """Chance a fused pair's measured parity is flipped by depolarizing noise."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon out of range: {epsilon}")
+    return 4.0 * ((epsilon / 3.0) * (1.0 - epsilon) + epsilon**2 / 9.0)
+
+
+def joint_flip_distribution(epsilon: float, exact: bool = False) -> dict[tuple[int, int], float | Fraction]:
+    """Joint law of (XX flip, ZZ flip) on one fused pair.
+
+    Enumerates the 16 two-photon Pauli assignments of the single-qubit
+    depolarizing channel: each photon is clean with probability 1-eps,
+    or suffers X, Y or Z with probability eps/3.  A single-photon X
+    flips the ZZ parity, Z flips XX, Y flips both; the pair flip is the
+    XOR of the two photons' contributions.  Float mode also takes an
+    array of epsilons and returns arrays.
+    """
+    if not np.all((0.0 <= epsilon) & (epsilon <= 1.0)):
+        raise ValueError(f"epsilon out of range: {epsilon}")
+    one = Fraction(1) if exact else 1.0
+    eps = Fraction(epsilon).limit_denominator(10**12) if exact else epsilon
+    probs = {(0, 0): one - eps, (0, 1): eps / 3, (1, 1): eps / 3, (1, 0): eps / 3}
+    dist: dict[tuple[int, int], float | Fraction] = {(0, 0): 0 * one, (0, 1): 0 * one, (1, 0): 0 * one, (1, 1): 0 * one}
+    for (u1, v1), p1 in probs.items():
+        for (u2, v2), p2 in probs.items():
+            dist[(u1 ^ u2, v1 ^ v2)] += p1 * p2
+    return dist
+
+
+def flip_bias(epsilon):
+    """1-2p per touched pair from the enumerated joint law; the XX, ZZ and joint flips must agree."""
+    dist = joint_flip_distribution(epsilon)
+    bias_u = 1.0 - 2.0 * (dist[(1, 0)] + dist[(1, 1)])
+    bias_v = 1.0 - 2.0 * (dist[(0, 1)] + dist[(1, 1)])
+    bias_uv = 1.0 - 2.0 * (dist[(1, 0)] + dist[(0, 1)])
+    assert np.all(abs(bias_u - bias_v) < 1e-15) and np.all(abs(bias_u - bias_uv) < 1e-15)
+    return bias_u
+
+
+def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
+    """The decoder's per-basis setup, built one w-consistent table state at a time.
+
+    Per basis: ``idxs``, ``s``, ``f``, ``l`` and ``lweight`` as in
+    ``ErrorAnalyzer._sides``, and ``weights``, the weight row of each
+    pattern over the subgroup of readable stabilizers times {1, rep}.
+    """
+    n = code.n_code
+    table = fusion_table(code)
+    arr = state_arrays(n)
+    w_mask = sum(1 << i for i, b in enumerate(w) if b)
+    stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(code.stabilizers)]
+    sides = {}
+    for basis in ("X", "Z"):
+        idxs = np.nonzero(consistent(n, w_mask) & (table.rep_index[basis] >= 0))[0]
+        lweight = np.zeros(len(idxs), dtype=np.int8)
+        rows = []
+        for row, avail in enumerate(idxs):
+            ax, az = int(arr.ax_mask[avail]), int(arr.az_mask[avail])
+            rep = table.reps[basis][int(table.rep_index[basis][avail])]
+            lweight[row] = rep.weight
+            gens = gf2_reduce([x | (z << n) for (x, z) in stab_xz if (x & ~ax) == 0 and (z & ~az) == 0])
+            base = [(g & ((1 << n) - 1), g >> n) for g in gens]
+            r = len(gens)
+            cur = [(0, 0)] * (1 << r)
+            for y in range(1, 1 << r):
+                low = (y & -y).bit_length() - 1
+                px, pz = cur[y & (y - 1)]
+                cur[y] = (px ^ base[low][0], pz ^ base[low][1])
+            weights = np.zeros(1 << (r + 1), dtype=np.int8)
+            for y, (x0, z0) in enumerate(cur):
+                weights[y] = (x0 | z0).bit_count()
+                weights[y | (1 << r)] = ((x0 ^ rep.x_bits) | (z0 ^ rep.z_bits)).bit_count()
+            rows.append(weights)
+        sides[basis] = {
+            "idxs": idxs,
+            "s": arr.n_success[idxs].astype(np.float64),
+            "f": arr.n_fail[idxs].astype(np.float64),
+            "l": arr.n_loss[idxs].astype(np.float64),
+            "lweight": lweight,
+            "weights": rows,
+        }
+    return sides
 
 
 def fwht_blocks(a: np.ndarray) -> np.ndarray:
@@ -261,7 +431,7 @@ def fwht_blocks(a: np.ndarray) -> np.ndarray:
 def pattern_error_rates(ana: ErrorAnalyzer, basis: str, epsilon: float) -> np.ndarray:
     """Per-pattern error rates from every pattern's own weight row, raised to float powers."""
     side = ana._sides[basis]
-    bias = _flip_bias(epsilon)
+    bias = flip_bias(epsilon)
     out = np.zeros(len(side["idxs"]), dtype=np.float64)
     for r, (rows, (inverse, weights)) in side["groups"].items():
         wmat = weights[inverse].astype(np.float64)
@@ -283,7 +453,7 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
         if corrections:
             perr = pattern_error_rates(ana, basis, epsilon)
         else:
-            perr = 0.5 * (1.0 - _flip_bias(epsilon) ** ana._sides[basis]["lweight"].astype(np.float64))
+            perr = 0.5 * (1.0 - flip_bias(epsilon) ** ana._sides[basis]["lweight"].astype(np.float64))
         result[basis] = float(np.dot(p, perr) / total)
     return result
 
@@ -380,3 +550,67 @@ def marked_sequence_scan(g) -> str | None:
     """First op string in binary-counter order whose progenitor is ``g``
     up to isomorphism with the emitter pinned; ``g`` must be a tree."""
     return _marked_index(g.n - 1).get(canonical_key(g)) if g.n > 1 else ""
+
+
+# -- small helpers only tests use -------------------------------------------
+
+
+def graph_to_json(g: GraphState) -> str:
+    return json.dumps(g.to_json_dict(), sort_keys=True)
+
+
+def graph_from_json(text: str) -> GraphState:
+    return GraphState.from_json_dict(json.loads(text))
+
+
+def qubitwise_commutes(a: PauliOperator, available_x: int, available_z: int) -> bool:
+    """True iff ``a`` is reconstructible qubit by qubit from measured parities.
+
+    ``available_x`` / ``available_z`` are bit masks of the qubits whose X /
+    Z parity was recovered.  An X letter needs the X parity, Z needs Z,
+    Y needs both; identity letters need nothing.
+    """
+    return (a.x_bits & ~available_x) == 0 and (a.z_bits & ~available_z) == 0
+
+
+def dual_failure_basis(w: tuple[int, ...], swapped_qubit: int) -> tuple[int, ...]:
+    """Failure basis seen by the dual code: flip the bit at the pivot qubit."""
+    return tuple((1 - b) if i == swapped_qubit else b for i, b in enumerate(w))
+
+
+# Letter images under conjugation by the local-complementation Clifford
+# at q (an X-axis quarter rotation on q, Z-axis quarter rotations on its
+# neighbors).  Entries are (letter, sign).
+_LC_ON_VERTEX = {"X": ("X", 1), "Y": ("Z", 1), "Z": ("Y", -1), "I": ("I", 1)}
+_LC_ON_NEIGHBOR = {"X": ("Y", -1), "Y": ("X", 1), "Z": ("Z", 1), "I": ("I", 1)}
+
+
+def lc_pauli_transform(p: PauliOperator, q: int, g: GraphState) -> PauliOperator:
+    """Image of ``p`` under the local complementation at ``q`` of ``g``.
+
+    Per-qubit substitution with signs multiplied through; qubit support
+    is preserved.  The convention is fixed so that the stabilizer group
+    of ``g`` maps exactly onto that of ``local_complement(g, q)``.
+    """
+    if p.n != g.n:
+        raise ValueError("operator size does not match graph")
+    if not 0 <= q < g.n:
+        raise ValueError(f"vertex {q} out of range")
+    nbr = g.neighbors(q)
+    x = z = 0
+    phase = p.phase
+    for v in range(g.n):
+        letter = p.letter(v)
+        if v == q:
+            letter, sgn = _LC_ON_VERTEX[letter]
+        elif v in nbr:
+            letter, sgn = _LC_ON_NEIGHBOR[letter]
+        else:
+            sgn = 1
+        if sgn < 0:
+            phase += 2
+        if letter in ("X", "Y"):
+            x |= 1 << v
+        if letter in ("Z", "Y"):
+            z |= 1 << v
+    return PauliOperator(p.n, x, z, phase)

@@ -28,7 +28,7 @@ from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenito
 from fusioncodes.pauli import PauliOperator, multiply
 from fusioncodes.tableau import BranchImpossible, StabilizerTableau
 
-from oracles import marked_sequence_scan, outer_sequence_scan
+from oracles import expectation, marked_sequence_scan, outer_sequence_scan
 
 
 def inner_code(seq):
@@ -330,14 +330,14 @@ class TestVerification:
 
         base, _ = _photon_statevector(seq)
         assert all(
-            statevec.expectation(base, logical_stabilizer(v)).real == pytest.approx(1.0)
+            expectation(base, logical_stabilizer(v)).real == pytest.approx(1.0)
             for v in range(m)
         )
         n_meas = sum(1 for i in seq.ops if i.op is Op.MEASURE_X)
         flipped = []
         for j in range(n_meas):
             st, _ = _photon_statevector(seq, {j: -1})
-            vals = [statevec.expectation(st, logical_stabilizer(v)).real for v in range(m)]
+            vals = [expectation(st, logical_stabilizer(v)).real for v in range(m)]
             neg = [v for v, val in enumerate(vals) if val == pytest.approx(-1.0)]
             assert len(neg) == 1, vals
             flipped += neg

@@ -8,13 +8,11 @@ from fusioncodes.codes import code_from_progenitor, dual_code_with_map, logical_
 from fusioncodes.fusion import (
     ErrorAnalyzer,
     FusionSpec,
+    _flip_bias,
     _fwht_rows,
-    dual_failure_basis,
     erasure_analysis,
     error_analysis,
     fusion_table,
-    joint_flip_distribution,
-    pauli_flip_probability,
     validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
@@ -25,11 +23,16 @@ import oracles
 from oracles import (
     Outcome,
     basis_counts,
+    consistent_counts,
     dense_graph_state,
+    dual_failure_basis,
     eta2_coeffs,
+    is_normalized,
+    joint_flip_distribution,
     measurement_patterns,
     pattern_outcomes,
     pattern_probability,
+    pauli_flip_probability,
     pauli_matrix,
     recoverable,
 )
@@ -232,9 +235,9 @@ class TestPatternProbability:
     def test_patterns_sum_to_one_exactly(self):
         for seq in ("L", "LL", "LP", "LLP"):
             code = code_of(seq)
-            totals = fusion_table(code).counts(None)
+            totals = consistent_counts(code.n_code)
             for mask in range(1 << code.n_code):
-                assert LossPolynomial.from_counts(code.n_code, totals[mask]).is_normalized()
+                assert is_normalized(LossPolynomial.from_counts(code.n_code, totals[mask]))
 
 
 class TestRecoverable:
@@ -349,6 +352,12 @@ class TestFlipDistribution:
         dist = joint_flip_distribution(0.25, exact=True)
         assert sum(dist.values()) == Fraction(1)
 
+    def test_closed_form_bias_is_the_enumeration_bit_for_bit(self):
+        grid = np.concatenate([np.linspace(0.0, 1.0, 20001), np.geomspace(1e-12, 1e-6, 2001), [5e-324, 1.0 - 2**-53]])
+        assert _flip_bias(grid).tobytes() == oracles.flip_bias(grid).tobytes()
+        for eps in grid[::37].tolist() + [0.0, 1.0, 1e-7, 0.75]:
+            assert _flip_bias(eps).hex() == oracles.flip_bias(eps).hex(), eps
+
 
 class TestErrorAnalysis:
     def test_zero_epsilon_means_zero_error(self):
@@ -432,11 +441,13 @@ class TestAllBasesEngine:
         for code in small_codes(4) + [code_of("LLPLPLPL")]:
             table = fusion_table(code)
             n = code.n_code
-            for basis in ("X", "Z", None):
+            for basis in ("X", "Z"):
                 rows = table.counts(basis)
                 assert rows.shape == (1 << n, (n + 1) ** 2)
                 for w in range(1 << n):
                     assert LossPolynomial.from_counts(n, rows[w]).counts == basis_counts(table, basis, w)
+            for w in range(1 << n):
+                assert LossPolynomial.from_counts(n, consistent_counts(n)[w]).counts == basis_counts(table, None, w)
 
     @pytest.mark.parametrize("p_fail", [0.5, 0.25, 0.3, 0.1234567])
     def test_float_coeffs_bit_identical_to_fraction_oracle(self, p_fail):
@@ -485,6 +496,23 @@ class TestDecoderArrays:
             for lead in ((), (3,), (2, 5)):
                 a = rng.standard_normal(lead + (1 << k,))
                 assert _fwht_rows(a.copy()).tobytes() == oracles.fwht_blocks(a.copy()).tobytes(), (k, lead)
+
+    def test_setup_matches_per_row_oracle(self):
+        rng = np.random.default_rng(2406)
+        cases = [(code, w) for code in small_codes(5) for w in all_w(code.n_code)]
+        cases += [(code_of("LLPLPLPL"), tuple(rng.integers(0, 2, 8).tolist())) for _ in range(8)]
+        for code, w in cases:
+            sides, want = ErrorAnalyzer(code, w)._sides, oracles.per_row_sides(code, w)
+            for basis in ("X", "Z"):
+                side, ref = sides[basis], want[basis]
+                for key in ("idxs", "s", "f", "l", "lweight"):
+                    same = side[key].dtype == ref[key].dtype and side[key].tobytes() == ref[key].tobytes()
+                    assert same, (code.code_id, w, basis, key)
+                got = [None] * len(ref["weights"])
+                for rows, (inverse, distinct) in side["groups"].values():
+                    for row, j in zip(rows.tolist(), inverse.tolist()):
+                        got[row] = distinct[j]
+                assert [g.tobytes() for g in got] == [r.tobytes() for r in ref["weights"]], (code.code_id, w, basis)
 
     def test_distinct_rows_scatter_to_every_pattern(self):
         for seq, w in self.CASES:

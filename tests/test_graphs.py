@@ -11,16 +11,13 @@ from fusioncodes.graphs import (
     canonical_key,
     enumerate_progenitor_records,
     enumerate_single_emitter_progenitors,
-    graph_from_json,
-    graph_to_json,
     is_caterpillar,
     local_complement,
-    lc_pauli_transform,
     stabilizer_generators,
 )
 from fusioncodes.pauli import PauliOperator, ResourceCapExceeded, enumerate_group
 
-from oracles import apply_generation_op
+from oracles import apply_generation_op, graph_from_json, graph_to_json, lc_pauli_transform
 
 
 def G(n, edges, emitter=0):

@@ -11,10 +11,9 @@ from fusioncodes.pauli import (
     commutes,
     enumerate_group,
     multiply,
-    qubitwise_commutes,
 )
 
-from oracles import identify_pauli, op_matrix, pauli_matrix
+from oracles import identify_pauli, op_matrix, pauli_matrix, qubitwise_commutes
 
 
 def P(text):
