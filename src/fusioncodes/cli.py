@@ -9,6 +9,10 @@ Exit codes: 0 ok, 2 usage (including a --p-fail or --eta-grid value
 outside [0, 1] or not a number), 3 config (unreadable or malformed
 config, outer-graph or code input), 4 resource cap, 5 verification
 failure.
+
+The analysis modules (``fusion``, ``thresholds``) and numpy are imported
+inside the commands that use them, so ``enumerate``, ``compile`` with the
+stabilizer verifier and usage errors start without them.
 """
 
 from __future__ import annotations
@@ -30,24 +34,13 @@ from .compiler import (
     count_resources,
     verify_sequence,
 )
-from .fusion import FusionSpec, erasure_analysis, validate_dual_swap
 from .graphs import (
     PROGENITOR_CAP,
     GraphState,
-    ResourceCapExceeded,
     build_progenitor,
     enumerate_progenitor_records,
 )
-from .thresholds import (
-    BiasMode,
-    ConfigError,
-    config_to_json_dict,
-    correctable_region,
-    default_bias_config,
-    loss_threshold,
-    read_config,
-    search_best_code,
-)
+from .pauli import ConfigError, ResourceCapExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,6 +99,8 @@ def _write_csv(path: str, header: list[str], rows: list[list], manifest: dict) -
 
 def _load_bias(args) -> tuple:
     """(randomized, passive, error-config, raw-config-dict) from --config or defaults."""
+    from .thresholds import BiasMode, config_to_json_dict, default_bias_config, read_config
+
     if getattr(args, "config", None):
         return read_config(args.config)
     rand = default_bias_config(BiasMode.RANDOMIZED)
@@ -188,6 +183,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .fusion import FusionSpec, erasure_analysis
+
     code = _resolve_code(args.code)
     w = _parse_w(args.w, code.n_code) if args.w else (0,) * code.n_code
     grid = [float(x) for x in args.eta_grid.split(",")] if args.eta_grid else [1.0, 0.95, 0.9]
@@ -199,6 +196,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize_w(args) -> int:
+    from .thresholds import loss_threshold
+
     rand, passive, _, raw = _load_bias(args)
     bias = rand if args.bias == "randomized" else passive
     code = _resolve_code(args.code)
@@ -217,6 +216,8 @@ def cmd_optimize_w(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    from .thresholds import search_best_code
+
     if args.n_min > args.n_max:
         print(f"usage error: --n-min {args.n_min} exceeds --n-max {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,18 +261,21 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from .thresholds import correctable_region, search_best_code
+
     if args.n is not None:
         _check_code_size(args.n)
     rand, _, err, raw = _load_bias(args)
     if err is None:
         raise ConfigError("missing key: epsilon_M (required for region computation)")
+    winner = None
     if args.code is not None:
         code = _resolve_code(args.code)
     else:
-        results = search_best_code(args.n, rand, p_fail=args.p_fail)
-        code = _resolve_code(results[0].code_id)
+        winner = search_best_code(args.n, rand, p_fail=args.p_fail)[0]
+        code = _resolve_code(winner.code_id)
         print(f"using n={args.n} winner {code.code_id}")
-    points = correctable_region(code, rand, err, p_fail=args.p_fail, grid_points=args.grid_points)
+    points = correctable_region(code, rand, err, p_fail=args.p_fail, grid_points=args.grid_points, result=winner)
     manifest = _manifest(args, "region", raw)
     if not points or all(p.epsilon_boundary == 0.0 for p in points):
         print("warning: correctable region is empty for this configuration", file=sys.stderr)
@@ -324,6 +328,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_duals(args) -> int:
+    from .fusion import validate_dual_swap
+
     entries = []
     for rec in enumerate_progenitor_records(args.n):
         code = code_from_progenitor(rec.graph, code_id=rec.sequence)

@@ -20,7 +20,9 @@ block embedded at every node and the virtual node of each block
 measured in X with outcome +1.  The state vector is compared with the
 target's amplitudes; on the tableau, the target is built on the
 replay's own wires and each of its generators must be a +1 element of
-the compiled stabilizer group.
+the compiled stabilizer group.  Only the state-vector path imports
+``statevec`` and numpy; compiling and tableau verification run on
+Python ints alone.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .codes import GraphCode
 from .graphs import GraphState, build_progenitor, caterpillar_spine
 from .pauli import PauliOperator
 from .tableau import BranchImpossible, StabilizerTableau
-from . import statevec
 
 # 'auto' verification limits of the state vector: photons of the replay,
 # and photons plus one virtual wire per outer vertex for the target
@@ -392,6 +391,8 @@ class _StateVectorBackend:
     """
 
     def __init__(self, n_wires: int, outcome_overrides: dict[int, int] | None = None):
+        from . import statevec
+
         if n_wires > 24:
             raise VerificationError("state-vector verification limited to 24 wires")
         self.n = n_wires
@@ -401,9 +402,14 @@ class _StateVectorBackend:
         self.minus: set[int] = set()
 
     def cz(self, a: int, b: int) -> None:
+        from . import statevec
+
         self.state = statevec.apply_cz(self.state, a, b)
 
     def measure_x(self, wire: int) -> None:
+        import numpy as np
+        from . import statevec
+
         outcome = self.overrides.get(len(self.outcomes), +1)
         self.outcomes.append(outcome)
         state, prob = statevec.project_x_plus(self.state, wire, self.n, outcome)
@@ -415,12 +421,16 @@ class _StateVectorBackend:
 
     def reinit(self, wire: int) -> None:
         if wire in self.minus:
+            from . import statevec
+
             self.state = statevec.apply_pauli(self.state, PauliOperator.single(self.n, wire, "Z"))
             self.minus.discard(wire)
 
 
 def _photon_statevector(seq: GenerationSequence, outcome_overrides: dict[int, int] | None = None):
     """Exact replay; returns (photon state in emission order, measurement outcomes)."""
+    from . import statevec
+
     backend = _StateVectorBackend(seq.photon_count + 2, outcome_overrides)
     order = _run(seq, backend)
     n = backend.n
@@ -456,7 +466,10 @@ def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) ->
     return k, want.rows[k], bool(rest.x_bits | rest.z_bits)
 
 
-def _target_statevector(target: ConcatenatedTarget) -> np.ndarray:
+def _target_statevector(target: ConcatenatedTarget):
+    import numpy as np
+    from . import statevec
+
     state = statevec.graph_state(target.n_total, target.edges)
     n = target.n_total
     for v in reversed(target.virtual_wires()):
@@ -509,6 +522,9 @@ def verify_sequence(
         small = seq.photon_count <= AUTO_MAX_PHOTONS and target.n_total <= AUTO_MAX_WIRES
         method = "statevector" if small else "stabilizer"
     if method == "statevector":
+        import numpy as np
+        from . import statevec
+
         got, _ = _photon_statevector(seq)
         want = _target_statevector(target)
         if statevec.states_equal_up_to_phase(got, want):

@@ -23,6 +23,10 @@ class ResourceCapExceeded(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
+class ConfigError(ValueError):
+    """A configuration file violates the expected schema."""
+
+
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 

@@ -22,6 +22,7 @@ from .codes import GraphCode, code_from_progenitor
 from .fusion import ErrorAnalyzer, fusion_table
 from .graphs import enumerate_progenitor_records
 from .lpoly import eta2_float_coeffs
+from .pauli import ConfigError
 
 BISECTION_TOL = 1e-9
 
@@ -36,10 +37,6 @@ BASELINE_GAMMA = 0.0052
 class BiasMode(Enum):
     RANDOMIZED = "randomized"
     PASSIVE = "passive"
-
-
-class ConfigError(ValueError):
-    """A configuration file violates the expected schema."""
 
 
 class MonotonicityError(RuntimeError):
@@ -420,17 +417,21 @@ def correctable_region(
     p_fail: float = 0.5,
     grid_points: int = 21,
     epsilon_cap: float = 0.2,
+    result: ThresholdResult | None = None,
 ) -> list[RegionPoint]:
     """Boundary of the jointly correctable (loss, error) region.
 
     Under randomized bias: for each loss value below the loss threshold,
     the boundary error rate is the largest epsilon whose averaged logical
     error stays below the tolerable fusion error at the corresponding
-    logical erasure rate.
+    logical erasure rate.  ``result`` is the code's ``loss_threshold``
+    under the same bias and ``p_fail`` when the caller already has it,
+    as ``search_best_code`` returns it; otherwise it is computed here.
     """
     if bias.mode is not BiasMode.RANDOMIZED:
         raise ValueError("correctable regions are computed under randomized bias")
-    result = loss_threshold(code, bias, p_fail)
+    if result is None:
+        result = loss_threshold(code, bias, p_fail)
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []

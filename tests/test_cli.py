@@ -1,12 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusioncodes
+from fusioncodes import thresholds
 from fusioncodes.cli import main
+from fusioncodes.graphs import enumerate_progenitor_records
 from fusioncodes.thresholds import (
     ErrorThresholdConfig,
     config_to_json_dict,
@@ -175,6 +180,21 @@ class TestRegion:
             main(["region", "--code", "LL", "--config", cfg, "--grid-points", "1", "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
 
+    def test_size_region_reuses_the_search_result(self, tmp_path, monkeypatch):
+        # the region of the n=4 winner takes its threshold from the search:
+        # one loss_threshold call per n=4 code and none more
+        calls = []
+        real = thresholds.loss_threshold
+
+        def counting(code, *args, **kwargs):
+            calls.append(code.code_id)
+            return real(code, *args, **kwargs)
+
+        monkeypatch.setattr(thresholds, "loss_threshold", counting)
+        cfg = write_config(tmp_path)
+        assert main(["region", "--n", "4", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert sorted(calls) == sorted(r.sequence for r in enumerate_progenitor_records(4))
+
 
 class TestCompile:
     def test_compile_ten_chain(self, tmp_path):
@@ -247,6 +267,67 @@ class TestDuals:
         data = json.loads(out.read_text())
         assert len(data["duals"]) == 4
         assert all(d["swap_verified"] for d in data["duals"])
+
+
+def _fresh_python(script: str, cwd) -> None:
+    """Run ``script`` in a new interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusioncodes.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestStartup:
+    """Commands import numpy and the analysis modules only when they use them."""
+
+    def test_enumerate_and_stabilizer_compile_run_without_numpy(self, tmp_path):
+        (tmp_path / "chain.json").write_text(json.dumps({"n": 11, "edges": [[i, i + 1] for i in range(10)]}))
+        _fresh_python(
+            """
+import json, sys
+from fusioncodes.cli import main
+assert "numpy" not in sys.modules
+assert main(["enumerate", "--n", "3", "--out", "lib"]) == 0
+assert "numpy" not in sys.modules
+assert main(["compile", "--outer", "chain.json", "--inner", "LLPLPLPL", "--out", "run"]) == 0
+assert json.load(open("run.sequence.json"))["verification_method"] == "stabilizer"
+assert "numpy" not in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_analyze_loads_numpy(self, tmp_path):
+        # the probe above can see numpy when a command does import it
+        _fresh_python(
+            """
+import sys
+from fusioncodes.cli import main
+assert "numpy" not in sys.modules
+assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
+assert "numpy" in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_package_resolves_fusion_names_on_access(self, tmp_path):
+        _fresh_python(
+            """
+import sys
+import fusioncodes
+assert "fusioncodes.fusion" not in sys.modules
+from fusioncodes import FusionSpec, code_from_progenitor, erasure_analysis
+import fusioncodes.fusion
+assert fusioncodes.erasure_analysis is fusioncodes.fusion.erasure_analysis
+assert fusioncodes.error_analysis is fusioncodes.fusion.error_analysis
+try:
+    fusioncodes.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("fusioncodes.nope resolved")
+""",
+            tmp_path,
+        )
 
 
 class TestManifest:
