@@ -10,9 +10,10 @@ outside [0, 1] or not a number), 3 config (unreadable or malformed
 config, outer-graph or code input), 4 resource cap, 5 verification
 failure.
 
-The analysis modules (``fusion``, ``thresholds``) and numpy are imported
-inside the commands that use them, so ``enumerate``, ``compile`` with the
-stabilizer verifier and usage errors start without them.
+The analysis modules (``fusion``, ``thresholds``) and numpy, and the
+``compiler``, are imported inside the commands that use them:
+``enumerate``, ``compile`` and usage errors run without numpy, and no
+command but ``compile`` loads the compiler.
 """
 
 from __future__ import annotations
@@ -26,21 +27,16 @@ import tempfile
 
 from . import __version__
 from .codes import code_from_progenitor, dual_code_with_map
-from .compiler import (
-    CompileError,
-    Mode,
-    VerificationError,
-    compile_generation,
-    count_resources,
-    verify_sequence,
-)
 from .graphs import (
     PROGENITOR_CAP,
     GraphState,
     build_progenitor,
     enumerate_progenitor_records,
 )
-from .pauli import ConfigError, ResourceCapExceeded
+from .pauli import CompileError, ConfigError, ResourceCapExceeded, VerificationError
+
+# values of ``compiler.Mode``, spelled out so the parser needs no compiler
+MODES = ("two-emitter", "emitter-memory")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -287,6 +283,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .compiler import Mode, compile_generation, count_resources, verify_sequence
+
     outer = _load_outer(args.outer)
     _check_code_size(len(args.inner))
     inner = _resolve_code(args.inner)
@@ -409,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="emit a two-emitter generation sequence")
     p.add_argument("--outer", required=True, help="outer graph JSON file")
     p.add_argument("--inner", required=True, help="inner code id (generation sequence)")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.TWO_EMITTER.value)
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.add_argument("--inject-fault", action="store_true", help="testing aid: corrupt the sequence")
     p.add_argument("--out", required=True, help="output base path")
     common(p, config=False)

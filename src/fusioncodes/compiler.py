@@ -13,16 +13,15 @@ Both the outer and the inner LEAF/PATH_EDGE letters come from one O(n)
 walk along the graph's caterpillar spine; any caterpillar compiles.
 
 Verification replays a sequence wire by wire through one interpreter
-that drives either an exact state vector (by default up to 12 photons
-and 16 target wires) or a sign-exact stabilizer tableau (any size).
-The target is the concatenated graph: the outer graph with an inner
-block embedded at every node and the virtual node of each block
-measured in X with outcome +1.  The state vector is compared with the
-target's amplitudes; on the tableau, the target is built on the
-replay's own wires and each of its generators must be a +1 element of
-the compiled stabilizer group.  Only the state-vector path imports
-``statevec`` and numpy; compiling and tableau verification run on
-Python ints alone.
+that drives either an exact bit-packed state vector (by default up to
+12 photons and 16 target wires) or a sign-exact stabilizer tableau (any
+size).  The target is the concatenated graph: the outer graph with an
+inner block embedded at every node and the virtual node of each block
+measured in X with outcome +1.  Either backend builds the target on the
+replay's own wires.  The state vector compares amplitudes and signs;
+on the tableau, each target generator must be a +1 element of the
+compiled stabilizer group.  Compiling and both verifiers run on Python
+ints alone, without numpy.
 """
 
 from __future__ import annotations
@@ -32,21 +31,14 @@ from enum import Enum
 
 from .codes import GraphCode
 from .graphs import GraphState, build_progenitor, caterpillar_spine
-from .pauli import PauliOperator
+from .pauli import CompileError, PauliOperator, VerificationError  # noqa: F401  (re-exported)
+from .statevec import FlatState
 from .tableau import BranchImpossible, StabilizerTableau
 
 # 'auto' verification limits of the state vector: photons of the replay,
 # and photons plus one virtual wire per outer vertex for the target
 AUTO_MAX_PHOTONS = 12
 AUTO_MAX_WIRES = 16
-
-
-class CompileError(ValueError):
-    """The requested target cannot be compiled."""
-
-
-class VerificationError(RuntimeError):
-    """A compiled sequence failed verification."""
 
 
 class Mode(Enum):
@@ -382,104 +374,38 @@ def _run(seq: GenerationSequence, backend) -> list[int]:
     return photon_wire + [slot_wire[0], slot_wire[1]]
 
 
-class _StateVectorBackend:
-    """Exact amplitudes with little-endian wires.
-
-    X measurements take the outcome listed in ``outcome_overrides`` under
-    their index, +1 otherwise; a -1 outcome leaves |->, which ``reinit``
-    turns back into |+>.
-    """
-
-    def __init__(self, n_wires: int, outcome_overrides: dict[int, int] | None = None):
-        from . import statevec
-
-        if n_wires > 24:
-            raise VerificationError("state-vector verification limited to 24 wires")
-        self.n = n_wires
-        self.state = statevec.plus_state(n_wires)
-        self.overrides = outcome_overrides or {}
-        self.outcomes: list[int] = []
-        self.minus: set[int] = set()
-
-    def cz(self, a: int, b: int) -> None:
-        from . import statevec
-
-        self.state = statevec.apply_cz(self.state, a, b)
-
-    def measure_x(self, wire: int) -> None:
-        import numpy as np
-        from . import statevec
-
-        outcome = self.overrides.get(len(self.outcomes), +1)
-        self.outcomes.append(outcome)
-        state, prob = statevec.project_x_plus(self.state, wire, self.n, outcome)
-        if prob < 1e-12:
-            raise VerificationError("measurement branch has zero probability")
-        self.state = state / np.sqrt(prob)
-        if outcome == -1:
-            self.minus.add(wire)
-
-    def reinit(self, wire: int) -> None:
-        if wire in self.minus:
-            from . import statevec
-
-            self.state = statevec.apply_pauli(self.state, PauliOperator.single(self.n, wire, "Z"))
-            self.minus.discard(wire)
-
-
-def _photon_statevector(seq: GenerationSequence, outcome_overrides: dict[int, int] | None = None):
-    """Exact replay; returns (photon state in emission order, measurement outcomes)."""
-    from . import statevec
-
-    backend = _StateVectorBackend(seq.photon_count + 2, outcome_overrides)
-    order = _run(seq, backend)
-    n = backend.n
-    state = backend.state.reshape([2] * n, order="F").transpose(order).flatten(order="F")
-    # every branch leaves both slot wires in |+>
-    state = statevec.drop_plus_qubit(state, n - 1, n)
-    state = statevec.drop_plus_qubit(state, n - 2, n - 1)
-    return state, backend.outcomes
-
-
-def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) -> tuple[int, PauliOperator, bool] | None:
-    """(index, row, missing) of the first target generator that is not a
-    +1 element of the compiled group, or None when the states are equal;
-    ``missing`` is False for a generator the group holds with sign -1.
+def _replay(seq: GenerationSequence, target: ConcatenatedTarget, backend):
+    """(compiled, target) states of ``seq`` on one backend and one set of wires.
 
     The replay runs on P + 2 + m wires: P photons, two spin slots and m
     outer vertices that no instruction touches, so they stay in |+>.  The
     target is built on the same wires, photon k on the wire ``_run``
     returns for it and virtual vertex b on wire P + 2 + b; after its X
     measurements both states are pure on the same wires, and the final
-    slot wires are isolated |+> vertices of the target.
+    slot wires are isolated |+> vertices of the target.  ``backend`` is
+    a class with ``graph_state(n, edges)`` besides the methods ``_run``
+    calls.
     """
-    got = StabilizerTableau(seq.photon_count + 2 + target.n_virtual)
+    got = backend(seq.photon_count + 2 + target.n_virtual)
     wire = _run(seq, got)[: seq.photon_count]
     wire += range(seq.photon_count + 2, got.n)
-    want = StabilizerTableau.graph_state(got.n, [(wire[u], wire[v]) for u, v in target.edges])
+    want = backend.graph_state(got.n, [(wire[u], wire[v]) for u, v in target.edges])
     for v in target.virtual_wires():
         want.measure_x(wire[v])
+    return got, want
+
+
+def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) -> tuple[int, PauliOperator, bool] | None:
+    """(index, row, missing) of the first target generator that is not a
+    +1 element of the compiled group, or None when the states are equal;
+    ``missing`` is False for a generator the group holds with sign -1.
+    """
+    got, want = _replay(seq, target, StabilizerTableau)
     stray = got.first_non_member(want.rows)
     if stray is None:
         return None
     k, rest = stray
     return k, want.rows[k], bool(rest.x_bits | rest.z_bits)
-
-
-def _target_statevector(target: ConcatenatedTarget):
-    import numpy as np
-    from . import statevec
-
-    state = statevec.graph_state(target.n_total, target.edges)
-    n = target.n_total
-    for v in reversed(target.virtual_wires()):
-        state, prob = statevec.project_x_plus(state, v, n, +1)
-        if prob < 1e-12:
-            raise VerificationError("target projection has zero probability")
-        state = state / np.sqrt(prob)
-        state = statevec.drop_plus_qubit(state, v, n)
-        n -= 1
-    return state
 
 
 # -- verification ---------------------------------------------------------
@@ -503,17 +429,21 @@ def verify_sequence(
 ) -> VerificationResult:
     """Check a sequence against the concatenated target construction.
 
-    ``method``: 'statevector' (exact amplitudes, small targets only) or
-    'stabilizer' (sign-exact stabilizer tableau, any size); 'auto' takes
-    the state vector when there are at most 12 photons and the target's
-    vector, which carries one more wire per outer vertex, spans at most
-    16 wires, and the tableau otherwise.  Both replay the sequence with
-    every spin measurement forced to +1 and check the photon state
-    against the target exactly, signs included: the state vector by
-    overlap, the tableau by testing each target generator for
-    membership in the compiled group.  A failed tableau check names the
-    first target generator that the group lacks or holds with sign -1
-    (on the replay's wires) in ``message`` and ``detail``.
+    ``method``: 'statevector' (exact bit-packed amplitudes, small targets
+    only) or 'stabilizer' (sign-exact stabilizer tableau, any size);
+    'auto' takes the state vector when there are at most 12 photons and
+    photons plus one wire per outer vertex come to at most 16, and the
+    tableau otherwise.  An explicit 'statevector' raises
+    ``VerificationError`` when the simulated wires, P photons, two spin
+    slots and m outer vertices, exceed ``statevec.MAX_WIRES`` (24).
+    Both replay the sequence with every spin measurement forced to +1
+    and check the state against the target exactly, signs included: the
+    state vector by comparing support and signs, the tableau by testing
+    each target generator for membership in the compiled group.  A
+    failed state-vector check reports the overlap of the two states; a
+    failed tableau check names the first target generator that the
+    group lacks or holds with sign -1 (on the replay's wires) in
+    ``message`` and ``detail``.
     """
     target = expected or build_concatenated_target(seq.outer_ops, seq.inner_ops)
     if target.n_photons != seq.photon_count:
@@ -522,14 +452,10 @@ def verify_sequence(
         small = seq.photon_count <= AUTO_MAX_PHOTONS and target.n_total <= AUTO_MAX_WIRES
         method = "statevector" if small else "stabilizer"
     if method == "statevector":
-        import numpy as np
-        from . import statevec
-
-        got, _ = _photon_statevector(seq)
-        want = _target_statevector(target)
-        if statevec.states_equal_up_to_phase(got, want):
+        got, want = _replay(seq, target, FlatState)
+        if got.equals_up_to_phase(want):
             return VerificationResult(True, method)
-        overlap = abs(np.vdot(got, want))
+        overlap = got.overlap(want)
         return VerificationResult(
             False,
             method,

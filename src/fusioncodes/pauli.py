@@ -23,8 +23,18 @@ class ResourceCapExceeded(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
+# ConfigError, CompileError and VerificationError live here, where the CLI
+# can catch them without importing the modules that raise them.
 class ConfigError(ValueError):
     """A configuration file violates the expected schema."""
+
+
+class CompileError(ValueError):
+    """The requested target cannot be compiled."""
+
+
+class VerificationError(RuntimeError):
+    """A compiled sequence failed verification."""
 
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}

@@ -1,86 +1,118 @@
-"""Dense state-vector helpers for small graph states.
+"""Exact bit-packed state vector for real, flat states.
 
-Qubit i is the i-th tensor factor with stride 2^i (little-endian), so
-basis index b has qubit i in state (b >> i) & 1.  Only used for small
-verification problems; everything here is plain numpy.
+Every state the verifier reaches starts as |+>^n and then sees only CZ
+gates, X projections with outcome +/-1 and Z gates, so all of its
+amplitudes are 0 or +/-a for one a > 0.  Such a state is two ints of
+2^n bits: ``support`` marks the basis indices with a nonzero amplitude
+and ``negative`` those whose amplitude is -a; a = 1/sqrt(|support|).
+Wire q has stride 2^q (little-endian): basis index b has wire q in
+state (b >> q) & 1.  Every operation is a few big-int shifts and masks,
+with no floating point and no numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .pauli import PauliOperator
+from .pauli import VerificationError
 
-
-def plus_state(n: int) -> np.ndarray:
-    v = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=complex)
-    return v
+MAX_WIRES = 24  # 2^24-bit ints, 2 MB each
 
 
-def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Negate, in place, the amplitudes with qubits i and j both 1; returns ``state``."""
-    lo, hi = min(i, j), max(i, j)
-    # axes: rest, qubit hi, qubits between, qubit lo, qubits below
-    view = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, copy=False)
-    view[:, 1, :, 1] *= -1.0
-    return state
+class FlatState:
+    """A real flat state on ``n`` wires, all in |+> at the start.
 
-
-def graph_state(n: int, edges) -> np.ndarray:
-    state = plus_state(n)
-    for u, v in edges:
-        state = apply_cz(state, u, v)
-    return state
-
-
-def apply_pauli(state: np.ndarray, p: PauliOperator) -> np.ndarray:
-    """Apply a signed Pauli given in bit-packed form.
-
-    With Y = iXZ each letter splits as i^[Y] X^x Z^z (Z acting first), so
-    out[c] = i^(phase + #Y) (-1)^((c ^ x) . z) state[c ^ x].
+    As a replay backend, ``measure_x`` takes the outcome listed in
+    ``outcome_overrides`` under its index, +1 otherwise; a -1 outcome
+    leaves |->, which ``reinit`` turns back into |+>.
     """
-    n = p.n
-    if state.size != 1 << n:
-        raise ValueError("state size does not match operator")
-    idx = np.arange(state.size)
-    src = idx ^ p.x_bits
-    out = state[src].astype(complex, copy=True)
-    parity = np.zeros(state.size, dtype=np.int64)
-    for b in range(n):
-        if (p.z_bits >> b) & 1:
-            parity ^= (src >> b) & 1
-    out[parity == 1] *= -1.0
-    y_count = (p.x_bits & p.z_bits).bit_count()
-    out *= (1j) ** ((p.phase + y_count) % 4)
-    return out
 
+    def __init__(self, n: int, outcome_overrides: dict[int, int] | None = None):
+        if n > MAX_WIRES:
+            raise VerificationError(f"state-vector verification limited to {MAX_WIRES} wires")
+        self.n = n
+        self.full = (1 << (1 << n)) - 1
+        self.support = self.full
+        self.negative = 0
+        self.overrides = outcome_overrides or {}
+        self.outcomes: list[int] = []
+        self.minus: set[int] = set()
+        self._high: dict[int, int] = {}
 
-def project_pauli(state: np.ndarray, p: PauliOperator, outcome: int) -> tuple[np.ndarray, float]:
-    """Apply (I + outcome*P)/2; returns (unnormalized state, probability)."""
-    out = 0.5 * (state + outcome * apply_pauli(state, p))
-    prob = float(np.vdot(out, out).real)
-    return out, prob
+    @classmethod
+    def graph_state(cls, n: int, edges) -> "FlatState":
+        state = cls(n)
+        for u, v in edges:
+            state.cz(u, v)
+        return state
 
+    def high(self, q: int) -> int:
+        """Bitmask of the basis indices with wire q set.
 
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    if a.shape != b.shape:
-        return False
-    overlap = abs(np.vdot(a, b))
-    return abs(overlap - np.linalg.norm(a) * np.linalg.norm(b)) < tol
+        The period-2^(q+1) block is doubled up to 2^n bits: a linear
+        number of bit operations, where dividing (2^(2^n) - 1) by the
+        block's period would be quadratic.
+        """
+        mask = self._high.get(q)
+        if mask is None:
+            s = 1 << q
+            mask, length = ((1 << s) - 1) << s, 2 * s
+            while length < 1 << self.n:
+                mask |= mask << length
+                length *= 2
+            self._high[q] = mask
+        return mask
 
+    def cz(self, a: int, b: int) -> None:
+        self.negative ^= self.high(a) & self.high(b) & self.support
 
-def project_x_plus(state: np.ndarray, qubit: int, n: int, outcome: int = 1) -> tuple[np.ndarray, float]:
-    """Project qubit onto the X eigenstate with the given outcome."""
-    p = PauliOperator.single(n, qubit, "X")
-    return project_pauli(state, p, outcome)
+    def z(self, q: int) -> None:
+        self.negative ^= self.high(q) & self.support
 
+    def project_x(self, q: int, outcome: int = +1) -> None:
+        """Project wire q onto X = ``outcome``, keeping the state flat.
 
-def drop_plus_qubit(state: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Factor out a qubit in an X eigenstate (e.g. after X projection)."""
-    full = state.reshape([2] * n, order="F")
-    sel0 = np.take(full, 0, axis=qubit)
-    sel1 = np.take(full, 1, axis=qubit)
-    if not (np.allclose(sel0, sel1, atol=1e-9) or np.allclose(sel0, -sel1, atol=1e-9)):
-        raise ValueError(f"qubit {qubit} is not in an X eigenstate")
-    rest = sel0 * np.sqrt(2.0)
-    return rest.reshape(-1, order="F")
+        Each index with wire q clear is paired with its partner across q.
+        A pair with both amplitudes present keeps them when they agree
+        (equal for +1, opposite for -1) and cancels otherwise; a lone
+        amplitude spreads over its pair at half height.  A result with
+        both kept pairs and spread lone amplitudes is not flat.
+        """
+        d = 1 << q
+        high = self.high(q)
+        low = self.full ^ high
+        s0, s1 = self.support & low, (self.support & high) >> d
+        n0, n1 = self.negative & low, (self.negative & high) >> d
+        flip = low if outcome == -1 else 0  # signs of the partner that agree
+        both, lone = s0 & s1, s0 ^ s1
+        kept = both & ~(n0 ^ n1 ^ flip)
+        if kept and lone:
+            raise VerificationError(f"X projection of wire {q} leaves a state that is not flat")
+        pairs = kept | lone
+        if not pairs:
+            raise VerificationError("measurement branch has zero probability")
+        neg_low = ((n0 & s0) | ((n1 ^ flip) & ~s0)) & pairs
+        self.support = pairs | pairs << d
+        self.negative = neg_low | ((neg_low ^ flip) & pairs) << d
+
+    def measure_x(self, q: int) -> None:
+        outcome = self.overrides.get(len(self.outcomes), +1)
+        self.outcomes.append(outcome)
+        self.project_x(q, outcome)
+        if outcome == -1:
+            self.minus.add(q)
+
+    def reinit(self, q: int) -> None:
+        if q in self.minus:
+            self.z(q)
+            self.minus.discard(q)
+
+    def overlap(self, other: "FlatState") -> float:
+        """|<self|other>| of the two normalized states."""
+        common = self.support & other.support
+        differ = (self.negative ^ other.negative) & common
+        inner = common.bit_count() - 2 * differ.bit_count()
+        return abs(inner) / math.sqrt(self.support.bit_count() * other.support.bit_count())
+
+    def equals_up_to_phase(self, other: "FlatState") -> bool:
+        return self.support == other.support and (self.negative ^ other.negative) in (0, self.support)

@@ -13,9 +13,13 @@ region one grid point and one epsilon at a time with the block-loop
 Walsh transform and the 16-term flip enumeration.  The sequence oracles
 find a graph's generation sequence by keying every LEAF/PATH_EDGE
 string of its size, and ``apply_generation_op`` grows a progenitor one
-letter at a time.  The rest are small helpers that only tests use:
-JSON round trips, Pauli images under local complementation, dual
-failure bases and state-vector expectations.
+letter at a time.  The dense state-vector oracles replay a compiled
+sequence and build its concatenated target on numpy complex
+amplitudes, in emission order; they share only the instruction loop
+``_run`` with the package's bit-packed state vector.  The rest are
+small helpers that only tests use: JSON round trips, Pauli images
+under local complementation, dual failure bases and state-vector
+expectations.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from fusioncodes.compiler import _run
 from fusioncodes.fusion import (
     AVAIL_BOTH,
     AVAIL_NONE,
@@ -51,8 +56,7 @@ from fusioncodes.graphs import (
     enumerate_progenitor_records,
 )
 from fusioncodes.lpoly import LossPolynomial
-from fusioncodes.pauli import PauliOperator, enumerate_group, gf2_reduce
-from fusioncodes.statevec import apply_pauli
+from fusioncodes.pauli import PauliOperator, VerificationError, enumerate_group, gf2_reduce
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
@@ -115,6 +119,133 @@ def project(state: np.ndarray, mat: np.ndarray, outcome: int) -> np.ndarray:
 
 def expectation(state: np.ndarray, p: PauliOperator) -> complex:
     return complex(np.vdot(state, apply_pauli(state, p)))
+
+
+# -- dense complex state vectors of compiled sequences ---------------------
+
+
+def apply_pauli(state: np.ndarray, p: PauliOperator) -> np.ndarray:
+    """Apply a signed Pauli given in bit-packed form.
+
+    With Y = iXZ each letter splits as i^[Y] X^x Z^z (Z acting first), so
+    out[c] = i^(phase + #Y) (-1)^((c ^ x) . z) state[c ^ x].
+    """
+    n = p.n
+    if state.size != 1 << n:
+        raise ValueError("state size does not match operator")
+    idx = np.arange(state.size)
+    src = idx ^ p.x_bits
+    out = state[src].astype(complex, copy=True)
+    parity = np.zeros(state.size, dtype=np.int64)
+    for b in range(n):
+        if (p.z_bits >> b) & 1:
+            parity ^= (src >> b) & 1
+    out[parity == 1] *= -1.0
+    y_count = (p.x_bits & p.z_bits).bit_count()
+    out *= (1j) ** ((p.phase + y_count) % 4)
+    return out
+
+
+def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    if a.shape != b.shape:
+        return False
+    overlap = abs(np.vdot(a, b))
+    return abs(overlap - np.linalg.norm(a) * np.linalg.norm(b)) < tol
+
+
+def project_x(state: np.ndarray, qubit: int, outcome: int = 1) -> np.ndarray:
+    """Normalized projection of one qubit onto X = ``outcome``."""
+    n = state.size.bit_length() - 1
+    out = 0.5 * (state + outcome * apply_pauli(state, PauliOperator.single(n, qubit, "X")))
+    prob = float(np.vdot(out, out).real)
+    if prob < 1e-12:
+        raise VerificationError("measurement branch has zero probability")
+    return out / np.sqrt(prob)
+
+
+def drop_plus_qubit(state: np.ndarray, qubit: int) -> np.ndarray:
+    """Factor out a qubit in an X eigenstate (e.g. after X projection)."""
+    n = state.size.bit_length() - 1
+    full = state.reshape([2] * n, order="F")
+    sel0 = np.take(full, 0, axis=qubit)
+    sel1 = np.take(full, 1, axis=qubit)
+    if not (np.allclose(sel0, sel1, atol=1e-9) or np.allclose(sel0, -sel1, atol=1e-9)):
+        raise ValueError(f"qubit {qubit} is not in an X eigenstate")
+    rest = sel0 * np.sqrt(2.0)
+    return rest.reshape(-1, order="F")
+
+
+class DenseBackend:
+    """Replay backend on complex amplitudes with little-endian wires.
+
+    X measurements take the outcome listed in ``outcome_overrides`` under
+    their index, +1 otherwise; a -1 outcome leaves |->, which ``reinit``
+    turns back into |+>.
+    """
+
+    def __init__(self, n_wires: int, outcome_overrides: dict[int, int] | None = None):
+        self.n = n_wires
+        self.state = dense_graph_state(n_wires, ())
+        self.overrides = outcome_overrides or {}
+        self.outcomes: list[int] = []
+        self.minus: set[int] = set()
+
+    def cz(self, a: int, b: int) -> None:
+        lo, hi = min(a, b), max(a, b)
+        # axes: rest, qubit hi, qubits between, qubit lo, qubits below
+        view = self.state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, copy=False)
+        view[:, 1, :, 1] *= -1.0
+
+    def measure_x(self, wire: int) -> None:
+        outcome = self.overrides.get(len(self.outcomes), +1)
+        self.outcomes.append(outcome)
+        self.state = project_x(self.state, wire, outcome)
+        if outcome == -1:
+            self.minus.add(wire)
+
+    def reinit(self, wire: int) -> None:
+        if wire in self.minus:
+            self.state = apply_pauli(self.state, PauliOperator.single(self.n, wire, "Z"))
+            self.minus.discard(wire)
+
+
+def photon_order(state: np.ndarray, order: list[int]) -> np.ndarray:
+    """The photons of a replayed state in emission order, slot wires dropped.
+
+    ``order`` is what ``_run`` returns: the wire of each photon, then the
+    final wires of the two spin slots, which every branch leaves in |+>.
+    """
+    n = len(order)
+    state = state.reshape([2] * n, order="F").transpose(order).flatten(order="F")
+    return drop_plus_qubit(drop_plus_qubit(state, n - 1), n - 2)
+
+
+def photon_statevector(seq, outcome_overrides: dict[int, int] | None = None):
+    """Emission-order replay; returns (photon state, measurement outcomes)."""
+    backend = DenseBackend(seq.photon_count + 2, outcome_overrides)
+    order = _run(seq, backend)
+    return photon_order(backend.state, order), backend.outcomes
+
+
+def target_statevector(target) -> np.ndarray:
+    """Photons of the concatenated target in emission order, virtual nodes
+    projected onto X = +1 and dropped."""
+    state = dense_graph_state(target.n_total, target.edges)
+    for v in reversed(target.virtual_wires()):
+        state = drop_plus_qubit(project_x(state, v), v)
+    return state
+
+
+def dense_amplitudes(flat) -> np.ndarray:
+    """A bit-packed ``FlatState`` as complex amplitudes +/-1/sqrt(|support|)."""
+    size = 1 << flat.n
+
+    def bits(x: int) -> np.ndarray:
+        raw = np.frombuffer(x.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[:size]
+
+    signs = 1.0 - 2.0 * bits(flat.negative)
+    return (bits(flat.support) * signs / np.sqrt(flat.support.bit_count())).astype(complex)
 
 
 # -- the availability table, digit by digit --------------------------------

@@ -296,6 +296,45 @@ assert "numpy" not in sys.modules
             tmp_path,
         )
 
+    def test_statevector_compile_runs_without_numpy(self, tmp_path):
+        # the two smallest compile workloads: 12 photons on 16 target wires
+        (tmp_path / "chain.json").write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+        _fresh_python(
+            """
+import contextlib, io, json, sys
+from fusioncodes.cli import main
+for mode in ("two-emitter", "emitter-memory"):
+    args = ["compile", "--outer", "chain.json", "--inner", "LPL", "--mode", mode]
+    assert main(args + ["--out", "run"]) == 0
+    assert json.load(open("run.sequence.json"))["verification_method"] == "statevector"
+    assert "numpy" not in sys.modules
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(args + ["--inject-fault", "--out", "bad"]) == 5
+    assert err.getvalue() == "verification failed: compiled state deviates from target (overlap 0.500000)\\n", err.getvalue()
+    assert "numpy" not in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_commands_other_than_compile_skip_the_compiler(self, tmp_path):
+        _fresh_python(
+            """
+import sys
+from fusioncodes.cli import main
+assert "fusioncodes.compiler" not in sys.modules
+assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
+assert "fusioncodes.compiler" not in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_parser_modes_are_the_compiler_modes(self):
+        from fusioncodes.cli import MODES
+        from fusioncodes.compiler import Mode
+
+        assert MODES == tuple(m.value for m in Mode)
+
     def test_analyze_loads_numpy(self, tmp_path):
         # the probe above can see numpy when a command does import it
         _fresh_python(

@@ -3,9 +3,9 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
-from fusioncodes import statevec
 from fusioncodes.codes import code_from_progenitor
 from fusioncodes.compiler import (
     AUTO_MAX_PHOTONS,
@@ -14,6 +14,7 @@ from fusioncodes.compiler import (
     GenerationSequence,
     Mode,
     Op,
+    VerificationError,
     build_concatenated_target,
     compile_generation,
     count_resources,
@@ -21,14 +22,24 @@ from fusioncodes.compiler import (
     derive_outer_sequence,
     verify_sequence,
     _inner_wire_roles,
-    _photon_statevector,
-    _target_statevector,
+    _run,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
 from fusioncodes.pauli import PauliOperator, multiply
+from fusioncodes.statevec import MAX_WIRES, FlatState
 from fusioncodes.tableau import BranchImpossible, StabilizerTableau
 
-from oracles import expectation, marked_sequence_scan, outer_sequence_scan
+from oracles import (
+    dense_amplitudes,
+    drop_plus_qubit,
+    expectation,
+    marked_sequence_scan,
+    outer_sequence_scan,
+    photon_order,
+    photon_statevector,
+    states_equal_up_to_phase,
+    target_statevector,
+)
 
 
 def inner_code(seq):
@@ -208,6 +219,19 @@ class TestResources:
         assert rc.max_emitter_depth <= two.max_emitter_depth + 2
 
 
+def statevector_sequences(mode):
+    """Every compiled sequence that 'auto' sends to the state vector, with
+    inner codes up to the 8-photon cap of the compile command."""
+    for m in range(1, AUTO_MAX_PHOTONS + 1):
+        sizes = [n for n in range(1, 9) if m * n <= AUTO_MAX_PHOTONS and m * (n + 1) <= AUTO_MAX_WIRES]
+        records = enumerate_progenitor_records(m - 1, cap=m) if m > 1 else []
+        outers = sorted({derive_outer_sequence(rec.graph) for rec in records} or {""})
+        for outer_ops, n in itertools.product(outers, sizes):
+            outer = build_progenitor(outer_ops) if outer_ops else GraphState(1, frozenset(), 0)
+            for rec in enumerate_progenitor_records(n):
+                yield compile_generation(outer, inner_code(rec.sequence), mode)
+
+
 class TestVerification:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_small_targets_all_methods_agree(self, mode):
@@ -242,32 +266,87 @@ class TestVerification:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_stabilizer_agrees_with_statevector_everywhere(self, mode):
-        # every compiled sequence that 'auto' sends to the state vector
-        # (inner codes up to the 8-photon cap of the compile command), as
+        # every compiled sequence that 'auto' sends to the state vector, as
         # compiled and with each CZ, SWAP and rotation deleted in turn
         checked = failed = 0
-        for m in range(1, AUTO_MAX_PHOTONS + 1):
-            sizes = [n for n in range(1, 9) if m * n <= AUTO_MAX_PHOTONS and m * (n + 1) <= AUTO_MAX_WIRES]
-            records = enumerate_progenitor_records(m - 1, cap=m) if m > 1 else []
-            outers = sorted({derive_outer_sequence(rec.graph) for rec in records} or {""})
-            for outer_ops, n in itertools.product(outers, sizes):
-                outer = build_progenitor(outer_ops) if outer_ops else GraphState(1, frozenset(), 0)
-                for rec in enumerate_progenitor_records(n):
-                    seq = compile_generation(outer, inner_code(rec.sequence), mode)
-                    target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
-                    want = _target_statevector(target)
-                    cuts = [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)]
-                    for k in [None] + cuts:
-                        ops = seq.ops if k is None else seq.ops[:k] + seq.ops[k + 1 :]
-                        variant = dataclasses.replace(seq, ops=ops)
-                        # the state-vector verdict, with the target built once
-                        by_vector = statevec.states_equal_up_to_phase(_photon_statevector(variant)[0], want)
-                        res = verify_sequence(variant, target, "stabilizer")
-                        assert res.ok == by_vector, (outer_ops, rec.sequence, k, res.message)
-                        assert res.ok or k is not None, (outer_ops, rec.sequence, res.message)
-                        checked += 1
-                        failed += not res.ok
+        for seq in statevector_sequences(mode):
+            target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
+            cuts = [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)]
+            for k in [None] + cuts:
+                ops = seq.ops if k is None else seq.ops[:k] + seq.ops[k + 1 :]
+                variant = dataclasses.replace(seq, ops=ops)
+                by_vector = verify_sequence(variant, target, "statevector").ok
+                res = verify_sequence(variant, target, "stabilizer")
+                assert res.ok == by_vector, (seq.outer_ops, seq.inner_ops, k, res.message)
+                assert res.ok or k is not None, (seq.outer_ops, seq.inner_ops, res.message)
+                checked += 1
+                failed += not res.ok
         assert (checked, failed) == {Mode.TWO_EMITTER: (1926, 1534), Mode.EMITTER_MEMORY: (2158, 1751)}[mode]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_bitpacked_amplitudes_match_dense_oracle(self, mode):
+        # the replay with every outcome +1 and with each single -1, and the
+        # target, against numpy complex amplitudes
+        replays = 0
+        for seq in statevector_sequences(mode):
+            n_meas = op_count(seq, Op.MEASURE_X)
+            for overrides in [None] + [{j: -1} for j in range(n_meas)]:
+                flat = FlatState(seq.photon_count + 2, overrides)
+                order = _run(seq, flat)
+                dense, outcomes = photon_statevector(seq, overrides)
+                assert flat.outcomes == outcomes
+                assert states_equal_up_to_phase(photon_order(dense_amplitudes(flat), order), dense), (seq, overrides)
+                replays += 1
+            target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
+            want = FlatState.graph_state(target.n_total, target.edges)
+            for v in target.virtual_wires():
+                want.project_x(v)
+            got = dense_amplitudes(want)
+            for v in reversed(target.virtual_wires()):
+                got = drop_plus_qubit(got, v)
+            dense_target = target_statevector(target)
+            assert states_equal_up_to_phase(got, dense_target), seq
+            # the --inject-fault variant, which drops the last CZ
+            cz_at = [k for k, i in enumerate(seq.ops) if i.op is Op.CZ]
+            if cz_at:
+                bad = dataclasses.replace(seq, ops=seq.ops[: cz_at[-1]] + seq.ops[cz_at[-1] + 1 :])
+                overlap = abs(np.vdot(photon_statevector(bad)[0], dense_target))
+                res = verify_sequence(bad, target, "statevector")
+                assert res.detail.get("overlap", 1.0) == pytest.approx(overlap, abs=1e-12), seq
+        assert replays > 1000
+
+    def test_projection_that_breaks_flatness_raises(self):
+        state = FlatState(2)
+        state.support = 0b0111  # |00>, |01> and |10> at equal height
+        # the pair {00, 01} keeps its amplitudes, 10 spreads over {10, 11}
+        with pytest.raises(VerificationError, match="not flat"):
+            state.project_x(0)
+
+    def test_equality_and_overlap_read_signs(self):
+        plus = FlatState(2)
+        graph = FlatState.graph_state(2, [(0, 1)])  # (1, 1, 1, -1) / 2
+        minus = FlatState(2)
+        minus.z(0)  # |+> on wire 1, |-> on wire 0
+        flipped = FlatState(2)
+        flipped.negative = flipped.support  # -|++>
+        assert plus.equals_up_to_phase(flipped) and plus.overlap(flipped) == 1.0
+        for other, overlap in [(graph, 0.5), (minus, 0.0)]:
+            assert not plus.equals_up_to_phase(other)
+            assert plus.overlap(other) == overlap
+            assert abs(np.vdot(dense_amplitudes(plus), dense_amplitudes(other))) == pytest.approx(overlap)
+
+    def test_zero_probability_projection_raises(self):
+        state = FlatState(1)  # |+>
+        with pytest.raises(VerificationError, match="zero probability"):
+            state.project_x(0, -1)
+
+    def test_explicit_statevector_counts_every_simulated_wire(self):
+        # 8 outer vertices x 2 photons: 16 photons, 2 slots and 8 virtual wires
+        seq = compile_generation(build_progenitor("P" * 7), inner_code("LL"), Mode.TWO_EMITTER)
+        assert seq.photon_count + 2 + seq.outer_size > MAX_WIRES >= seq.photon_count + 2
+        with pytest.raises(VerificationError, match=f"limited to {MAX_WIRES} wires"):
+            verify_sequence(seq, method="statevector")
+        assert verify_sequence(seq).ok
 
     def test_failed_stabilizer_check_names_the_generator(self):
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
@@ -328,7 +407,7 @@ class TestVerification:
                 op = multiply(op, lift(inner.logical_z, u))
             return op
 
-        base, _ = _photon_statevector(seq)
+        base, _ = photon_statevector(seq)
         assert all(
             expectation(base, logical_stabilizer(v)).real == pytest.approx(1.0)
             for v in range(m)
@@ -336,7 +415,7 @@ class TestVerification:
         n_meas = sum(1 for i in seq.ops if i.op is Op.MEASURE_X)
         flipped = []
         for j in range(n_meas):
-            st, _ = _photon_statevector(seq, {j: -1})
+            st, _ = photon_statevector(seq, {j: -1})
             vals = [expectation(st, logical_stabilizer(v)).real for v in range(m)]
             neg = [v for v, val in enumerate(vals) if val == pytest.approx(-1.0)]
             assert len(neg) == 1, vals
