@@ -117,11 +117,13 @@ class ResourceCount:
 # A sequence L^a0 P L^a1 P ... P L^ak grows the path v0..vk with a_i
 # leaves on v_i and the emitter on vk, so the sequences of a caterpillar
 # read its spine in either direction, extended by at most one leaf at each
-# end.  The representative is the one of smallest binary-counter value (a
-# 'P' at index i weighs 2^i), as in ``enumerate_progenitor_records``.  A
-# head leaf turns the first letter into P and a tail leaf the last one, so
-# the representative extends only where the emitter forces it: a leaf
-# emitter is the tail.  Everything is one O(n) walk.
+# end.  A head leaf turns the first letter into P and a tail leaf the last
+# one.  The marked representative starts with L, as every record of
+# ``enumerate_progenitor_records`` does: it reads the spine toward the
+# emitter and extends only the tail, where a leaf emitter forces it.  The
+# outer one extends neither end and reads the spine in the direction of
+# smaller binary-counter value (a 'P' at index i weighs 2^i).  Everything
+# is one O(n) walk.
 
 
 def _letters(counts: list[int]) -> str:

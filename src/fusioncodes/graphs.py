@@ -6,7 +6,8 @@ growth operations a single emitter supports are leaf creation (attach a
 new degree-1 photon to the emitter) and path-edge creation (attach and
 hand the emitter role to the new vertex).  Every sequence of these
 operations yields a branched chain (caterpillar) with the emitter at the
-end of the spine.
+end of the spine, and the sequences that start with a leaf list every
+such graph exactly once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 from .pauli import PauliOperator, ResourceCapExceeded, StabilizerGroup
 
-PROGENITOR_CAP = 8  # photons; 2^cap generation sequences are scanned
+PROGENITOR_CAP = 8  # photons; the largest code the commands enumerate or analyze (2^(cap-1) codes)
 
 
 class GenerationOp(Enum):
@@ -57,9 +58,6 @@ class GraphState:
             elif w == v:
                 mask |= 1 << u
         return mask
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,42 +145,7 @@ def build_progenitor(ops: str | list[GenerationOp]) -> GraphState:
     return GraphState(len(edges) + 1, frozenset(edges), emitter)
 
 
-# -- isomorphism and enumeration -------------------------------------
-
-
-def is_tree(g: GraphState) -> bool:
-    if len(g.edges) != g.n - 1:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
-
-
-def _rooted_tree_key(g: GraphState, root: int) -> str:
-    """AHU canonical encoding of a tree rooted at ``root``."""
-
-    def encode(v: int, parent: int) -> str:
-        children = sorted(encode(u, v) for u in g.neighbors(v) if u != parent)
-        return "(" + "".join(children) + ")"
-
-    return encode(root, -1)
-
-
-def canonical_key(g: GraphState) -> str:
-    """Canonical string identifying (graph, emitter) up to isomorphism.
-
-    Rooted canonical labeling with the emitter pinned as root.  Every
-    single-emitter progenitor is a tree, so other graphs are rejected.
-    """
-    if not is_tree(g):
-        raise ValueError("marked canonical key implemented for trees only")
-    return "T" + _rooted_tree_key(g, g.emitter)
+# -- caterpillars and enumeration ------------------------------------
 
 
 def caterpillar_spine(g: GraphState) -> list[tuple[int, int]] | None:
@@ -220,11 +183,6 @@ def caterpillar_spine(g: GraphState) -> list[tuple[int, int]] | None:
     return spine
 
 
-def is_caterpillar(g: GraphState) -> bool:
-    """Tree whose non-leaf vertices form a path (chains and stars included)."""
-    return caterpillar_spine(g) is not None
-
-
 @dataclass(frozen=True)
 class ProgenitorRecord:
     """Enumerated progenitor: the graph plus the op sequence that built it.
@@ -237,26 +195,26 @@ class ProgenitorRecord:
     graph: GraphState
 
 
-def enumerate_progenitor_records(n_photons: int, cap: int = PROGENITOR_CAP) -> list[ProgenitorRecord]:
-    """Distinct marked graphs reachable with ``n_photons`` emissions.
+def enumerate_progenitor_records(n_photons: int) -> list[ProgenitorRecord]:
+    """One record per marked graph reachable with ``n_photons`` emissions,
+    up to isomorphism of (graph, emitter).
 
-    Scans every binary LEAF/PATH_EDGE sequence, deduplicates up to
-    isomorphism of (graph, emitter), and keeps the first sequence that
-    reaches each class, in binary-counter order.
+    The sequences are 'L' followed by every (n-1)-letter string in
+    binary-counter order (letter i+1 is 'P' when bit i is set).  A leading
+    P gives the graph of a leading L up to swapping vertices 0 and 1, and
+    two different L-strings are never isomorphic, because the spine walk
+    read from the emitter's end gives the string back.
     """
     if n_photons < 1:
         raise ValueError("need at least one photon")
-    if n_photons > cap:
-        raise ResourceCapExceeded(f"{n_photons} photons exceeds cap {cap}")
-    found: dict[str, ProgenitorRecord] = {}
-    for s in range(1 << n_photons):
-        ops = "".join("P" if (s >> i) & 1 else "L" for i in range(n_photons))
-        g = build_progenitor(ops)
-        key = canonical_key(g)
-        if key not in found:
-            found[key] = ProgenitorRecord(ops, g)
-    return list(found.values())
+    if n_photons > PROGENITOR_CAP:
+        raise ResourceCapExceeded(f"{n_photons} photons exceeds cap {PROGENITOR_CAP}")
+    records = []
+    for s in range(1 << (n_photons - 1)):
+        ops = "L" + "".join("P" if (s >> i) & 1 else "L" for i in range(n_photons - 1))
+        records.append(ProgenitorRecord(ops, build_progenitor(ops)))
+    return records
 
 
-def enumerate_single_emitter_progenitors(n_photons: int, cap: int = PROGENITOR_CAP) -> list[GraphState]:
-    return [rec.graph for rec in enumerate_progenitor_records(n_photons, cap)]
+def enumerate_single_emitter_progenitors(n_photons: int) -> list[GraphState]:
+    return [rec.graph for rec in enumerate_progenitor_records(n_photons)]

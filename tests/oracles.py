@@ -6,20 +6,22 @@ algebra, so the two can check each other.  The availability-state
 oracles decode every one of the 4^n table states digit by digit, once
 per size.  The erasure oracles redo the loss-threshold scan one failure
 basis at a time, in exact ``Fraction`` arithmetic and scalar floats;
-they share only the readable-representative index.  The pattern
-oracles list outcomes object by object, and the decoder oracles build
-the decoder's weight rows one table state at a time and redo the
-region one grid point and one epsilon at a time with the block-loop
-Walsh transform and the 16-term flip enumeration.  The sequence oracles
-find a graph's generation sequence by keying every LEAF/PATH_EDGE
-string of its size, and ``apply_generation_op`` grows a progenitor one
+they share only the readable-representative index, and
+``bernstein_violations`` certifies exactly that every success
+probability is nondecreasing in eta.  The pattern oracles list outcomes
+object by object, and the decoder oracles build the decoder's weight
+rows one table state at a time and redo the region one grid point and
+one epsilon at a time with the block-loop Walsh transform and the
+16-term flip enumeration.  The sequence oracles key every LEAF/PATH_EDGE
+string of a size by AHU tree canonical forms: ``progenitor_scan``
+dedupes them into the marked-graph classes, the scans find a graph's
+generation sequence, and ``apply_generation_op`` grows a progenitor one
 letter at a time.  The dense state-vector oracles replay a compiled
-sequence and build its concatenated target on numpy complex
-amplitudes, in emission order; they share only the instruction loop
-``_run`` with the package's bit-packed state vector.  The rest are
-small helpers that only tests use: JSON round trips, Pauli images
-under local complementation, dual failure bases and state-vector
-expectations.
+sequence and build its concatenated target on numpy complex amplitudes,
+in emission order; they share only the instruction loop ``_run`` with
+the package's bit-packed state vector.  The rest are small helpers that
+only tests use: JSON round trips, Pauli images under local
+complementation, dual failure bases and state-vector expectations.
 """
 
 from __future__ import annotations
@@ -47,14 +49,7 @@ from fusioncodes.fusion import (
     _patterns,
     fusion_table,
 )
-from fusioncodes.graphs import (
-    GenerationOp,
-    GraphState,
-    _rooted_tree_key,
-    build_progenitor,
-    canonical_key,
-    enumerate_progenitor_records,
-)
+from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import LossPolynomial
 from fusioncodes.pauli import PauliOperator, VerificationError, enumerate_group, gf2_reduce
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
@@ -376,6 +371,28 @@ def loss_threshold(table, bias, p_fail: float = 0.5) -> tuple[float, int]:
     return best
 
 
+def bernstein_violations(counts: np.ndarray, n: int, p_fail: Fraction) -> np.ndarray:
+    """Per count row, True where the exact monotonicity certificate fails.
+
+    ``counts[w, s*(n+1)+f]`` as ``CodeFusionTable.counts`` gives it, and
+    ``p_fail`` = p/q.  With c_k q^k = sum over s+f=k of
+    C[s, f] (q-p)^s p^f, the success probability is
+    sum_k c_k x^k (1-x)^(n-k) in x = eta^2, whose Bernstein coefficients
+    are c_k / C(n, k).  If those never decrease in k, success never
+    decreases in eta.  The comparison cross-multiplies integers.
+    """
+    p, q = p_fail.numerator, p_fail.denominator
+    # c_k q^k is at most the row total times q^k, which bounds both products
+    assert int(counts.sum(axis=1).max()) * q**n * comb(n, n // 2) < 1 << 63, "int64 overflow"
+    m = np.zeros(((n + 1) ** 2, n + 1), dtype=np.int64)
+    for s in range(n + 1):
+        for f in range(n + 1 - s):
+            m[s * (n + 1) + f, s + f] = (q - p) ** s * p**f
+    num = counts.astype(np.int64) @ m
+    binom = np.array([comb(n, k) for k in range(n + 1)], dtype=np.int64)
+    return (num[:, :-1] * (q * binom[1:]) > num[:, 1:] * binom[:-1]).any(axis=1)
+
+
 # -- object-level measurement patterns -----------------------------------
 
 
@@ -635,12 +652,60 @@ def apply_generation_op(g: GraphState, op: GenerationOp) -> GraphState:
     return GraphState(g.n + 1, edges, new)
 
 
+def is_tree(g: GraphState) -> bool:
+    if len(g.edges) != g.n - 1:
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in g.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == g.n
+
+
+def _rooted_tree_key(g: GraphState, root: int) -> str:
+    """AHU canonical encoding of a tree rooted at ``root``."""
+
+    def encode(v: int, parent: int) -> str:
+        children = sorted(encode(u, v) for u in g.neighbors(v) if u != parent)
+        return "(" + "".join(children) + ")"
+
+    return encode(root, -1)
+
+
+def canonical_key(g: GraphState) -> str:
+    """Canonical string identifying (graph, emitter) up to isomorphism.
+
+    Rooted canonical labeling with the emitter pinned as root.  Every
+    single-emitter progenitor is a tree, so other graphs are rejected.
+    """
+    if not is_tree(g):
+        raise ValueError("marked canonical key implemented for trees only")
+    return "T" + _rooted_tree_key(g, g.emitter)
+
+
+def progenitor_scan(n_photons: int) -> list[ProgenitorRecord]:
+    """Distinct marked graphs reachable with ``n_photons`` emissions, by
+    brute force: scans every LEAF/PATH_EDGE string, dedupes by
+    ``canonical_key`` and keeps the first string of each class in
+    binary-counter order.  No size cap."""
+    found: dict[str, ProgenitorRecord] = {}
+    for s in range(1 << n_photons):
+        ops = "".join("P" if (s >> i) & 1 else "L" for i in range(n_photons))
+        g = build_progenitor(ops)
+        found.setdefault(canonical_key(g), ProgenitorRecord(ops, g))
+    return list(found.values())
+
+
 def _unmarked_tree_key(g) -> str:
     """Canonical key of a tree ignoring the emitter mark (centroid rooted)."""
     if g.n == 1:
         return "T()"
     # peel leaves down to the one or two centroids
-    degree = {v: g.degree(v) for v in range(g.n)}
+    degree = {v: len(g.neighbors(v)) for v in range(g.n)}
     remaining = set(range(g.n))
     layer = [v for v in remaining if degree[v] <= 1]
     while len(remaining) > 2:
@@ -667,8 +732,7 @@ def _unmarked_index(n_photons: int) -> dict[str, str]:
 
 @lru_cache(maxsize=None)
 def _marked_index(n_photons: int) -> dict[str, str]:
-    records = enumerate_progenitor_records(n_photons, cap=n_photons)
-    return {canonical_key(rec.graph): rec.sequence for rec in records}
+    return {canonical_key(rec.graph): rec.sequence for rec in progenitor_scan(n_photons)}
 
 
 def outer_sequence_scan(g) -> str | None:

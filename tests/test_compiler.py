@@ -37,6 +37,7 @@ from oracles import (
     outer_sequence_scan,
     photon_order,
     photon_statevector,
+    progenitor_scan,
     states_equal_up_to_phase,
     target_statevector,
 )
@@ -136,7 +137,7 @@ class TestSequenceWalk:
                 rng.shuffle(perm)
                 g = relabel(build_progenitor(ops), perm)
                 assert derive_outer_sequence(g) == outer_sequence_scan(g), ops
-                assert derive_marked_sequence(g) == marked_sequence_scan(g), ops
+                assert derive_marked_sequence(g) == marked_sequence_scan(g) == "L" + ops[1:], ops
 
     def test_marked_walk_matches_scan_for_every_emitter(self):
         # includes emitters in mid-spine and on leaves of mid-spine vertices,
@@ -224,7 +225,7 @@ def statevector_sequences(mode):
     inner codes up to the 8-photon cap of the compile command."""
     for m in range(1, AUTO_MAX_PHOTONS + 1):
         sizes = [n for n in range(1, 9) if m * n <= AUTO_MAX_PHOTONS and m * (n + 1) <= AUTO_MAX_WIRES]
-        records = enumerate_progenitor_records(m - 1, cap=m) if m > 1 else []
+        records = progenitor_scan(m - 1) if m > 1 else []
         outers = sorted({derive_outer_sequence(rec.graph) for rec in records} or {""})
         for outer_ops, n in itertools.product(outers, sizes):
             outer = build_progenitor(outer_ops) if outer_ops else GraphState(1, frozenset(), 0)

@@ -8,16 +8,22 @@ from fusioncodes.graphs import (
     GraphState,
     ProgenitorRecord,
     build_progenitor,
-    canonical_key,
+    caterpillar_spine,
     enumerate_progenitor_records,
     enumerate_single_emitter_progenitors,
-    is_caterpillar,
     local_complement,
     stabilizer_generators,
 )
 from fusioncodes.pauli import PauliOperator, ResourceCapExceeded, enumerate_group
 
-from oracles import apply_generation_op, graph_from_json, graph_to_json, lc_pauli_transform
+from oracles import (
+    apply_generation_op,
+    canonical_key,
+    graph_from_json,
+    graph_to_json,
+    lc_pauli_transform,
+    progenitor_scan,
+)
 
 
 def G(n, edges, emitter=0):
@@ -176,7 +182,7 @@ class TestEnumeration:
     def test_every_output_is_a_caterpillar(self):
         for n in range(1, 7):
             for g in enumerate_single_emitter_progenitors(n):
-                assert is_caterpillar(g)
+                assert caterpillar_spine(g) is not None
 
     def test_deterministic_and_sequence_tagged(self):
         a = enumerate_progenitor_records(4)
@@ -184,6 +190,13 @@ class TestEnumeration:
         assert a == b
         assert all(isinstance(r, ProgenitorRecord) for r in a)
         assert all(build_progenitor(r.sequence) == r.graph for r in a)
+
+    def test_closed_form_matches_isomorphism_scan(self, monkeypatch):
+        # the L-prefixed strings are the scan's first string of each class,
+        # in the same order; past the cap too
+        monkeypatch.setattr("fusioncodes.graphs.PROGENITOR_CAP", 10)
+        for n in range(1, 11):
+            assert enumerate_progenitor_records(n) == progenitor_scan(n), n
 
     def test_cap(self):
         with pytest.raises(ResourceCapExceeded):

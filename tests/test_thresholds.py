@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,23 @@ class TestLossThreshold:
         # 1 + 2^-52 at zero loss, so its erasure rate is -2^-52 there
         res = loss_threshold(code_of("LLL"), BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold()), 0.3)
         assert 0.0 < res.gamma_star < 0.1
+
+
+    def test_success_is_monotone_in_eta_certificate(self):
+        # loss_threshold bisects without checking monotonicity; this
+        # certifies it exactly for every (code, failure basis) pair up to
+        # the size cap, for XX, ZZ and their sum (the randomized average)
+        pairs = 0
+        for n in range(1, 9):
+            for rec in enumerate_progenitor_records(n):
+                table = fusion_table(code_from_progenitor(rec.graph, code_id=rec.sequence))
+                cx, cz = table.counts("X"), table.counts("Z")
+                for p_fail in map(Fraction, ("0", "1/4", "3/10", "1/2", "1")):
+                    for label, counts in (("X", cx), ("Z", cz), ("X+Z", cx + cz)):
+                        bad = np.flatnonzero(oracles.bernstein_violations(counts, n, p_fail))
+                        assert not bad.size, (rec.sequence, label, str(p_fail), int(bad[0]))
+                pairs += len(cx)
+        assert pairs == 43690
 
 
 class TestAllBasesAgainstOracle:
@@ -302,26 +320,26 @@ class TestConfig:
             ErrorThresholdConfig(((0.0, -0.1),))
 
     def test_load_config_errors(self, tmp_path):
-        from fusioncodes.thresholds import load_config
+        from fusioncodes.thresholds import read_config
 
         p = tmp_path / "cfg.json"
         p.write_text("{}")
         with pytest.raises(ConfigError, match="p_tilde_randomized"):
-            load_config(p)
+            read_config(p)[:3]
         p.write_text("not json")
         with pytest.raises(ConfigError):
-            load_config(p)
+            read_config(p)[:3]
 
     def test_load_config_roundtrip(self, tmp_path):
         import json
 
-        from fusioncodes.thresholds import config_to_json_dict, load_config
+        from fusioncodes.thresholds import config_to_json_dict, read_config
 
         cfg = default_bias_config()
         err = ErrorThresholdConfig(example_error_threshold_table())
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config_to_json_dict(cfg, err)))
-        rand, passive, err2 = load_config(p)
+        rand, passive, err2 = read_config(p)[:3]
         assert rand.p_tilde_randomized == cfg.p_tilde_randomized
         assert passive.mode is BiasMode.PASSIVE
         assert err2 is not None
