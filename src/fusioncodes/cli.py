@@ -94,14 +94,22 @@ def _write_csv(path: str, header: list[str], rows: list[list], manifest: dict) -
 
 
 def _load_bias(args) -> tuple:
-    """(randomized, passive, error-config, raw-config-dict) from --config or defaults."""
+    """(bias config of --bias, error-config, raw-config-dict) from --config or defaults."""
     from .thresholds import BiasMode, config_to_json_dict, default_bias_config, read_config
 
     if getattr(args, "config", None):
-        return read_config(args.config)
-    rand = default_bias_config(BiasMode.RANDOMIZED)
-    passive = default_bias_config(BiasMode.PASSIVE)
-    return rand, passive, None, config_to_json_dict(rand)
+        rand, passive, err, raw = read_config(args.config)
+    else:
+        rand, passive = default_bias_config(BiasMode.RANDOMIZED), default_bias_config(BiasMode.PASSIVE)
+        err, raw = None, config_to_json_dict(rand)
+    if getattr(args, "bias", "randomized") == "randomized":
+        return rand, err, raw
+    if passive is None:
+        raise ConfigError(
+            "passive mode needs a p_tilde_biased table: the placeholder reaches 1 "
+            f"at p_tilde_randomized {rand.p_tilde_randomized}"
+        )
+    return passive, err, raw
 
 
 def _resolve_code(sequence: str):
@@ -194,8 +202,7 @@ def cmd_analyze(args) -> int:
 def cmd_optimize_w(args) -> int:
     from .thresholds import loss_threshold
 
-    rand, passive, _, raw = _load_bias(args)
-    bias = rand if args.bias == "randomized" else passive
+    bias, _, raw = _load_bias(args)
     code = _resolve_code(args.code)
     result = loss_threshold(code, bias, p_fail=args.p_fail)
     payload = {
@@ -218,8 +225,7 @@ def cmd_threshold(args) -> int:
         print(f"usage error: --n-min {args.n_min} exceeds --n-max {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
     _check_code_size(args.n_max)
-    rand, passive, _, raw = _load_bias(args)
-    bias = rand if args.bias == "randomized" else passive
+    bias, _, raw = _load_bias(args)
     manifest = _manifest(args, "threshold", raw)
     rows = []
     winners = []
@@ -261,7 +267,7 @@ def cmd_region(args) -> int:
 
     if args.n is not None:
         _check_code_size(args.n)
-    rand, _, err, raw = _load_bias(args)
+    rand, err, raw = _load_bias(args)
     if err is None:
         raise ConfigError("missing key: epsilon_M (required for region computation)")
     winner = None

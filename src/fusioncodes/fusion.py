@@ -9,11 +9,11 @@ corresponding logical set is reconstructible qubit by qubit.
 
 Each code keeps one index over the 4^n per-qubit availability states
 (none / ZZ only / XX only / both): the first logical representative
-each state can read out.  Each of the 3^n success/failure/loss patterns
-lands on one state per failure basis, and that placement depends on n
-alone, so one gather over the index yields integer pattern counts for
-all 2^n bases at once, which keeps the basis scan and the erasure
-polynomials exact and fast.
+each state can read out.  With p_fail = a/q, contracting which states
+recover one qubit at a time, each availability digit weighted by its
+outcome's integer probability and mapped to that qubit's failure-basis
+bit, yields the exact success polynomials of all 2^n bases at once in
+Bernstein form, which keeps the basis scan exact and fast.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import GraphCode, logical_set
-from .lpoly import LossPolynomial, eta2_numerators
+from .lpoly import LossPolynomial
 from .pauli import ResourceCapExceeded, enumerate_group, gf2_reduce
 
 FUSION_CAP = 8
@@ -53,18 +53,8 @@ class FusionSpec:
         if any(b not in (0, 1) for b in self.w):
             raise ValueError("failure bases must be 0 (ZZ) or 1 (XX)")
 
-    @property
-    def w_mask(self) -> int:
-        return sum(1 << i for i, b in enumerate(self.w) if b)
-
 
 # -- per-code availability table --------------------------------------
-
-# gather indices held at once while counting all failure bases; at 2^14
-# (128 KiB of int64) the temporaries of one chunk stay on the allocator's
-# heap, while 2^17 took fresh pages for every chunk and ran the n=8 gather
-# 2.5x slower
-GATHER_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=FUSION_CAP)
@@ -84,6 +74,12 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spread = ((trits == 1) * quad).sum(axis=1)
     key = (trits == 2).sum(axis=1) * (n + 1) + (trits == 1).sum(axis=1)
     return low, spread, key
+
+
+def _states(n: int, w) -> tuple[np.ndarray, np.ndarray]:
+    """(state, key) of each of the 3^n patterns placed under failure basis ``w``, states increasing."""
+    low, spread, key = _patterns(n)
+    return low + (spread & sum(4**i for i, b in enumerate(w) if b)), key
 
 
 def _lowest_readable(reps, n: int) -> np.ndarray:
@@ -122,32 +118,38 @@ class CodeFusionTable:
         self.n = n
         self.reps = {"X": logical_set(code, "X"), "Z": logical_set(code, "Z")}
         self.rep_index = {basis: _lowest_readable(self.reps[basis], n) for basis in ("X", "Z")}
-        self._counts: dict[str, np.ndarray] = {}
 
-    def counts(self, basis: str) -> np.ndarray:
-        """int64 C[w, s*(n+1)+f] for every failure basis w at once.
+    def bernstein(self, p_fail) -> tuple[np.ndarray, int]:
+        """(B, q): Bernstein numerators of the XX and ZZ success probabilities of every failure basis.
 
-        Row w counts the patterns with s successes and f failures, placed
-        under w (bit i set: pair i recovers XX), that recover the paired
-        ``basis`` parity.  Cached per basis.
+        With p_fail read as a/q (``limit_denominator(2**30)``), B[0] is X,
+        B[1] is Z, and B[., w, k] sums (q-a)^s a^f over the patterns with
+        s + f = k that recover under w (bit i set: pair i recovers XX), so
+        success = sum_k B[., w, k] q^-k x^k (1-x)^(n-k) in x = eta^2.
+        Contracting qubit k maps its availability digit to bit k of w:
+        NONE weighs 1 at degree +0, the digit that bit's failure recovers
+        a at degree +1, and BOTH q-a at degree +1.  As |B[., w, k]| is at
+        most C(n, k) (|q-a| + |a|)^k, ``eta2_numerators`` stays within
+        (|q-a| + |a| + 2q)^n, (3q)^n for p_fail in [0, 1]: below 2^53 B is
+        int64 (every numerator an exact double), else Python ints.
         """
-        if basis not in self._counts:
-            self._counts[basis] = self._gather_counts(basis)
-        return self._counts[basis]
-
-    def _gather_counts(self, basis: str) -> np.ndarray:
-        n, n_bases, n_keys = self.n, 1 << self.n, (self.n + 1) ** 2
-        low, spread, key = _patterns(n)
-        w_all = np.arange(n_bases, dtype=np.int64)
-        w_spread = ((w_all[:, None] >> np.arange(n)) & 1) @ (4 ** np.arange(n, dtype=np.int64))
-        recovers = self.rep_index[basis] >= 0
-        step = max(1, GATHER_CHUNK // len(low))
-        out = np.empty((n_bases, n_keys), dtype=np.int64)
-        for start in range(0, n_bases, step):
-            w = w_spread[start : start + step, None]
-            flat = (np.arange(len(w))[:, None] * n_keys + key)[recovers[low + (spread & w)]]
-            out[start : start + len(w)] = np.bincount(flat, minlength=len(w) * n_keys).reshape(len(w), n_keys)
-        return out
+        pf = Fraction(p_fail).limit_denominator(1 << 30)
+        a, q, n = pf.numerator, pf.denominator, self.n
+        dtype = np.int64 if (abs(q - a) + abs(a) + 2 * q) ** n < 1 << 53 else object
+        b = np.empty((2, 1 << n, n + 1), dtype=dtype)
+        # one parity at a time: both at once doubled the peak memory, no faster
+        for parity, basis in enumerate(("X", "Z")):
+            r = (self.rep_index[basis] >= 0).astype(dtype)
+            for k in range(n):
+                # axes: qubits above k, qubit k's digit, bits below k of w, degree
+                digit = r.reshape(4 ** (n - k - 1), 4, 1 << k, k + 1)
+                r = np.zeros((4 ** (n - k - 1), 2, 1 << k, k + 2), dtype=dtype)
+                r[..., :-1] = digit[:, AVAIL_NONE, None]
+                r[..., 1:] += (q - a) * digit[:, AVAIL_BOTH, None]
+                r[:, 0, :, 1:] += a * digit[:, AVAIL_ZZ]
+                r[:, 1, :, 1:] += a * digit[:, AVAIL_XX]
+            b[parity] = r.reshape(1 << n, n + 1)
+        return b, q
 
 
 @lru_cache(maxsize=8)
@@ -199,13 +201,14 @@ def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
     if len(spec.w) != code.n_code:
         raise ValueError(f"failure basis length {len(spec.w)} != {code.n_code} code qubits")
     table = fusion_table(code)
-    n, w = code.n_code, spec.w_mask
-    return ErasureReport(
-        code=code,
-        spec=spec,
-        p_success_xx=LossPolynomial.from_counts(n, table.counts("X")[w]),
-        p_success_zz=LossPolynomial.from_counts(n, table.counts("Z")[w]),
-    )
+    n = code.n_code
+    states, key = _states(n, spec.w)
+
+    def poly(basis: str) -> LossPolynomial:
+        recovers = table.rep_index[basis][states] >= 0
+        return LossPolynomial.from_counts(n, np.bincount(key[recovers], minlength=(n + 1) ** 2))
+
+    return ErasureReport(code=code, spec=spec, p_success_xx=poly("X"), p_success_zz=poly("Z"))
 
 
 # -- depolarizing flips ------------------------------------------------
@@ -285,9 +288,7 @@ class ErrorAnalyzer:
         self.p_fail = p_fail
         self.n = n = code.n_code
         table = fusion_table(code)
-        low, spread, key = _patterns(n)
-        # the w-consistent table states, one per pattern, in increasing order
-        states = low + (spread & sum(4**i for i, b in enumerate(self.w) if b))
+        states, key = _states(n, self.w)
         s_all, f_all = divmod(key, n + 1)
         # bit 2i of a state is pair i's ZZ parity, bit 2i+1 its XX parity
         bits = (states[:, None] >> np.arange(2 * n)) & 1
@@ -443,16 +444,10 @@ def error_analysis(code: GraphCode, spec: FusionSpec, epsilon: float) -> ErrorRe
 def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=Fraction(1, 2)) -> bool:
     """Check the exact polynomial swap p_xx <-> p_zz for every basis.
 
-    Compares the integer eta^2 numerators of all 2^n bases at once:
-    the code's XX (ZZ) row under w must equal the dual's ZZ (XX) row
-    under w with the pivot bit flipped.
+    Compares the Bernstein numerators of all 2^n bases at once, which
+    fix the eta^2 numerators: the code's XX (ZZ) row under w must equal
+    the dual's ZZ (XX) row under w with the pivot bit flipped.
     """
-    n = code.n_code
-    flipped = np.arange(1 << n) ^ (1 << swapped_qubit)
-
-    def numerators(c: GraphCode, basis: str) -> np.ndarray:
-        return eta2_numerators(fusion_table(c).counts(basis), n, p_fail)[0]
-
-    return np.array_equal(numerators(code, "X"), numerators(dual, "Z")[flipped]) and np.array_equal(
-        numerators(code, "Z"), numerators(dual, "X")[flipped]
-    )
+    flipped = np.arange(1 << code.n_code) ^ (1 << swapped_qubit)
+    swapped = fusion_table(dual).bernstein(p_fail)[0][::-1, flipped]
+    return np.array_equal(fusion_table(code).bernstein(p_fail)[0], swapped)

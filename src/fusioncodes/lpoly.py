@@ -6,14 +6,14 @@ of patterns are stored as integer counts keyed by (s, f, l), which keeps
 every identity (normalization, dual swaps) exact; numbers only appear
 when a polynomial is evaluated at concrete eta and pf.
 
-Count rows indexed by s*(n+1)+f (one row per failure basis) turn into
-coefficients in x = eta^2 through one integer matrix product, so a whole
-basis scan stays exact until its final, correctly rounded division.
+Bernstein numerator rows (one per failure basis, see
+``CodeFusionTable.bernstein``) turn into coefficients in x = eta^2
+through one triangular integer matrix, so a whole basis scan stays
+exact until its final, correctly rounded division.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -30,7 +30,7 @@ class LossPolynomial:
 
     @classmethod
     def from_counts(cls, n: int, row) -> "LossPolynomial":
-        """From a count row indexed by s*(n+1)+f, as ``eta2_numerators`` takes it."""
+        """From a count row indexed by s*(n+1)+f, as ``erasure_analysis`` bincounts it."""
         poly = cls(n)
         for k, c in enumerate(row):
             if c:
@@ -61,38 +61,30 @@ class LossPolynomial:
         return total
 
 
-def eta2_numerators(counts: np.ndarray, n: int, p_fail) -> tuple[np.ndarray, int]:
-    """Exact eta^2-power coefficients of count rows: numerators N over q^n.
+def eta2_numerators(b: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Exact eta^2-power coefficients of Bernstein rows: numerators N over q^n.
 
-    ``counts[..., s*(n+1)+f]`` counts patterns with s successes and f
-    failures.  ``p_fail`` is read as p/q (``limit_denominator(2**30)``);
-    then N = counts @ M with M[(s, f), j] = (q-p)^s p^f q^l C(l, i) (-1)^i,
-    l = n-s-f, i = j-s-f, constant term first.  As no count exceeds the
-    multinomial n!/(s!f!l!), every |N| is at most (|q-p| + |p| + 2q)^n,
-    which is (3q)^n for p_fail in [0, 1]: below 2^53 the product runs in
-    int64 (and every N is an exact double), otherwise on Python ints.
+    ``b[..., k]`` is the numerator of the x^k (1-x)^(n-k) term over q^k,
+    as ``CodeFusionTable.bernstein`` returns it with its q.  Then
+    N = b @ M with M[k, k+i] = q^(n-k) C(n-k, i) (-1)^i, constant term
+    first, in b's dtype, whose magnitude rule keeps every N exact.
     """
-    pf = Fraction(p_fail).limit_denominator(1 << 30)
-    p, q = pf.numerator, pf.denominator
-    dtype = np.int64 if (abs(q - p) + abs(p) + 2 * q) ** n < 1 << 53 else object
-    m = np.zeros(((n + 1) ** 2, n + 1), dtype=dtype)
-    for s in range(n + 1):
-        for f in range(n + 1 - s):
-            l = n - s - f
-            base = (q - p) ** s * p**f * q**l
-            for i in range(l + 1):
-                m[s * (n + 1) + f, s + f + i] = base * comb(l, i) * (-1) ** i
-    return counts.astype(dtype) @ m, q**n
+    n = b.shape[-1] - 1
+    m = np.zeros((n + 1, n + 1), dtype=b.dtype)
+    for k in range(n + 1):
+        for i in range(n + 1 - k):
+            m[k, k + i] = q ** (n - k) * comb(n - k, i) * (-1) ** i
+    return b @ m, q**n
 
 
-def eta2_float_coeffs(counts: np.ndarray, n: int, p_fail) -> np.ndarray:
+def eta2_float_coeffs(b: np.ndarray, q: int) -> np.ndarray:
     """``eta2_numerators`` as floats, each the correctly rounded N / q^n.
 
     Both routes round once: int64 numerators and q^n are exact doubles,
     so IEEE division rounds correctly, and Python int division does too.
     The floats therefore equal ``float(Fraction(N, q**n))``.
     """
-    num, den = eta2_numerators(counts, n, p_fail)
+    num, den = eta2_numerators(b, q)
     if num.dtype == object:
         return (num / den).astype(np.float64)
     return num / float(den)

@@ -174,9 +174,10 @@ def default_bias_config(mode: BiasMode = BiasMode.RANDOMIZED) -> BiasConfig:
     )
 
 
-def read_config(path) -> tuple[BiasConfig, BiasConfig, ErrorThresholdConfig | None, dict]:
+def read_config(path) -> tuple[BiasConfig, BiasConfig | None, ErrorThresholdConfig | None, dict]:
     """Parse the JSON config: (randomized, passive, error) configs and the
-    parsed JSON object, from one read of the file."""
+    parsed JSON object, from one read of the file.  With no ``p_tilde_biased``
+    the passive config reads the placeholder table, or is None where that is out of range."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -188,9 +189,12 @@ def read_config(path) -> tuple[BiasConfig, BiasConfig, ErrorThresholdConfig | No
         raise ConfigError("missing key: p_tilde_randomized")
     p_tilde = _number(raw["p_tilde_randomized"], "p_tilde_randomized")
     biased_raw = raw.get("p_tilde_biased")
-    biased = _pairs(biased_raw, "p_tilde_biased") if biased_raw else default_passive_table(p_tilde)
+    biased = _pairs(biased_raw, "p_tilde_biased") if biased_raw else ()
     randomized = BiasConfig(BiasMode.RANDOMIZED, p_tilde, biased)
-    passive = BiasConfig(BiasMode.PASSIVE, p_tilde, biased)
+    try:
+        passive = BiasConfig(BiasMode.PASSIVE, p_tilde, biased or default_passive_table(p_tilde))
+    except ConfigError:  # only the placeholder: a written table passed above
+        passive = None
     err = None
     if raw.get("epsilon_M"):
         err = ErrorThresholdConfig(_pairs(raw["epsilon_M"], "epsilon_M"))
@@ -252,8 +256,8 @@ class ThresholdResult:
 
 def _basis_coeffs(code: GraphCode, p_fail: float, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
-    table = fusion_table(code)
-    return tuple(eta2_float_coeffs(table.counts(b)[rows], code.n_code, p_fail) for b in ("X", "Z"))
+    b, q = fusion_table(code).bernstein(p_fail)
+    return tuple(eta2_float_coeffs(b[:, rows], q))
 
 
 def _erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,10 @@ per size.  The erasure oracles redo the loss-threshold scan one failure
 basis at a time, in exact ``Fraction`` arithmetic and scalar floats;
 they share only the readable-representative index, and
 ``bernstein_violations`` certifies exactly that every success
-probability is nondecreasing in eta.  The pattern oracles list outcomes
+probability is nondecreasing in eta.  ``gather_counts`` and
+``count_numerators`` are the (s, f) count gather and its count-matrix
+numerators, the reference the package's Bernstein contraction is
+pinned against.  The pattern oracles list outcomes
 object by object, and the decoder oracles build the decoder's weight
 rows one table state at a time and redo the region one grid point and
 one epsilon at a time with the block-loop Walsh transform and the
@@ -270,6 +273,11 @@ def state_arrays(n: int) -> SimpleNamespace:
     )
 
 
+def basis_mask(w) -> int:
+    """A failure basis as an integer: bit i is pair i's basis."""
+    return sum(1 << i for i, b in enumerate(w) if b)
+
+
 def consistent(n: int, w_mask: int) -> np.ndarray:
     """Table states whose failure outcomes agree with the failure basis."""
     arr = state_arrays(n)
@@ -371,26 +379,64 @@ def loss_threshold(table, bias, p_fail: float = 0.5) -> tuple[float, int]:
     return best
 
 
-def bernstein_violations(counts: np.ndarray, n: int, p_fail: Fraction) -> np.ndarray:
-    """Per count row, True where the exact monotonicity certificate fails.
+def bernstein_violations(b: np.ndarray, q: int) -> np.ndarray:
+    """Per Bernstein row, True where the exact monotonicity certificate fails.
 
-    ``counts[w, s*(n+1)+f]`` as ``CodeFusionTable.counts`` gives it, and
-    ``p_fail`` = p/q.  With c_k q^k = sum over s+f=k of
-    C[s, f] (q-p)^s p^f, the success probability is
-    sum_k c_k x^k (1-x)^(n-k) in x = eta^2, whose Bernstein coefficients
-    are c_k / C(n, k).  If those never decrease in k, success never
-    decreases in eta.  The comparison cross-multiplies integers.
+    ``b[w, k]`` = c_k q^k as ``CodeFusionTable.bernstein`` gives it with
+    its q, so the success probability is sum_k c_k x^k (1-x)^(n-k) in
+    x = eta^2, whose Bernstein coefficients are c_k / C(n, k).  If those
+    never decrease in k, success never decreases in eta: the check is
+    b_{k+1} C(n, k) >= q b_k C(n, k+1), in int64.
     """
-    p, q = p_fail.numerator, p_fail.denominator
-    # c_k q^k is at most the row total times q^k, which bounds both products
-    assert int(counts.sum(axis=1).max()) * q**n * comb(n, n // 2) < 1 << 63, "int64 overflow"
-    m = np.zeros(((n + 1) ** 2, n + 1), dtype=np.int64)
+    n = b.shape[-1] - 1
+    assert int(abs(b).max()) * q * comb(n, n // 2) < 1 << 63, "int64 overflow"
+    binom = np.array([comb(n, k) for k in range(n + 1)], dtype=np.int64)
+    b = b.astype(np.int64)
+    return (b[:, :-1] * (q * binom[1:]) > b[:, 1:] * binom[:-1]).any(axis=1)
+
+
+# -- the count gather the Bernstein engine replaced ------------------------
+
+
+def gather_counts(table, basis: str) -> np.ndarray:
+    """int64 C[w, s*(n+1)+f] for every failure basis w at once.
+
+    Row w counts the patterns with s successes and f failures, placed
+    under w (bit i set: pair i recovers XX), that recover the paired
+    ``basis`` parity: one gather of the readable index at each pattern's
+    w-placed state.
+    """
+    n, n_keys = table.n, (table.n + 1) ** 2
+    low, spread, key = _patterns(n)
+    recovers = table.rep_index[basis] >= 0
+    out = np.empty((1 << n, n_keys), dtype=np.int64)
+    for w in range(1 << n):
+        idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
+        out[w] = np.bincount(key[recovers[idx]], minlength=n_keys)
+    return out
+
+
+def count_numerators(counts: np.ndarray, n: int, p_fail) -> tuple[np.ndarray, int]:
+    """Exact eta^2-power coefficients of count rows: numerators N over q^n.
+
+    ``counts[..., s*(n+1)+f]`` counts patterns with s successes and f
+    failures.  ``p_fail`` is read as p/q (``limit_denominator(2**30)``);
+    then N = counts @ M with M[(s, f), j] = (q-p)^s p^f q^l C(l, i) (-1)^i,
+    l = n-s-f, i = j-s-f, constant term first.  As no count exceeds the
+    multinomial n!/(s!f!l!), every |N| is at most (|q-p| + |p| + 2q)^n:
+    below 2^53 the product runs in int64, otherwise on Python ints.
+    """
+    pf = Fraction(p_fail).limit_denominator(1 << 30)
+    p, q = pf.numerator, pf.denominator
+    dtype = np.int64 if (abs(q - p) + abs(p) + 2 * q) ** n < 1 << 53 else object
+    m = np.zeros(((n + 1) ** 2, n + 1), dtype=dtype)
     for s in range(n + 1):
         for f in range(n + 1 - s):
-            m[s * (n + 1) + f, s + f] = (q - p) ** s * p**f
-    num = counts.astype(np.int64) @ m
-    binom = np.array([comb(n, k) for k in range(n + 1)], dtype=np.int64)
-    return (num[:, :-1] * (q * binom[1:]) > num[:, 1:] * binom[:-1]).any(axis=1)
+            l = n - s - f
+            base = (q - p) ** s * p**f * q**l
+            for i in range(l + 1):
+                m[s * (n + 1) + f, s + f + i] = base * comb(l, i) * (-1) ** i
+    return counts.astype(dtype) @ m, q**n
 
 
 # -- object-level measurement patterns -----------------------------------
@@ -456,7 +502,7 @@ def pattern_outcomes(table, avail_idx: int) -> tuple[Outcome, ...]:
 def measurement_patterns(code, spec: FusionSpec, basis: str):
     """The recovering patterns M_X or M_Z with representatives, in index order."""
     table = fusion_table(code)
-    select = consistent(table.n, spec.w_mask) & (table.rep_index[basis] >= 0)
+    select = consistent(table.n, basis_mask(spec.w)) & (table.rep_index[basis] >= 0)
     out = []
     for avail_idx in np.nonzero(select)[0]:
         outcomes = pattern_outcomes(table, int(avail_idx))
@@ -527,11 +573,10 @@ def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     n = code.n_code
     table = fusion_table(code)
     arr = state_arrays(n)
-    w_mask = sum(1 << i for i, b in enumerate(w) if b)
     stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(code.stabilizers)]
     sides = {}
     for basis in ("X", "Z"):
-        idxs = np.nonzero(consistent(n, w_mask) & (table.rep_index[basis] >= 0))[0]
+        idxs = np.nonzero(consistent(n, basis_mask(w)) & (table.rep_index[basis] >= 0))[0]
         lweight = np.zeros(len(idxs), dtype=np.int8)
         rows = []
         for row, avail in enumerate(idxs):

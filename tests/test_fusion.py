@@ -442,7 +442,7 @@ class TestAllBasesEngine:
             table = fusion_table(code)
             n = code.n_code
             for basis in ("X", "Z"):
-                rows = table.counts(basis)
+                rows = oracles.gather_counts(table, basis)
                 assert rows.shape == (1 << n, (n + 1) ** 2)
                 for w in range(1 << n):
                     assert LossPolynomial.from_counts(n, rows[w]).counts == basis_counts(table, basis, w)
@@ -457,17 +457,32 @@ class TestAllBasesEngine:
         for code in codes:
             table = fusion_table(code)
             n = code.n_code
-            for basis in ("X", "Z"):
-                got = eta2_float_coeffs(table.counts(basis), n, p_fail)
+            for basis, got in zip("XZ", eta2_float_coeffs(*table.bernstein(p_fail))):
                 for w in range(1 << n):
                     want = [float(c) for c in eta2_coeffs(basis_counts(table, basis, w), n, pf)]
                     assert got[w].tolist() == want, (code.code_id, basis, w)
 
     def test_numerator_dtype_follows_magnitude_bound(self):
-        counts = fusion_table(code_of("LLPL")).counts("X")
-        assert eta2_numerators(counts, 4, 0.3)[0].dtype == np.int64
-        num, den = eta2_numerators(counts, 4, 0.1234567)
+        table = fusion_table(code_of("LLPL"))
+        assert eta2_numerators(*table.bernstein(0.3))[0].dtype == np.int64
+        num, den = eta2_numerators(*table.bernstein(0.1234567))
         assert num.dtype == object and den == Fraction(0.1234567).limit_denominator(1 << 30).denominator ** 4
+
+    def test_bernstein_numerators_match_gather_oracle(self):
+        rng = np.random.default_rng(11)
+        codes = small_codes(6)
+        for n in (7, 8):
+            records = enumerate_progenitor_records(n)
+            codes += [code_of(records[i].sequence) for i in rng.choice(len(records), size=6, replace=False)]
+        for code in codes:
+            table = fusion_table(code)
+            n = code.n_code
+            for p_fail in map(Fraction, ("0", "1/4", "3/10", "1/2", "1")):
+                num, den = eta2_numerators(*table.bernstein(p_fail))
+                for basis, got in zip("XZ", num):
+                    want, want_den = oracles.count_numerators(oracles.gather_counts(table, basis), n, p_fail)
+                    assert got.dtype == want.dtype and den == want_den, (code.code_id, str(p_fail))
+                    assert np.array_equal(got, want), (code.code_id, basis, str(p_fail))
 
     def test_rep_index_up_closure_matches_scan(self):
         for code in small_codes(6) + [code_of("LLPLPLPL"), code_of("LLLLLLLL")]:

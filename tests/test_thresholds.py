@@ -147,12 +147,12 @@ class TestLossThreshold:
         for n in range(1, 9):
             for rec in enumerate_progenitor_records(n):
                 table = fusion_table(code_from_progenitor(rec.graph, code_id=rec.sequence))
-                cx, cz = table.counts("X"), table.counts("Z")
                 for p_fail in map(Fraction, ("0", "1/4", "3/10", "1/2", "1")):
-                    for label, counts in (("X", cx), ("Z", cz), ("X+Z", cx + cz)):
-                        bad = np.flatnonzero(oracles.bernstein_violations(counts, n, p_fail))
+                    (bx, bz), q = table.bernstein(p_fail)
+                    for label, b in (("X", bx), ("Z", bz), ("X+Z", bx + bz)):
+                        bad = np.flatnonzero(oracles.bernstein_violations(b, q))
                         assert not bad.size, (rec.sequence, label, str(p_fail), int(bad[0]))
-                pairs += len(cx)
+                pairs += len(bx)
         assert pairs == 43690
 
 
