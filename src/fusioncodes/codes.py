@@ -10,7 +10,6 @@ products) that act trivially on q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import GraphState, local_complement
 from .graphs import stabilizer_generators as graph_stabilizers
@@ -95,12 +94,6 @@ def code_from_progenitor(g: GraphState, code_id: str = "") -> GraphCode:
     )
 
 
-@lru_cache(maxsize=None)
-def _logical_set_cached(code: GraphCode, basis: str) -> tuple[PauliOperator, ...]:
-    anchor = code.logical_x if basis == "X" else code.logical_z
-    return tuple(multiply(anchor, s) for s in enumerate_group(code.stabilizers))
-
-
 def logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
     """All 2^(n-1) representatives of the X or Z logical, stable order.
 
@@ -109,7 +102,8 @@ def logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
     """
     if basis not in ("X", "Z"):
         raise ValueError("basis must be 'X' or 'Z'")
-    return list(_logical_set_cached(code, basis))
+    anchor = code.logical_x if basis == "X" else code.logical_z
+    return [multiply(anchor, s) for s in enumerate_group(code.stabilizers)]
 
 
 def dual_code_with_map(code: GraphCode) -> tuple[GraphCode, int]:

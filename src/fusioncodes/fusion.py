@@ -19,14 +19,13 @@ Bernstein form, which keeps the basis scan exact and fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .codes import GraphCode, logical_set
+from .codes import GraphCode
 from .lpoly import LossPolynomial
-from .pauli import ResourceCapExceeded, enumerate_group, gf2_reduce
+from .pauli import ResourceCapExceeded, gf2_reduce
 
 FUSION_CAP = 8
 
@@ -68,12 +67,12 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Patterns count up in base 3 (trit i is pair i) and each trit maps to
     a larger digit the larger it is, so under every w the indices increase.
     """
-    trits = (np.arange(3**n, dtype=np.int64)[:, None] // 3 ** np.arange(n)) % 3  # 0 loss, 1 fail, 2 success
-    quad = 4 ** np.arange(n, dtype=np.int64)
-    low = (np.array([AVAIL_NONE, AVAIL_ZZ, AVAIL_BOTH])[trits] * quad).sum(axis=1)
-    spread = ((trits == 1) * quad).sum(axis=1)
-    key = (trits == 2).sum(axis=1) * (n + 1) + (trits == 1).sum(axis=1)
-    return low, spread, key
+    low, spread, succ, fail = (np.zeros(1, dtype=np.int64) for _ in range(4))
+    for i in range(n):  # pattern t * 3^i + p, trit t = 0 loss, 1 fail, 2 success: no (3^n, n) temporaries
+        low = np.concatenate([low + AVAIL_NONE * 4**i, low + AVAIL_ZZ * 4**i, low + AVAIL_BOTH * 4**i])
+        spread = np.concatenate([spread, spread + 4**i, spread])
+        succ, fail = np.concatenate([succ, succ, succ + 1]), np.concatenate([fail, fail + 1, fail])
+    return low, spread, succ * (n + 1) + fail
 
 
 def _states(n: int, w) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +81,16 @@ def _states(n: int, w) -> tuple[np.ndarray, np.ndarray]:
     return low + (spread & sum(4**i for i, b in enumerate(w) if b)), key
 
 
-def _lowest_readable(reps, n: int) -> np.ndarray:
-    """int16 index of the first of ``reps`` each of the 4^n states can read out, else -1.
+def _span(gens: list[int]) -> list[int]:
+    """Every XOR of a subset of ``gens``: subset s (bit j selects gens[j]) at index s."""
+    span = [0]
+    for g in gens:
+        span += [v ^ g for v in span]
+    return span
+
+
+def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
+    """int16 index of the first of ``reps`` (packed x | z << n) each of the 4^n states can read out, else -1.
 
     A representative is readable exactly on the states at or above its
     minimal one (per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH) in the
@@ -94,8 +101,9 @@ def _lowest_readable(reps, n: int) -> np.ndarray:
     unread = len(reps)
     best = np.full(4**n, unread, dtype=np.int16)
     bits = np.arange(n)
-    x = (np.array([p.x_bits for p in reps])[:, None] >> bits) & 1
-    z = (np.array([p.z_bits for p in reps])[:, None] >> bits) & 1
+    packed = np.array(reps)[:, None]
+    x = (packed >> bits) & 1
+    z = (packed >> (bits + n)) & 1
     minimal = ((AVAIL_XX * x + AVAIL_ZZ * z) * 4**bits).sum(axis=1)
     np.minimum.at(best, minimal, np.arange(unread, dtype=np.int16))
     for i in range(n):
@@ -108,7 +116,8 @@ def _lowest_readable(reps, n: int) -> np.ndarray:
 
 
 class CodeFusionTable:
-    """Readable-representative index of one code over the 4^n availability states."""
+    """Readable-representative index of one code over the 4^n availability states; Paulis are ints
+    x | z << n: ``stab[s]`` is generator subset s, ``reps[basis][k]`` the anchor logical ^ stab[k]."""
 
     def __init__(self, code: GraphCode):
         n = code.n_code
@@ -116,7 +125,9 @@ class CodeFusionTable:
             raise ResourceCapExceeded(f"{n} code qubits exceeds cap {FUSION_CAP}")
         self.code = code
         self.n = n
-        self.reps = {"X": logical_set(code, "X"), "Z": logical_set(code, "Z")}
+        self.stab = _span([g.x_bits | g.z_bits << n for g in code.stabilizers.generators])
+        anchors = {"X": code.logical_x, "Z": code.logical_z}
+        self.reps = {b: [(p.x_bits | p.z_bits << n) ^ s for s in self.stab] for b, p in anchors.items()}
         self.rep_index = {basis: _lowest_readable(self.reps[basis], n) for basis in ("X", "Z")}
 
     def bernstein(self, p_fail) -> tuple[np.ndarray, int]:
@@ -133,8 +144,12 @@ class CodeFusionTable:
         (|q-a| + |a| + 2q)^n, (3q)^n for p_fail in [0, 1]: below 2^53 B is
         int64 (every numerator an exact double), else Python ints.
         """
-        pf = Fraction(p_fail).limit_denominator(1 << 30)
-        a, q, n = pf.numerator, pf.denominator, self.n
+        a, q = p_fail.as_integer_ratio()  # exact, so a dyadic p_fail such as 1/2 loads no fractions module
+        if q > 1 << 30:
+            from fractions import Fraction
+
+            a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
+        n = self.n
         dtype = np.int64 if (abs(q - a) + abs(a) + 2 * q) ** n < 1 << 53 else object
         b = np.empty((2, 1 << n, n + 1), dtype=dtype)
         # one parity at a time: both at once doubled the peak memory, no faster
@@ -295,40 +310,28 @@ class ErrorAnalyzer:
         az = (bits[:, 0::2] << np.arange(n)).sum(axis=1, dtype=np.int16)
         ax = (bits[:, 1::2] << np.arange(n)).sum(axis=1, dtype=np.int16)
 
-        stab_elems = enumerate_group(code.stabilizers)
-        sx = np.array([p.x_bits for p in stab_elems], dtype=np.int16)
-        sz = np.array([p.z_bits for p in stab_elems], dtype=np.int16)
+        mask_n = (1 << n) - 1
+        elems = np.array(table.stab)
+        sx = (elems & mask_n).astype(np.int16)
+        sz = (elems >> n).astype(np.int16)
         # readable[k, e]: element e needs only parities that state k recovers
         readable = ((sx & ~ax[:, None]) | (sz & ~az[:, None])) == 0
-        elems = np.array([p.x_bits | (p.z_bits << n) for p in stab_elems])
-        mask_n = (1 << n) - 1
+
+        def weight(v: int) -> int:
+            return ((v & mask_n) | (v >> n)).bit_count()
 
         self._sides = {}
         for basis in ("X", "Z"):
             rep_of = table.rep_index[basis][states]
             select = np.nonzero(rep_of >= 0)[0]
-            reps = table.reps[basis]
+            reps = [table.reps[basis][k] for k in rep_of[select].tolist()]
+            lweight = np.array([weight(rep) for rep in reps], dtype=np.int8)
             groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-            lweight = np.zeros(len(select), dtype=np.int8)
-            for row, k in enumerate(select):
-                rep = reps[int(rep_of[k])]
-                lweight[row] = rep.weight
+            for row, (k, rep) in enumerate(zip(select, reps)):
                 gens = gf2_reduce(elems[readable[k]].tolist())
-                r = len(gens)
-                base = [(g & mask_n, g >> n) for g in gens]
-                # subgroup <gens> x {1, rep}: bit j < r -> generator j, top bit -> rep
-                weights = np.zeros(1 << (r + 1), dtype=np.int8)
-                cur = [(0, 0)] * (1 << r)
-                for y in range(1, 1 << r):
-                    low_bit = (y & -y).bit_length() - 1
-                    px, pz = cur[y & (y - 1)]
-                    cur[y] = (px ^ base[low_bit][0], pz ^ base[low_bit][1])
-                for y in range(1 << r):
-                    x0, z0 = cur[y]
-                    weights[y] = (x0 | z0).bit_count()
-                    x1, z1 = x0 ^ rep.x_bits, z0 ^ rep.z_bits
-                    weights[y | (1 << r)] = (x1 | z1).bit_count()
-                groups.setdefault(r, []).append((row, weights))
+                # subgroup <gens> x {1, rep}: bit j < len(gens) -> gens[j], top bit -> rep
+                weights = np.array([weight(v) for v in _span(gens + [rep])], dtype=np.int8)
+                groups.setdefault(len(gens), []).append((row, weights))
             packed = {}
             for r, items in groups.items():
                 rows = np.array([row for row, _ in items], dtype=np.int64)
@@ -441,7 +444,7 @@ def error_analysis(code: GraphCode, spec: FusionSpec, epsilon: float) -> ErrorRe
 # -- dual-code consistency ---------------------------------------------
 
 
-def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=Fraction(1, 2)) -> bool:
+def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=0.5) -> bool:
     """Check the exact polynomial swap p_xx <-> p_zz for every basis.
 
     Compares the Bernstein numerators of all 2^n bases at once, which

@@ -188,16 +188,14 @@ def read_config(path) -> tuple[BiasConfig, BiasConfig | None, ErrorThresholdConf
     if "p_tilde_randomized" not in raw:
         raise ConfigError("missing key: p_tilde_randomized")
     p_tilde = _number(raw["p_tilde_randomized"], "p_tilde_randomized")
-    biased_raw = raw.get("p_tilde_biased")
-    biased = _pairs(biased_raw, "p_tilde_biased") if biased_raw else ()
+    biased = _pairs(raw.get("p_tilde_biased"), "p_tilde_biased")
     randomized = BiasConfig(BiasMode.RANDOMIZED, p_tilde, biased)
     try:
         passive = BiasConfig(BiasMode.PASSIVE, p_tilde, biased or default_passive_table(p_tilde))
     except ConfigError:  # only the placeholder: a written table passed above
         passive = None
-    err = None
-    if raw.get("epsilon_M"):
-        err = ErrorThresholdConfig(_pairs(raw["epsilon_M"], "epsilon_M"))
+    eps_rows = _pairs(raw.get("epsilon_M"), "epsilon_M")
+    err = ErrorThresholdConfig(eps_rows) if eps_rows else None
     return randomized, passive, err, raw
 
 
@@ -214,6 +212,8 @@ def _number(value, what: str) -> float:
 
 
 def _pairs(rows, what: str) -> tuple[tuple[float, float], ...]:
+    if rows is None:  # a missing key or null
+        return ()
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 2 for r in rows):
         raise ConfigError(f"{what} must be a list of [x, y] number pairs")
     return tuple((_number(a, what), _number(b, what)) for a, b in rows)
@@ -248,16 +248,18 @@ class ThresholdResult:
     gamma_star: float
     bias_mode: BiasMode
     diagnostics: dict = field(default_factory=dict)
+    # (cx, cz): w_star's eta^2 coefficient rows, 1 x (n+1) each, for correctable_region; in no output
+    coeffs: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma_star < 1.0:
             raise ValueError(f"gamma_star out of range: {self.gamma_star}")
 
 
-def _basis_coeffs(code: GraphCode, p_fail: float, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _basis_coeffs(code: GraphCode, p_fail: float) -> tuple[np.ndarray, np.ndarray]:
     """eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
     b, q = fusion_table(code).bernstein(p_fail)
-    return tuple(eta2_float_coeffs(b[:, rows], q))
+    return tuple(eta2_float_coeffs(b, q))
 
 
 def _erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +316,8 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
     for w in range(1, 1 << n):
         if g[w] > g[best] + 1e-12:
             best = w
-    p_xx, p_zz = (float(r[0]) for r in _erasure_rates(cx[best : best + 1], cz[best : best + 1], g[best]))
+    coeffs = (cx[best : best + 1].copy(), cz[best : best + 1].copy())  # a view would keep every basis's rows
+    p_xx, p_zz = (float(r[0]) for r in _erasure_rates(*coeffs, g[best]))
     return ThresholdResult(
         code_id=code.code_id,
         n_code=n,
@@ -328,6 +331,7 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
             "bias_ratio": float(bias_ratio(p_xx, p_zz)),
             "feasible_at_zero_loss": bool(ok[best]),
         },
+        coeffs=coeffs,
     )
 
 
@@ -420,10 +424,8 @@ def correctable_region(
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []
-    w = sum(1 << i for i, b in enumerate(result.w_star) if b)
-    cx, cz = _basis_coeffs(code, p_fail, slice(w, w + 1))
     gammas = gamma_star * np.arange(grid_points) / (grid_points - 1)
-    eps_m = err.epsilon_m(randomized_bias_rate(*_erasure_rates(cx, cz, gammas)))
+    eps_m = err.epsilon_m(randomized_bias_rate(*_erasure_rates(*result.coeffs, gammas)))
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
     boundary = np.concatenate(
         [

@@ -41,6 +41,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from fusioncodes.codes import logical_set
 from fusioncodes.compiler import _run
 from fusioncodes.fusion import (
     AVAIL_BOTH,
@@ -398,6 +399,16 @@ def bernstein_violations(b: np.ndarray, q: int) -> np.ndarray:
 # -- the count gather the Bernstein engine replaced ------------------------
 
 
+def trit_patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fusion._patterns`` read off the (3^n, n) trit matrix of every pattern at once."""
+    trits = (np.arange(3**n, dtype=np.int64)[:, None] // 3 ** np.arange(n)) % 3  # 0 loss, 1 fail, 2 success
+    quad = 4 ** np.arange(n, dtype=np.int64)
+    low = (np.array([AVAIL_NONE, AVAIL_ZZ, AVAIL_BOTH])[trits] * quad).sum(axis=1)
+    spread = ((trits == 1) * quad).sum(axis=1)
+    key = (trits == 2).sum(axis=1) * (n + 1) + (trits == 1).sum(axis=1)
+    return low, spread, key
+
+
 def gather_counts(table, basis: str) -> np.ndarray:
     """int64 C[w, s*(n+1)+f] for every failure basis w at once.
 
@@ -503,10 +514,11 @@ def measurement_patterns(code, spec: FusionSpec, basis: str):
     """The recovering patterns M_X or M_Z with representatives, in index order."""
     table = fusion_table(code)
     select = consistent(table.n, basis_mask(spec.w)) & (table.rep_index[basis] >= 0)
+    reps = logical_set(code, basis)
     out = []
     for avail_idx in np.nonzero(select)[0]:
         outcomes = pattern_outcomes(table, int(avail_idx))
-        rep = table.reps[basis][int(table.rep_index[basis][avail_idx])]
+        rep = reps[int(table.rep_index[basis][avail_idx])]
         out.append((MeasurementPattern(outcomes, pattern_probability(outcomes, spec)), rep))
     return out
 
@@ -515,7 +527,7 @@ def rep_index_scan(table, basis: str) -> np.ndarray:
     """Lowest representative each table state can read out, by one full-table scan per representative."""
     arr = state_arrays(table.n)
     rep = np.full(4**table.n, -1, dtype=np.int16)
-    for k, p in enumerate(table.reps[basis]):
+    for k, p in enumerate(logical_set(table.code, basis)):
         cov = ((p.x_bits & ~arr.ax_mask) == 0) & ((p.z_bits & ~arr.az_mask) == 0)
         rep[cov & (rep < 0)] = k
     return rep
@@ -576,12 +588,13 @@ def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(code.stabilizers)]
     sides = {}
     for basis in ("X", "Z"):
+        reps = logical_set(code, basis)
         idxs = np.nonzero(consistent(n, basis_mask(w)) & (table.rep_index[basis] >= 0))[0]
         lweight = np.zeros(len(idxs), dtype=np.int8)
         rows = []
         for row, avail in enumerate(idxs):
             ax, az = int(arr.ax_mask[avail]), int(arr.az_mask[avail])
-            rep = table.reps[basis][int(table.rep_index[basis][avail])]
+            rep = reps[int(table.rep_index[basis][avail])]
             lweight[row] = rep.weight
             gens = gf2_reduce([x | (z << n) for (x, z) in stab_xz if (x & ~ax) == 0 and (z & ~az) == 0])
             base = [(g & ((1 << n) - 1), g >> n) for g in gens]
@@ -658,7 +671,7 @@ def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=
     if gamma_star <= 0.0:
         return []
     w = sum(1 << i for i, b in enumerate(result.w_star) if b)
-    cx, cz = _basis_coeffs(code, p_fail, slice(w, w + 1))
+    cx, cz = (c[w : w + 1] for c in _basis_coeffs(code, p_fail))
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
     points = []
     for i in range(grid_points):

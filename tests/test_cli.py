@@ -130,13 +130,26 @@ class TestThreshold:
         out = tmp_path / "t.csv"
         assert main(["threshold", "--config", str(bad), "--n-max", "1", "--out", str(out)]) == 3
 
+    # falsy values too: only a missing key, null and [] read as no rows
     @pytest.mark.parametrize("key", ["p_tilde_biased", "epsilon_M"])
-    @pytest.mark.parametrize("rows", [[[0.1]], [[0.1, "x"]], [0.1, 0.2], {"a": 1}, [[0.1, 1e999]]])
-    def test_malformed_config_rows_are_config_errors(self, tmp_path, key, rows):
+    @pytest.mark.parametrize("rows", [[[0.1]], [[0.1, "x"]], [0.1, 0.2], {"a": 1}, [[0.1, 1e999]], 0, False, "", {}])
+    def test_malformed_config_rows_are_config_errors(self, tmp_path, capsys, key, rows):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p_tilde_randomized": 0.14, key: rows}))
         out = tmp_path / "t.csv"
         assert main(["threshold", "--config", str(cfg), "--n-max", "2", "--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["p_tilde_biased", "epsilon_M"])
+    @pytest.mark.parametrize("value", [None, []])
+    def test_null_and_empty_config_rows_read_as_absent(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_tilde_randomized": 0.14, key: value}))
+        # passive mode falls back to the placeholder table; region needs epsilon_M rows
+        argv = ["optimize-w", "--code", "LL", "--bias", "passive", "--config", str(cfg), "--out", str(tmp_path / "w")]
+        assert main(argv) == 0
+        assert main(["region", "--code", "LL", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "missing key: epsilon_M" in capsys.readouterr().err
 
     def test_undecodable_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -359,6 +372,22 @@ from fusioncodes.cli import main
 assert "numpy" not in sys.modules
 assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
 assert "numpy" in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_dyadic_p_fail_skips_fractions(self, tmp_path):
+        # 1/2 and 1/4 are exact binary ratios; 0.3 needs Fraction.limit_denominator
+        _fresh_python(
+            """
+import sys
+from fusioncodes.cli import main
+for p_fail in ("0.5", "0.25"):
+    assert main(["optimize-w", "--code", "LLPL", "--p-fail", p_fail, "--out", "w.json"]) == 0
+    assert main(["duals", "--n", "3", "--out", "d.json"]) == 0
+    assert "fractions" not in sys.modules and "decimal" not in sys.modules
+assert main(["optimize-w", "--code", "LLPL", "--p-fail", "0.3", "--out", "w.json"]) == 0
+assert "fractions" in sys.modules
 """,
             tmp_path,
         )

@@ -10,6 +10,7 @@ from fusioncodes.fusion import (
     FusionSpec,
     _flip_bias,
     _fwht_rows,
+    _patterns,
     erasure_analysis,
     error_analysis,
     fusion_table,
@@ -483,6 +484,24 @@ class TestAllBasesEngine:
                     want, want_den = oracles.count_numerators(oracles.gather_counts(table, basis), n, p_fail)
                     assert got.dtype == want.dtype and den == want_den, (code.code_id, str(p_fail))
                     assert np.array_equal(got, want), (code.code_id, basis, str(p_fail))
+
+    def test_patterns_match_trit_matrix(self):
+        for n in range(1, 9):
+            for got, want in zip(_patterns(n), oracles.trit_patterns(n)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+    def test_packed_sets_match_group_and_logical_set_order(self):
+        rng = np.random.default_rng(12)
+        codes = small_codes(6)
+        for n in (7, 8):
+            records = enumerate_progenitor_records(n)
+            codes += [code_of(records[i].sequence) for i in rng.choice(len(records), size=6, replace=False)]
+        for code in codes:
+            table, n = fusion_table(code), code.n_code
+            assert table.stab == [p.x_bits | p.z_bits << n for p in enumerate_group(code.stabilizers)], code.code_id
+            for basis in ("X", "Z"):
+                want = [p.x_bits | p.z_bits << n for p in logical_set(code, basis)]
+                assert table.reps[basis] == want, (code.code_id, basis)
 
     def test_rep_index_up_closure_matches_scan(self):
         for code in small_codes(6) + [code_of("LLPLPLPL"), code_of("LLLLLLLL")]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code
-from fusioncodes.fusion import fusion_table
+from fusioncodes.fusion import CodeFusionTable, fusion_table
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
@@ -245,6 +245,26 @@ class TestRegion:
         bias = BiasConfig(BiasMode.RANDOMIZED, 0.1)
         err = ErrorThresholdConfig(example_error_threshold_table())
         assert correctable_region(code, bias, err) == []
+
+    def test_contracts_only_in_the_threshold_search(self, monkeypatch):
+        # the region reads the winner's coefficient rows off its result
+        calls = []
+        real = CodeFusionTable.bernstein
+
+        def counting(table, p_fail):
+            calls.append(table.code.code_id)
+            return real(table, p_fail)
+
+        monkeypatch.setattr(CodeFusionTable, "bernstein", counting)
+        code = code_of("LLPL")
+        bias = BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold())
+        err = ErrorThresholdConfig(example_error_threshold_table())
+        alone = correctable_region(code, bias, err, grid_points=5)
+        assert calls == ["LLPL"]
+        result = loss_threshold(code, bias)
+        calls.clear()
+        assert correctable_region(code, bias, err, grid_points=5, result=result) == alone
+        assert calls == []
 
     def test_passive_mode_rejected(self):
         pt = invert_baseline_threshold()
