@@ -7,8 +7,9 @@ runs with identical inputs produce byte-identical files.
 
 Exit codes: 0 ok, 2 usage (including a --p-fail or --eta-grid value
 outside [0, 1] or not a number), 3 config (unreadable or malformed
-config, outer-graph or code input), 4 resource cap, 5 verification
-failure.
+config, outer-graph or code input), 4 resource cap (a code id longer
+than 8 photons, a size above 8, more than ``GRID_POINTS_CAP`` region
+grid points), 5 verification failure.
 
 The analysis modules (``fusion``, ``thresholds``) and numpy, and the
 ``compiler``, are imported inside the commands that use them:
@@ -43,6 +44,8 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
+
+GRID_POINTS_CAP = 10_001  # region grid: a gamma step of gamma*/10^4, far below the epsilon bisection's resolution
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -113,6 +116,7 @@ def _load_bias(args) -> tuple:
 
 
 def _resolve_code(sequence: str):
+    _check_code_size(len(sequence))
     try:
         return code_from_progenitor(build_progenitor(sequence), code_id=sequence)
     except ValueError as exc:
@@ -265,6 +269,8 @@ def cmd_threshold(args) -> int:
 def cmd_region(args) -> int:
     from .thresholds import correctable_region, search_best_code
 
+    if args.grid_points > GRID_POINTS_CAP:
+        raise ResourceCapExceeded(f"{args.grid_points} grid points exceeds cap {GRID_POINTS_CAP}")
     if args.n is not None:
         _check_code_size(args.n)
     rand, err, raw = _load_bias(args)
@@ -292,7 +298,6 @@ def cmd_compile(args) -> int:
     from .compiler import Mode, compile_generation, count_resources, verify_sequence
 
     outer = _load_outer(args.outer)
-    _check_code_size(len(args.inner))
     inner = _resolve_code(args.inner)
     mode = Mode(args.mode)
     seq = compile_generation(outer, inner, mode)

@@ -24,10 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import GraphCode
+from .graphs import PROGENITOR_CAP
 from .lpoly import LossPolynomial
 from .pauli import ResourceCapExceeded, gf2_reduce
-
-FUSION_CAP = 8
 
 # availability digits, one per fused pair
 AVAIL_NONE = 0  # photon loss: no parity
@@ -56,7 +55,7 @@ class FusionSpec:
 # -- per-code availability table --------------------------------------
 
 
-@lru_cache(maxsize=FUSION_CAP)
+@lru_cache(maxsize=PROGENITOR_CAP)
 def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(low, spread, key) over the 3^n success/failure/loss patterns.
 
@@ -121,8 +120,8 @@ class CodeFusionTable:
 
     def __init__(self, code: GraphCode):
         n = code.n_code
-        if n > FUSION_CAP:
-            raise ResourceCapExceeded(f"{n} code qubits exceeds cap {FUSION_CAP}")
+        if n > PROGENITOR_CAP:
+            raise ResourceCapExceeded(f"{n} code qubits exceeds cap {PROGENITOR_CAP}")
         self.code = code
         self.n = n
         self.stab = _span([g.x_bits | g.z_bits << n for g in code.stabilizers.generators])

@@ -1,10 +1,10 @@
 """Exact bit-packed state vector for real, flat states.
 
 Every state the verifier reaches starts as |+>^n and then sees only CZ
-gates, X projections with outcome +/-1 and Z gates, so all of its
-amplitudes are 0 or +/-a for one a > 0.  Such a state is two ints of
-2^n bits: ``support`` marks the basis indices with a nonzero amplitude
-and ``negative`` those whose amplitude is -a; a = 1/sqrt(|support|).
+gates and X projections postselected on +1, so all of its amplitudes
+are 0 or +/-a for one a > 0.  Such a state is two ints of 2^n bits:
+``support`` marks the basis indices with a nonzero amplitude and
+``negative`` those whose amplitude is -a; a = 1/sqrt(|support|).
 Wire q has stride 2^q (little-endian): basis index b has wire q in
 state (b >> q) & 1.  Every operation is a few big-int shifts and masks,
 with no floating point and no numpy.
@@ -20,23 +20,15 @@ MAX_WIRES = 24  # 2^24-bit ints, 2 MB each
 
 
 class FlatState:
-    """A real flat state on ``n`` wires, all in |+> at the start.
+    """A real flat state on ``n`` wires, all in |+> at the start."""
 
-    As a replay backend, ``measure_x`` takes the outcome listed in
-    ``outcome_overrides`` under its index, +1 otherwise; a -1 outcome
-    leaves |->, which ``reinit`` turns back into |+>.
-    """
-
-    def __init__(self, n: int, outcome_overrides: dict[int, int] | None = None):
+    def __init__(self, n: int):
         if n > MAX_WIRES:
             raise VerificationError(f"state-vector verification limited to {MAX_WIRES} wires")
         self.n = n
         self.full = (1 << (1 << n)) - 1
         self.support = self.full
         self.negative = 0
-        self.overrides = outcome_overrides or {}
-        self.outcomes: list[int] = []
-        self.minus: set[int] = set()
         self._high: dict[int, int] = {}
 
     @classmethod
@@ -66,46 +58,33 @@ class FlatState:
     def cz(self, a: int, b: int) -> None:
         self.negative ^= self.high(a) & self.high(b) & self.support
 
-    def z(self, q: int) -> None:
-        self.negative ^= self.high(q) & self.support
-
-    def project_x(self, q: int, outcome: int = +1) -> None:
-        """Project wire q onto X = ``outcome``, keeping the state flat.
+    def measure_x(self, q: int) -> None:
+        """Project wire q onto X = +1, keeping the state flat.
 
         Each index with wire q clear is paired with its partner across q.
-        A pair with both amplitudes present keeps them when they agree
-        (equal for +1, opposite for -1) and cancels otherwise; a lone
-        amplitude spreads over its pair at half height.  A result with
-        both kept pairs and spread lone amplitudes is not flat.
+        A pair with both amplitudes present keeps them when they are equal
+        and cancels otherwise; a lone amplitude spreads over its pair at
+        half height.  A result with both kept pairs and spread lone
+        amplitudes is not flat.
         """
         d = 1 << q
         high = self.high(q)
         low = self.full ^ high
         s0, s1 = self.support & low, (self.support & high) >> d
         n0, n1 = self.negative & low, (self.negative & high) >> d
-        flip = low if outcome == -1 else 0  # signs of the partner that agree
         both, lone = s0 & s1, s0 ^ s1
-        kept = both & ~(n0 ^ n1 ^ flip)
+        kept = both & ~(n0 ^ n1)
         if kept and lone:
             raise VerificationError(f"X projection of wire {q} leaves a state that is not flat")
         pairs = kept | lone
         if not pairs:
             raise VerificationError("measurement branch has zero probability")
-        neg_low = ((n0 & s0) | ((n1 ^ flip) & ~s0)) & pairs
+        neg_low = ((n0 & s0) | (n1 & ~s0)) & pairs
         self.support = pairs | pairs << d
-        self.negative = neg_low | ((neg_low ^ flip) & pairs) << d
-
-    def measure_x(self, q: int) -> None:
-        outcome = self.overrides.get(len(self.outcomes), +1)
-        self.outcomes.append(outcome)
-        self.project_x(q, outcome)
-        if outcome == -1:
-            self.minus.add(q)
+        self.negative = neg_low | neg_low << d
 
     def reinit(self, q: int) -> None:
-        if q in self.minus:
-            self.z(q)
-            self.minus.discard(q)
+        """No-op: the only measurements are +1 X projections, which leave |+>."""
 
     def overlap(self, other: "FlatState") -> float:
         """|<self|other>| of the two normalized states."""

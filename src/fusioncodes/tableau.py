@@ -8,11 +8,14 @@ bit-packed Pauli arithmetic.  Two pure states on the same wires are
 equal iff every generator of one is a +1 element of the other's group,
 so ``first_non_member`` is an exact, sign-exact state-equality check
 (the deterministic-measurement test of Aaronson and Gottesman's CHP).
+Membership runs on ``pauli.gf2_reduce`` over the generators, each tagged
+with its index below its Pauli bits; the row's sign is then that of
+the product of the generators its tags name.
 """
 
 from __future__ import annotations
 
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator, gf2_reduce, multiply
 
 
 class BranchImpossible(RuntimeError):
@@ -83,34 +86,27 @@ class StabilizerTableau:
         """Index and residue of the first of ``rows`` that is not a +1
         element of this group, or None.  The residue is -I for a row the
         group holds with sign -1, and not proportional to I for a row it
-        does not hold at all."""
-        basis = _echelon(self.rows)
+        does not hold at all.  The n generators are independent, so every
+        pivot leads with a Pauli bit and a row is in the group iff its
+        Pauli part reduces to zero; they commute, so the order of the
+        tagged product does not matter.
+        """
+        n = self.n
+        basis = gf2_reduce([_key(g) << n | 1 << r for r, g in enumerate(self.rows)])
+        pivots = {b.bit_length() - 1: b for b in basis}
         for k, row in enumerate(rows):
-            rest = _reduce(row, basis)
-            if _key(rest) or rest.phase:
-                return k, rest
+            rest = _key(row) << n
+            while rest >> n and (rest.bit_length() - 1) in pivots:
+                rest ^= pivots[rest.bit_length() - 1]
+            if rest >> n:
+                return k, PauliOperator(n, rest >> n & ((1 << n) - 1), rest >> 2 * n)
+            while rest:  # the tag bits: multiply by the generators they name
+                row = multiply(row, self.rows[(rest & -rest).bit_length() - 1])
+                rest &= rest - 1
+            if row.phase:
+                return k, PauliOperator(n, 0, 0, 2)
         return None
 
 
 def _key(row: PauliOperator) -> int:
     return row.x_bits | (row.z_bits << row.n)
-
-
-def _reduce(row: PauliOperator, basis: dict[int, PauliOperator]) -> PauliOperator:
-    """Multiply ``row`` by basis rows while its leading bit has a pivot."""
-    key = _key(row)
-    while key and (key.bit_length() - 1) in basis:
-        row = multiply(row, basis[key.bit_length() - 1])
-        key = _key(row)
-    return row
-
-
-def _echelon(rows: list[PauliOperator]) -> dict[int, PauliOperator]:
-    """Signed row echelon basis of ``rows``, keyed by leading bit of x | z << n."""
-    basis: dict[int, PauliOperator] = {}
-    for row in rows:
-        cur = _reduce(row, basis)
-        key = _key(cur)
-        if key:
-            basis[key.bit_length() - 1] = cur
-    return basis

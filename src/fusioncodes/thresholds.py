@@ -20,7 +20,7 @@ import numpy as np
 
 from .codes import GraphCode, code_from_progenitor
 from .fusion import ErrorAnalyzer, fusion_table
-from .graphs import enumerate_progenitor_records
+from .graphs import PROGENITOR_CAP, enumerate_progenitor_records
 from .lpoly import eta2_float_coeffs
 from .pauli import ConfigError
 
@@ -340,8 +340,8 @@ def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list
 
     Results are sorted by decreasing threshold, ties broken by code id.
     """
-    if n_code < 1 or n_code > 8:
-        raise ValueError("code size must be between 1 and 8")
+    if n_code < 1 or n_code > PROGENITOR_CAP:
+        raise ValueError(f"code size must be between 1 and {PROGENITOR_CAP}")
     records = enumerate_progenitor_records(n_code)
     codes = [code_from_progenitor(r.graph, code_id=r.sequence) for r in records]
     results = [loss_threshold(c, bias, p_fail) for c in codes]

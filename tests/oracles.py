@@ -22,7 +22,10 @@ generation sequence, and ``apply_generation_op`` grows a progenitor one
 letter at a time.  The dense state-vector oracles replay a compiled
 sequence and build its concatenated target on numpy complex amplitudes,
 in emission order; they share only the instruction loop ``_run`` with
-the package's bit-packed state vector.  The rest are small helpers that
+the package's bit-packed state vector, and they replay -1 outcomes too.
+``signed_first_non_member`` tests stabilizer-group membership by a
+signed row echelon, the reference for the tableau's tagged unsigned
+elimination.  The rest are small helpers that
 only tests use: JSON round trips, Pauli images under local
 complementation, dual failure bases and state-vector expectations.
 """
@@ -55,7 +58,7 @@ from fusioncodes.fusion import (
 )
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import LossPolynomial
-from fusioncodes.pauli import PauliOperator, VerificationError, enumerate_group, gf2_reduce
+from fusioncodes.pauli import PauliOperator, VerificationError, enumerate_group, gf2_reduce, multiply
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
@@ -245,6 +248,38 @@ def dense_amplitudes(flat) -> np.ndarray:
 
     signs = 1.0 - 2.0 * bits(flat.negative)
     return (bits(flat.support) * signs / np.sqrt(flat.support.bit_count())).astype(complex)
+
+
+# -- stabilizer membership by a signed row echelon -------------------------
+
+
+def _pauli_key(row: PauliOperator) -> int:
+    return row.x_bits | (row.z_bits << row.n)
+
+
+def _signed_reduce(row: PauliOperator, basis: dict[int, PauliOperator]) -> PauliOperator:
+    """Multiply ``row`` by basis rows while its leading bit has a pivot."""
+    key = _pauli_key(row)
+    while key and (key.bit_length() - 1) in basis:
+        row = multiply(row, basis[key.bit_length() - 1])
+        key = _pauli_key(row)
+    return row
+
+
+def signed_first_non_member(rows: list[PauliOperator], targets: list[PauliOperator]):
+    """``StabilizerTableau.first_non_member`` of the group ``rows`` generate,
+    by a signed row echelon keyed by leading bit of x | z << n: (index,
+    residue) of the first target that does not reduce to +I, or None."""
+    basis: dict[int, PauliOperator] = {}
+    for row in rows:
+        key = _pauli_key(cur := _signed_reduce(row, basis))
+        if key:
+            basis[key.bit_length() - 1] = cur
+    for k, row in enumerate(targets):
+        rest = _signed_reduce(row, basis)
+        if _pauli_key(rest) or rest.phase:
+            return k, rest
+    return None
 
 
 # -- the availability table, digit by digit --------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import fusioncodes
 from fusioncodes import thresholds
-from fusioncodes.cli import main
+from fusioncodes.cli import GRID_POINTS_CAP, main
 from fusioncodes.graphs import enumerate_progenitor_records
 from fusioncodes.thresholds import (
     ErrorThresholdConfig,
@@ -202,6 +203,16 @@ class TestRegion:
         cfg = write_config(tmp_path)
         assert main(["region", "--n", "9", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 4
 
+    @pytest.mark.parametrize("points", [GRID_POINTS_CAP + 1, 10**11])
+    def test_grid_over_cap_is_resource_error(self, tmp_path, capsys, points):
+        # checked before any work: 10^11 points once ended in a numpy
+        # allocation traceback, 2 * 10^6 ran for minutes
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        argv = ["region", "--code", "LL", "--config", cfg, "--grid-points", str(points), "--out", str(out)]
+        assert main(argv) == 4 and not out.exists()
+        assert f"{points} grid points exceeds cap {GRID_POINTS_CAP}" in capsys.readouterr().err
+
     def test_single_grid_point_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -286,6 +297,19 @@ class TestCompile:
         outer = tmp_path / "outer.json"
         outer.write_text(json.dumps(outer_json))
         assert main(["compile", "--outer", str(outer), "--inner", inner, "--out", str(tmp_path / "x")]) == 3
+
+
+class TestCodeSizeCap:
+    @pytest.mark.parametrize("command", ["analyze", "optimize-w", "region"])
+    @pytest.mark.parametrize("code", ["L" * 20_000, "LPx" * 7_000], ids=["long", "long-malformed"])
+    def test_long_code_id_exits_before_the_code_is_built(self, tmp_path, capsys, command, code):
+        argv = [command, "--code", code, "--out", str(tmp_path / "out")]
+        if command != "analyze":
+            argv += ["--config", write_config(tmp_path)]
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 1.0
+        assert f"code size {len(code)} exceeds cap 8" in capsys.readouterr().err
 
 
 class TestDuals:
@@ -586,10 +610,10 @@ def test_numeric_boundary_never_raises(args, config):
     assert code in {0, 2, 3, 4, 5}
 
 
-# region with codes of at most 4 qubits, any grid size, p_fail at and
-# between its ends and drawn epsilon_M rows, most of them valid so that
-# regions get computed: exercises empty regions and grid points where no
-# recovering pattern can occur.
+# region with codes of at most 4 qubits, any grid size (one in ten above
+# the cap), p_fail at and between its ends and drawn epsilon_M rows, most
+# of them valid so that regions get computed: exercises empty regions and
+# grid points where no recovering pattern can occur.
 _epsilon_m = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.05)), min_size=1, max_size=4, unique_by=lambda r: r[0])
 
 
@@ -597,7 +621,8 @@ _epsilon_m = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.05)), min_size=1
 def _region_case(draw):
     valid = draw(st.integers(0, 3)) > 0
     code = draw(st.text(alphabet="LP", min_size=1, max_size=4) if valid else st.text("LPx", max_size=3))
-    args = ["region", "--code", code, "--grid-points", str(draw(st.integers(2, 200)))]
+    points = st.integers(2, 200) if draw(st.integers(0, 9)) else st.integers(GRID_POINTS_CAP + 1, 10**12)
+    args = ["region", "--code", code, "--grid-points", str(draw(points))]
     p_fail = st.one_of(st.sampled_from(["0", "1", "0.5", "0.25"]), st.floats(0, 1).map(repr), _number_text)
     args += draw(_optional("--p-fail", p_fail))
     rows = [list(r) for r in sorted(draw(_epsilon_m))] if draw(st.integers(0, 3)) > 0 else draw(_rows)

@@ -22,6 +22,7 @@ from fusioncodes.compiler import (
     derive_outer_sequence,
     verify_sequence,
     _inner_wire_roles,
+    _replay,
     _run,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
@@ -38,6 +39,7 @@ from oracles import (
     photon_order,
     photon_statevector,
     progenitor_scan,
+    signed_first_non_member,
     states_equal_up_to_phase,
     target_statevector,
 )
@@ -286,22 +288,19 @@ class TestVerification:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_bitpacked_amplitudes_match_dense_oracle(self, mode):
-        # the replay with every outcome +1 and with each single -1, and the
-        # target, against numpy complex amplitudes
+        # the replay with every outcome +1, and the target, against numpy
+        # complex amplitudes
         replays = 0
         for seq in statevector_sequences(mode):
-            n_meas = op_count(seq, Op.MEASURE_X)
-            for overrides in [None] + [{j: -1} for j in range(n_meas)]:
-                flat = FlatState(seq.photon_count + 2, overrides)
-                order = _run(seq, flat)
-                dense, outcomes = photon_statevector(seq, overrides)
-                assert flat.outcomes == outcomes
-                assert states_equal_up_to_phase(photon_order(dense_amplitudes(flat), order), dense), (seq, overrides)
-                replays += 1
+            flat = FlatState(seq.photon_count + 2)
+            order = _run(seq, flat)
+            dense, _ = photon_statevector(seq)
+            assert states_equal_up_to_phase(photon_order(dense_amplitudes(flat), order), dense), seq
+            replays += 1
             target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
             want = FlatState.graph_state(target.n_total, target.edges)
             for v in target.virtual_wires():
-                want.project_x(v)
+                want.measure_x(v)
             got = dense_amplitudes(want)
             for v in reversed(target.virtual_wires()):
                 got = drop_plus_qubit(got, v)
@@ -314,20 +313,20 @@ class TestVerification:
                 overlap = abs(np.vdot(photon_statevector(bad)[0], dense_target))
                 res = verify_sequence(bad, target, "statevector")
                 assert res.detail.get("overlap", 1.0) == pytest.approx(overlap, abs=1e-12), seq
-        assert replays > 1000
+        assert replays == 392
 
     def test_projection_that_breaks_flatness_raises(self):
         state = FlatState(2)
         state.support = 0b0111  # |00>, |01> and |10> at equal height
         # the pair {00, 01} keeps its amplitudes, 10 spreads over {10, 11}
         with pytest.raises(VerificationError, match="not flat"):
-            state.project_x(0)
+            state.measure_x(0)
 
     def test_equality_and_overlap_read_signs(self):
         plus = FlatState(2)
         graph = FlatState.graph_state(2, [(0, 1)])  # (1, 1, 1, -1) / 2
         minus = FlatState(2)
-        minus.z(0)  # |+> on wire 1, |-> on wire 0
+        minus.negative = minus.high(0)  # |+> on wire 1, |-> on wire 0
         flipped = FlatState(2)
         flipped.negative = flipped.support  # -|++>
         assert plus.equals_up_to_phase(flipped) and plus.overlap(flipped) == 1.0
@@ -337,9 +336,10 @@ class TestVerification:
             assert abs(np.vdot(dense_amplitudes(plus), dense_amplitudes(other))) == pytest.approx(overlap)
 
     def test_zero_probability_projection_raises(self):
-        state = FlatState(1)  # |+>
+        state = FlatState(1)
+        state.negative = state.high(0)  # |->
         with pytest.raises(VerificationError, match="zero probability"):
-            state.project_x(0, -1)
+            state.measure_x(0)
 
     def test_explicit_statevector_counts_every_simulated_wire(self):
         # 8 outer vertices x 2 photons: 16 photons, 2 slots and 8 virtual wires
@@ -452,6 +452,51 @@ class TestStabilizerTableau:
         zero.rows = [PauliOperator.single(2, 0, "Z"), PauliOperator.single(2, 1, "X")]  # |0+>
         k, rest = zero.first_non_member(plus)
         assert k == 0 and rest.x_bits | rest.z_bits
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_membership_matches_signed_echelon_oracle(self, mode):
+        # every membership question a replay asks (the determined branch of
+        # measure_x), the final target check, and that check again with one
+        # compiled generator's sign flipped: every cut variant of the
+        # state-vector sequences, and a sample of 15 deleted CZs and
+        # rotations of a 512-photon caterpillar
+        seen = []
+
+        def residue_class(stray):
+            if stray is None:
+                return None
+            k, rest = stray
+            return k, (rest.x_bits, rest.z_bits) if rest.x_bits | rest.z_bits else "-I"
+
+        class Checked(StabilizerTableau):
+            def first_non_member(self, rows):
+                stray = super().first_non_member(rows)
+                got = residue_class(stray)
+                assert got == residue_class(signed_first_non_member(self.rows, rows))
+                seen.append(got if got is None else got[1] == "-I")
+                return stray
+
+        def replay(seq, cuts):
+            target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
+            for k in cuts:
+                variant = seq if k is None else dataclasses.replace(seq, ops=seq.ops[:k] + seq.ops[k + 1 :])
+                try:
+                    got, want = _replay(variant, target, Checked)
+                except BranchImpossible:
+                    continue
+                got.first_non_member(want.rows)
+                # the same state after a Pauli error that flips one generator's sign
+                row = got.rows[j := rng.randrange(got.n)]
+                got.rows[j] = PauliOperator(row.n, row.x_bits, row.z_bits, row.phase + 2)
+                got.first_non_member(want.rows)
+
+        rng = random.Random(13)
+        for seq in statevector_sequences(mode):
+            replay(seq, [None] + [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)])
+        big = compile_generation(random_caterpillar(64, random.Random(64)), inner_code("LLPLPLPL"), mode)
+        cuts = [k for k, i in enumerate(big.ops) if i.op in (Op.CZ, Op.SPIN_ROTATION)]
+        replay(big, rng.sample(cuts, 15))
+        assert {None, True, False} <= set(seen), set(seen)
 
 
 class TestSerialization:
