@@ -7,19 +7,20 @@ transversal logical fusions between two copies, searching failure bases
 and photon-loss thresholds under bias models, and compiling two-emitter
 (or emitter-plus-memory) generation sequences with resource counts.
 
-The fusion names load ``fusioncodes.fusion``, and with it numpy, on
-first access, so importing the package or the compiler does not.
+``FusionSpec`` and ``erasure_analysis`` load ``fusioncodes.fusion``, and
+with it numpy, on first access, so importing the package or the compiler
+does not.  ML-decoded error rates come from ``fusion.ErrorAnalyzer``.
 """
 
 __version__ = "0.1.0"
 
-from .codes import GraphCode, code_from_progenitor, dual_code, logical_set  # noqa: F401
-from .graphs import GraphState, enumerate_single_emitter_progenitors  # noqa: F401
+from .codes import GraphCode, code_from_progenitor, logical_set  # noqa: F401
+from .graphs import GraphState  # noqa: F401
 from .pauli import PauliOperator, StabilizerGroup  # noqa: F401
 
 
 def __getattr__(name):
-    if name in ("FusionSpec", "erasure_analysis", "error_analysis"):
+    if name in ("FusionSpec", "erasure_analysis"):
         from . import fusion
 
         return getattr(fusion, name)

@@ -127,7 +127,7 @@ def _load_outer(path: str) -> GraphState:
     try:
         with open(path) as fh:
             return GraphState.from_json_dict(json.load(fh))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep for the JSON parser
         raise ConfigError(f"bad outer graph {path}: {exc}") from exc
 
 

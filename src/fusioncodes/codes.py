@@ -125,8 +125,3 @@ def dual_code_with_map(code: GraphCode) -> tuple[GraphCode, int]:
     g3 = local_complement(g2, s)
     dual = code_from_progenitor(g3, code_id=code.code_id + "*" if code.code_id else "")
     return dual, code.code_index(q_star)
-
-
-def dual_code(code: GraphCode) -> GraphCode:
-    """Code with the two logical-fusion erasure rates swapped."""
-    return dual_code_with_map(code)[0]

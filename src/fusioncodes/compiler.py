@@ -64,9 +64,6 @@ class Instruction:
     def to_json_dict(self) -> dict:
         return {"op": self.op.value, "targets": list(self.targets)}
 
-    def render(self) -> str:
-        return f"{self.op.value}({', '.join(f'e{t}' for t in self.targets)})"
-
 
 @dataclass(frozen=True)
 class GenerationSequence:
@@ -82,10 +79,6 @@ class GenerationSequence:
         return len(self.outer_ops) + 1
 
     @property
-    def inner_size(self) -> int:
-        return len(self.inner_ops)
-
-    @property
     def photon_count(self) -> int:
         return sum(1 for ins in self.ops if ins.op is Op.EMIT_PHOTON)
 
@@ -97,11 +90,6 @@ class GenerationSequence:
             "photons": self.photon_count,
             "instructions": [ins.to_json_dict() for ins in self.ops],
         }
-
-    def render(self) -> str:
-        lines = [f"# mode={self.mode.value} outer={self.outer_ops or '-'} inner={self.inner_ops}"]
-        lines += [f"{i:4d}  {ins.render()}" for i, ins in enumerate(self.ops)]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -419,9 +407,6 @@ class VerificationResult:
     method: str
     message: str = ""
     detail: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_sequence(

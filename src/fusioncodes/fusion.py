@@ -166,11 +166,6 @@ class CodeFusionTable:
         return b, q
 
 
-@lru_cache(maxsize=8)
-def fusion_table(code: GraphCode) -> CodeFusionTable:
-    return CodeFusionTable(code)
-
-
 # -- erasure analysis --------------------------------------------------
 
 
@@ -214,7 +209,7 @@ def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
     """Exact success polynomials for the two paired logical parities."""
     if len(spec.w) != code.n_code:
         raise ValueError(f"failure basis length {len(spec.w)} != {code.n_code} code qubits")
-    table = fusion_table(code)
+    table = CodeFusionTable(code)
     n = code.n_code
     states, key = _states(n, spec.w)
 
@@ -301,7 +296,7 @@ class ErrorAnalyzer:
         self.w = tuple(w)
         self.p_fail = p_fail
         self.n = n = code.n_code
-        table = fusion_table(code)
+        table = CodeFusionTable(code)
         states, key = _states(n, self.w)
         s_all, f_all = divmod(key, n + 1)
         # bit 2i of a state is pair i's ZZ parity, bit 2i+1 its XX parity
@@ -324,7 +319,6 @@ class ErrorAnalyzer:
             rep_of = table.rep_index[basis][states]
             select = np.nonzero(rep_of >= 0)[0]
             reps = [table.reps[basis][k] for k in rep_of[select].tolist()]
-            lweight = np.array([weight(rep) for rep in reps], dtype=np.int8)
             groups: dict[int, list[tuple[int, np.ndarray]]] = {}
             for row, (k, rep) in enumerate(zip(select, reps)):
                 gens = gf2_reduce(elems[readable[k]].tolist())
@@ -345,7 +339,6 @@ class ErrorAnalyzer:
                 "f": f_cnt,
                 "l": n - s_cnt - f_cnt,
                 "groups": packed,
-                "lweight": lweight,
             }
 
     def pattern_probabilities(self, basis: str, eta) -> np.ndarray:
@@ -371,12 +364,8 @@ class ErrorAnalyzer:
             out[..., rows] = np.minimum(t[..., :half], t[..., half:]).sum(axis=-1)[..., inverse]
         return out
 
-    def pattern_uncorrected_rates(self, basis: str, epsilon) -> np.ndarray:
-        side = self._sides[basis]
-        return 0.5 * (1.0 - np.take(_bias_powers(epsilon, self.n), side["lweight"], axis=-1))
-
-    def rates(self, eta, epsilon, corrections: bool = True, probs: dict | None = None) -> dict:
-        """Erasure-weighted logical error rate for each parity.
+    def rates(self, eta, epsilon, probs: dict | None = None) -> dict:
+        """Erasure-weighted ML-decoded logical error rate for each parity.
 
         ``probs`` holds ``pattern_probabilities`` per basis at this eta, for
         callers that try many epsilons at one eta.
@@ -384,60 +373,8 @@ class ErrorAnalyzer:
         result = {}
         for basis in ("X", "Z"):
             p = self.pattern_probabilities(basis, eta) if probs is None else probs[basis]
-            perr = (
-                self.pattern_error_rates(basis, epsilon)
-                if corrections
-                else self.pattern_uncorrected_rates(basis, epsilon)
-            )
-            result[basis] = _mean_rate(p, perr)
+            result[basis] = _mean_rate(p, self.pattern_error_rates(basis, epsilon))
         return result
-
-
-@dataclass
-class ErrorReport:
-    """Logical error rates of both parities at one (eta, epsilon) point.
-
-    ``pattern_rates`` maps each basis to (availability indices of the
-    recovering patterns, their conditional error rates).
-    """
-
-    code: GraphCode
-    spec: FusionSpec
-    epsilon: float
-    p_error_xx: float
-    p_error_zz: float
-    p_error_xx_uncorrected: float
-    p_error_zz_uncorrected: float
-    pattern_rates: dict = None
-
-
-@lru_cache(maxsize=8)
-def _analyzer(code: GraphCode, w: tuple[int, ...], p_fail: float) -> ErrorAnalyzer:
-    return ErrorAnalyzer(code, w, p_fail)
-
-
-def error_analysis(code: GraphCode, spec: FusionSpec, epsilon: float) -> ErrorReport:
-    """ML-decoded logical error rates under depolarizing noise."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon out of range: {epsilon}")
-    ana = _analyzer(code, tuple(spec.w), spec.p_fail)
-    per_pattern, corrected, uncorrected = {}, {}, {}
-    for basis in ("X", "Z"):
-        p = ana.pattern_probabilities(basis, spec.eta)
-        perr = ana.pattern_error_rates(basis, epsilon)
-        per_pattern[basis] = (ana._sides[basis]["idxs"].copy(), perr)
-        corrected[basis] = _mean_rate(p, perr)
-        uncorrected[basis] = _mean_rate(p, ana.pattern_uncorrected_rates(basis, epsilon))
-    return ErrorReport(
-        code=code,
-        spec=spec,
-        epsilon=epsilon,
-        p_error_xx=corrected["X"],
-        p_error_zz=corrected["Z"],
-        p_error_xx_uncorrected=uncorrected["X"],
-        p_error_zz_uncorrected=uncorrected["Z"],
-        pattern_rates=per_pattern,
-    )
 
 
 # -- dual-code consistency ---------------------------------------------
@@ -451,5 +388,5 @@ def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_f
     the dual's ZZ (XX) row under w with the pivot bit flipped.
     """
     flipped = np.arange(1 << code.n_code) ^ (1 << swapped_qubit)
-    swapped = fusion_table(dual).bernstein(p_fail)[0][::-1, flipped]
-    return np.array_equal(fusion_table(code).bernstein(p_fail)[0], swapped)
+    swapped = CodeFusionTable(dual).bernstein(p_fail)[0][::-1, flipped]
+    return np.array_equal(CodeFusionTable(code).bernstein(p_fail)[0], swapped)

@@ -214,7 +214,3 @@ def enumerate_progenitor_records(n_photons: int) -> list[ProgenitorRecord]:
         ops = "L" + "".join("P" if (s >> i) & 1 else "L" for i in range(n_photons - 1))
         records.append(ProgenitorRecord(ops, build_progenitor(ops)))
     return records
-
-
-def enumerate_single_emitter_progenitors(n_photons: int) -> list[GraphState]:
-    return [rec.graph for rec in enumerate_progenitor_records(n_photons)]

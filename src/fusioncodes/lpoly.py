@@ -44,13 +44,6 @@ class LossPolynomial:
         if self.counts[key] == 0:
             del self.counts[key]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LossPolynomial) and self.n == other.n and self.counts == other.counts
-
-    def __repr__(self):
-        terms = ", ".join(f"{c}*S^{s}F^{f}L^{l}" for (s, f, l), c in sorted(self.counts.items()))
-        return f"LossPolynomial(n={self.n}, {terms or '0'})"
-
     def eval(self, eta: float, p_fail: float) -> float:
         """Numeric value at transmission ``eta`` and failure rate ``p_fail``."""
         a = eta * eta

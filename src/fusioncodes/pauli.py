@@ -75,29 +75,6 @@ class PauliOperator:
         x, z = _CHAR_TO_BITS[kind]
         return PauliOperator(n, x << qubit, z << qubit, 0 if sign == 1 else 2)
 
-    @staticmethod
-    def from_string(text: str) -> "PauliOperator":
-        """Parse '+XIZ', '-Y Y', 'XZ' (optional sign, optional spaces).
-
-        Leftmost letter is qubit 0.
-        """
-        s = text.strip().replace(" ", "")
-        phase = 0
-        if s and s[0] in "+-":
-            phase = 0 if s[0] == "+" else 2
-            s = s[1:]
-        if not s:
-            raise ValueError(f"empty Pauli string: {text!r}")
-        x = z = 0
-        for i, ch in enumerate(s):
-            try:
-                xb, zb = _CHAR_TO_BITS[ch.upper()]
-            except KeyError:
-                raise ValueError(f"bad Pauli letter {ch!r} in {text!r}") from None
-            x |= xb << i
-            z |= zb << i
-        return PauliOperator(len(s), x, z, phase)
-
     # -- basic queries -----------------------------------------------
 
     @property
@@ -106,14 +83,6 @@ class PauliOperator:
         if self.phase % 2:
             raise ValueError("operator carries an imaginary phase, sign undefined")
         return 1 if self.phase == 0 else -1
-
-    @property
-    def support_mask(self) -> int:
-        return self.x_bits | self.z_bits
-
-    @property
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
 
     def letter(self, qubit: int) -> str:
         return _BITS_TO_CHAR[((self.x_bits >> qubit) & 1, (self.z_bits >> qubit) & 1)]

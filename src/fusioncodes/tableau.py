@@ -72,11 +72,8 @@ class StabilizerTableau:
                 self.rows[k] = multiply(self.rows[k], pivot)
             self.rows[anti[0]] = x_row
             return
-        # outcome already determined: X_wire must be a +1 group element
-        stray = self.first_non_member([x_row])
-        if stray and _key(stray[1]):
-            raise BranchImpossible(f"X on wire {wire} is not determined")
-        if stray:
+        # X_wire commutes with all n independent generators, so +X_wire or -X_wire is in the group
+        if self.first_non_member([x_row]):
             raise BranchImpossible(f"forced +1 outcome on wire {wire} has zero probability")
 
     def reinit(self, wire: int) -> None:

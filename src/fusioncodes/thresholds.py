@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .codes import GraphCode, code_from_progenitor
-from .fusion import ErrorAnalyzer, fusion_table
+from .fusion import CodeFusionTable, ErrorAnalyzer
 from .graphs import PROGENITOR_CAP, enumerate_progenitor_records
 from .lpoly import eta2_float_coeffs
 from .pauli import ConfigError
@@ -181,7 +181,7 @@ def read_config(path) -> tuple[BiasConfig, BiasConfig | None, ErrorThresholdConf
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -258,7 +258,7 @@ class ThresholdResult:
 
 def _basis_coeffs(code: GraphCode, p_fail: float) -> tuple[np.ndarray, np.ndarray]:
     """eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
-    b, q = fusion_table(code).bernstein(p_fail)
+    b, q = CodeFusionTable(code).bernstein(p_fail)
     return tuple(eta2_float_coeffs(b, q))
 
 

@@ -13,8 +13,9 @@ probability is nondecreasing in eta.  ``gather_counts`` and
 numerators, the reference the package's Bernstein contraction is
 pinned against.  The pattern oracles list outcomes
 object by object, and the decoder oracles build the decoder's weight
-rows one table state at a time and redo the region one grid point and
-one epsilon at a time with the block-loop Walsh transform and the
+rows one table state at a time, give the uncorrected baseline from each
+pattern's readable representative, and redo the region one grid point
+and one epsilon at a time with the block-loop Walsh transform and the
 16-term flip enumeration.  The sequence oracles key every LEAF/PATH_EDGE
 string of a size by AHU tree canonical forms: ``progenitor_scan``
 dedupes them into the marked-graph classes, the scans find a graph's
@@ -26,8 +27,9 @@ the package's bit-packed state vector, and they replay -1 outcomes too.
 ``signed_first_non_member`` tests stabilizer-group membership by a
 signed row echelon, the reference for the tableau's tagged unsigned
 elimination.  The rest are small helpers that
-only tests use: JSON round trips, Pauli images under local
-complementation, dual failure bases and state-vector expectations.
+only tests use: JSON round trips, Pauli-string parsing, Pauli images
+under local complementation, dual failure bases and state-vector
+expectations.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from fusioncodes.fusion import (
     AVAIL_NONE,
     AVAIL_XX,
     AVAIL_ZZ,
+    CodeFusionTable,
     ErrorAnalyzer,
     FusionSpec,
     _patterns,
-    fusion_table,
 )
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import LossPolynomial
@@ -547,7 +549,7 @@ def pattern_outcomes(table, avail_idx: int) -> tuple[Outcome, ...]:
 
 def measurement_patterns(code, spec: FusionSpec, basis: str):
     """The recovering patterns M_X or M_Z with representatives, in index order."""
-    table = fusion_table(code)
+    table = CodeFusionTable(code)
     select = consistent(table.n, basis_mask(spec.w)) & (table.rep_index[basis] >= 0)
     reps = logical_set(code, basis)
     out = []
@@ -613,24 +615,22 @@ def flip_bias(epsilon):
 def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     """The decoder's per-basis setup, built one w-consistent table state at a time.
 
-    Per basis: ``idxs``, ``s``, ``f``, ``l`` and ``lweight`` as in
+    Per basis: ``idxs``, ``s``, ``f`` and ``l`` as in
     ``ErrorAnalyzer._sides``, and ``weights``, the weight row of each
     pattern over the subgroup of readable stabilizers times {1, rep}.
     """
     n = code.n_code
-    table = fusion_table(code)
+    table = CodeFusionTable(code)
     arr = state_arrays(n)
     stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(code.stabilizers)]
     sides = {}
     for basis in ("X", "Z"):
         reps = logical_set(code, basis)
         idxs = np.nonzero(consistent(n, basis_mask(w)) & (table.rep_index[basis] >= 0))[0]
-        lweight = np.zeros(len(idxs), dtype=np.int8)
         rows = []
         for row, avail in enumerate(idxs):
             ax, az = int(arr.ax_mask[avail]), int(arr.az_mask[avail])
             rep = reps[int(table.rep_index[basis][avail])]
-            lweight[row] = rep.weight
             gens = gf2_reduce([x | (z << n) for (x, z) in stab_xz if (x & ~ax) == 0 and (z & ~az) == 0])
             base = [(g & ((1 << n) - 1), g >> n) for g in gens]
             r = len(gens)
@@ -649,7 +649,6 @@ def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
             "s": arr.n_success[idxs].astype(np.float64),
             "f": arr.n_fail[idxs].astype(np.float64),
             "l": arr.n_loss[idxs].astype(np.float64),
-            "lweight": lweight,
             "weights": rows,
         }
     return sides
@@ -683,7 +682,12 @@ def pattern_error_rates(ana: ErrorAnalyzer, basis: str, epsilon: float) -> np.nd
 
 
 def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: bool = True) -> dict[str, float]:
-    """Erasure-weighted logical error rate per parity at one (eta, epsilon) point."""
+    """Erasure-weighted logical error rate per parity at one (eta, epsilon) point.
+
+    Without corrections a pattern's rate is the chance that its readable
+    logical representative (the table's lowest one) has an odd number of
+    flipped pairs, 0.5 (1 - bias^weight): the decoder's uncorrected baseline.
+    """
     result = {}
     for basis in ("X", "Z"):
         p = ana.pattern_probabilities(basis, eta)
@@ -694,7 +698,10 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
         if corrections:
             perr = pattern_error_rates(ana, basis, epsilon)
         else:
-            perr = 0.5 * (1.0 - flip_bias(epsilon) ** ana._sides[basis]["lweight"].astype(np.float64))
+            reps = logical_set(ana.code, basis)
+            rep_of = CodeFusionTable(ana.code).rep_index[basis][ana._sides[basis]["idxs"]]
+            weight = np.array([(reps[k].x_bits | reps[k].z_bits).bit_count() for k in rep_of.tolist()], dtype=np.float64)
+            perr = 0.5 * (1.0 - flip_bias(epsilon) ** weight)
         result[basis] = float(np.dot(p, perr) / total)
     return result
 
@@ -849,6 +856,26 @@ def graph_to_json(g: GraphState) -> str:
 
 def graph_from_json(text: str) -> GraphState:
     return GraphState.from_json_dict(json.loads(text))
+
+
+def pauli_from_string(text: str) -> PauliOperator:
+    """Parse '+XIZ', '-Y Y', 'XZ' (optional sign, optional spaces); the leftmost letter is qubit 0."""
+    s = text.strip().replace(" ", "")
+    phase = 0
+    if s and s[0] in "+-":
+        phase = 0 if s[0] == "+" else 2
+        s = s[1:]
+    if not s:
+        raise ValueError(f"empty Pauli string: {text!r}")
+    x = z = 0
+    for i, ch in enumerate(s):
+        try:
+            xb, zb = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[ch.upper()]
+        except KeyError:
+            raise ValueError(f"bad Pauli letter {ch!r} in {text!r}") from None
+        x |= xb << i
+        z |= zb << i
+    return PauliOperator(len(s), x, z, phase)
 
 
 def qubitwise_commutes(a: PauliOperator, available_x: int, available_z: int) -> bool:

@@ -10,11 +10,10 @@ import pytest
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
 from fusioncodes.compiler import Mode, compile_generation, count_resources, verify_sequence
 from fusioncodes.fusion import (
+    CodeFusionTable,
     ErrorAnalyzer,
     FusionSpec,
     erasure_analysis,
-    error_analysis,
-    fusion_table,
     validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
@@ -31,6 +30,7 @@ from fusioncodes.thresholds import (
     search_best_code,
 )
 
+import oracles
 from oracles import consistent_counts, is_normalized, pattern_outcomes
 from test_fusion import (
     all_w,
@@ -132,7 +132,7 @@ def test_a6_oracle_equivalence():
     worst_error = 0.0
     for n in range(1, 4):
         for code in codes_of_size(n):
-            table = fusion_table(code)
+            table = CodeFusionTable(code)
             for w in all_w(n):
                 report = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
                 for eta in etas:
@@ -146,8 +146,8 @@ def test_a6_oracle_equivalence():
                 for eps in epsilons:
                     if eps == 0.0:
                         for eta in etas:
-                            rep = error_analysis(code, FusionSpec(eta, 0.5, w), 0.0)
-                            assert rep.p_error_xx == 0.0 and rep.p_error_zz == 0.0
+                            rates = ana.rates(eta, 0.0)
+                            assert rates["X"] == 0.0 and rates["Z"] == 0.0
                         continue
                     for basis in ("X", "Z"):
                         side = ana._sides[basis]
@@ -237,7 +237,7 @@ def test_a8_error_region_endpoint(randomized_scan):
     assert rates0["X"] == 0.0 and rates0["Z"] == 0.0
     for eps in (0.002, 0.005):
         corr = ana.rates(0.99, eps)
-        unc = ana.rates(0.99, eps, corrections=False)
+        unc = oracles.error_rates(ana, 0.99, eps, corrections=False)
         assert corr["X"] <= unc["X"] + 1e-15 and corr["Z"] <= unc["Z"] + 1e-15
     eps_bounds = [p.epsilon_boundary for p in points]
     assert all(b <= a + 1e-9 for a, b in zip(eps_bounds, eps_bounds[1:]))

@@ -299,6 +299,27 @@ class TestCompile:
         assert main(["compile", "--outer", str(outer), "--inner", inner, "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize-w", "--code", "LL", "--config", "deep.json", "--out", "w.json"],
+        ["region", "--code", "LL", "--config", "deep.json", "--out", "r.csv"],
+        ["compile", "--outer", "deep.json", "--inner", "L", "--out", "c"],
+    ],
+    ids=["optimize-w", "region", "compile"],
+)
+def test_deeply_nested_json_is_config_error(tmp_path, argv):
+    # past about a thousand levels json.load raises RecursionError, not ValueError
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusioncodes.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusioncodes.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
 class TestCodeSizeCap:
     @pytest.mark.parametrize("command", ["analyze", "optimize-w", "region"])
     @pytest.mark.parametrize("code", ["L" * 20_000, "LPx" * 7_000], ids=["long", "long-malformed"])
@@ -425,7 +446,6 @@ assert "fusioncodes.fusion" not in sys.modules
 from fusioncodes import FusionSpec, code_from_progenitor, erasure_analysis
 import fusioncodes.fusion
 assert fusioncodes.erasure_analysis is fusioncodes.fusion.erasure_analysis
-assert fusioncodes.error_analysis is fusioncodes.fusion.error_analysis
 try:
     fusioncodes.nope
 except AttributeError:

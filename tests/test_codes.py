@@ -4,14 +4,13 @@ import pytest
 from fusioncodes.codes import (
     CodeConstructionError,
     code_from_progenitor,
-    dual_code,
     dual_code_with_map,
     logical_set,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
 from fusioncodes.pauli import commutes, enumerate_group
 
-from oracles import dense_graph_state, op_matrix, pauli_matrix, project
+from oracles import dense_graph_state, op_matrix, pauli_from_string, pauli_matrix, project
 
 
 def all_codes(max_photons):
@@ -123,22 +122,22 @@ class TestStateVectorOracle:
 class TestDualCode:
     def test_dual_of_bare_code(self):
         code = code_from_progenitor(build_progenitor("L"))
-        dual = dual_code(code)
+        dual = dual_code_with_map(code)[0]
         assert dual.logical_x.to_string() in ("+Z", "-Z")
 
     def test_dual_swaps_logical_supports(self):
         for code in all_codes(5):
-            dual = dual_code(code)
-            x_supports = sorted(p.support_mask for p in logical_set(code, "X"))
-            z_supports = sorted(p.support_mask for p in logical_set(code, "Z"))
-            assert sorted(p.support_mask for p in logical_set(dual, "Z")) == x_supports
-            assert sorted(p.support_mask for p in logical_set(dual, "X")) == z_supports
+            dual = dual_code_with_map(code)[0]
+            x_supports = sorted(p.x_bits | p.z_bits for p in logical_set(code, "X"))
+            z_supports = sorted(p.x_bits | p.z_bits for p in logical_set(code, "Z"))
+            assert sorted(p.x_bits | p.z_bits for p in logical_set(dual, "Z")) == x_supports
+            assert sorted(p.x_bits | p.z_bits for p in logical_set(dual, "X")) == z_supports
 
     def test_stabilizer_supports_invariant(self):
         for code in all_codes(6):
-            dual = dual_code(code)
-            mine = sorted(p.support_mask for p in enumerate_group(code.stabilizers))
-            theirs = sorted(p.support_mask for p in enumerate_group(dual.stabilizers))
+            dual = dual_code_with_map(code)[0]
+            mine = sorted(p.x_bits | p.z_bits for p in enumerate_group(code.stabilizers))
+            theirs = sorted(p.x_bits | p.z_bits for p in enumerate_group(dual.stabilizers))
             assert mine == theirs
 
     def test_dual_of_dual_restores_logical_structure(self):
@@ -146,14 +145,14 @@ class TestDualCode:
         # double dual can land on an LC-equivalent progenitor rather than
         # the same marked graph; the code structure itself round-trips.
         for code in all_codes(4):
-            double = dual_code(dual_code(code))
+            double = dual_code_with_map(dual_code_with_map(code)[0])[0]
             assert double.n_code == code.n_code
             for basis in ("X", "Z"):
-                assert sorted(p.support_mask for p in logical_set(double, basis)) == sorted(
-                    p.support_mask for p in logical_set(code, basis)
+                assert sorted(p.x_bits | p.z_bits for p in logical_set(double, basis)) == sorted(
+                    p.x_bits | p.z_bits for p in logical_set(code, basis)
                 )
-            assert sorted(p.support_mask for p in enumerate_group(double.stabilizers)) == sorted(
-                p.support_mask for p in enumerate_group(code.stabilizers)
+            assert sorted(p.x_bits | p.z_bits for p in enumerate_group(double.stabilizers)) == sorted(
+                p.x_bits | p.z_bits for p in enumerate_group(code.stabilizers)
             )
 
     def test_swapped_qubit_is_input_neighbor(self):
@@ -180,9 +179,7 @@ class TestDualCode:
                 lifted = ["I"] * g.n
                 for i, v in enumerate(code.code_qubits):
                     lifted[i if False else v] = gen.letter(i)
-                from fusioncodes.pauli import PauliOperator
-
-                p = PauliOperator.from_string("".join(lifted))
+                p = pauli_from_string("".join(lifted))
                 img = lc_pauli_transform(p, s, g)
                 img = lc_pauli_transform(img, q_star, g1)
                 img = lc_pauli_transform(img, s, g2)

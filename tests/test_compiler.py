@@ -12,6 +12,7 @@ from fusioncodes.compiler import (
     AUTO_MAX_WIRES,
     CompileError,
     GenerationSequence,
+    Instruction,
     Mode,
     Op,
     VerificationError,
@@ -36,6 +37,7 @@ from oracles import (
     expectation,
     marked_sequence_scan,
     outer_sequence_scan,
+    pauli_from_string,
     photon_order,
     photon_statevector,
     progenitor_scan,
@@ -63,7 +65,7 @@ class TestCompile:
 
     def test_photon_budget(self):
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
-        assert seq.photon_count == 4 * 2 == seq.outer_size * seq.inner_size
+        assert seq.photon_count == 4 * 2 == seq.outer_size * len(seq.inner_ops)
 
     def test_spin_spin_gates_independent_of_inner_size(self):
         outer = build_progenitor("PLPPLPPLP")
@@ -285,6 +287,33 @@ class TestVerification:
                 checked += 1
                 failed += not res.ok
         assert (checked, failed) == {Mode.TWO_EMITTER: (1926, 1534), Mode.EMITTER_MEMORY: (2158, 1751)}[mode]
+        # one spin-spin CZ inserted at each index: this reaches the sign-only
+        # failure, a target generator the compiled group holds with sign -1
+        checked = failed = sign_only = 0
+        first = None
+        for seq in statevector_sequences(mode):
+            if seq.outer_size > 3 or len(seq.inner_ops) > 5:
+                continue
+            target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
+            for k in range(len(seq.ops) + 1):
+                variant = dataclasses.replace(seq, ops=seq.ops[:k] + (Instruction(Op.CZ, (0, 1)),) + seq.ops[k:])
+                by_vector = verify_sequence(variant, target, "statevector")
+                res = verify_sequence(variant, target, "stabilizer")
+                assert res.ok == by_vector.ok, (seq.outer_ops, seq.inner_ops, k, res.message)
+                checked += 1
+                failed += not res.ok
+                if not res.ok and res.detail["missing"] is False:
+                    sign_only += 1
+                    first = first or (seq.outer_ops, seq.inner_ops, k, res.message, by_vector.message)
+        assert (checked, failed, sign_only) == (1269, 1220, {Mode.TWO_EMITTER: 97, Mode.EMITTER_MEMORY: 104}[mode])
+        generator = {Mode.TWO_EMITTER: "+IIZIZXXI", Mode.EMITTER_MEMORY: "+IIZIXZXI"}[mode]
+        assert first == (
+            "L",
+            "LP",
+            4,
+            f"target generator 6 ({generator}) has sign -1 in the compiled group",
+            "compiled state deviates from target (overlap 0.000000)",
+        )
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_bitpacked_amplitudes_match_dense_oracle(self, mode):
@@ -357,7 +386,7 @@ class TestVerification:
         detail = res.detail
         assert not res.ok and detail["missing"]
         assert f"target generator {detail['generator_index']} ({detail['generator']}) is missing" in res.message
-        assert PauliOperator.from_string(detail["generator"]).n == seq.photon_count + 2 + seq.outer_size
+        assert pauli_from_string(detail["generator"]).n == seq.photon_count + 2 + seq.outer_size
 
     def test_fault_injection_reports_failure(self):
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
@@ -439,7 +468,7 @@ class TestStabilizerTableau:
         tab.measure_x(0)
         assert tab.rows == StabilizerTableau(2).rows
         tab.rows = [PauliOperator.single(2, 0, "X", sign=-1), PauliOperator.single(2, 1, "X")]  # |-+>
-        with pytest.raises(BranchImpossible):
+        with pytest.raises(BranchImpossible, match="forced \\+1 outcome on wire 0 has zero probability"):
             tab.measure_x(0)
 
     def test_membership_check_sees_signs(self):
@@ -505,5 +534,3 @@ class TestSerialization:
         data = seq.to_json_dict()
         assert data["mode"] == "emitter-memory"
         assert len(data["instructions"]) == len(seq.ops)
-        text = seq.render()
-        assert "cz(" in text and "swap(" in text

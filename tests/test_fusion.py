@@ -6,19 +6,18 @@ import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map, logical_set
 from fusioncodes.fusion import (
+    CodeFusionTable,
     ErrorAnalyzer,
     FusionSpec,
     _flip_bias,
     _fwht_rows,
     _patterns,
     erasure_analysis,
-    error_analysis,
-    fusion_table,
     validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import LossPolynomial, eta2_float_coeffs, eta2_numerators
-from fusioncodes.pauli import PauliOperator, enumerate_group
+from fusioncodes.pauli import enumerate_group
 
 import oracles
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     pattern_outcomes,
     pattern_probability,
     pauli_flip_probability,
+    pauli_from_string,
     pauli_matrix,
     recoverable,
 )
@@ -243,15 +243,15 @@ class TestPatternProbability:
 
 class TestRecoverable:
     def test_identity_always(self):
-        assert recoverable(PauliOperator.from_string("II"), (L, L), (0, 0))
+        assert recoverable(pauli_from_string("II"), (L, L), (0, 0))
 
     def test_failure_basis_blocks_other_parity(self):
-        z0 = PauliOperator.from_string("ZI")
+        z0 = pauli_from_string("ZI")
         assert not recoverable(z0, (F, L), (1, 0))  # failure recovered XX only
         assert recoverable(z0, (F, L), (0, 0))
 
     def test_y_needs_success(self):
-        y0 = PauliOperator.from_string("YI")
+        y0 = pauli_from_string("YI")
         assert recoverable(y0, (S, L), (0, 0))
         assert not recoverable(y0, (F, L), (1, 0))
 
@@ -364,10 +364,9 @@ class TestErrorAnalysis:
     def test_zero_epsilon_means_zero_error(self):
         for seq in ("L", "LL", "LPL"):
             code = code_of(seq)
-            spec = FusionSpec(0.9, 0.5, (0,) * code.n_code)
-            rep = error_analysis(code, spec, 0.0)
-            assert rep.p_error_xx == 0.0
-            assert rep.p_error_zz == 0.0
+            rates = ErrorAnalyzer(code, (0,) * code.n_code).rates(0.9, 0.0)
+            assert rates["X"] == 0.0
+            assert rates["Z"] == 0.0
 
     def test_bare_code_has_nothing_to_correct(self):
         code = code_of("L")
@@ -375,18 +374,18 @@ class TestErrorAnalysis:
         ana = ErrorAnalyzer(code, (0,))
         rates = ana.pattern_error_rates("X", eps)
         assert rates == pytest.approx(pauli_flip_probability(eps))
-        rep = error_analysis(code, FusionSpec(1.0, 0.5, (0,)), eps)
-        assert rep.p_error_xx == pytest.approx(pauli_flip_probability(eps))
+        assert ana.rates(1.0, eps)["X"] == pytest.approx(pauli_flip_probability(eps))
 
     def test_ml_never_exceeds_uncorrected(self):
         for seq in ("LL", "LP", "LLL", "LPL"):
             code = code_of(seq)
-            w = (0,) * code.n_code
+            ana = ErrorAnalyzer(code, (0,) * code.n_code)
             for eps in (0.005, 0.01, 0.03, 0.05):
-                rep = error_analysis(code, FusionSpec(0.95, 0.5, w), eps)
-                assert rep.p_error_xx <= rep.p_error_xx_uncorrected + 1e-15
-                assert rep.p_error_zz <= rep.p_error_zz_uncorrected + 1e-15
-                assert rep.p_error_xx <= 0.5 and rep.p_error_zz <= 0.5
+                rates = ana.rates(0.95, eps)
+                unc = oracles.error_rates(ana, 0.95, eps, corrections=False)
+                assert rates["X"] <= unc["X"] + 1e-15
+                assert rates["Z"] <= unc["Z"] + 1e-15
+                assert rates["X"] <= 0.5 and rates["Z"] <= 0.5
 
     def test_correction_strictly_helps_somewhere(self):
         # a 3-qubit code where the syndrome genuinely distinguishes flips
@@ -394,8 +393,8 @@ class TestErrorAnalysis:
         for rec in enumerate_progenitor_records(3):
             code = code_from_progenitor(rec.graph, code_id=rec.sequence)
             for w in all_w(3):
-                rep = error_analysis(code, FusionSpec(1.0, 0.5, w), 0.01)
-                if rep.p_error_xx < rep.p_error_xx_uncorrected - 1e-9:
+                ana = ErrorAnalyzer(code, w)
+                if ana.rates(1.0, 0.01)["X"] < oracles.error_rates(ana, 1.0, 0.01, corrections=False)["X"] - 1e-9:
                     improved = True
         assert improved
 
@@ -403,13 +402,13 @@ class TestErrorAnalysis:
     def test_pattern_rates_match_enumeration_oracle(self, seq):
         code = code_of(seq)
         n = code.n_code
+        table = CodeFusionTable(code)
         for w in all_w(n):
             ana = ErrorAnalyzer(code, w)
             for eps in (0.01, 0.05):
                 for basis in ("X", "Z"):
                     side = ana._sides[basis]
                     got = ana.pattern_error_rates(basis, eps)
-                    table = fusion_table(code)
                     for row, avail in enumerate(side["idxs"]):
                         outcomes = pattern_outcomes(table, int(avail))
                         want = oracle_pattern_error(code, outcomes, w, basis, eps)
@@ -421,7 +420,7 @@ class TestErrorAnalysis:
             code = code_from_progenitor(rec.graph, code_id=rec.sequence)
             w = (1, 0, 0)
             ana = ErrorAnalyzer(code, w)
-            table = fusion_table(code)
+            table = CodeFusionTable(code)
             for basis in ("X", "Z"):
                 side = ana._sides[basis]
                 got = ana.pattern_error_rates(basis, 0.01)
@@ -440,7 +439,7 @@ class TestAllBasesEngine:
 
     def test_counts_match_per_basis_scan(self):
         for code in small_codes(4) + [code_of("LLPLPLPL")]:
-            table = fusion_table(code)
+            table = CodeFusionTable(code)
             n = code.n_code
             for basis in ("X", "Z"):
                 rows = oracles.gather_counts(table, basis)
@@ -456,7 +455,7 @@ class TestAllBasesEngine:
         # 0.1234567 takes the Python-int route; n <= 5 keeps its oracle quick
         codes = small_codes() + ([code_of("LLPLPLPL")] if p_fail != 0.1234567 else [])
         for code in codes:
-            table = fusion_table(code)
+            table = CodeFusionTable(code)
             n = code.n_code
             for basis, got in zip("XZ", eta2_float_coeffs(*table.bernstein(p_fail))):
                 for w in range(1 << n):
@@ -464,7 +463,7 @@ class TestAllBasesEngine:
                     assert got[w].tolist() == want, (code.code_id, basis, w)
 
     def test_numerator_dtype_follows_magnitude_bound(self):
-        table = fusion_table(code_of("LLPL"))
+        table = CodeFusionTable(code_of("LLPL"))
         assert eta2_numerators(*table.bernstein(0.3))[0].dtype == np.int64
         num, den = eta2_numerators(*table.bernstein(0.1234567))
         assert num.dtype == object and den == Fraction(0.1234567).limit_denominator(1 << 30).denominator ** 4
@@ -476,7 +475,7 @@ class TestAllBasesEngine:
             records = enumerate_progenitor_records(n)
             codes += [code_of(records[i].sequence) for i in rng.choice(len(records), size=6, replace=False)]
         for code in codes:
-            table = fusion_table(code)
+            table = CodeFusionTable(code)
             n = code.n_code
             for p_fail in map(Fraction, ("0", "1/4", "3/10", "1/2", "1")):
                 num, den = eta2_numerators(*table.bernstein(p_fail))
@@ -497,7 +496,7 @@ class TestAllBasesEngine:
             records = enumerate_progenitor_records(n)
             codes += [code_of(records[i].sequence) for i in rng.choice(len(records), size=6, replace=False)]
         for code in codes:
-            table, n = fusion_table(code), code.n_code
+            table, n = CodeFusionTable(code), code.n_code
             assert table.stab == [p.x_bits | p.z_bits << n for p in enumerate_group(code.stabilizers)], code.code_id
             for basis in ("X", "Z"):
                 want = [p.x_bits | p.z_bits << n for p in logical_set(code, basis)]
@@ -505,7 +504,7 @@ class TestAllBasesEngine:
 
     def test_rep_index_up_closure_matches_scan(self):
         for code in small_codes(6) + [code_of("LLPLPLPL"), code_of("LLLLLLLL")]:
-            table = fusion_table(code)
+            table = CodeFusionTable(code)
             for basis in ("X", "Z"):
                 assert np.array_equal(table.rep_index[basis], oracles.rep_index_scan(table, basis)), code.code_id
 
@@ -539,7 +538,7 @@ class TestDecoderArrays:
             sides, want = ErrorAnalyzer(code, w)._sides, oracles.per_row_sides(code, w)
             for basis in ("X", "Z"):
                 side, ref = sides[basis], want[basis]
-                for key in ("idxs", "s", "f", "l", "lweight"):
+                for key in ("idxs", "s", "f", "l"):
                     same = side[key].dtype == ref[key].dtype and side[key].tobytes() == ref[key].tobytes()
                     assert same, (code.code_id, w, basis, key)
                 got = [None] * len(ref["weights"])
@@ -566,39 +565,21 @@ class TestDecoderArrays:
                     got = ana.pattern_error_rates(basis, eps)
                     assert got.tobytes() == oracles.pattern_error_rates(ana, basis, eps).tobytes(), (seq, eps)
                 for eta in (0.0, 0.9, 1.0):
-                    for corr in (True, False):
-                        assert ana.rates(eta, eps, corr) == oracles.error_rates(ana, eta, eps, corr), (seq, eps)
+                    assert ana.rates(eta, eps) == oracles.error_rates(ana, eta, eps), (seq, eps)
 
     def test_epsilon_array_equals_stacked_scalar_calls(self):
         etas = np.linspace(0.8, 1.0, len(self.EPS))
         for seq, w in self.CASES:
             ana = ErrorAnalyzer(code_of(seq), w)
             for basis in ("X", "Z"):
-                for method in (ana.pattern_error_rates, ana.pattern_uncorrected_rates):
-                    stacked = np.stack([method(basis, e) for e in self.EPS.tolist()])
-                    assert method(basis, self.EPS).tobytes() == stacked.tobytes(), (seq, basis)
+                stacked = np.stack([ana.pattern_error_rates(basis, e) for e in self.EPS.tolist()])
+                assert ana.pattern_error_rates(basis, self.EPS).tobytes() == stacked.tobytes(), (seq, basis)
                 probs = np.stack([ana.pattern_probabilities(basis, e) for e in etas.tolist()])
                 assert ana.pattern_probabilities(basis, etas).tobytes() == probs.tobytes()
-            for corr in (True, False):
-                got = ana.rates(etas, self.EPS, corr)
-                for i, (eta, eps) in enumerate(zip(etas.tolist(), self.EPS.tolist())):
-                    want = ana.rates(eta, eps, corr)
-                    assert (float(got["X"][i]), float(got["Z"][i])) == (want["X"], want["Z"]), (seq, i)
-
-    def test_error_report_matches_per_row_formula(self):
-        for seq, w in self.CASES:
-            code = code_of(seq)
-            for eta, eps in ((1.0, 0.01), (0.93, 0.05), (0.0, 0.02)):
-                rep = error_analysis(code, FusionSpec(eta, 0.5, w), eps)
-                ana = ErrorAnalyzer(code, w)
-                corr = oracles.error_rates(ana, eta, eps)
-                unc = oracles.error_rates(ana, eta, eps, corrections=False)
-                assert (rep.p_error_xx, rep.p_error_zz) == (corr["X"], corr["Z"])
-                assert (rep.p_error_xx_uncorrected, rep.p_error_zz_uncorrected) == (unc["X"], unc["Z"])
-                for basis in ("X", "Z"):
-                    idxs, rates = rep.pattern_rates[basis]
-                    assert np.array_equal(idxs, ana._sides[basis]["idxs"])
-                    assert rates.tobytes() == oracles.pattern_error_rates(ana, basis, eps).tobytes()
+            got = ana.rates(etas, self.EPS)
+            for i, (eta, eps) in enumerate(zip(etas.tolist(), self.EPS.tolist())):
+                want = ana.rates(eta, eps)
+                assert (float(got["X"][i]), float(got["Z"][i])) == (want["X"], want["Z"]), (seq, i)
 
 
 class TestDualSwap:

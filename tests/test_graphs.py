@@ -10,7 +10,6 @@ from fusioncodes.graphs import (
     build_progenitor,
     caterpillar_spine,
     enumerate_progenitor_records,
-    enumerate_single_emitter_progenitors,
     local_complement,
     stabilizer_generators,
 )
@@ -22,6 +21,7 @@ from oracles import (
     graph_from_json,
     graph_to_json,
     lc_pauli_transform,
+    pauli_from_string,
     progenitor_scan,
 )
 
@@ -87,23 +87,24 @@ class TestLcPauliTransform:
 
     def test_letters_on_the_complemented_vertex(self):
         g = G(2, [(0, 1)])
-        z = PauliOperator.from_string("ZI")
-        y = PauliOperator.from_string("YI")
+        z = pauli_from_string("ZI")
+        y = pauli_from_string("YI")
         assert lc_pauli_transform(z, 0, g).to_string() == "-YI"
         assert lc_pauli_transform(y, 0, g).to_string() == "+ZI"
 
     def test_letters_on_a_neighbor(self):
         g = G(2, [(0, 1)])
-        x = PauliOperator.from_string("IX")
+        x = pauli_from_string("IX")
         assert lc_pauli_transform(x, 0, g).to_string() == "-IY"
-        assert lc_pauli_transform(PauliOperator.from_string("IZ"), 0, g).to_string() == "+IZ"
+        assert lc_pauli_transform(pauli_from_string("IZ"), 0, g).to_string() == "+IZ"
 
     def test_support_preserved(self):
         g = build_progenitor("LPLP")
         for q in range(g.n):
             for bits in range(1, 1 << g.n):
                 p = PauliOperator(g.n, bits, bits >> 1, 0)
-                assert lc_pauli_transform(p, q, g).support_mask == p.support_mask
+                img = lc_pauli_transform(p, q, g)
+                assert img.x_bits | img.z_bits == p.x_bits | p.z_bits
 
     def test_maps_stabilizer_group_onto_post_lc_group(self):
         for n_photons in range(1, 5):
@@ -152,10 +153,10 @@ class TestGenerationOps:
 
 class TestEnumeration:
     def test_one_photon_single_class(self):
-        assert len(enumerate_single_emitter_progenitors(1)) == 1
+        assert len(enumerate_progenitor_records(1)) == 1
 
     def test_two_photons_two_classes(self):
-        graphs = enumerate_single_emitter_progenitors(2)
+        graphs = enumerate_progenitor_records(2)
         assert len(graphs) == 2
         # oracle: dedupe the 4 raw sequences with networkx marked isomorphism
         raw = [build_progenitor("".join(ops)) for ops in itertools.product("LP", repeat=2)]
@@ -167,7 +168,7 @@ class TestEnumeration:
 
     def test_enumeration_agrees_with_networkx_oracle_up_to_four(self):
         for n in range(1, 5):
-            mine = enumerate_single_emitter_progenitors(n)
+            mine = [r.graph for r in enumerate_progenitor_records(n)]
             raw = [build_progenitor("".join(ops)) for ops in itertools.product("LP", repeat=n)]
             classes = []
             for g in raw:
@@ -181,7 +182,7 @@ class TestEnumeration:
 
     def test_every_output_is_a_caterpillar(self):
         for n in range(1, 7):
-            for g in enumerate_single_emitter_progenitors(n):
+            for g in [r.graph for r in enumerate_progenitor_records(n)]:
                 assert caterpillar_spine(g) is not None
 
     def test_deterministic_and_sequence_tagged(self):
@@ -200,9 +201,9 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(ResourceCapExceeded):
-            enumerate_single_emitter_progenitors(9)
+            enumerate_progenitor_records(9)
         with pytest.raises(ValueError):
-            enumerate_single_emitter_progenitors(0)
+            enumerate_progenitor_records(0)
 
 
 class TestSerialization:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusioncodes.codes import code_from_progenitor, dual_code
-from fusioncodes.fusion import CodeFusionTable, fusion_table
+from fusioncodes.codes import code_from_progenitor, dual_code_with_map
+from fusioncodes.fusion import CodeFusionTable
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
@@ -122,7 +122,7 @@ class TestLossThreshold:
         for seq in ("LL", "LP", "LLP", "LPL"):
             code = code_of(seq)
             a = loss_threshold(code, bias)
-            b = loss_threshold(dual_code(code), bias)
+            b = loss_threshold(dual_code_with_map(code)[0], bias)
             assert a.gamma_star == pytest.approx(b.gamma_star, abs=1e-8)
 
     def test_passive_mode_runs_and_uses_table(self):
@@ -146,7 +146,7 @@ class TestLossThreshold:
         pairs = 0
         for n in range(1, 9):
             for rec in enumerate_progenitor_records(n):
-                table = fusion_table(code_from_progenitor(rec.graph, code_id=rec.sequence))
+                table = CodeFusionTable(code_from_progenitor(rec.graph, code_id=rec.sequence))
                 for p_fail in map(Fraction, ("0", "1/4", "3/10", "1/2", "1")):
                     (bx, bz), q = table.bernstein(p_fail)
                     for label, b in (("X", bx), ("Z", bz), ("X+Z", bx + bz)):
@@ -164,7 +164,7 @@ class TestAllBasesAgainstOracle:
             for rec in enumerate_progenitor_records(n):
                 code = code_of(rec.sequence)
                 res = loss_threshold(code, bias)
-                gamma, w = oracles.loss_threshold(fusion_table(code), bias)
+                gamma, w = oracles.loss_threshold(CodeFusionTable(code), bias)
                 assert res.gamma_star == gamma, rec.sequence
                 assert res.w_star == tuple((w >> i) & 1 for i in range(n)), rec.sequence
 
