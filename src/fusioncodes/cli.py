@@ -20,7 +20,6 @@ command but ``compile`` loads the compiler.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -35,6 +34,9 @@ from .graphs import (
     enumerate_progenitor_records,
 )
 from .pauli import CompileError, ConfigError, ResourceCapExceeded, VerificationError
+
+# before numpy loads: no BLAS call here gains from a second thread, whose idle spin costs ~0.13 CPU-s
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # values of ``compiler.Mode``, spelled out so the parser needs no compiler
 MODES = ("two-emitter", "emitter-memory")
@@ -74,6 +76,8 @@ def _manifest(args, command: str, config_dict=None) -> dict:
     }
     digest = None
     if config_dict is not None:
+        import hashlib  # its OpenSSL load costs about 5 ms, so only runs with a config digest pay it
+
         digest = hashlib.sha256(_canonical_json(config_dict).encode()).hexdigest()
     return {
         "command": command,

@@ -256,10 +256,9 @@ class ThresholdResult:
             raise ValueError(f"gamma_star out of range: {self.gamma_star}")
 
 
-def _basis_coeffs(code: GraphCode, p_fail: float) -> tuple[np.ndarray, np.ndarray]:
-    """eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
-    b, q = CodeFusionTable(code).bernstein(p_fail)
-    return tuple(eta2_float_coeffs(b, q))
+def _basis_coeffs(code: GraphCode, p_fail: float) -> np.ndarray:
+    """(2, 2^n, n+1) eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
+    return eta2_float_coeffs(*CodeFusionTable(code).bernstein(p_fail))
 
 
 def _erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -305,34 +304,55 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
     erasure rate is nondecreasing in loss, as recovery is up-closed in
     availability; this is proved, and certified exactly in the tests.
     """
-    n = code.n_code
-    cx, cz = _basis_coeffs(code, p_fail)
+    return _loss_thresholds([code], bias, p_fail)[0]
+
+
+def _loss_thresholds(codes: list[GraphCode], bias: BiasConfig, p_fail: float) -> list[ThresholdResult]:
+    """``loss_threshold`` of each code of one size, every (code, basis) row in one lockstep.
+
+    Row c * 2^n + w holds basis w of codes[c].  Each row keeps its own
+    bracket and elementwise float steps, so the results equal one
+    bisection per code.
+    """
+    n = codes[0].n_code
+    size = 1 << n
+    cx, cz = coeffs = np.empty((2, len(codes) * size, n + 1))
+    for c, code in enumerate(codes):
+        coeffs[:, c * size : (c + 1) * size] = _basis_coeffs(code, p_fail)
     ok = _feasible(bias, *_erasure_rates(cx, cz, 0.0))
     fx, fz = cx[ok], cz[ok]
-    gammas = np.zeros(1 << n)
+    gammas = np.zeros(len(cx))
     gammas[ok] = _bisect_largest_feasible(lambda g: _feasible(bias, *_erasure_rates(fx, fz, g)), len(fx))
     g = gammas.tolist()
-    best = 0
-    for w in range(1, 1 << n):
-        if g[w] > g[best] + 1e-12:
-            best = w
-    coeffs = (cx[best : best + 1].copy(), cz[best : best + 1].copy())  # a view would keep every basis's rows
-    p_xx, p_zz = (float(r[0]) for r in _erasure_rates(*coeffs, g[best]))
-    return ThresholdResult(
-        code_id=code.code_id,
-        n_code=n,
-        w_star=tuple((best >> i) & 1 for i in range(n)),
-        gamma_star=g[best],
-        bias_mode=bias.mode,
-        diagnostics={
-            "p_erase_xx": p_xx,
-            "p_erase_zz": p_zz,
-            "averaged": randomized_bias_rate(p_xx, p_zz),
-            "bias_ratio": float(bias_ratio(p_xx, p_zz)),
-            "feasible_at_zero_loss": bool(ok[best]),
-        },
-        coeffs=coeffs,
+    rows = []
+    for c in range(len(codes)):
+        best = c * size
+        for r in range(best + 1, best + size):
+            if g[r] > g[best] + 1e-12:
+                best = r
+        rows.append(best)
+    p_xx, p_zz = _erasure_rates(cx[rows], cz[rows], gammas[rows])
+    rates = zip(
+        p_xx.tolist(), p_zz.tolist(), randomized_bias_rate(p_xx, p_zz).tolist(), bias_ratio(p_xx, p_zz).tolist()
     )
+    return [
+        ThresholdResult(
+            code_id=code.code_id,
+            n_code=n,
+            w_star=tuple(((best % size) >> i) & 1 for i in range(n)),
+            gamma_star=g[best],
+            bias_mode=bias.mode,
+            diagnostics={
+                "p_erase_xx": xx,
+                "p_erase_zz": zz,
+                "averaged": averaged,
+                "bias_ratio": ratio,
+                "feasible_at_zero_loss": bool(ok[best]),
+            },
+            coeffs=(cx[best : best + 1].copy(), cz[best : best + 1].copy()),  # a view would keep every row
+        )
+        for code, best, (xx, zz, averaged, ratio) in zip(codes, rows, rates)
+    ]
 
 
 def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list[ThresholdResult]:
@@ -344,7 +364,7 @@ def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list
         raise ValueError(f"code size must be between 1 and {PROGENITOR_CAP}")
     records = enumerate_progenitor_records(n_code)
     codes = [code_from_progenitor(r.graph, code_id=r.sequence) for r in records]
-    results = [loss_threshold(c, bias, p_fail) for c in codes]
+    results = _loss_thresholds(codes, bias, p_fail)
     results.sort(key=lambda r: (-r.gamma_star, r.code_id))
     return results
 

@@ -164,6 +164,19 @@ class TestThreshold:
         main(["threshold", "--config", cfg, "--n-max", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_one_lockstep_bisection_per_code_size(self, tmp_path, monkeypatch):
+        # every failure basis of every code of one size bisects together
+        sizes = []
+        real = thresholds._bisect_largest_feasible
+
+        def counting(feasible, size, *args, **kwargs):
+            sizes.append(size)
+            return real(feasible, size, *args, **kwargs)
+
+        monkeypatch.setattr(thresholds, "_bisect_largest_feasible", counting)
+        assert main(["threshold", "--n-min", "2", "--n-max", "5", "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(sizes) == 4, sizes
+
     @pytest.mark.parametrize("n_min, n_max, expected", [("9", "9", 4), ("5", "3", 2)])
     def test_size_range_checked_before_search(self, tmp_path, n_min, n_max, expected):
         out = tmp_path / "t.csv"
@@ -221,18 +234,18 @@ class TestRegion:
 
     def test_size_region_reuses_the_search_result(self, tmp_path, monkeypatch):
         # the region of the n=4 winner takes its threshold from the search:
-        # one loss_threshold call per n=4 code and none more
+        # one threshold engine call holding every n=4 code and none more
         calls = []
-        real = thresholds.loss_threshold
+        real = thresholds._loss_thresholds
 
-        def counting(code, *args, **kwargs):
-            calls.append(code.code_id)
-            return real(code, *args, **kwargs)
+        def counting(codes, *args, **kwargs):
+            calls.append(sorted(c.code_id for c in codes))
+            return real(codes, *args, **kwargs)
 
-        monkeypatch.setattr(thresholds, "loss_threshold", counting)
+        monkeypatch.setattr(thresholds, "_loss_thresholds", counting)
         cfg = write_config(tmp_path)
         assert main(["region", "--n", "4", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-        assert sorted(calls) == sorted(r.sequence for r in enumerate_progenitor_records(4))
+        assert calls == [sorted(r.sequence for r in enumerate_progenitor_records(4))]
 
 
 class TestCompile:
@@ -358,6 +371,7 @@ class TestStartup:
         _fresh_python(
             """
 import json, sys
+preloaded = "hashlib" in sys.modules
 from fusioncodes.cli import main
 assert "numpy" not in sys.modules
 assert main(["enumerate", "--n", "3", "--out", "lib"]) == 0
@@ -365,6 +379,8 @@ assert "numpy" not in sys.modules
 assert main(["compile", "--outer", "chain.json", "--inner", "LLPLPLPL", "--out", "run"]) == 0
 assert json.load(open("run.sequence.json"))["verification_method"] == "stabilizer"
 assert "numpy" not in sys.modules
+# hashlib loads only where a config digest is written
+assert preloaded or "hashlib" not in sys.modules
 """,
             tmp_path,
         )
@@ -400,6 +416,30 @@ assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
 assert "fusioncodes.compiler" not in sys.modules
 """,
             tmp_path,
+        )
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+    def test_numpy_starts_no_blas_worker_thread(self, tmp_path):
+        plain = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        _fresh_python(
+            """
+import os
+import fusioncodes.cli
+import numpy
+assert len(os.listdir("/proc/self/task")) == 1, os.listdir("/proc/self/task")
+""",
+            tmp_path,
+            plain,
+        )
+        # a thread count the user set wins
+        _fresh_python(
+            """
+import os
+import fusioncodes.cli
+assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+""",
+            tmp_path,
+            {**plain, "OPENBLAS_NUM_THREADS": "3"},
         )
 
     def test_parser_modes_are_the_compiler_modes(self):

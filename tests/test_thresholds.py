@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,32 @@ class TestSearch:
         assert [(r.code_id, r.gamma_star) for r in a] == [(r.code_id, r.gamma_star) for r in b]
         gammas = [r.gamma_star for r in a]
         assert gammas == sorted(gammas, reverse=True)
+
+    # a written passive table need not fall with the bias ratio
+    NON_MONOTONE = BiasConfig(BiasMode.PASSIVE, 0.14, ((0.0, 0.2), (0.3, 0.12), (0.6, 0.19), (1.0, 0.13)))
+
+    @pytest.mark.parametrize(
+        "bias, p_fail",
+        [
+            (default_bias_config(BiasMode.RANDOMIZED), 0.5),
+            (default_bias_config(BiasMode.PASSIVE), 0.5),
+            (default_bias_config(BiasMode.RANDOMIZED), 0.3),  # object-dtype coefficients
+            (default_bias_config(BiasMode.PASSIVE), 0.3),
+            (NON_MONOTONE, 0.5),
+        ],
+        ids=["randomized", "passive", "randomized-0.3", "passive-0.3", "non-monotone"],
+    )
+    def test_batched_search_equals_one_code_at_a_time(self, bias, p_fail):
+        rng = random.Random(15)
+        for n in range(1, 9):
+            ids = [r.sequence for r in enumerate_progenitor_records(n)]
+            batched = {r.code_id: r for r in search_best_code(n, bias, p_fail)}
+            for code_id in ids if n <= 6 else rng.sample(ids, 6):
+                one = loss_threshold(code_of(code_id), bias, p_fail)
+                got = batched[code_id]
+                assert (got.gamma_star, got.w_star) == (one.gamma_star, one.w_star), code_id
+                assert got.diagnostics == one.diagnostics, code_id
+                assert [c.tolist() for c in got.coeffs] == [c.tolist() for c in one.coeffs], code_id
 
     def test_size_bounds(self):
         bias = BiasConfig(BiasMode.RANDOMIZED, 0.14)
