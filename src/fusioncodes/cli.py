@@ -13,8 +13,8 @@ grid points), 5 verification failure.
 
 The analysis modules (``fusion``, ``thresholds``) and numpy, and the
 ``compiler``, are imported inside the commands that use them:
-``enumerate``, ``compile`` and usage errors run without numpy, and no
-command but ``compile`` loads the compiler.
+``enumerate``, ``duals``, ``compile`` and usage errors run without
+numpy, and no command but ``compile`` loads the compiler.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .codes import code_from_progenitor, dual_code_with_map
+from .codes import code_from_progenitor, dual_code_with_map, dual_swap_holds
 from .graphs import (
     PROGENITOR_CAP,
     GraphState,
@@ -341,13 +341,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_duals(args) -> int:
-    from .fusion import validate_dual_swap
-
     entries = []
     for rec in enumerate_progenitor_records(args.n):
         code = code_from_progenitor(rec.graph, code_id=rec.sequence)
         dual, swapped = dual_code_with_map(code)
-        ok = validate_dual_swap(code, dual, swapped)
+        ok = dual_swap_holds(code, dual, swapped)
         entries.append(
             {
                 "code_id": rec.sequence,

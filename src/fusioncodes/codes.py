@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .graphs import GraphState, local_complement
 from .graphs import stabilizer_generators as graph_stabilizers
-from .pauli import PauliOperator, StabilizerGroup, enumerate_group, multiply
+from .pauli import PauliOperator, StabilizerGroup, enumerate_group, multiply, span
 
 
 class CodeConstructionError(ValueError):
@@ -106,6 +106,14 @@ def logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
     return [multiply(anchor, s) for s in enumerate_group(code.stabilizers)]
 
 
+def packed_cosets(code: GraphCode) -> tuple[list[int], dict[str, list[int]]]:
+    """(stab, reps) unsigned, packed x | z << n: ``stab[s]`` is generator subset s, ``reps[b][k]`` anchor ^ stab[k]."""
+    n = code.n_code
+    stab = span([g.x_bits | g.z_bits << n for g in code.stabilizers.generators])
+    anchors = {"X": code.logical_x, "Z": code.logical_z}
+    return stab, {b: [(p.x_bits | p.z_bits << n) ^ s for s in stab] for b, p in anchors.items()}
+
+
 def dual_code_with_map(code: GraphCode) -> tuple[GraphCode, int]:
     """Dual code plus the code-qubit index whose failure basis flips.
 
@@ -117,11 +125,23 @@ def dual_code_with_map(code: GraphCode) -> tuple[GraphCode, int]:
     transposition.  A fusion failure-basis vector therefore maps to the
     dual by flipping the single bit at q*.
     """
-    g = code.progenitor
-    s = code.input_qubit
+    g, s = code.progenitor, code.input_qubit
     q_star = min(g.neighbors(s))
-    g1 = local_complement(g, s)
-    g2 = local_complement(g1, q_star)
-    g3 = local_complement(g2, s)
-    dual = code_from_progenitor(g3, code_id=code.code_id + "*" if code.code_id else "")
+    for v in (s, q_star, s):
+        g = local_complement(g, v)
+    dual = code_from_progenitor(g, code_id=code.code_id + "*" if code.code_id else "")
     return dual, code.code_index(q_star)
+
+
+def dual_swap_holds(code: GraphCode, dual: GraphCode, swapped_qubit: int) -> bool:
+    """Whether the code's X (Z) logical coset is the dual's Z (X) coset with x and z exchanged at ``swapped_qubit``.
+
+    Flipping that qubit's failure-basis bit swaps the ZZ and XX parities of its failed pairs, which the exchange
+    maps onto each other, so equal cosets give equal readable sets: the code's XX (ZZ) success polynomial under
+    every basis w is the dual's ZZ (XX) one under w with that bit flipped.
+    """
+    flip = 1 << swapped_qubit | 1 << (swapped_qubit + code.n_code)
+    mine, theirs = packed_cosets(code)[1], packed_cosets(dual)[1]
+    # x and z differ at the qubit exactly when v & flip has one bit set; exchanging them is then v ^ flip
+    swapped = {b: {v ^ flip if (v & flip).bit_count() == 1 else v for v in theirs[b]} for b in "XZ"}
+    return set(mine["X"]) == swapped["Z"] and set(mine["Z"]) == swapped["X"]

@@ -23,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import GraphCode
+from .codes import GraphCode, packed_cosets
 from .graphs import PROGENITOR_CAP
 from .lpoly import LossPolynomial
-from .pauli import ResourceCapExceeded, gf2_reduce
+from .pauli import ResourceCapExceeded, gf2_reduce, span
 
 # availability digits, one per fused pair
 AVAIL_NONE = 0  # photon loss: no parity
@@ -80,14 +80,6 @@ def _states(n: int, w) -> tuple[np.ndarray, np.ndarray]:
     return low + (spread & sum(4**i for i, b in enumerate(w) if b)), key
 
 
-def _span(gens: list[int]) -> list[int]:
-    """Every XOR of a subset of ``gens``: subset s (bit j selects gens[j]) at index s."""
-    span = [0]
-    for g in gens:
-        span += [v ^ g for v in span]
-    return span
-
-
 def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
     """int16 index of the first of ``reps`` (packed x | z << n) each of the 4^n states can read out, else -1.
 
@@ -115,8 +107,7 @@ def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
 
 
 class CodeFusionTable:
-    """Readable-representative index of one code over the 4^n availability states; Paulis are ints
-    x | z << n: ``stab[s]`` is generator subset s, ``reps[basis][k]`` the anchor logical ^ stab[k]."""
+    """Index over the 4^n availability states of the first readable representative in ``codes.packed_cosets``."""
 
     def __init__(self, code: GraphCode):
         n = code.n_code
@@ -124,9 +115,7 @@ class CodeFusionTable:
             raise ResourceCapExceeded(f"{n} code qubits exceeds cap {PROGENITOR_CAP}")
         self.code = code
         self.n = n
-        self.stab = _span([g.x_bits | g.z_bits << n for g in code.stabilizers.generators])
-        anchors = {"X": code.logical_x, "Z": code.logical_z}
-        self.reps = {b: [(p.x_bits | p.z_bits << n) ^ s for s in self.stab] for b, p in anchors.items()}
+        self.stab, self.reps = packed_cosets(code)
         self.rep_index = {basis: _lowest_readable(self.reps[basis], n) for basis in ("X", "Z")}
 
     def bernstein(self, p_fail) -> tuple[np.ndarray, int]:
@@ -323,7 +312,7 @@ class ErrorAnalyzer:
             for row, (k, rep) in enumerate(zip(select, reps)):
                 gens = gf2_reduce(elems[readable[k]].tolist())
                 # subgroup <gens> x {1, rep}: bit j < len(gens) -> gens[j], top bit -> rep
-                weights = np.array([weight(v) for v in _span(gens + [rep])], dtype=np.int8)
+                weights = np.array([weight(v) for v in span(gens + [rep])], dtype=np.int8)
                 groups.setdefault(len(gens), []).append((row, weights))
             packed = {}
             for r, items in groups.items():
@@ -375,18 +364,3 @@ class ErrorAnalyzer:
             p = self.pattern_probabilities(basis, eta) if probs is None else probs[basis]
             result[basis] = _mean_rate(p, self.pattern_error_rates(basis, epsilon))
         return result
-
-
-# -- dual-code consistency ---------------------------------------------
-
-
-def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=0.5) -> bool:
-    """Check the exact polynomial swap p_xx <-> p_zz for every basis.
-
-    Compares the Bernstein numerators of all 2^n bases at once, which
-    fix the eta^2 numerators: the code's XX (ZZ) row under w must equal
-    the dual's ZZ (XX) row under w with the pivot bit flipped.
-    """
-    flipped = np.arange(1 << code.n_code) ^ (1 << swapped_qubit)
-    swapped = CodeFusionTable(dual).bernstein(p_fail)[0][::-1, flipped]
-    return np.array_equal(CodeFusionTable(code).bernstein(p_fail)[0], swapped)

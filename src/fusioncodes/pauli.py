@@ -136,6 +136,14 @@ def gf2_reduce(rows: list[int]) -> list[int]:
     return [basis[h] for h in sorted(basis, reverse=True)]
 
 
+def span(gens: list[int]) -> list[int]:
+    """Every XOR of a subset of ``gens``: subset s (bit j selects gens[j]) at index s."""
+    out = [0]
+    for g in gens:
+        out += [v ^ g for v in out]
+    return out
+
+
 @dataclass(frozen=True)
 class StabilizerGroup:
     """Independent, mutually commuting generators of an abelian Pauli group."""

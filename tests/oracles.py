@@ -29,7 +29,9 @@ signed row echelon, the reference for the tableau's tagged unsigned
 elimination.  The rest are small helpers that
 only tests use: JSON round trips, Pauli-string parsing, Pauli images
 under local complementation, dual failure bases and state-vector
-expectations.
+expectations.  ``validate_dual_swap`` checks the dual swap on the
+success polynomials themselves, the reference for the package's check
+on logical cosets.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fusioncodes.codes import logical_set
+from fusioncodes.codes import GraphCode, logical_set
 from fusioncodes.compiler import _run
 from fusioncodes.fusion import (
     AVAIL_BOTH,
@@ -891,6 +893,18 @@ def qubitwise_commutes(a: PauliOperator, available_x: int, available_z: int) -> 
 def dual_failure_basis(w: tuple[int, ...], swapped_qubit: int) -> tuple[int, ...]:
     """Failure basis seen by the dual code: flip the bit at the pivot qubit."""
     return tuple((1 - b) if i == swapped_qubit else b for i, b in enumerate(w))
+
+
+def validate_dual_swap(code: GraphCode, dual: GraphCode, swapped_qubit: int, p_fail=0.5) -> bool:
+    """Check the exact polynomial swap p_xx <-> p_zz for every basis.
+
+    Compares the Bernstein numerators of all 2^n bases at once, which
+    fix the eta^2 numerators: the code's XX (ZZ) row under w must equal
+    the dual's ZZ (XX) row under w with the pivot bit flipped.
+    """
+    flipped = np.arange(1 << code.n_code) ^ (1 << swapped_qubit)
+    swapped = CodeFusionTable(dual).bernstein(p_fail)[0][::-1, flipped]
+    return np.array_equal(CodeFusionTable(code).bernstein(p_fail)[0], swapped)
 
 
 # Letter images under conjugation by the local-complementation Clifford

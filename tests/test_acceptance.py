@@ -14,7 +14,6 @@ from fusioncodes.fusion import (
     ErrorAnalyzer,
     FusionSpec,
     erasure_analysis,
-    validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import LossPolynomial
@@ -119,7 +118,7 @@ def test_a5_dual_swap_exact_identity():
     for n in range(1, 7):
         for code in codes_of_size(n):
             dual, swapped = dual_code_with_map(code)
-            assert validate_dual_swap(code, dual, swapped), code.code_id
+            assert oracles.validate_dual_swap(code, dual, swapped), code.code_id
             checked += 1
     say(f"[A5] PASS exact polynomial dual swap for {checked} codes (all sizes <= 6, all bases)")
 

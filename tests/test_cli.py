@@ -1,9 +1,11 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +378,9 @@ from fusioncodes.cli import main
 assert "numpy" not in sys.modules
 assert main(["enumerate", "--n", "3", "--out", "lib"]) == 0
 assert "numpy" not in sys.modules
+assert main(["duals", "--n", "3", "--out", "duals.json"]) == 0
+assert all(d["swap_verified"] for d in json.load(open("duals.json"))["duals"])
+assert "numpy" not in sys.modules and "fusioncodes.fusion" not in sys.modules
 assert main(["compile", "--outer", "chain.json", "--inner", "LLPLPLPL", "--out", "run"]) == 0
 assert json.load(open("run.sequence.json"))["verification_method"] == "stabilizer"
 assert "numpy" not in sys.modules
@@ -704,3 +709,32 @@ def test_region_boundary_never_raises(case):
         except SystemExit as exc:
             code = exc.code
     assert code in {0, 2, 3, 4, 5}
+
+
+# --n of the two commands that take only a size: small and huge integers,
+# near misses and arbitrary text
+_size_text = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(9, 10**30).map(str),
+    st.sampled_from(["", "x", "3.0", "0x8", " 4", "+2", "1_0", "-0", "\u0663", "\u0669"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["enumerate", "duals"]), n=_size_text)
+def test_size_boundary_never_raises(command, n):
+    try:
+        over_cap = int(n) > 8  # the parser's own reading of the text
+    except ValueError:
+        over_cap = False
+    # above the cap not one progenitor is built and nothing is written
+    no_work = mock.patch("fusioncodes.graphs.build_progenitor", side_effect=AssertionError("built above the cap"))
+    with tempfile.TemporaryDirectory() as tmp, no_work if over_cap else contextlib.nullcontext():
+        out = os.path.join(tmp, "out")
+        try:
+            code = main([command, "--n", n, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0 or not os.path.exists(out), (n, code)
+    assert code == 4 if over_cap else code in {0, 2, 4}, (n, code)

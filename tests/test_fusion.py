@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusioncodes.codes import code_from_progenitor, dual_code_with_map, logical_set
+from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, logical_set
 from fusioncodes.fusion import (
     CodeFusionTable,
     ErrorAnalyzer,
@@ -13,7 +13,6 @@ from fusioncodes.fusion import (
     _fwht_rows,
     _patterns,
     erasure_analysis,
-    validate_dual_swap,
 )
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import LossPolynomial, eta2_float_coeffs, eta2_numerators
@@ -513,7 +512,7 @@ class TestAllBasesEngine:
         for rec in enumerate_progenitor_records(3):
             code = code_from_progenitor(rec.graph, code_id=rec.sequence)
             dual, swapped = dual_code_with_map(code)
-            rejected += sum(not validate_dual_swap(code, dual, k) for k in range(3) if k != swapped)
+            rejected += sum(not oracles.validate_dual_swap(code, dual, k) for k in range(3) if k != swapped)
         assert rejected > 0
 
 
@@ -588,7 +587,22 @@ class TestDualSwap:
             for rec in enumerate_progenitor_records(n):
                 code = code_from_progenitor(rec.graph, code_id=rec.sequence)
                 dual, swapped = dual_code_with_map(code)
-                assert validate_dual_swap(code, dual, swapped), rec.sequence
+                assert oracles.validate_dual_swap(code, dual, swapped), rec.sequence
+
+    def test_coset_check_agrees_with_polynomial_oracle(self):
+        # the true pivot of every code with n <= 8, every pivot of every code with n <= 5
+        pairs = rejected = 0
+        for n in range(1, 9):
+            for rec in enumerate_progenitor_records(n):
+                code = code_from_progenitor(rec.graph, code_id=rec.sequence)
+                dual, swapped = dual_code_with_map(code)
+                for k in range(n) if n <= 5 else (swapped,):
+                    holds = dual_swap_holds(code, dual, k)
+                    assert holds == oracles.validate_dual_swap(code, dual, k), (rec.sequence, k)
+                    assert holds == (k == swapped), (rec.sequence, k)
+                    pairs += 1
+                    rejected += not holds
+        assert (pairs, rejected) == (129 + 32 + 64 + 128, 98)  # every wrong pivot with n <= 5 rejected
 
     def test_dual_failure_basis_flips_one_bit(self):
         assert dual_failure_basis((0, 1, 0), 2) == (0, 1, 1)
