@@ -80,23 +80,26 @@ def _states(n: int, w) -> tuple[np.ndarray, np.ndarray]:
     return low + (spread & sum(4**i for i, b in enumerate(w) if b)), key
 
 
+def _minimal_states(packed: np.ndarray, n: int) -> np.ndarray:
+    """Least state reading each packed Pauli x | z << n: per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH."""
+    bits = np.arange(n)
+    x = (packed[:, None] >> bits) & 1
+    z = (packed[:, None] >> (bits + n)) & 1
+    return ((AVAIL_XX * x + AVAIL_ZZ * z) * 4**bits).sum(axis=1)
+
+
 def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
     """int16 index of the first of ``reps`` (packed x | z << n) each of the 4^n states can read out, else -1.
 
     A representative is readable exactly on the states at or above its
-    minimal one (per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH) in the
-    per-qubit order NONE <= ZZ, XX <= BOTH.  Seeding every minimal state
-    with its index and taking running minima up that order, one qubit at
-    a time, leaves each state the lowest index among those it can read.
+    minimal one in the per-qubit order NONE <= ZZ, XX <= BOTH, which is
+    bit inclusion.  Seeding every minimal state with its index and taking
+    running minima up that order, one qubit at a time, leaves each state
+    the lowest index among those it can read.
     """
     unread = len(reps)
     best = np.full(4**n, unread, dtype=np.int16)
-    bits = np.arange(n)
-    packed = np.array(reps)[:, None]
-    x = (packed >> bits) & 1
-    z = (packed >> (bits + n)) & 1
-    minimal = ((AVAIL_XX * x + AVAIL_ZZ * z) * 4**bits).sum(axis=1)
-    np.minimum.at(best, minimal, np.arange(unread, dtype=np.int16))
+    np.minimum.at(best, _minimal_states(np.array(reps), n), np.arange(unread, dtype=np.int16))
     for i in range(n):
         digit = best.reshape(-1, 4, 4**i)  # axis 1 is qubit i's availability digit
         for up in (AVAIL_ZZ, AVAIL_XX):
@@ -228,30 +231,24 @@ def _flip_bias(epsilon):
     return 1.0 - 2.0 * ((ab + bb + bb + ab) + (ab + bb + ab + bb))
 
 
-def _bias_powers(epsilon, n: int) -> np.ndarray:
-    """(1-2p)^k for k = 0..n along a new last axis: the same pow as raising the bias to a weight."""
-    return np.asarray(_flip_bias(epsilon))[..., None] ** np.arange(n + 1.0)
-
-
 # -- maximum-likelihood error decoding ---------------------------------
 
 
-def _fwht_rows(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform along the last axis of a C-contiguous array.
+def _fwht_side_by_side(a: np.ndarray, blocks) -> np.ndarray:
+    """In-place Walsh-Hadamard transform of rows laid side by side along the last axis.
 
-    Stage h views that axis as (blocks, 2, h) and maps each half pair
-    (x, y) to (x + y, x - y), so a length-m axis takes log2(m) whole-array
-    steps whatever the leading dimensions.
+    ``blocks`` holds (start, stop, m) per run of rows of power-of-two length m, longest first, so the rows
+    of length >= 2h fill a prefix.  Stage h maps each (x, y) half pair of it to (x + y, x - y) in one step.
     """
-    m = a.shape[-1]
     h = 1
-    while h < m:
-        pairs = a.reshape(-1, m // (2 * h), 2, h, copy=False)
-        x, y = pairs[:, :, 0], pairs[:, :, 1]
-        total = x + y
-        np.subtract(x, y, out=y)
-        x[...] = total
-        h *= 2
+    for _, stop, m in reversed(blocks):
+        while h < m:
+            pairs = a[..., :stop].reshape(a.shape[:-1] + (stop // (2 * h), 2, h), copy=False)
+            x, y = pairs[..., 0, :], pairs[..., 1, :]
+            total = x + y
+            np.subtract(x, y, out=y)
+            x[...] = total
+            h *= 2
     return a
 
 
@@ -272,54 +269,54 @@ class ErrorAnalyzer:
     parities, and flips the recovered logical parity to the likelier
     value.  The joint law of (syndrome, logical flip) is the Walsh
     transform of per-group-element biases (1-2p)^weight, so each
-    pattern reduces to one small transform.  Patterns are grouped by
-    subgroup rank r and only the distinct weight rows of a group are
-    transformed; every method also takes arrays of epsilon (and eta),
-    which add leading axes to its result.
+    pattern reduces to one small transform.  The setup spans each
+    (readable stabilizers, representative) pair once and keeps each
+    distinct weight row once; an evaluation lays a basis's rows side by
+    side and runs one butterfly pass over all of them.  Every method also
+    takes arrays of epsilon (and eta), which add leading axes to its
+    result.  ``table`` is the code's table when the caller has built it.
     """
 
-    def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5):
+    def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5, table: CodeFusionTable | None = None):
         if len(w) != code.n_code:
             raise ValueError("failure basis length mismatch")
         self.code = code
         self.w = tuple(w)
         self.p_fail = p_fail
         self.n = n = code.n_code
-        table = CodeFusionTable(code)
+        table = CodeFusionTable(code) if table is None else table
         states, key = _states(n, self.w)
         s_all, f_all = divmod(key, n + 1)
-        # bit 2i of a state is pair i's ZZ parity, bit 2i+1 its XX parity
-        bits = (states[:, None] >> np.arange(2 * n)) & 1
-        az = (bits[:, 0::2] << np.arange(n)).sum(axis=1, dtype=np.int16)
-        ax = (bits[:, 1::2] << np.arange(n)).sum(axis=1, dtype=np.int16)
-
-        mask_n = (1 << n) - 1
         elems = np.array(table.stab)
-        sx = (elems & mask_n).astype(np.int16)
-        sz = (elems >> n).astype(np.int16)
-        # readable[k, e]: element e needs only parities that state k recovers
-        readable = ((sx & ~ax[:, None]) | (sz & ~az[:, None])) == 0
-
-        def weight(v: int) -> int:
-            return ((v & mask_n) | (v >> n)).bit_count()
-
+        # readable[k, e]: state k recovers every parity element e needs; uint16 holds 4^8 states
+        readable = (_minimal_states(elems, n).astype(np.uint16) & ~states.astype(np.uint16)[:, None]) == 0
+        mask_n = (1 << n) - 1
         self._sides = {}
         for basis in ("X", "Z"):
-            rep_of = table.rep_index[basis][states]
+            reps, rep_of = table.reps[basis], table.rep_index[basis][states]
             select = np.nonzero(rep_of >= 0)[0]
-            reps = [table.reps[basis][k] for k in rep_of[select].tolist()]
-            groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-            for row, (k, rep) in enumerate(zip(select, reps)):
-                gens = gf2_reduce(elems[readable[k]].tolist())
-                # subgroup <gens> x {1, rep}: bit j < len(gens) -> gens[j], top bit -> rep
-                weights = np.array([weight(v) for v in span(gens + [rep])], dtype=np.int8)
-                groups.setdefault(len(gens), []).append((row, weights))
-            packed = {}
-            for r, items in groups.items():
-                rows = np.array([row for row, _ in items], dtype=np.int64)
-                distinct, inverse = np.unique(np.stack([wv for _, wv in items]), axis=0, return_inverse=True)
-                # rows[i] has weight row distinct[inverse[i]]
-                packed[r] = (rows, (inverse.reshape(-1), distinct))
+            spanned, weight_rows = {}, []  # weight row per (readable row, representative) and per pattern
+            for k, rep in zip(select.tolist(), rep_of[select].tolist()):
+                pair = (readable[k].tobytes(), rep)
+                if pair not in spanned:
+                    gens = gf2_reduce(elems[readable[k]].tolist())
+                    # subgroup <gens> x {1, rep}: bit j < len(gens) -> gens[j], top bit -> rep
+                    spanned[pair] = bytes([((v & mask_n) | (v >> n)).bit_count() for v in span(gens + [reps[rep]])])
+                weight_rows.append(spanned[pair])
+            # longest first; within a length, byte order is np.unique(axis=0)'s for these int8 rows
+            distinct = sorted(sorted(set(weight_rows)), key=len, reverse=True)
+            ids = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).get, weight_rows), np.int64, len(select))
+            flat = np.frombuffer(b"".join(distinct), dtype=np.int8)
+            lengths = list(map(len, distinct))
+            groups, blocks, first, start = {}, [], 0, 0
+            for m in dict.fromkeys(lengths):
+                count = lengths.count(m)
+                stop = start + m * count
+                rows = np.nonzero((ids >= first) & (ids < first + count))[0]
+                # rows[i] has weight row distinct[inverse[i]], of rank log2(m) - 1
+                groups[m.bit_length() - 2] = (rows, (ids[rows] - first, flat[start:stop].reshape(count, m)))
+                blocks.append((start, stop, m))
+                first, start = first + count, stop
             s_cnt = s_all[select].astype(np.float64)
             f_cnt = f_all[select].astype(np.float64)
             self._sides[basis] = {
@@ -327,7 +324,8 @@ class ErrorAnalyzer:
                 "s": s_cnt,
                 "f": f_cnt,
                 "l": n - s_cnt - f_cnt,
-                "groups": packed,
+                "groups": groups,
+                "walsh": (flat, blocks, ids),
             }
 
     def pattern_probabilities(self, basis: str, eta) -> np.ndarray:
@@ -344,14 +342,16 @@ class ErrorAnalyzer:
 
     def pattern_error_rates(self, basis: str, epsilon) -> np.ndarray:
         """Conditional logical error rate per recovering pattern."""
-        side = self._sides[basis]
-        powers = _bias_powers(epsilon, self.n)
-        out = np.empty(powers.shape[:-1] + side["idxs"].shape)
-        for r, (rows, (inverse, weights)) in side["groups"].items():
-            t = _fwht_rows(np.take(powers, weights, axis=-1)) / float(weights.shape[1])
-            half = 1 << r
-            out[..., rows] = np.minimum(t[..., :half], t[..., half:]).sum(axis=-1)[..., inverse]
-        return out
+        flat, blocks, ids = self._sides[basis]["walsh"]
+        # (1-2p)^k, k = 0..n, on a new last axis: the same pow as raising the bias to a weight
+        powers = np.asarray(_flip_bias(epsilon))[..., None] ** np.arange(self.n + 1.0)
+        t = _fwht_side_by_side(np.take(powers, flat, axis=-1), blocks)
+        per = []
+        for start, stop, m in blocks:
+            t[..., start:stop] /= float(m)
+            rows = t[..., start:stop].reshape(t.shape[:-1] + (-1, m))
+            per.append(np.minimum(rows[..., : m // 2], rows[..., m // 2 :]).sum(axis=-1))
+        return np.take(np.concatenate(per, axis=-1), ids, axis=-1)
 
     def rates(self, eta, epsilon, probs: dict | None = None) -> dict:
         """Erasure-weighted ML-decoded logical error rate for each parity.

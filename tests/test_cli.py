@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import fusioncodes
 from fusioncodes import thresholds
 from fusioncodes.cli import GRID_POINTS_CAP, main
+from fusioncodes.fusion import CodeFusionTable
 from fusioncodes.graphs import enumerate_progenitor_records
 from fusioncodes.thresholds import (
     ErrorThresholdConfig,
@@ -186,6 +188,45 @@ class TestThreshold:
         assert not out.exists()
 
 
+# sha256 of the `region --code C` CSV under write_config's config, every
+# other flag at its default, for each n=6 code and LLPLPLPL
+REGION_CSV_SHA256 = {
+    "LLLLLL": "bf077a2c8d57b9c57532ee59781c3d9e3b856cc18d143f3c2b5ec089414336c8",
+    "LPLLLL": "f462e1d66de8374419c85e0278e042f4e233a06a95c3987cc678be271bacf8f0",
+    "LLPLLL": "49c49a3582987154d79e32eddefc7546ba0ae9487766fde11709315645b2e2fc",
+    "LPPLLL": "4280c2f9be549c2bc5e5b37f336a5d17c4d843328df69bd39d5d4c4f284b380a",
+    "LLLPLL": "7a43f66255589482cc0bd28945a8c9200fdd17ff69142d331a149cfaeafa20aa",
+    "LPLPLL": "feb69bba1b763fad3fff1dc4bf6b02dc14ef173c168c8855e8fd7bce5b84a79e",
+    "LLPPLL": "90e9993f76a5160d8af5be03061551756b233cb1014646c49ca9bf74e7102ca5",
+    "LPPPLL": "81e20ec9dab67a6a77beb327fdb61d51f4310b790deffff2d14b2effcadeab37",
+    "LLLLPL": "97d21616fcab1692eddcb63270d03158708f1ba432e5681772899b6d0fd3bf48",
+    "LPLLPL": "311570af904b3f71cd9eea369d6bb1a5cd627bd6f76a57fa322afce4e0660cc8",
+    "LLPLPL": "83d8bc9c4156292fdadb8efb318dd3f9795568ce2729c9126e64b17ec71160f4",
+    "LPPLPL": "de949d995c0ce533964a28532e724a8427af3891b726f1b5fceb0c85f8b64a39",
+    "LLLPPL": "75b0559501a8d851b99c4b7562590faacd811b1bfc6ad72199aa77fa38a10d6a",
+    "LPLPPL": "8f6e379748bfbfa222db3eeab9fd243d674e3e3d637660176d6805ee0bba9e1b",
+    "LLPPPL": "c6350be4d7189155b8a32045c55bd9ec1301ce71132e66c2a6d53008e4330a4e",
+    "LPPPPL": "2938fb2187d94901c4bbd0a14d24e85eb0b2fa4387d23276c6f4fb551b5b1834",
+    "LLLLLP": "bf077a2c8d57b9c57532ee59781c3d9e3b856cc18d143f3c2b5ec089414336c8",
+    "LPLLLP": "f462e1d66de8374419c85e0278e042f4e233a06a95c3987cc678be271bacf8f0",
+    "LLPLLP": "49c49a3582987154d79e32eddefc7546ba0ae9487766fde11709315645b2e2fc",
+    "LPPLLP": "4280c2f9be549c2bc5e5b37f336a5d17c4d843328df69bd39d5d4c4f284b380a",
+    "LLLPLP": "7a43f66255589482cc0bd28945a8c9200fdd17ff69142d331a149cfaeafa20aa",
+    "LPLPLP": "feb69bba1b763fad3fff1dc4bf6b02dc14ef173c168c8855e8fd7bce5b84a79e",
+    "LLPPLP": "90e9993f76a5160d8af5be03061551756b233cb1014646c49ca9bf74e7102ca5",
+    "LPPPLP": "81e20ec9dab67a6a77beb327fdb61d51f4310b790deffff2d14b2effcadeab37",
+    "LLLLPP": "97d21616fcab1692eddcb63270d03158708f1ba432e5681772899b6d0fd3bf48",
+    "LPLLPP": "311570af904b3f71cd9eea369d6bb1a5cd627bd6f76a57fa322afce4e0660cc8",
+    "LLPLPP": "83d8bc9c4156292fdadb8efb318dd3f9795568ce2729c9126e64b17ec71160f4",
+    "LPPLPP": "de949d995c0ce533964a28532e724a8427af3891b726f1b5fceb0c85f8b64a39",
+    "LLLPPP": "75b0559501a8d851b99c4b7562590faacd811b1bfc6ad72199aa77fa38a10d6a",
+    "LPLPPP": "8f6e379748bfbfa222db3eeab9fd243d674e3e3d637660176d6805ee0bba9e1b",
+    "LLPPPP": "c6350be4d7189155b8a32045c55bd9ec1301ce71132e66c2a6d53008e4330a4e",
+    "LPPPPP": "2938fb2187d94901c4bbd0a14d24e85eb0b2fa4387d23276c6f4fb551b5b1834",
+    "LLPLPLPL": "878c5d8c5370da8c7dd7f5bf76eb233898c946963380147da121c425c3f334cb",
+}
+
+
 class TestRegion:
     def test_zero_epsilon_map_warns_but_succeeds(self, tmp_path, capsys):
         cfg_dict = config_to_json_dict(default_bias_config())
@@ -233,6 +274,27 @@ class TestRegion:
         with pytest.raises(SystemExit) as exc:
             main(["region", "--code", "LL", "--config", cfg, "--grid-points", "1", "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
+
+    def test_region_csv_bytes_are_pinned(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        for code, digest in REGION_CSV_SHA256.items():
+            assert main(["region", "--code", code, "--config", cfg, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, code
+
+    def test_code_region_builds_one_table(self, tmp_path, monkeypatch):
+        # the loss threshold and the decoder read the same CodeFusionTable
+        built = []
+        real = CodeFusionTable.__init__
+
+        def counting(table, code):
+            built.append(code.code_id)
+            real(table, code)
+
+        monkeypatch.setattr(CodeFusionTable, "__init__", counting)
+        cfg = write_config(tmp_path)
+        assert main(["region", "--code", "LLPL", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert built == ["LLPL"]
 
     def test_size_region_reuses_the_search_result(self, tmp_path, monkeypatch):
         # the region of the n=4 winner takes its threshold from the search:
@@ -468,13 +530,14 @@ assert "numpy" in sys.modules
 
     def test_dyadic_p_fail_skips_fractions(self, tmp_path):
         # 1/2 and 1/4 are exact binary ratios; 0.3 needs Fraction.limit_denominator
+        cfg = write_config(tmp_path)
         _fresh_python(
-            """
+            f"""
 import sys
 from fusioncodes.cli import main
 for p_fail in ("0.5", "0.25"):
     assert main(["optimize-w", "--code", "LLPL", "--p-fail", p_fail, "--out", "w.json"]) == 0
-    assert main(["duals", "--n", "3", "--out", "d.json"]) == 0
+    assert main(["region", "--code", "LLPL", "--config", {cfg!r}, "--p-fail", p_fail, "--out", "r.csv"]) == 0
     assert "fractions" not in sys.modules and "decimal" not in sys.modules
 assert main(["optimize-w", "--code", "LLPL", "--p-fail", "0.3", "--out", "w.json"]) == 0
 assert "fractions" in sys.modules

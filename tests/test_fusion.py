@@ -10,7 +10,7 @@ from fusioncodes.fusion import (
     ErrorAnalyzer,
     FusionSpec,
     _flip_bias,
-    _fwht_rows,
+    _fwht_side_by_side,
     _patterns,
     erasure_analysis,
 )
@@ -523,11 +523,21 @@ class TestDecoderArrays:
     EPS = np.array([0.0, 1e-9, 0.0031, 0.05, 0.2, 0.75, 1.0])
 
     def test_butterfly_matches_block_loop(self):
+        # rows of several lengths side by side, longest first, each against its own block loop
         rng = np.random.default_rng(7)
         for k in range(1, 9):
             for lead in ((), (3,), (2, 5)):
-                a = rng.standard_normal(lead + (1 << k,))
-                assert _fwht_rows(a.copy()).tobytes() == oracles.fwht_blocks(a.copy()).tobytes(), (k, lead)
+                lengths = sorted(1 << rng.integers(1, k + 1, size=4), reverse=True)
+                blocks, start = [], 0
+                for m in sorted(set(lengths), reverse=True):
+                    blocks.append((start, start + m * lengths.count(m), m))
+                    start += m * lengths.count(m)
+                a = rng.standard_normal(lead + (start,))
+                got = _fwht_side_by_side(a.copy(), blocks)
+                for start, stop, m in blocks:
+                    rows = a[..., start:stop].reshape(lead + (-1, m))
+                    want = oracles.fwht_blocks(rows.copy()).reshape(lead + (-1,))
+                    assert got[..., start:stop].tobytes() == want.tobytes(), (k, lead, m)
 
     def test_setup_matches_per_row_oracle(self):
         rng = np.random.default_rng(2406)
