@@ -15,6 +15,18 @@ The analysis modules (``fusion``, ``thresholds``) and numpy, and the
 ``compiler``, are imported inside the commands that use them:
 ``enumerate``, ``duals``, ``compile`` and usage errors run without
 numpy, and no command but ``compile`` loads the compiler.
+
+Start-up dominates these commands.  Measured with ``-X importtime`` on
+a 2-core x86-64 host (Python 3.11.7, medians of 20 fresh processes): the
+interpreter plus ``site`` take 50-70 ms, numpy 100 ms where a command
+loads it, and importing this module 26 ms (27 ms after numpy), 16 ms
+less than when the records were generated classes whose module imports
+``inspect`` and execs methods for every class.  Records are NamedTuples
+or ``__slots__`` classes, so only the numpy commands load ``inspect``.
+Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``) each process
+also compiles the package source it imports: about 9 ms for this module
+and its imports, 13-22 ms for ``compile`` and 17-29 ms for
+``threshold``.  See README "Startup".
 """
 
 from __future__ import annotations
@@ -306,13 +318,11 @@ def cmd_compile(args) -> int:
     mode = Mode(args.mode)
     seq = compile_generation(outer, inner, mode)
     if args.inject_fault:
-        import dataclasses
-
         cz_positions = [k for k, i in enumerate(seq.ops) if i.op.value == "cz"]
         if cz_positions:
             ops = list(seq.ops)
             del ops[cz_positions[-1]]
-            seq = dataclasses.replace(seq, ops=tuple(ops))
+            seq = seq._replace(ops=tuple(ops))
     verdict = verify_sequence(seq)
     resources = count_resources(seq)
     manifest = _manifest(args, "compile")

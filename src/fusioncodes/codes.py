@@ -9,7 +9,7 @@ products) that act trivially on q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import GraphState, local_complement
 from .graphs import stabilizer_generators as graph_stabilizers
@@ -20,8 +20,7 @@ class CodeConstructionError(ValueError):
     """The progenitor cannot be turned into a code (e.g. isolated input)."""
 
 
-@dataclass(frozen=True)
-class GraphCode:
+class GraphCode(NamedTuple):
     """Graph code with its logicals and stabilizers on the code qubits.
 
     Code qubit ``i`` is progenitor vertex ``code_qubits[i]`` (the

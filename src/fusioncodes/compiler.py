@@ -21,19 +21,18 @@ measured in X with outcome +1.  Either backend builds the target on the
 replay's own wires.  The state vector compares amplitudes and signs;
 on the tableau, each target generator must be a +1 element of the
 compiled stabilizer group.  Compiling and both verifiers run on Python
-ints alone, without numpy.
+ints alone, without numpy, and a verifier imports its backend module
+only when it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .codes import GraphCode
 from .graphs import GraphState, build_progenitor, caterpillar_spine
 from .pauli import CompileError, PauliOperator, VerificationError  # noqa: F401  (re-exported)
-from .statevec import FlatState
-from .tableau import BranchImpossible, StabilizerTableau
 
 # 'auto' verification limits of the state vector: photons of the replay,
 # and photons plus one virtual wire per outer vertex for the target
@@ -56,8 +55,7 @@ class Op(Enum):
     REINIT = "reinit"
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     op: Op
     targets: tuple[int, ...]
 
@@ -65,8 +63,7 @@ class Instruction:
         return {"op": self.op.value, "targets": list(self.targets)}
 
 
-@dataclass(frozen=True)
-class GenerationSequence:
+class GenerationSequence(NamedTuple):
     """Instruction list plus the metadata needed to verify it."""
 
     ops: tuple[Instruction, ...]
@@ -92,8 +89,7 @@ class GenerationSequence:
         }
 
 
-@dataclass(frozen=True)
-class ResourceCount:
+class ResourceCount(NamedTuple):
     spin_spin_gates: int
     max_emitter_depth: int
     photons: int
@@ -266,8 +262,7 @@ def _inner_wire_roles(inner_ops: str) -> tuple[dict[int, int], int]:
     return roles, emitter_vertex
 
 
-@dataclass(frozen=True)
-class ConcatenatedTarget:
+class ConcatenatedTarget(NamedTuple):
     """Wire-level concatenated graph: photons first, then virtual nodes."""
 
     n_photons: int
@@ -390,6 +385,8 @@ def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) ->
     +1 element of the compiled group, or None when the states are equal;
     ``missing`` is False for a generator the group holds with sign -1.
     """
+    from .tableau import StabilizerTableau
+
     got, want = _replay(seq, target, StabilizerTableau)
     stray = got.first_non_member(want.rows)
     if stray is None:
@@ -401,12 +398,14 @@ def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) ->
 # -- verification ---------------------------------------------------------
 
 
-@dataclass
 class VerificationResult:
-    ok: bool
-    method: str
-    message: str = ""
-    detail: dict = field(default_factory=dict)
+    """Verdict of ``verify_sequence``; ``detail`` holds what the message reports."""
+
+    __slots__ = ("ok", "method", "message", "detail")
+
+    def __init__(self, ok: bool, method: str, message: str = "", detail: dict | None = None):
+        self.ok, self.method, self.message = ok, method, message
+        self.detail = {} if detail is None else detail
 
 
 def verify_sequence(
@@ -439,6 +438,8 @@ def verify_sequence(
         small = seq.photon_count <= AUTO_MAX_PHOTONS and target.n_total <= AUTO_MAX_WIRES
         method = "statevector" if small else "stabilizer"
     if method == "statevector":
+        from .statevec import FlatState
+
         got, want = _replay(seq, target, FlatState)
         if got.equals_up_to_phase(want):
             return VerificationResult(True, method)
@@ -450,6 +451,8 @@ def verify_sequence(
             {"overlap": overlap},
         )
     if method == "stabilizer":
+        from .tableau import BranchImpossible
+
         try:
             stray = _stabilizer_mismatch(seq, target)
         except BranchImpossible as exc:

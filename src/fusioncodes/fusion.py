@@ -18,8 +18,8 @@ Bernstein form, which keeps the basis scan exact and fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,21 +35,25 @@ AVAIL_XX = 2  # failure recovering XX
 AVAIL_BOTH = 3  # successful fusion: XX and ZZ
 
 
-@dataclass(frozen=True)
-class FusionSpec:
-    """Physical fusion model: transmission, failure rate, failure bases."""
-
+class _SpecFields(NamedTuple):
     eta: float
     p_fail: float = 0.5
     w: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta out of range: {self.eta}")
-        if not 0.0 <= self.p_fail <= 1.0:
-            raise ValueError(f"p_fail out of range: {self.p_fail}")
-        if any(b not in (0, 1) for b in self.w):
+
+class FusionSpec(_SpecFields):
+    """Physical fusion model: transmission, failure rate, failure bases."""
+
+    __slots__ = ()
+
+    def __new__(cls, eta: float, p_fail: float = 0.5, w: tuple[int, ...] = ()):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta out of range: {eta}")
+        if not 0.0 <= p_fail <= 1.0:
+            raise ValueError(f"p_fail out of range: {p_fail}")
+        if any(b not in (0, 1) for b in w):
             raise ValueError("failure bases must be 0 (ZZ) or 1 (XX)")
+        return tuple.__new__(cls, (eta, p_fail, w))
 
 
 # -- per-code availability table --------------------------------------
@@ -161,8 +165,7 @@ class CodeFusionTable:
 # -- erasure analysis --------------------------------------------------
 
 
-@dataclass
-class ErasureReport:
+class ErasureReport(NamedTuple):
     """Result of analysing one (code, failure basis) pair."""
 
     code: GraphCode

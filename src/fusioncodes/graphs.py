@@ -12,8 +12,8 @@ such graph exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .pauli import PauliOperator, ResourceCapExceeded, StabilizerGroup
 
@@ -25,22 +25,26 @@ class GenerationOp(Enum):
     PATH_EDGE = "P"
 
 
-@dataclass(frozen=True)
-class GraphState:
-    """Simple undirected graph over ``n`` vertices with a marked emitter."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
     emitter: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.emitter < self.n:
-            raise ValueError(f"emitter {self.emitter} out of range for n={self.n}")
-        for u, v in self.edges:
+
+class GraphState(_GraphFields):
+    """Simple undirected graph over ``n`` vertices with a marked emitter."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]], emitter: int = 0):
+        if not 0 <= emitter < n:
+            raise ValueError(f"emitter {emitter} out of range for n={n}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValueError(f"bad edge ({u}, {v}); store as sorted pairs")
+        return tuple.__new__(cls, (n, edges, emitter))
 
     @staticmethod
     def from_edges(n: int, edges, emitter: int = 0) -> "GraphState":
@@ -183,8 +187,7 @@ def caterpillar_spine(g: GraphState) -> list[tuple[int, int]] | None:
     return spine
 
 
-@dataclass(frozen=True)
-class ProgenitorRecord:
+class ProgenitorRecord(NamedTuple):
     """Enumerated progenitor: the graph plus the op sequence that built it.
 
     ``sequence`` doubles as a stable code identifier ('L' = leaf,

@@ -11,8 +11,7 @@ Asking for the ``sign`` of an operator whose phase is imaginary raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from typing import NamedTuple
 
 
 class DimensionMismatch(ValueError):
@@ -41,8 +40,19 @@ _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+# Records are NamedTuples: equality and hashing by value, no per-class
+# generated code.  One that validates subclasses its fields and checks
+# them in ``__new__``, which builds the tuple directly.
+
+
+class _PauliFields(NamedTuple):
+    n: int
+    x_bits: int
+    z_bits: int
+    phase: int = 0
+
+
+class PauliOperator(_PauliFields):
     """Signed n-qubit Pauli string.
 
     ``phase`` is the exponent k of the global factor i^k (mod 4).  All
@@ -50,18 +60,15 @@ class PauliOperator:
     i.e. sign +1 or -1.
     """
 
-    n: int
-    x_bits: int
-    z_bits: int
-    phase: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, x_bits: int, z_bits: int, phase: int = 0):
+        if n < 0:
             raise ValueError("negative qubit count")
-        mask = (1 << self.n) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
+        mask = (1 << n) - 1
+        if x_bits & ~mask or z_bits & ~mask:
             raise ValueError("component bits outside qubit range")
-        object.__setattr__(self, "phase", self.phase % 4)
+        return tuple.__new__(cls, (n, x_bits, z_bits, phase % 4))
 
     # -- constructors ------------------------------------------------
 
@@ -115,13 +122,6 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n, x, z, a.phase + b.phase + g)
 
 
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    """True iff the symplectic inner product of a and b is even."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"qubit counts differ: {a.n} vs {b.n}")
-    return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
-
-
 def gf2_reduce(rows: list[int]) -> list[int]:
     """Independent basis (one row per leading bit) spanning the given rows."""
     basis: dict[int, int] = {}
@@ -144,24 +144,31 @@ def span(gens: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """Independent, mutually commuting generators of an abelian Pauli group."""
-
+class _GroupFields(NamedTuple):
     n: int
     generators: tuple[PauliOperator, ...]
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.n != self.n:
+
+class StabilizerGroup(_GroupFields):
+    """Independent, mutually commuting generators of an abelian Pauli group."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, generators: tuple[PauliOperator, ...]):
+        for g in generators:
+            if g.n != n:
                 raise DimensionMismatch("generator qubit count differs from group")
             g.sign  # noqa: B018 - asserts the phase is real
-        for a, b in combinations(self.generators, 2):
-            if not commutes(a, b):
-                raise ValueError(f"generators do not commute: {a} vs {b}")
-        rows = [g.x_bits | (g.z_bits << self.n) for g in self.generators]
+        rows = [g.x_bits | g.z_bits << n for g in generators]
+        # a & (zb | xb << n) holds xa & zb and za & xb: its popcount parity is the symplectic product
+        swapped = [g.z_bits | g.x_bits << n for g in generators]
+        for i, a in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                if (a & swapped[j]).bit_count() & 1:
+                    raise ValueError(f"generators do not commute: {generators[i]} vs {generators[j]}")
         if len(gf2_reduce(rows)) != len(rows):
             raise ValueError("generators are not independent")
+        return tuple.__new__(cls, (n, generators))
 
     @property
     def k(self) -> int:

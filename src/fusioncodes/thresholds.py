@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,45 +87,53 @@ def _interp_table(table: tuple[tuple[float, float], ...], x):
     return y if y.ndim else float(y)
 
 
-@dataclass(frozen=True)
-class BiasConfig:
-    """Outer-code erasure thresholds for the two bias-handling models."""
-
+class _BiasFields(NamedTuple):
     mode: BiasMode
     p_tilde_randomized: float
     p_tilde_biased: tuple[tuple[float, float], ...] = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.p_tilde_randomized < 1.0:
+
+class BiasConfig(_BiasFields):
+    """Outer-code erasure thresholds for the two bias-handling models."""
+
+    __slots__ = ()
+
+    def __new__(cls, mode: BiasMode, p_tilde_randomized: float, p_tilde_biased: tuple[tuple[float, float], ...] = ()):
+        if not 0.0 < p_tilde_randomized < 1.0:
             raise ConfigError("p_tilde_randomized must lie in (0, 1)")
-        bs = [b for b, _ in self.p_tilde_biased]
+        bs = [b for b, _ in p_tilde_biased]
         if bs != sorted(set(bs)):
             raise ConfigError("p_tilde_biased bias values must be sorted and unique")
-        for b, p in self.p_tilde_biased:
+        for b, p in p_tilde_biased:
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"bias ratio out of range: {b}")
             if not 0.0 < p < 1.0:
                 raise ConfigError(f"threshold out of range: {p}")
-        if self.mode is BiasMode.PASSIVE and not self.p_tilde_biased:
+        if mode is BiasMode.PASSIVE and not p_tilde_biased:
             raise ConfigError("passive mode needs a p_tilde_biased table")
+        return tuple.__new__(cls, (mode, p_tilde_randomized, p_tilde_biased))
 
     def passive_threshold(self, bias: float) -> float:
         return _interp_table(self.p_tilde_biased, bias)
 
 
-@dataclass(frozen=True)
-class ErrorThresholdConfig:
-    """Tolerable fusion measurement error vs logical erasure rate."""
-
+class _ErrorFields(NamedTuple):
     epsilon_m_map: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
-        xs = [p for p, _ in self.epsilon_m_map]
+
+class ErrorThresholdConfig(_ErrorFields):
+    """Tolerable fusion measurement error vs logical erasure rate."""
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon_m_map: tuple[tuple[float, float], ...]):
+        xs = [p for p, _ in epsilon_m_map]
         if xs != sorted(set(xs)):
             raise ConfigError("epsilon_M erasure values must be sorted and unique")
-        for p, e in self.epsilon_m_map:
+        for p, e in epsilon_m_map:
             if not 0.0 <= p <= 1.0 or e < 0.0:
                 raise ConfigError(f"bad epsilon_M row: ({p}, {e})")
+        return tuple.__new__(cls, (epsilon_m_map,))
 
     def epsilon_m(self, p_erase: float) -> float:
         return _interp_table(self.epsilon_m_map, p_erase)
@@ -238,22 +246,29 @@ def config_to_json_dict(bias: BiasConfig, err: ErrorThresholdConfig | None = Non
 # -- loss-threshold search ---------------------------------------------
 
 
-@dataclass
 class ThresholdResult:
-    """Best failure basis and loss threshold of one code under one bias."""
+    """Best failure basis and loss threshold of one code under one bias.
 
-    code_id: str
-    n_code: int
-    w_star: tuple[int, ...]
-    gamma_star: float
-    bias_mode: BiasMode
-    diagnostics: dict = field(default_factory=dict)
-    # (cx, cz): w_star's eta^2 coefficient rows, 1 x (n+1) each, for correctable_region; in no output
-    coeffs: tuple | None = field(default=None, repr=False, compare=False)
+    ``coeffs`` is (cx, cz): w_star's eta^2 coefficient rows, 1 x (n+1)
+    each, for ``correctable_region``; it is in no output.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma_star < 1.0:
-            raise ValueError(f"gamma_star out of range: {self.gamma_star}")
+    __slots__ = ("code_id", "n_code", "w_star", "gamma_star", "bias_mode", "diagnostics", "coeffs")
+
+    def __init__(
+        self,
+        code_id: str,
+        n_code: int,
+        w_star: tuple[int, ...],
+        gamma_star: float,
+        bias_mode: BiasMode,
+        diagnostics: dict,
+        coeffs: tuple | None = None,
+    ):
+        if not 0.0 <= gamma_star < 1.0:
+            raise ValueError(f"gamma_star out of range: {gamma_star}")
+        self.code_id, self.n_code, self.w_star, self.gamma_star = code_id, n_code, w_star, gamma_star
+        self.bias_mode, self.diagnostics, self.coeffs = bias_mode, diagnostics, coeffs
 
 
 def _basis_coeffs(code: GraphCode, p_fail: float, table: CodeFusionTable | None = None) -> np.ndarray:
@@ -416,8 +431,7 @@ def boost_level_parameters(level: int) -> tuple[float, int]:
 REGION_CHUNK = 32
 
 
-@dataclass
-class RegionPoint:
+class RegionPoint(NamedTuple):
     gamma: float
     epsilon_boundary: float
 

@@ -28,10 +28,10 @@ the package's bit-packed state vector, and they replay -1 outcomes too.
 signed row echelon, the reference for the tableau's tagged unsigned
 elimination.  The rest are small helpers that
 only tests use: JSON round trips, Pauli-string parsing, Pauli images
-under local complementation, dual failure bases and state-vector
-expectations.  ``validate_dual_swap`` checks the dual swap on the
-success polynomials themselves, the reference for the package's check
-on logical cosets.
+under local complementation, pairwise commutation, dual failure bases
+and state-vector expectations.  ``validate_dual_swap`` checks the dual
+swap on the success polynomials themselves, the reference for the
+package's check on logical cosets.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from fusioncodes.fusion import (
 )
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import LossPolynomial
-from fusioncodes.pauli import PauliOperator, VerificationError, enumerate_group, gf2_reduce, multiply
+from fusioncodes.pauli import DimensionMismatch, PauliOperator, VerificationError, enumerate_group, gf2_reduce, multiply
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
@@ -878,6 +878,13 @@ def pauli_from_string(text: str) -> PauliOperator:
         x |= xb << i
         z |= zb << i
     return PauliOperator(len(s), x, z, phase)
+
+
+def commutes(a: PauliOperator, b: PauliOperator) -> bool:
+    """True iff the symplectic inner product of a and b is even."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"qubit counts differ: {a.n} vs {b.n}")
+    return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
 
 
 def qubitwise_commutes(a: PauliOperator, available_x: int, available_z: int) -> bool:

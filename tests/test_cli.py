@@ -445,7 +445,7 @@ assert all(d["swap_verified"] for d in json.load(open("duals.json"))["duals"])
 assert "numpy" not in sys.modules and "fusioncodes.fusion" not in sys.modules
 assert main(["compile", "--outer", "chain.json", "--inner", "LLPLPLPL", "--out", "run"]) == 0
 assert json.load(open("run.sequence.json"))["verification_method"] == "stabilizer"
-assert "numpy" not in sys.modules
+assert "numpy" not in sys.modules and "fusioncodes.statevec" not in sys.modules
 # hashlib loads only where a config digest is written
 assert preloaded or "hashlib" not in sys.modules
 """,
@@ -468,7 +468,38 @@ for mode in ("two-emitter", "emitter-memory"):
     with contextlib.redirect_stderr(err):
         assert main(args + ["--inject-fault", "--out", "bad"]) == 5
     assert err.getvalue() == "verification failed: compiled state deviates from target (overlap 0.500000)\\n", err.getvalue()
-    assert "numpy" not in sys.modules
+    assert "numpy" not in sys.modules and "fusioncodes.tableau" not in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        # records are NamedTuples or slotted classes; numpy imports inspect itself, but not dataclasses
+        for m in (4, 11):
+            (tmp_path / f"chain{m}.json").write_text(json.dumps({"n": m, "edges": [[i, i + 1] for i in range(m - 1)]}))
+        _fresh_python(
+            """
+import contextlib, io, json, sys
+from fusioncodes.cli import main
+
+def unloaded(*names):
+    assert not set(names) & set(sys.modules), set(names) & set(sys.modules)
+
+unloaded("dataclasses", "inspect")
+assert main(["enumerate", "--n", "3", "--out", "lib"]) == 0
+assert main(["duals", "--n", "3", "--out", "duals.json"]) == 0
+unloaded("dataclasses", "inspect")
+methods = []
+with contextlib.redirect_stderr(io.StringIO()):
+    for outer, inner in (("chain4.json", "LPL"), ("chain11.json", "LLPLPLPL")):
+        for fault in ([], ["--inject-fault"]):
+            assert main(["compile", "--outer", outer, "--inner", inner, *fault, "--out", "run"]) == (5 if fault else 0)
+            methods.append(json.load(open("run.sequence.json"))["verification_method"])
+assert methods == ["statevector"] * 2 + ["stabilizer"] * 2, methods
+unloaded("dataclasses", "inspect")
+assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
+assert main(["optimize-w", "--code", "LLPL", "--out", "w.json"]) == 0
+unloaded("dataclasses")
 """,
             tmp_path,
         )

@@ -8,9 +8,9 @@ from fusioncodes.codes import (
     logical_set,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
-from fusioncodes.pauli import commutes, enumerate_group
+from fusioncodes.pauli import enumerate_group
 
-from oracles import dense_graph_state, op_matrix, pauli_from_string, pauli_matrix, project
+from oracles import commutes, dense_graph_state, op_matrix, pauli_from_string, pauli_matrix, project
 
 
 def all_codes(max_photons):

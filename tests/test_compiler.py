@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -279,7 +278,7 @@ class TestVerification:
             cuts = [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)]
             for k in [None] + cuts:
                 ops = seq.ops if k is None else seq.ops[:k] + seq.ops[k + 1 :]
-                variant = dataclasses.replace(seq, ops=ops)
+                variant = seq._replace(ops=ops)
                 by_vector = verify_sequence(variant, target, "statevector").ok
                 res = verify_sequence(variant, target, "stabilizer")
                 assert res.ok == by_vector, (seq.outer_ops, seq.inner_ops, k, res.message)
@@ -296,7 +295,7 @@ class TestVerification:
                 continue
             target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
             for k in range(len(seq.ops) + 1):
-                variant = dataclasses.replace(seq, ops=seq.ops[:k] + (Instruction(Op.CZ, (0, 1)),) + seq.ops[k:])
+                variant = seq._replace(ops=seq.ops[:k] + (Instruction(Op.CZ, (0, 1)),) + seq.ops[k:])
                 by_vector = verify_sequence(variant, target, "statevector")
                 res = verify_sequence(variant, target, "stabilizer")
                 assert res.ok == by_vector.ok, (seq.outer_ops, seq.inner_ops, k, res.message)
@@ -338,7 +337,7 @@ class TestVerification:
             # the --inject-fault variant, which drops the last CZ
             cz_at = [k for k, i in enumerate(seq.ops) if i.op is Op.CZ]
             if cz_at:
-                bad = dataclasses.replace(seq, ops=seq.ops[: cz_at[-1]] + seq.ops[cz_at[-1] + 1 :])
+                bad = seq._replace(ops=seq.ops[: cz_at[-1]] + seq.ops[cz_at[-1] + 1 :])
                 overlap = abs(np.vdot(photon_statevector(bad)[0], dense_target))
                 res = verify_sequence(bad, target, "statevector")
                 assert res.detail.get("overlap", 1.0) == pytest.approx(overlap, abs=1e-12), seq
@@ -382,7 +381,7 @@ class TestVerification:
         seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
         ops = list(seq.ops)
         del ops[[k for k, i in enumerate(ops) if i.op is Op.CZ][1]]
-        res = verify_sequence(dataclasses.replace(seq, ops=tuple(ops)), method="stabilizer")
+        res = verify_sequence(seq._replace(ops=tuple(ops)), method="stabilizer")
         detail = res.detail
         assert not res.ok and detail["missing"]
         assert f"target generator {detail['generator_index']} ({detail['generator']}) is missing" in res.message
@@ -393,7 +392,7 @@ class TestVerification:
         ops = list(seq.ops)
         cz_at = [k for k, i in enumerate(ops) if i.op is Op.CZ]
         del ops[cz_at[1]]
-        bad = dataclasses.replace(seq, ops=tuple(ops))
+        bad = seq._replace(ops=tuple(ops))
         for method in ("statevector", "stabilizer"):
             res = verify_sequence(bad, method=method)
             assert not res.ok
@@ -508,7 +507,7 @@ class TestStabilizerTableau:
         def replay(seq, cuts):
             target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
             for k in cuts:
-                variant = seq if k is None else dataclasses.replace(seq, ops=seq.ops[:k] + seq.ops[k + 1 :])
+                variant = seq if k is None else seq._replace(ops=seq.ops[:k] + seq.ops[k + 1 :])
                 try:
                     got, want = _replay(variant, target, Checked)
                 except BranchImpossible:

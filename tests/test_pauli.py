@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,12 +9,11 @@ from fusioncodes.pauli import (
     PauliOperator,
     ResourceCapExceeded,
     StabilizerGroup,
-    commutes,
     enumerate_group,
     multiply,
 )
 
-from oracles import identify_pauli, op_matrix, pauli_from_string, pauli_matrix, qubitwise_commutes
+from oracles import commutes, identify_pauli, op_matrix, pauli_from_string, pauli_matrix, qubitwise_commutes
 
 
 def P(text):
@@ -140,6 +140,21 @@ class TestStabilizerGroup:
     def test_anticommuting_generators_rejected(self):
         with pytest.raises(ValueError, match="commute"):
             StabilizerGroup(1, (P("X"), P("Z")))
+
+    def test_first_anticommuting_pair_is_reported(self):
+        # pairs in itertools.combinations order: (0, 3) before (1, 2)
+        with pytest.raises(ValueError, match=r"^generators do not commute: \+XI vs \+ZI$"):
+            StabilizerGroup(2, (P("XI"), P("IX"), P("IZ"), P("ZI")))
+        rng = random.Random(5)
+        for _ in range(500):
+            n = rng.randint(1, 4)
+            gens = tuple(PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(rng.randint(2, 6)))
+            bad = [(a, b) for a, b in itertools.combinations(gens, 2) if not commutes(a, b)]
+            if not bad:
+                continue
+            with pytest.raises(ValueError) as err:
+                StabilizerGroup(n, gens)
+            assert str(err.value) == f"generators do not commute: {bad[0][0]} vs {bad[0][1]}"
 
     def test_cap(self):
         gens = tuple(PauliOperator.single(25, i, "Z") for i in range(25))
