@@ -7,9 +7,10 @@ transversal logical fusions between two copies, searching failure bases
 and photon-loss thresholds under bias models, and compiling two-emitter
 (or emitter-plus-memory) generation sequences with resource counts.
 
-``FusionSpec`` and ``erasure_analysis`` load ``fusioncodes.fusion``, and
-with it numpy, on first access, so importing the package or the compiler
-does not.  ML-decoded error rates come from ``fusion.ErrorAnalyzer``.
+``FusionSpec`` and ``erasure_analysis`` load ``fusioncodes.lpoly`` on
+first access; neither loads numpy, and importing the package or the
+compiler does not either.  ML-decoded error rates come from
+``fusion.ErrorAnalyzer``, which loads numpy.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +22,7 @@ from .pauli import PauliOperator, StabilizerGroup  # noqa: F401
 
 def __getattr__(name):
     if name in ("FusionSpec", "erasure_analysis"):
-        from . import fusion
+        from . import lpoly
 
-        return getattr(fusion, name)
+        return getattr(lpoly, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,10 +11,12 @@ config, outer-graph or code input), 4 resource cap (a code id longer
 than 8 photons, a size above 8, more than ``GRID_POINTS_CAP`` region
 grid points), 5 verification failure.
 
-The analysis modules (``fusion``, ``thresholds``) and numpy, and the
-``compiler``, are imported inside the commands that use them:
-``enumerate``, ``duals``, ``compile`` and usage errors run without
-numpy, and no command but ``compile`` loads the compiler.
+The analysis modules (``lpoly``, ``fusion``, ``thresholds``) and numpy,
+and the ``compiler``, are imported inside the commands that use them:
+``enumerate``, ``duals``, ``compile``, ``analyze`` and usage errors run
+without numpy (``analyze`` counts patterns on the readable sets of
+``lpoly``, pure Python ints), and no command but ``compile`` loads the
+compiler.
 
 Start-up dominates these commands.  Measured with ``-X importtime`` on
 a 2-core x86-64 host (Python 3.11.7, medians of 20 fresh processes): the
@@ -207,10 +209,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .fusion import FusionSpec, erasure_analysis
+    from .lpoly import FusionSpec, erasure_analysis
 
     code = _resolve_code(args.code)
-    w = _parse_w(args.w, code.n_code) if args.w else (0,) * code.n_code
+    w = _parse_w(args.w, code.n_code) if args.w is not None else (0,) * code.n_code
     grid = [float(x) for x in args.eta_grid.split(",")] if args.eta_grid else [1.0, 0.95, 0.9]
     report = erasure_analysis(code, FusionSpec(eta=grid[0], p_fail=args.p_fail, w=w))
     payload = {"manifest": _manifest(args, "analyze"), "report": report.to_json_dict(grid)}

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import GraphState, local_complement
+from .graphs import PROGENITOR_CAP, GraphState, local_complement
 from .graphs import stabilizer_generators as graph_stabilizers
-from .pauli import PauliOperator, StabilizerGroup, enumerate_group, multiply, span
+from .pauli import PauliOperator, ResourceCapExceeded, StabilizerGroup, enumerate_group, multiply, span
 
 
 class CodeConstructionError(ValueError):
@@ -73,7 +73,7 @@ def code_from_progenitor(g: GraphState, code_id: str = "") -> GraphCode:
     if not nbrs:
         raise CodeConstructionError("input qubit is isolated")
     q0 = nbrs[0]
-    gens = graph_stabilizers(g).generators
+    gens = graph_stabilizers(g)
 
     logical_x = PauliOperator(g.n, 0, g.neighbor_mask(q), 0)
     logical_z = multiply(gens[q0], PauliOperator(g.n, 0, 1 << q, 0))
@@ -106,8 +106,14 @@ def logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
 
 
 def packed_cosets(code: GraphCode) -> tuple[list[int], dict[str, list[int]]]:
-    """(stab, reps) unsigned, packed x | z << n: ``stab[s]`` is generator subset s, ``reps[b][k]`` anchor ^ stab[k]."""
+    """(stab, reps) unsigned, packed x | z << n: ``stab[s]`` is generator subset s, ``reps[b][k]`` anchor ^ stab[k].
+
+    Raises ``ResourceCapExceeded`` above ``PROGENITOR_CAP`` code qubits, before the 2^(n-1) elements
+    (and the 4^n-state readable sets built from them) are spanned.
+    """
     n = code.n_code
+    if n > PROGENITOR_CAP:
+        raise ResourceCapExceeded(f"{n} code qubits exceeds cap {PROGENITOR_CAP}")
     stab = span([g.x_bits | g.z_bits << n for g in code.stabilizers.generators])
     anchors = {"X": code.logical_x, "Z": code.logical_z}
     return stab, {b: [(p.x_bits | p.z_bits << n) ^ s for s in stab] for b, p in anchors.items()}

@@ -1,129 +1,35 @@
 """Exact loss and Pauli-error analysis of transversal logical fusions.
 
 Two identical graph codes are fused pairwise with standard physical
-fusions.  Each fused pair yields the XX and ZZ joint parities on
-success, one of them on failure (chosen by the per-pair failure basis
-w_i: 1 recovers XX, 0 recovers ZZ), and nothing if either photon is
-lost.  A logical parity is recovered when some representative of the
-corresponding logical set is reconstructible qubit by qubit.
-
-Each code keeps one index over the 4^n per-qubit availability states
-(none / ZZ only / XX only / both): the first logical representative
-each state can read out.  With p_fail = a/q, contracting which states
-recover one qubit at a time, each availability digit weighted by its
-outcome's integer probability and mapped to that qubit's failure-basis
-bit, yields the exact success polynomials of all 2^n bases at once in
-Bernstein form, which keeps the basis scan exact and fast.
+fusions (availability states and readable sets: see ``lpoly``).  Each
+code keeps one readable set per logical parity, a 4^n-bit Python int.
+With p_fail = a/q, contracting which states recover one qubit at a
+time, each availability digit weighted by its outcome's integer
+probability and mapped to that qubit's failure-basis bit, yields the
+exact success polynomials of all 2^n bases at once in Bernstein form,
+which keeps the basis scan exact and fast.  Only the ML decoder needs
+which representative a state reads out, and builds that index itself.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
-
 import numpy as np
 
 from .codes import GraphCode, packed_cosets
-from .graphs import PROGENITOR_CAP
-from .lpoly import LossPolynomial
-from .pauli import ResourceCapExceeded, gf2_reduce, span
+from .lpoly import AVAIL_BOTH, AVAIL_NONE, AVAIL_XX, AVAIL_ZZ, minimal_state, pattern_states, readable_set
+from .pauli import gf2_reduce, span
 
-# availability digits, one per fused pair
-AVAIL_NONE = 0  # photon loss: no parity
-AVAIL_ZZ = 1  # failure recovering ZZ
-AVAIL_XX = 2  # failure recovering XX
-AVAIL_BOTH = 3  # successful fusion: XX and ZZ
-
-
-class _SpecFields(NamedTuple):
-    eta: float
-    p_fail: float = 0.5
-    w: tuple[int, ...] = ()
-
-
-class FusionSpec(_SpecFields):
-    """Physical fusion model: transmission, failure rate, failure bases."""
-
-    __slots__ = ()
-
-    def __new__(cls, eta: float, p_fail: float = 0.5, w: tuple[int, ...] = ()):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta out of range: {eta}")
-        if not 0.0 <= p_fail <= 1.0:
-            raise ValueError(f"p_fail out of range: {p_fail}")
-        if any(b not in (0, 1) for b in w):
-            raise ValueError("failure bases must be 0 (ZZ) or 1 (XX)")
-        return tuple.__new__(cls, (eta, p_fail, w))
-
-
-# -- per-code availability table --------------------------------------
-
-
-@lru_cache(maxsize=PROGENITOR_CAP)
-def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(low, spread, key) over the 3^n success/failure/loss patterns.
-
-    ``low`` is a pattern's availability-table index with every failed
-    pair read as ZZ, ``spread`` has bit 2i set for each failed pair i and
-    ``key`` is s*(n+1)+f.  Under failure basis w the pattern sits at
-    index low + (spread & spread(w)): the bit turns digit ZZ (1) into XX (2).
-    Patterns count up in base 3 (trit i is pair i) and each trit maps to
-    a larger digit the larger it is, so under every w the indices increase.
-    """
-    low, spread, succ, fail = (np.zeros(1, dtype=np.int64) for _ in range(4))
-    for i in range(n):  # pattern t * 3^i + p, trit t = 0 loss, 1 fail, 2 success: no (3^n, n) temporaries
-        low = np.concatenate([low + AVAIL_NONE * 4**i, low + AVAIL_ZZ * 4**i, low + AVAIL_BOTH * 4**i])
-        spread = np.concatenate([spread, spread + 4**i, spread])
-        succ, fail = np.concatenate([succ, succ, succ + 1]), np.concatenate([fail, fail + 1, fail])
-    return low, spread, succ * (n + 1) + fail
-
-
-def _states(n: int, w) -> tuple[np.ndarray, np.ndarray]:
-    """(state, key) of each of the 3^n patterns placed under failure basis ``w``, states increasing."""
-    low, spread, key = _patterns(n)
-    return low + (spread & sum(4**i for i, b in enumerate(w) if b)), key
-
-
-def _minimal_states(packed: np.ndarray, n: int) -> np.ndarray:
-    """Least state reading each packed Pauli x | z << n: per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH."""
-    bits = np.arange(n)
-    x = (packed[:, None] >> bits) & 1
-    z = (packed[:, None] >> (bits + n)) & 1
-    return ((AVAIL_XX * x + AVAIL_ZZ * z) * 4**bits).sum(axis=1)
-
-
-def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
-    """int16 index of the first of ``reps`` (packed x | z << n) each of the 4^n states can read out, else -1.
-
-    A representative is readable exactly on the states at or above its
-    minimal one in the per-qubit order NONE <= ZZ, XX <= BOTH, which is
-    bit inclusion.  Seeding every minimal state with its index and taking
-    running minima up that order, one qubit at a time, leaves each state
-    the lowest index among those it can read.
-    """
-    unread = len(reps)
-    best = np.full(4**n, unread, dtype=np.int16)
-    np.minimum.at(best, _minimal_states(np.array(reps), n), np.arange(unread, dtype=np.int16))
-    for i in range(n):
-        digit = best.reshape(-1, 4, 4**i)  # axis 1 is qubit i's availability digit
-        for up in (AVAIL_ZZ, AVAIL_XX):
-            np.minimum(digit[:, up], digit[:, AVAIL_NONE], out=digit[:, up])
-        np.minimum(digit[:, AVAIL_BOTH], np.minimum(digit[:, AVAIL_ZZ], digit[:, AVAIL_XX]), out=digit[:, AVAIL_BOTH])
-    best[best == unread] = -1
-    return best
+# -- per-code readable sets ---------------------------------------------
 
 
 class CodeFusionTable:
-    """Index over the 4^n availability states of the first readable representative in ``codes.packed_cosets``."""
+    """A code's packed cosets (``codes.packed_cosets``) and the readable set of each logical parity."""
 
     def __init__(self, code: GraphCode):
-        n = code.n_code
-        if n > PROGENITOR_CAP:
-            raise ResourceCapExceeded(f"{n} code qubits exceeds cap {PROGENITOR_CAP}")
         self.code = code
-        self.n = n
+        self.n = n = code.n_code
         self.stab, self.reps = packed_cosets(code)
-        self.rep_index = {basis: _lowest_readable(self.reps[basis], n) for basis in ("X", "Z")}
+        self.readable = {basis: readable_set(self.reps[basis], n) for basis in ("X", "Z")}
 
     def bernstein(self, p_fail) -> tuple[np.ndarray, int]:
         """(B, q): Bernstein numerators of the XX and ZZ success probabilities of every failure basis.
@@ -134,10 +40,12 @@ class CodeFusionTable:
         success = sum_k B[., w, k] q^-k x^k (1-x)^(n-k) in x = eta^2.
         Contracting qubit k maps its availability digit to bit k of w:
         NONE weighs 1 at degree +0, the digit that bit's failure recovers
-        a at degree +1, and BOTH q-a at degree +1.  As |B[., w, k]| is at
-        most C(n, k) (|q-a| + |a|)^k, ``eta2_numerators`` stays within
-        (|q-a| + |a| + 2q)^n, (3q)^n for p_fail in [0, 1]: below 2^53 B is
-        int64 (every numerator an exact double), else Python ints.
+        a at degree +1, and BOTH q-a at degree +1.  Every partial sum is
+        at most (1 + q)^n, so below 2^31 the contraction runs in int32.
+        As |B[., w, k]| is at most C(n, k) (|q-a| + |a|)^k,
+        ``eta2_numerators`` stays within (|q-a| + |a| + 2q)^n, (3q)^n for
+        p_fail in [0, 1]: below 2^53 B is int64 (every numerator an exact
+        double), else Python ints.
         """
         a, q = p_fail.as_integer_ratio()  # exact, so a dyadic p_fail such as 1/2 loads no fractions module
         if q > 1 << 30:
@@ -146,73 +54,22 @@ class CodeFusionTable:
             a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
         n = self.n
         dtype = np.int64 if (abs(q - a) + abs(a) + 2 * q) ** n < 1 << 53 else object
+        work = np.int32 if (1 + q) ** n < 1 << 31 else dtype
         b = np.empty((2, 1 << n, n + 1), dtype=dtype)
         # one parity at a time: both at once doubled the peak memory, no faster
         for parity, basis in enumerate(("X", "Z")):
-            r = (self.rep_index[basis] >= 0).astype(dtype)
+            packed = np.frombuffer(self.readable[basis].to_bytes((4**n + 7) >> 3, "little"), dtype=np.uint8)
+            r = np.unpackbits(packed, count=4**n, bitorder="little").astype(work)
             for k in range(n):
                 # axes: qubits above k, qubit k's digit, bits below k of w, degree
                 digit = r.reshape(4 ** (n - k - 1), 4, 1 << k, k + 1)
-                r = np.zeros((4 ** (n - k - 1), 2, 1 << k, k + 2), dtype=dtype)
+                r = np.zeros((4 ** (n - k - 1), 2, 1 << k, k + 2), dtype=work)
                 r[..., :-1] = digit[:, AVAIL_NONE, None]
                 r[..., 1:] += (q - a) * digit[:, AVAIL_BOTH, None]
                 r[:, 0, :, 1:] += a * digit[:, AVAIL_ZZ]
                 r[:, 1, :, 1:] += a * digit[:, AVAIL_XX]
             b[parity] = r.reshape(1 << n, n + 1)
         return b, q
-
-
-# -- erasure analysis --------------------------------------------------
-
-
-class ErasureReport(NamedTuple):
-    """Result of analysing one (code, failure basis) pair."""
-
-    code: GraphCode
-    spec: FusionSpec
-    p_success_xx: LossPolynomial
-    p_success_zz: LossPolynomial
-
-    def success_probability(self, basis: str, eta: float | None = None) -> float:
-        poly = self.p_success_xx if basis == "X" else self.p_success_zz
-        return poly.eval(self.spec.eta if eta is None else eta, self.spec.p_fail)
-
-    def erasure_rate(self, basis: str, eta: float | None = None) -> float:
-        return 1.0 - self.success_probability(basis, eta)
-
-    def to_json_dict(self, eta_grid=()) -> dict:
-        spec = self.spec
-        return {
-            "code_id": self.code.code_id,
-            "n_code": self.code.n_code,
-            "w": list(spec.w),
-            "p_fail": spec.p_fail,
-            "p_success_xx_counts": {f"{s},{f},{l}": c for (s, f, l), c in sorted(self.p_success_xx.counts.items())},
-            "p_success_zz_counts": {f"{s},{f},{l}": c for (s, f, l), c in sorted(self.p_success_zz.counts.items())},
-            "rates": [
-                {
-                    "eta": e,
-                    "p_erase_xx": self.erasure_rate("X", e),
-                    "p_erase_zz": self.erasure_rate("Z", e),
-                }
-                for e in eta_grid
-            ],
-        }
-
-
-def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
-    """Exact success polynomials for the two paired logical parities."""
-    if len(spec.w) != code.n_code:
-        raise ValueError(f"failure basis length {len(spec.w)} != {code.n_code} code qubits")
-    table = CodeFusionTable(code)
-    n = code.n_code
-    states, key = _states(n, spec.w)
-
-    def poly(basis: str) -> LossPolynomial:
-        recovers = table.rep_index[basis][states] >= 0
-        return LossPolynomial.from_counts(n, np.bincount(key[recovers], minlength=(n + 1) ** 2))
-
-    return ErasureReport(code=code, spec=spec, p_success_xx=poly("X"), p_success_zz=poly("Z"))
 
 
 # -- depolarizing flips ------------------------------------------------
@@ -264,6 +121,28 @@ def _mean_rate(p: np.ndarray, perr: np.ndarray):
     return mean if mean.ndim else float(mean)
 
 
+def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
+    """The decoder's int16 index: the first of ``reps`` (packed x | z << n) each of the 4^n states reads out, else -1.
+
+    A representative is readable exactly on the states at or above its
+    minimal one in the per-qubit order NONE <= ZZ, XX <= BOTH, which is
+    bit inclusion.  Seeding every minimal state with its index and taking
+    running minima up that order, one qubit at a time, leaves each state
+    the lowest index among those it can read.
+    """
+    unread = len(reps)
+    best = np.full(4**n, unread, dtype=np.int16)
+    seeds = np.array([minimal_state(v, n) for v in reps])
+    np.minimum.at(best, seeds, np.arange(unread, dtype=np.int16))
+    for i in range(n):
+        digit = best.reshape(-1, 4, 4**i)  # axis 1 is qubit i's availability digit
+        for up in (AVAIL_ZZ, AVAIL_XX):
+            np.minimum(digit[:, up], digit[:, AVAIL_NONE], out=digit[:, up])
+        np.minimum(digit[:, AVAIL_BOTH], np.minimum(digit[:, AVAIL_ZZ], digit[:, AVAIL_XX]), out=digit[:, AVAIL_BOTH])
+    best[best == unread] = -1
+    return best
+
+
 class ErrorAnalyzer:
     """Per-(code, failure-basis) setup for repeated error-rate evaluation.
 
@@ -288,15 +167,17 @@ class ErrorAnalyzer:
         self.p_fail = p_fail
         self.n = n = code.n_code
         table = CodeFusionTable(code) if table is None else table
-        states, key = _states(n, self.w)
+        states, key = map(np.array, pattern_states(n, self.w))
         s_all, f_all = divmod(key, n + 1)
         elems = np.array(table.stab)
         # readable[k, e]: state k recovers every parity element e needs; uint16 holds 4^8 states
-        readable = (_minimal_states(elems, n).astype(np.uint16) & ~states.astype(np.uint16)[:, None]) == 0
+        minimal = np.array([minimal_state(v, n) for v in table.stab], dtype=np.uint16)
+        readable = (minimal & ~states.astype(np.uint16)[:, None]) == 0
         mask_n = (1 << n) - 1
         self._sides = {}
         for basis in ("X", "Z"):
-            reps, rep_of = table.reps[basis], table.rep_index[basis][states]
+            reps = table.reps[basis]
+            rep_of = _lowest_readable(reps, n)[states]  # the representative each pattern reads out, else -1
             select = np.nonzero(rep_of >= 0)[0]
             spanned, weight_rows = {}, []  # weight row per (readable row, representative) and per pattern
             for k, rep in zip(select.tolist(), rep_of[select].tolist()):

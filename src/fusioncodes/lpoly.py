@@ -1,4 +1,15 @@
-"""Exact probability polynomials for fusion outcome sums.
+"""Exact erasure analysis: readable sets and integer-counted polynomials.
+
+Each fused pair yields the XX and ZZ joint parities on success, one of
+them on failure (chosen by the per-pair failure basis w_i: 1 recovers
+XX, 0 recovers ZZ), and nothing if either photon is lost.  Over n pairs
+that is one of 4^n availability states, state index s with bits 2i and
+2i+1 set when pair i recovers ZZ and XX.  A logical parity is recovered
+when some representative of its logical coset can be read out qubit by
+qubit: X needs XX, Z needs ZZ, Y both.  A code's readable set for one
+parity is a Python int of 4^n bits, bit s set when state s reads out a
+representative; it is all this module and ``fusion``'s Bernstein
+contraction need, so neither keeps a representative index.
 
 A pattern over n fused pairs with s successes, f failures and l losses
 occurs with probability (1-pf)^s pf^f (eta^2)^(s+f) (1-eta^2)^l.  Sums
@@ -9,14 +20,108 @@ when a polynomial is evaluated at concrete eta and pf.
 Bernstein numerator rows (one per failure basis, see
 ``CodeFusionTable.bernstein``) turn into coefficients in x = eta^2
 through one triangular integer matrix, so a whole basis scan stays
-exact until its final, correctly rounded division.
+exact until its final, correctly rounded division.  Only that step
+imports numpy, so ``analyze`` runs without it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .codes import GraphCode, packed_cosets
+from .graphs import PROGENITOR_CAP
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# availability digits, one per fused pair: bit 0 the ZZ parity, bit 1 the XX parity
+AVAIL_NONE = 0  # photon loss: no parity
+AVAIL_ZZ = 1  # failure recovering ZZ
+AVAIL_XX = 2  # failure recovering XX
+AVAIL_BOTH = 3  # successful fusion: XX and ZZ
+
+# _SPREAD[b] moves bit i of the byte b to bit 2i
+_SPREAD = tuple(sum(((b >> i) & 1) << 2 * i for i in range(8)) for b in range(256))
+
+
+class _SpecFields(NamedTuple):
+    eta: float
+    p_fail: float = 0.5
+    w: tuple[int, ...] = ()
+
+
+class FusionSpec(_SpecFields):
+    """Physical fusion model: transmission, failure rate, failure bases."""
+
+    __slots__ = ()
+
+    def __new__(cls, eta: float, p_fail: float = 0.5, w: tuple[int, ...] = ()):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta out of range: {eta}")
+        if not 0.0 <= p_fail <= 1.0:
+            raise ValueError(f"p_fail out of range: {p_fail}")
+        if any(b not in (0, 1) for b in w):
+            raise ValueError("failure bases must be 0 (ZZ) or 1 (XX)")
+        return tuple.__new__(cls, (eta, p_fail, w))
+
+
+# -- readable sets -----------------------------------------------------
+
+
+def minimal_state(v: int, n: int) -> int:
+    """Least state reading packed Pauli v = x | z << n (n <= 8): per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH."""
+    return _SPREAD[v >> n] | _SPREAD[v & ((1 << n) - 1)] << 1
+
+
+@lru_cache(maxsize=PROGENITOR_CAP)
+def _clear_masks(n: int) -> tuple[int, ...]:
+    """m_j, j < 2n: the 4^n-bit mask of the states whose bit j is clear."""
+    size, masks = 1 << 2 * n, []
+    for j in range(2 * n):
+        m, width = (1 << (1 << j)) - 1, 2 << j
+        while width < size:
+            m |= m << width
+            width <<= 1
+        masks.append(m)
+    return tuple(masks)
+
+
+def readable_set(reps: list[int], n: int) -> int:
+    """4^n-bit set of the states that read out some of ``reps`` (packed x | z << n).
+
+    A representative is readable exactly on the states whose bits include
+    its minimal state's.  Seeding every minimal state and moving each set
+    bit up along every state bit j, ``r |= (r & m_j) << 2^j``, leaves that
+    up-closure.
+    """
+    seeds = bytearray((4**n + 7) >> 3)
+    for v in reps:
+        s = minimal_state(v, n)
+        seeds[s >> 3] |= 1 << (s & 7)
+    r = int.from_bytes(seeds, "little")
+    for j, m in enumerate(_clear_masks(n)):
+        r |= (r & m) << (1 << j)
+    return r
+
+
+def pattern_states(n: int, w) -> tuple[list[int], list[int]]:
+    """(state, key) of each of the 3^n loss/failure/success patterns under failure basis ``w``.
+
+    ``key`` is s*(n+1)+f.  Patterns count up in base 3 (trit i is pair i:
+    0 loss, 1 failure, 2 success) and each trit maps to a larger digit the
+    larger it is, so under every w the states increase.
+    """
+    states, keys = [0], [0]
+    for i, bit in enumerate(w):
+        fail, both = (AVAIL_XX if bit else AVAIL_ZZ) << 2 * i, AVAIL_BOTH << 2 * i
+        states = states + [s + fail for s in states] + [s + both for s in states]
+        keys = keys + [k + 1 for k in keys] + [k + n + 1 for k in keys]
+    return states, keys
+
+
+# -- integer-counted polynomials -----------------------------------------
 
 
 class LossPolynomial:
@@ -30,7 +135,7 @@ class LossPolynomial:
 
     @classmethod
     def from_counts(cls, n: int, row) -> "LossPolynomial":
-        """From a count row indexed by s*(n+1)+f, as ``erasure_analysis`` bincounts it."""
+        """From a count row indexed by s*(n+1)+f, as ``erasure_analysis`` counts it."""
         poly = cls(n)
         for k, c in enumerate(row):
             if c:
@@ -62,6 +167,8 @@ def eta2_numerators(b: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     N = b @ M with M[k, k+i] = q^(n-k) C(n-k, i) (-1)^i, constant term
     first, in b's dtype, whose magnitude rule keeps every N exact.
     """
+    import numpy as np
+
     n = b.shape[-1] - 1
     m = np.zeros((n + 1, n + 1), dtype=b.dtype)
     for k in range(n + 1):
@@ -79,5 +186,66 @@ def eta2_float_coeffs(b: np.ndarray, q: int) -> np.ndarray:
     """
     num, den = eta2_numerators(b, q)
     if num.dtype == object:
-        return (num / den).astype(np.float64)
+        return (num / den).astype(float)
     return num / float(den)
+
+
+# -- erasure analysis --------------------------------------------------
+
+
+class ErasureReport(NamedTuple):
+    """Result of analysing one (code, failure basis) pair."""
+
+    code: GraphCode
+    spec: FusionSpec
+    p_success_xx: LossPolynomial
+    p_success_zz: LossPolynomial
+
+    def success_probability(self, basis: str, eta: float | None = None) -> float:
+        poly = self.p_success_xx if basis == "X" else self.p_success_zz
+        return poly.eval(self.spec.eta if eta is None else eta, self.spec.p_fail)
+
+    def erasure_rate(self, basis: str, eta: float | None = None) -> float:
+        return 1.0 - self.success_probability(basis, eta)
+
+    def to_json_dict(self, eta_grid=()) -> dict:
+        spec = self.spec
+        return {
+            "code_id": self.code.code_id,
+            "n_code": self.code.n_code,
+            "w": list(spec.w),
+            "p_fail": spec.p_fail,
+            "p_success_xx_counts": {f"{s},{f},{l}": c for (s, f, l), c in sorted(self.p_success_xx.counts.items())},
+            "p_success_zz_counts": {f"{s},{f},{l}": c for (s, f, l), c in sorted(self.p_success_zz.counts.items())},
+            "rates": [
+                {
+                    "eta": e,
+                    "p_erase_xx": self.erasure_rate("X", e),
+                    "p_erase_zz": self.erasure_rate("Z", e),
+                }
+                for e in eta_grid
+            ],
+        }
+
+
+def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
+    """Exact success polynomials for the two paired logical parities.
+
+    Each of the 3^n patterns, placed under ``spec.w``, is looked up in the
+    readable set's bytes and counted by (s, f).
+    """
+    n = code.n_code
+    if len(spec.w) != n:
+        raise ValueError(f"failure basis length {len(spec.w)} != {n} code qubits")
+    reps = packed_cosets(code)[1]
+    states, keys = pattern_states(n, spec.w)
+
+    def poly(basis: str) -> LossPolynomial:
+        bits = readable_set(reps[basis], n).to_bytes((4**n + 7) >> 3, "little")
+        row = [0] * (n + 1) ** 2
+        for s, k in zip(states, keys):
+            if bits[s >> 3] >> (s & 7) & 1:
+                row[k] += 1
+        return LossPolynomial.from_counts(n, row)
+
+    return ErasureReport(code=code, spec=spec, p_success_xx=poly("X"), p_success_zz=poly("Z"))

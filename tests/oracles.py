@@ -6,7 +6,7 @@ algebra, so the two can check each other.  The availability-state
 oracles decode every one of the 4^n table states digit by digit, once
 per size.  The erasure oracles redo the loss-threshold scan one failure
 basis at a time, in exact ``Fraction`` arithmetic and scalar floats;
-they share only the readable-representative index, and
+they share only the package's readable sets (``readable_states``), and
 ``bernstein_violations`` certifies exactly that every success
 probability is nondecreasing in eta.  ``gather_counts`` and
 ``count_numerators`` are the (s, f) count gather and its count-matrix
@@ -50,18 +50,9 @@ import numpy as np
 
 from fusioncodes.codes import GraphCode, logical_set
 from fusioncodes.compiler import _run
-from fusioncodes.fusion import (
-    AVAIL_BOTH,
-    AVAIL_NONE,
-    AVAIL_XX,
-    AVAIL_ZZ,
-    CodeFusionTable,
-    ErrorAnalyzer,
-    FusionSpec,
-    _patterns,
-)
+from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
-from fusioncodes.lpoly import LossPolynomial
+from fusioncodes.lpoly import AVAIL_BOTH, AVAIL_NONE, AVAIL_XX, AVAIL_ZZ, FusionSpec, LossPolynomial, pattern_states
 from fusioncodes.pauli import DimensionMismatch, PauliOperator, VerificationError, enumerate_group, gf2_reduce, multiply
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
@@ -330,12 +321,12 @@ def consistent_counts(n: int) -> np.ndarray:
     that land on a state whose XX failures lie in w and ZZ failures outside it.
 
     Every pattern should, so each row should be the multinomials n!/(s!f!l!).
+    The patterns are placed by the package's ``lpoly.pattern_states``.
     """
-    low, spread, key = _patterns(n)
     arr = state_arrays(n)
     out = np.zeros((1 << n, (n + 1) ** 2), dtype=np.int64)
     for w in range(1 << n):
-        idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
+        idx, key = map(np.array, pattern_states(n, [(w >> i) & 1 for i in range(n)]))
         hit = ((arr.fail_xx_mask[idx] & ~w) | (arr.fail_zz_mask[idx] & w)) == 0
         out[w] = np.bincount(key[hit], minlength=(n + 1) ** 2)
     return out
@@ -362,7 +353,7 @@ def basis_counts(table, basis: str, w_mask: int) -> dict[tuple[int, int, int], i
     arr = state_arrays(n)
     select = consistent(n, w_mask)
     if basis is not None:
-        select &= table.rep_index[basis] >= 0
+        select &= readable_states(table, basis)
     sf = np.stack([arr.n_success[select], arr.n_fail[select]], axis=1).astype(np.int64)
     pairs, counts = np.unique(sf, axis=0, return_counts=True)
     return {(int(s), int(f), n - int(s) - int(f)): int(c) for (s, f), c in zip(pairs, counts)}
@@ -439,7 +430,14 @@ def bernstein_violations(b: np.ndarray, q: int) -> np.ndarray:
 
 
 def trit_patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fusion._patterns`` read off the (3^n, n) trit matrix of every pattern at once."""
+    """(low, spread, key) of every pattern, read off the (3^n, n) trit matrix at once.
+
+    Pattern t counts up in base 3 (trit i is pair i: 0 loss, 1 failure, 2
+    success).  ``low`` is its state with every failed pair read as ZZ,
+    ``spread`` has bit 2i set for each failed pair i and ``key`` is
+    s*(n+1)+f.  Under failure basis w it sits at low + (spread & spread(w)):
+    the bit turns digit ZZ (1) into XX (2).
+    """
     trits = (np.arange(3**n, dtype=np.int64)[:, None] // 3 ** np.arange(n)) % 3  # 0 loss, 1 fail, 2 success
     quad = 4 ** np.arange(n, dtype=np.int64)
     low = (np.array([AVAIL_NONE, AVAIL_ZZ, AVAIL_BOTH])[trits] * quad).sum(axis=1)
@@ -453,12 +451,12 @@ def gather_counts(table, basis: str) -> np.ndarray:
 
     Row w counts the patterns with s successes and f failures, placed
     under w (bit i set: pair i recovers XX), that recover the paired
-    ``basis`` parity: one gather of the readable index at each pattern's
+    ``basis`` parity: one gather of the readable set at each pattern's
     w-placed state.
     """
     n, n_keys = table.n, (table.n + 1) ** 2
-    low, spread, key = _patterns(n)
-    recovers = table.rep_index[basis] >= 0
+    low, spread, key = trit_patterns(n)
+    recovers = readable_states(table, basis)
     out = np.empty((1 << n, n_keys), dtype=np.int64)
     for w in range(1 << n):
         idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
@@ -552,14 +550,22 @@ def pattern_outcomes(table, avail_idx: int) -> tuple[Outcome, ...]:
 def measurement_patterns(code, spec: FusionSpec, basis: str):
     """The recovering patterns M_X or M_Z with representatives, in index order."""
     table = CodeFusionTable(code)
-    select = consistent(table.n, basis_mask(spec.w)) & (table.rep_index[basis] >= 0)
+    index = rep_index_scan(table, basis)
+    select = consistent(table.n, basis_mask(spec.w)) & (index >= 0)
     reps = logical_set(code, basis)
     out = []
     for avail_idx in np.nonzero(select)[0]:
         outcomes = pattern_outcomes(table, int(avail_idx))
-        rep = reps[int(table.rep_index[basis][avail_idx])]
+        rep = reps[int(index[avail_idx])]
         out.append((MeasurementPattern(outcomes, pattern_probability(outcomes, spec)), rep))
     return out
+
+
+def readable_states(table, basis: str) -> np.ndarray:
+    """The package's readable set of ``basis`` as one bool per table state."""
+    n = table.n
+    packed = np.frombuffer(table.readable[basis].to_bytes((4**n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=4**n, bitorder="little").astype(bool)
 
 
 def rep_index_scan(table, basis: str) -> np.ndarray:
@@ -628,11 +634,12 @@ def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     sides = {}
     for basis in ("X", "Z"):
         reps = logical_set(code, basis)
-        idxs = np.nonzero(consistent(n, basis_mask(w)) & (table.rep_index[basis] >= 0))[0]
+        index = rep_index_scan(table, basis)
+        idxs = np.nonzero(consistent(n, basis_mask(w)) & (index >= 0))[0]
         rows = []
         for row, avail in enumerate(idxs):
             ax, az = int(arr.ax_mask[avail]), int(arr.az_mask[avail])
-            rep = reps[int(table.rep_index[basis][avail])]
+            rep = reps[int(index[avail])]
             gens = gf2_reduce([x | (z << n) for (x, z) in stab_xz if (x & ~ax) == 0 and (z & ~az) == 0])
             base = [(g & ((1 << n) - 1), g >> n) for g in gens]
             r = len(gens)
@@ -701,7 +708,7 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
             perr = pattern_error_rates(ana, basis, epsilon)
         else:
             reps = logical_set(ana.code, basis)
-            rep_of = CodeFusionTable(ana.code).rep_index[basis][ana._sides[basis]["idxs"]]
+            rep_of = rep_index_scan(CodeFusionTable(ana.code), basis)[ana._sides[basis]["idxs"]]
             weight = np.array([(reps[k].x_bits | reps[k].z_bits).bit_count() for k in rep_of.tolist()], dtype=np.float64)
             perr = 0.5 * (1.0 - flip_bias(epsilon) ** weight)
         result[basis] = float(np.dot(p, perr) / total)

@@ -9,14 +9,9 @@ import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
 from fusioncodes.compiler import Mode, compile_generation, count_resources, verify_sequence
-from fusioncodes.fusion import (
-    CodeFusionTable,
-    ErrorAnalyzer,
-    FusionSpec,
-    erasure_analysis,
-)
+from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
-from fusioncodes.lpoly import LossPolynomial
+from fusioncodes.lpoly import FusionSpec, LossPolynomial, erasure_analysis
 from fusioncodes.thresholds import (
     BiasMode,
     ErrorThresholdConfig,

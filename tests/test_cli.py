@@ -62,6 +62,45 @@ class TestEnumerate:
         assert (out1 / "graphs.json").read_bytes() == (out2 / "graphs.json").read_bytes()
 
 
+# sha256 of the `analyze --code C --w W --p-fail P` JSON files, concatenated
+# in this order: W all 0, all 1 and alternating from 1 (LLPLPLPL: W
+# 10010100 only), each at P 0.5, 0.3 and 0.1234567; every code with n <= 5
+ANALYZE_JSON_SHA256 = {
+    "L": "b04c8378ecaad87c6570e858a25468205ad711912b6a8c169ceb3ea1b64bc37a",
+    "LL": "bf684ded5263b1191133f9df2beb133afc561108751b169e6e47452dc88f1a78",
+    "LP": "edb99f2664575c706ec9639457569036d30e2ba08a049b590a7b0c9f7895a0b0",
+    "LLL": "2cb515b62e719212564be453e231aa88e225d2c790727fd0f9318d91b4d5f61b",
+    "LPL": "ce322a57ab3c46f3efb4e7a9f0d40a845157815aa4ad5bfb7d61359a2bec7306",
+    "LLP": "1a51b9e859eba2b961aa900b4acfc0edc16c88e1b561816d807d190439b07d64",
+    "LPP": "e6ea3ae5939b256b4a2be1957cfc580866a18d89055448f9dd6f90931fbdf897",
+    "LLLL": "31624565aa592bec34731f0b182628b03d2841f7acff7d01b38dca3a1fa46ed1",
+    "LPLL": "70a7c2fd1c698f276656d93cdb5c7cf2c9beb77e11f9e0a012fb6b970c978fae",
+    "LLPL": "91c325fd751500598edc35f1a8f3f06905747a262328c6ce16a09ecf247180d6",
+    "LPPL": "cea32ab4a27587f6b6af121bcf170401c0b79863ccf694ada249968fddb28dd1",
+    "LLLP": "78e89c2daa50f21dca66397c7bf334f666941b929f19feaea065706d99c61672",
+    "LPLP": "c8ff20531e00f21dad721d95a0048f1dd0a79d80cc241a5274aa76e62b80c8af",
+    "LLPP": "a9b6fd2053207bc843be426c7f1eafaa6651f178cb054f2b622358b937c5f59f",
+    "LPPP": "58c2cb850418bb0aeb747e6ff16a1973fe7a0a656582613138c969bb1671cd4f",
+    "LLLLL": "9542e0b2fff9123879860677e11dfbb514f0906571ad0649f9e34d45eabd0fcc",
+    "LPLLL": "88c332fdba68cdd9c962ecce195c96558d9826875749ed6d148363e0dd60c7c1",
+    "LLPLL": "5d3402d9efccf6a6ababce5f8fbcd9b05dbffd37985e7682f8ded71e21609f7b",
+    "LPPLL": "5900c765859a8df7887716652e86d06b550c8b3ebc2cf7cb61b081b6453a8d81",
+    "LLLPL": "19ddf5009d870ee1da5a6c6a5955520d3e8e8d3c0193b1b245248a8bfbe70924",
+    "LPLPL": "0b2ad3e8b8631008e877fc536e2b44dac4667790fb832de769bfba5796f7eb43",
+    "LLPPL": "7c8a68399d9e896ac1a8d1853843c6b671099241bcea3a0908015d905ac14646",
+    "LPPPL": "3ff8aa74ef476583e30764457fc5c64ab46e4fad417133653905f54c8068f527",
+    "LLLLP": "5ff5f2122234859d39db9e413b358324398c93c325f21a1862689486960d9df6",
+    "LPLLP": "a0ebc113b11ce307376411f70a398e0a6e62d6b0cf70fb633e05a2556bed5b85",
+    "LLPLP": "3871c3e5c92979bd60931e4f51be6b8b4beab8ae469d6e5dd9e751ac3af47cdc",
+    "LPPLP": "bbd7f446ddbfea1f5eca463dfacc18c1ea60da7876c0502fa2ce8f641a4f58ea",
+    "LLLPP": "179d1515321413e197993055d608149be0506ba01ba90e6dc57e337d8d1bff3a",
+    "LPLPP": "2adc88ea47554ac7fc55384b9caf2771ea33a3f089637b0c0d1262222e8d9422",
+    "LLPPP": "30dbc4dbea0ce90c8172a51a41d45785050f9ebdd818dad8551344a3a75ec4ac",
+    "LPPPP": "80f2efb180c6721410e7eaeeb1f48bb1d041393be2cea70b12af2303c3729f37",
+    "LLPLPLPL": "bad28a2a60cc16a90fcf827316d5c2246e73905a30d8286e0423ad37b440fc7b",
+}
+
+
 class TestAnalyze:
     def test_report_written_with_manifest(self, tmp_path):
         out = tmp_path / "report.json"
@@ -74,6 +113,25 @@ class TestAnalyze:
     def test_bad_w_is_config_error(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["analyze", "--code", "LL", "--w", "0", "--out", str(out)]) == 3
+
+    def test_empty_w_is_config_error(self, tmp_path, capsys):
+        # an empty basis is malformed like any other, not the all-zero default
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--code", "LL", "--w", "", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "failure basis '' must be 2 bits of 0/1" in capsys.readouterr().err
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "a.json"
+        for code, digest in ANALYZE_JSON_SHA256.items():
+            n = len(code)
+            bases = ["10010100"] if code == "LLPLPLPL" else ["0" * n, "1" * n, ("10" * n)[:n]]
+            h = hashlib.sha256()
+            for w in bases:
+                for p_fail in ("0.5", "0.3", "0.1234567"):
+                    assert main(["analyze", "--code", code, "--w", w, "--p-fail", p_fail, "--out", str(out)]) == 0
+                    h.update(out.read_bytes())
+            assert h.hexdigest() == digest, code
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -546,15 +604,19 @@ assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
         assert MODES == tuple(m.value for m in Mode)
 
-    def test_analyze_loads_numpy(self, tmp_path):
-        # the probe above can see numpy when a command does import it
+    def test_analyze_runs_without_numpy(self, tmp_path):
+        # erasure counts read only the readable sets; the probe still sees numpy where a command imports it
         _fresh_python(
             """
 import sys
 from fusioncodes.cli import main
-assert "numpy" not in sys.modules
-assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
-assert "numpy" in sys.modules
+heavy = {"numpy", "fusioncodes.fusion", "fusioncodes.thresholds"}
+for p_fail in ("0.5", "0.3"):
+    argv = ["analyze", "--code", "LLPLPLPL", "--w", "10010100", "--p-fail", p_fail, "--out", "report.json"]
+    assert main(argv) == 0
+    assert not heavy & set(sys.modules), heavy & set(sys.modules)
+assert main(["optimize-w", "--code", "LL", "--out", "w.json"]) == 0
+assert heavy <= set(sys.modules)
 """,
             tmp_path,
         )
@@ -583,8 +645,9 @@ import sys
 import fusioncodes
 assert "fusioncodes.fusion" not in sys.modules
 from fusioncodes import FusionSpec, code_from_progenitor, erasure_analysis
-import fusioncodes.fusion
-assert fusioncodes.erasure_analysis is fusioncodes.fusion.erasure_analysis
+assert "fusioncodes.fusion" not in sys.modules and "numpy" not in sys.modules
+import fusioncodes.lpoly
+assert fusioncodes.erasure_analysis is fusioncodes.lpoly.erasure_analysis
 try:
     fusioncodes.nope
 except AttributeError:

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, logical_set
-from fusioncodes.fusion import (
-    CodeFusionTable,
-    ErrorAnalyzer,
-    FusionSpec,
-    _flip_bias,
-    _fwht_side_by_side,
-    _patterns,
-    erasure_analysis,
-)
+from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer, _flip_bias, _fwht_side_by_side, _lowest_readable
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
-from fusioncodes.lpoly import LossPolynomial, eta2_float_coeffs, eta2_numerators
+from fusioncodes.lpoly import (
+    FusionSpec,
+    LossPolynomial,
+    erasure_analysis,
+    eta2_float_coeffs,
+    eta2_numerators,
+    pattern_states,
+)
 from fusioncodes.pauli import enumerate_group
 
 import oracles
@@ -484,9 +483,16 @@ class TestAllBasesEngine:
                     assert np.array_equal(got, want), (code.code_id, basis, str(p_fail))
 
     def test_patterns_match_trit_matrix(self):
+        # every basis up to n = 4, then all-0, all-1 and four random ones
+        rng = np.random.default_rng(13)
         for n in range(1, 9):
-            for got, want in zip(_patterns(n), oracles.trit_patterns(n)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+            low, spread, key = oracles.trit_patterns(n)
+            masks = range(1 << n) if n <= 4 else [0, (1 << n) - 1, *rng.integers(1 << n, size=4).tolist()]
+            for mask in masks:
+                w = [(mask >> i) & 1 for i in range(n)]
+                states, keys = pattern_states(n, w)
+                assert states == (low + (spread & sum(4**i for i in range(n) if w[i]))).tolist(), (n, mask)
+                assert keys == key.tolist(), n
 
     def test_packed_sets_match_group_and_logical_set_order(self):
         rng = np.random.default_rng(12)
@@ -505,7 +511,15 @@ class TestAllBasesEngine:
         for code in small_codes(6) + [code_of("LLPLPLPL"), code_of("LLLLLLLL")]:
             table = CodeFusionTable(code)
             for basis in ("X", "Z"):
-                assert np.array_equal(table.rep_index[basis], oracles.rep_index_scan(table, basis)), code.code_id
+                index = _lowest_readable(table.reps[basis], table.n)
+                assert np.array_equal(index, oracles.rep_index_scan(table, basis)), code.code_id
+
+    def test_readable_set_is_the_scan_up_closure(self):
+        for code in small_codes(6) + [code_of("LLPLPLPL")]:
+            table = CodeFusionTable(code)
+            for basis in ("X", "Z"):
+                scan = np.packbits(oracles.rep_index_scan(table, basis) >= 0, bitorder="little")
+                assert table.readable[basis] == int.from_bytes(scan.tobytes(), "little"), (code.code_id, basis)
 
     def test_swap_check_rejects_a_wrong_pivot(self):
         rejected = 0

@@ -13,7 +13,7 @@ from fusioncodes.graphs import (
     local_complement,
     stabilizer_generators,
 )
-from fusioncodes.pauli import PauliOperator, ResourceCapExceeded, enumerate_group
+from fusioncodes.pauli import PauliOperator, ResourceCapExceeded, StabilizerGroup, enumerate_group
 
 from oracles import (
     apply_generation_op,
@@ -43,16 +43,13 @@ def nx_marked_isomorphic(a: GraphState, b: GraphState) -> bool:
 
 class TestStabilizerGenerators:
     def test_single_vertex(self):
-        grp = stabilizer_generators(G(1, []))
-        assert [g.to_string() for g in grp.generators] == ["+X"]
+        assert [g.to_string() for g in stabilizer_generators(G(1, []))] == ["+X"]
 
     def test_edge(self):
-        grp = stabilizer_generators(G(2, [(0, 1)]))
-        assert [g.to_string() for g in grp.generators] == ["+XZ", "+ZX"]
+        assert [g.to_string() for g in stabilizer_generators(G(2, [(0, 1)]))] == ["+XZ", "+ZX"]
 
     def test_star(self):
-        grp = stabilizer_generators(G(3, [(0, 1), (0, 2)]))
-        assert [g.to_string() for g in grp.generators] == ["+XZZ", "+ZXI", "+ZIX"]
+        assert [g.to_string() for g in stabilizer_generators(G(3, [(0, 1), (0, 2)]))] == ["+XZZ", "+ZXI", "+ZIX"]
 
 
 class TestLocalComplement:
@@ -112,8 +109,8 @@ class TestLcPauliTransform:
                 g = rec.graph
                 for q in range(g.n):
                     post = local_complement(g, q)
-                    post_elems = set(enumerate_group(stabilizer_generators(post)))
-                    for gen in stabilizer_generators(g).generators:
+                    post_elems = set(enumerate_group(StabilizerGroup(post.n, stabilizer_generators(post))))
+                    for gen in stabilizer_generators(g):
                         image = lc_pauli_transform(gen, q, g)
                         assert image in post_elems, (rec.sequence, q, str(image))
 

@@ -42,7 +42,7 @@ class TestBiasRates:
 
     def test_bare_qubit_reproduces_standard_fusion_average(self):
         # 1 - (1 - p_fail/2) eta^2 for the unencoded qubit
-        from fusioncodes.fusion import FusionSpec, erasure_analysis
+        from fusioncodes.lpoly import FusionSpec, erasure_analysis
 
         code = code_of("L")
         for eta in (1.0, 0.9, 0.7):
@@ -102,7 +102,7 @@ class TestLossThreshold:
         g = res.gamma_star
         assert g > 0
 
-        from fusioncodes.fusion import FusionSpec, erasure_analysis
+        from fusioncodes.lpoly import FusionSpec, erasure_analysis
 
         def avg(gamma):
             rep = erasure_analysis(code, FusionSpec(1.0 - gamma, 0.5, res.w_star))
