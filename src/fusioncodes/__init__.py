@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 from .codes import GraphCode, code_from_progenitor, logical_set  # noqa: F401
 from .graphs import GraphState  # noqa: F401
-from .pauli import PauliOperator, StabilizerGroup  # noqa: F401
+from .pauli import PauliOperator  # noqa: F401
 
 
 def __getattr__(name):

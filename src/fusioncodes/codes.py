@@ -4,7 +4,9 @@ Measuring the input vertex q of an (n+1)-vertex graph state in X with
 outcome +1 leaves an n-qubit code word.  The logical operators are
 X = product of Z over the neighbors of q, and Z = S_q0 Z_q for any
 neighbor q0; the code stabilizers are the progenitor stabilizers (and
-products) that act trivially on q.
+products) that act trivially on q.  A code holds them packed,
+``x | z << n`` on the code qubits, all with sign +1; signed
+``PauliOperator``s are built only to render them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import PROGENITOR_CAP, GraphState, local_complement
-from .graphs import stabilizer_generators as graph_stabilizers
-from .pauli import PauliOperator, ResourceCapExceeded, StabilizerGroup, enumerate_group, multiply, span
+from .pauli import PauliOperator, ResourceCapExceeded, multiply, span
 
 
 class CodeConstructionError(ValueError):
@@ -25,14 +26,16 @@ class GraphCode(NamedTuple):
 
     Code qubit ``i`` is progenitor vertex ``code_qubits[i]`` (the
     progenitor vertices in increasing order with the input removed).
+    ``logical_x``, ``logical_z`` and each of the n-1 ``stabilizers``
+    are packed ``x | z << n`` with sign +1.
     """
 
     progenitor: GraphState
     input_qubit: int
     code_qubits: tuple[int, ...]
-    logical_x: PauliOperator
-    logical_z: PauliOperator
-    stabilizers: StabilizerGroup
+    logical_x: int
+    logical_z: int
+    stabilizers: tuple[int, ...]
     code_id: str = ""
 
     @property
@@ -50,22 +53,20 @@ class GraphCode(NamedTuple):
             "n_code": self.n_code,
             "logical_x": [p.to_string() for p in logical_set(self, "X")],
             "logical_z": [p.to_string() for p in logical_set(self, "Z")],
-            "stabilizer_generators": [g.to_string() for g in self.stabilizers.generators],
+            "stabilizer_generators": [PauliOperator.unpack(self.n_code, g).to_string() for g in self.stabilizers],
         }
 
 
-def _restrict(p: PauliOperator, drop: int) -> PauliOperator:
-    """Remove qubit ``drop``, which must carry the identity."""
-    if (p.x_bits >> drop) & 1 or (p.z_bits >> drop) & 1:
-        raise ValueError(f"operator acts on dropped qubit {drop}: {p}")
-    low = (1 << drop) - 1
-    x = (p.x_bits & low) | ((p.x_bits >> (drop + 1)) << drop)
-    z = (p.z_bits & low) | ((p.z_bits >> (drop + 1)) << drop)
-    return PauliOperator(p.n - 1, x, z, p.phase)
-
-
 def code_from_progenitor(g: GraphState, code_id: str = "") -> GraphCode:
-    """Build the code obtained by measuring the emitter vertex in X(+1)."""
+    """Build the code obtained by measuring the emitter vertex in X(+1).
+
+    Graph-state generator S_v is X on v and Z on each neighbor.  The
+    product of two of them carries no phase: where each has X on a
+    vertex the other has Z on, the two letters give -i and +i.  So
+    every operator below has sign +1.  Each acts trivially on q, logical
+    Z once its Z_q cancels S_q0's Z there, so dropping bit q (and with
+    it that Z) restricts it to the code qubits.
+    """
     if g.n < 2:
         raise CodeConstructionError("progenitor needs at least two vertices")
     q = g.emitter
@@ -73,36 +74,42 @@ def code_from_progenitor(g: GraphState, code_id: str = "") -> GraphCode:
     if not nbrs:
         raise CodeConstructionError("input qubit is isolated")
     q0 = nbrs[0]
-    gens = graph_stabilizers(g)
+    n, low = g.n - 1, (1 << q) - 1
 
-    logical_x = PauliOperator(g.n, 0, g.neighbor_mask(q), 0)
-    logical_z = multiply(gens[q0], PauliOperator(g.n, 0, 1 << q, 0))
+    def packed(x: int, z: int) -> int:
+        """x | z << n on the code qubits: progenitor bit q dropped."""
+        return (x & low | (x >> (q + 1)) << q) | (z & low | (z >> (q + 1)) << q) << n
 
-    stab = [multiply(gens[q0], gens[i]) for i in nbrs[1:]]
-    stab += [gens[j] for j in range(g.n) if j != q and j not in nbrs]
-
-    code_qubits = tuple(v for v in range(g.n) if v != q)
+    z0 = g.neighbor_mask(q0)
+    stab = [packed(1 << q0 | 1 << i, z0 ^ g.neighbor_mask(i)) for i in nbrs[1:]]
+    stab += [packed(1 << j, g.neighbor_mask(j)) for j in range(g.n) if j != q and j not in nbrs]
     return GraphCode(
         progenitor=g,
         input_qubit=q,
-        code_qubits=code_qubits,
-        logical_x=_restrict(logical_x, q),
-        logical_z=_restrict(logical_z, q),
-        stabilizers=StabilizerGroup(g.n - 1, tuple(_restrict(s, q) for s in stab)),
+        code_qubits=tuple(v for v in range(g.n) if v != q),
+        logical_x=packed(0, g.neighbor_mask(q)),
+        logical_z=packed(1 << q0, z0),
+        stabilizers=tuple(stab),
         code_id=code_id,
     )
 
 
 def logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
-    """All 2^(n-1) representatives of the X or Z logical, stable order.
+    """All 2^(n-1) signed representatives of the X or Z logical, stable order.
 
-    Element k is the anchor logical times stabilizer-group element k in
-    the group's generator-subset order.
+    Element k is the anchor logical times the stabilizer generators
+    whose bit is set in k, as ``packed_cosets`` orders them; the
+    generators commute, so the product's sign does not depend on the
+    order of its factors.
     """
     if basis not in ("X", "Z"):
         raise ValueError("basis must be 'X' or 'Z'")
-    anchor = code.logical_x if basis == "X" else code.logical_z
-    return [multiply(anchor, s) for s in enumerate_group(code.stabilizers)]
+    n = code.n_code
+    out = [PauliOperator.unpack(n, code.logical_x if basis == "X" else code.logical_z)]
+    for g in code.stabilizers:
+        gen = PauliOperator.unpack(n, g)
+        out += [multiply(p, gen) for p in out]
+    return out
 
 
 def packed_cosets(code: GraphCode) -> tuple[list[int], dict[str, list[int]]]:
@@ -114,9 +121,8 @@ def packed_cosets(code: GraphCode) -> tuple[list[int], dict[str, list[int]]]:
     n = code.n_code
     if n > PROGENITOR_CAP:
         raise ResourceCapExceeded(f"{n} code qubits exceeds cap {PROGENITOR_CAP}")
-    stab = span([g.x_bits | g.z_bits << n for g in code.stabilizers.generators])
-    anchors = {"X": code.logical_x, "Z": code.logical_z}
-    return stab, {b: [(p.x_bits | p.z_bits << n) ^ s for s in stab] for b, p in anchors.items()}
+    stab = span(list(code.stabilizers))
+    return stab, {"X": [code.logical_x ^ s for s in stab], "Z": [code.logical_z ^ s for s in stab]}
 
 
 def dual_code_with_map(code: GraphCode) -> tuple[GraphCode, int]:

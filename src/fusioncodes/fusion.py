@@ -8,7 +8,9 @@ time, each availability digit weighted by its outcome's integer
 probability and mapped to that qubit's failure-basis bit, yields the
 exact success polynomials of all 2^n bases at once in Bernstein form,
 which keeps the basis scan exact and fast.  Only the ML decoder needs
-which representative a state reads out, and builds that index itself.
+which representative a pattern reads out: it reads the code's packed
+cosets itself and takes the lowest one whose minimal state the pattern
+includes, the test it also applies to the stabilizers.
 """
 
 from __future__ import annotations
@@ -121,28 +123,6 @@ def _mean_rate(p: np.ndarray, perr: np.ndarray):
     return mean if mean.ndim else float(mean)
 
 
-def _lowest_readable(reps: list[int], n: int) -> np.ndarray:
-    """The decoder's int16 index: the first of ``reps`` (packed x | z << n) each of the 4^n states reads out, else -1.
-
-    A representative is readable exactly on the states at or above its
-    minimal one in the per-qubit order NONE <= ZZ, XX <= BOTH, which is
-    bit inclusion.  Seeding every minimal state with its index and taking
-    running minima up that order, one qubit at a time, leaves each state
-    the lowest index among those it can read.
-    """
-    unread = len(reps)
-    best = np.full(4**n, unread, dtype=np.int16)
-    seeds = np.array([minimal_state(v, n) for v in reps])
-    np.minimum.at(best, seeds, np.arange(unread, dtype=np.int16))
-    for i in range(n):
-        digit = best.reshape(-1, 4, 4**i)  # axis 1 is qubit i's availability digit
-        for up in (AVAIL_ZZ, AVAIL_XX):
-            np.minimum(digit[:, up], digit[:, AVAIL_NONE], out=digit[:, up])
-        np.minimum(digit[:, AVAIL_BOTH], np.minimum(digit[:, AVAIL_ZZ], digit[:, AVAIL_XX]), out=digit[:, AVAIL_BOTH])
-    best[best == unread] = -1
-    return best
-
-
 class ErrorAnalyzer:
     """Per-(code, failure-basis) setup for repeated error-rate evaluation.
 
@@ -156,29 +136,34 @@ class ErrorAnalyzer:
     distinct weight row once; an evaluation lays a basis's rows side by
     side and runs one butterfly pass over all of them.  Every method also
     takes arrays of epsilon (and eta), which add leading axes to its
-    result.  ``table`` is the code's table when the caller has built it.
+    result.
     """
 
-    def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5, table: CodeFusionTable | None = None):
+    def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5):
         if len(w) != code.n_code:
             raise ValueError("failure basis length mismatch")
         self.code = code
         self.w = tuple(w)
         self.p_fail = p_fail
         self.n = n = code.n_code
-        table = CodeFusionTable(code) if table is None else table
+        stab, all_reps = packed_cosets(code)
         states, key = map(np.array, pattern_states(n, self.w))
         s_all, f_all = divmod(key, n + 1)
-        elems = np.array(table.stab)
-        # readable[k, e]: state k recovers every parity element e needs; uint16 holds 4^8 states
-        minimal = np.array([minimal_state(v, n) for v in table.stab], dtype=np.uint16)
-        readable = (minimal & ~states.astype(np.uint16)[:, None]) == 0
+        unread = ~states.astype(np.uint16)[:, None]  # uint16 holds 4^8 states
+
+        def fits(elements):
+            """[k, e]: state k reads every parity element e needs (its minimal state is included in k)."""
+            return (np.array([minimal_state(v, n) for v in elements], dtype=np.uint16) & unread) == 0
+
+        elems = np.array(stab)
+        readable = fits(stab)
         mask_n = (1 << n) - 1
         self._sides = {}
         for basis in ("X", "Z"):
-            reps = table.reps[basis]
-            rep_of = _lowest_readable(reps, n)[states]  # the representative each pattern reads out, else -1
-            select = np.nonzero(rep_of >= 0)[0]
+            reps = all_reps[basis]
+            fit = fits(reps)
+            select = np.nonzero(fit.any(1))[0]
+            rep_of = fit.argmax(1)  # the lowest representative each pattern reads out
             spanned, weight_rows = {}, []  # weight row per (readable row, representative) and per pattern
             for k, rep in zip(select.tolist(), rep_of[select].tolist()):
                 pair = (readable[k].tobytes(), rep)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .pauli import PauliOperator, ResourceCapExceeded
+from .pauli import ResourceCapExceeded
 
 PROGENITOR_CAP = 8  # photons; the largest code the commands enumerate or analyze (2^(cap-1) codes)
 
@@ -102,16 +102,7 @@ class GraphState(_GraphFields):
         return "\n".join(lines) + "\n"
 
 
-# -- stabilizers and local complementation ---------------------------
-
-
-def stabilizer_generators(g: GraphState) -> tuple[PauliOperator, ...]:
-    """One generator per vertex: X there, Z on each neighbor, sign +1.
-
-    They commute and are independent by construction, so no
-    ``StabilizerGroup`` validates them.
-    """
-    return tuple(PauliOperator(g.n, 1 << v, g.neighbor_mask(v), 0) for v in range(g.n))
+# -- local complementation -------------------------------------------
 
 
 def local_complement(g: GraphState, q: int) -> GraphState:

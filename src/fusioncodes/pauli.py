@@ -1,12 +1,13 @@
 """Exact n-qubit Pauli algebra in bit-packed symplectic form.
 
-Operators are stored as two integers whose bit ``i`` gives the X / Z
-component on qubit ``i`` (X = (1,0), Z = (0,1), Y = (1,1) with the
-Hermitian convention Y = iXZ).  The global phase of every operator used
-by the code constructions is real (+1 or -1); intermediate products may
-pick up a factor of +/-i, which is carried internally as a power of i so
-that multiplication stays exactly associative, e.g. (XZ)^2 = -I.
-Asking for the ``sign`` of an operator whose phase is imaginary raises.
+Codes and the fusion layer hold a Pauli as one integer ``x | z << n``:
+bit i of x / z is the X / Z component on qubit i (X = (1,0), Z = (0,1),
+Y = (1,1) with the Hermitian convention Y = iXZ).  Every generator and
+anchor logical of a graph code has sign +1, so those ints carry no sign.
+``PauliOperator`` is the signed form: it renders logical sets and
+stabilizer strings, and it is the tableau's row type.  Its phase is a
+power of i, so that multiplication stays exactly associative, e.g.
+(XZ)^2 = -I.
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ class _PauliFields(NamedTuple):
 class PauliOperator(_PauliFields):
     """Signed n-qubit Pauli string.
 
-    ``phase`` is the exponent k of the global factor i^k (mod 4).  All
-    stabilizers and logical operators handled here have k in {0, 2},
-    i.e. sign +1 or -1.
+    ``phase`` is the exponent k of the global factor i^k (mod 4).  Every
+    element of a code's logical set has k in {0, 2}, i.e. sign +1 or -1.
     """
 
     __slots__ = ()
@@ -73,23 +73,17 @@ class PauliOperator(_PauliFields):
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "PauliOperator":
-        return PauliOperator(n, 0, 0, 0)
-
-    @staticmethod
     def single(n: int, qubit: int, kind: str, sign: int = 1) -> "PauliOperator":
         """One non-identity letter ``kind`` in {X, Y, Z} on ``qubit``."""
         x, z = _CHAR_TO_BITS[kind]
         return PauliOperator(n, x << qubit, z << qubit, 0 if sign == 1 else 2)
 
-    # -- basic queries -----------------------------------------------
+    @staticmethod
+    def unpack(n: int, packed: int) -> "PauliOperator":
+        """The sign +1 operator ``packed`` as x | z << n."""
+        return PauliOperator(n, packed & ((1 << n) - 1), packed >> n)
 
-    @property
-    def sign(self) -> int:
-        """+1 or -1.  Raises if the phase is imaginary (+/-i)."""
-        if self.phase % 2:
-            raise ValueError("operator carries an imaginary phase, sign undefined")
-        return 1 if self.phase == 0 else -1
+    # -- basic queries -----------------------------------------------
 
     def letter(self, qubit: int) -> str:
         return _BITS_TO_CHAR[((self.x_bits >> qubit) & 1, (self.z_bits >> qubit) & 1)]
@@ -142,49 +136,3 @@ def span(gens: list[int]) -> list[int]:
     for g in gens:
         out += [v ^ g for v in out]
     return out
-
-
-class _GroupFields(NamedTuple):
-    n: int
-    generators: tuple[PauliOperator, ...]
-
-
-class StabilizerGroup(_GroupFields):
-    """Independent, mutually commuting generators of an abelian Pauli group."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, generators: tuple[PauliOperator, ...]):
-        for g in generators:
-            if g.n != n:
-                raise DimensionMismatch("generator qubit count differs from group")
-            g.sign  # noqa: B018 - asserts the phase is real
-        rows = [g.x_bits | g.z_bits << n for g in generators]
-        # a & (zb | xb << n) holds xa & zb and za & xb: its popcount parity is the symplectic product
-        swapped = [g.z_bits | g.x_bits << n for g in generators]
-        for i, a in enumerate(rows):
-            for j in range(i + 1, len(rows)):
-                if (a & swapped[j]).bit_count() & 1:
-                    raise ValueError(f"generators do not commute: {generators[i]} vs {generators[j]}")
-        if len(gf2_reduce(rows)) != len(rows):
-            raise ValueError("generators are not independent")
-        return tuple.__new__(cls, (n, generators))
-
-    @property
-    def k(self) -> int:
-        return len(self.generators)
-
-
-def enumerate_group(group: StabilizerGroup, cap: int = 20) -> list[PauliOperator]:
-    """All 2^k signed elements, ordered by the generator-subset counter.
-
-    Element at index ``s`` is the product of the generators whose bit is
-    set in ``s``, so the ordering is reproducible across runs.
-    """
-    if group.k > cap:
-        raise ResourceCapExceeded(f"group has {group.k} generators, cap is {cap}")
-    elements = [PauliOperator.identity(group.n)]
-    for s in range(1, 1 << group.k):
-        low = (s & -s).bit_length() - 1
-        elements.append(multiply(elements[s & (s - 1)], group.generators[low]))
-    return elements

@@ -271,9 +271,9 @@ class ThresholdResult:
         self.bias_mode, self.diagnostics, self.coeffs = bias_mode, diagnostics, coeffs
 
 
-def _basis_coeffs(code: GraphCode, p_fail: float, table: CodeFusionTable | None = None) -> np.ndarray:
+def _basis_coeffs(code: GraphCode, p_fail: float) -> np.ndarray:
     """(2, 2^n, n+1) eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
-    return eta2_float_coeffs(*(CodeFusionTable(code) if table is None else table).bernstein(p_fail))
+    return eta2_float_coeffs(*CodeFusionTable(code).bernstein(p_fail))
 
 
 def _erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -322,21 +322,18 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
     return _loss_thresholds([code], bias, p_fail)[0]
 
 
-def _loss_thresholds(
-    codes: list[GraphCode], bias: BiasConfig, p_fail: float, table: CodeFusionTable | None = None
-) -> list[ThresholdResult]:
+def _loss_thresholds(codes: list[GraphCode], bias: BiasConfig, p_fail: float) -> list[ThresholdResult]:
     """``loss_threshold`` of each code of one size, every (code, basis) row in one lockstep.
 
     Row c * 2^n + w holds basis w of codes[c].  Each row keeps its own
     bracket and elementwise float steps, so the results equal one
-    bisection per code.  ``table`` is the table of a single code when
-    the caller has built it.
+    bisection per code.
     """
     n = codes[0].n_code
     size = 1 << n
     cx, cz = coeffs = np.empty((2, len(codes) * size, n + 1))
     for c, code in enumerate(codes):
-        coeffs[:, c * size : (c + 1) * size] = _basis_coeffs(code, p_fail, table)
+        coeffs[:, c * size : (c + 1) * size] = _basis_coeffs(code, p_fail)
     ok = _feasible(bias, *_erasure_rates(cx, cz, 0.0))
     fx, fz = cx[ok], cz[ok]
     gammas = np.zeros(len(cx))
@@ -452,20 +449,18 @@ def correctable_region(
     error stays below the tolerable fusion error at the corresponding
     logical erasure rate.  ``result`` is the code's ``loss_threshold``
     under the same bias and ``p_fail`` when the caller already has it,
-    as ``search_best_code`` returns it; otherwise it is computed here,
-    from the one ``CodeFusionTable`` the decoder also reads.
+    as ``search_best_code`` returns it; otherwise it is computed here.
     """
     if bias.mode is not BiasMode.RANDOMIZED:
         raise ValueError("correctable regions are computed under randomized bias")
-    table = CodeFusionTable(code)
     if result is None:
-        result = _loss_thresholds([code], bias, p_fail, table)[0]
+        result = _loss_thresholds([code], bias, p_fail)[0]
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []
     gammas = gamma_star * np.arange(grid_points) / (grid_points - 1)
     eps_m = err.epsilon_m(randomized_bias_rate(*_erasure_rates(*result.coeffs, gammas)))
-    analyzer = ErrorAnalyzer(code, result.w_star, p_fail, table)
+    analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
     boundary = np.concatenate(
         [
             _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK], epsilon_cap)

@@ -26,7 +26,11 @@ in emission order; they share only the instruction loop ``_run`` with
 the package's bit-packed state vector, and they replay -1 outcomes too.
 ``signed_first_non_member`` tests stabilizer-group membership by a
 signed row echelon, the reference for the tableau's tagged unsigned
-elimination.  The rest are small helpers that
+elimination.  ``StabilizerGroup`` (commutation and independence checked
+on construction), ``enumerate_group``, ``stabilizer_generators`` and
+``sign`` are the signed group algebra; ``signed_code`` turns a code's
+packed logicals and generators into operators and its generators into a
+checked group.  The rest are small helpers that
 only tests use: JSON round trips, Pauli-string parsing, Pauli images
 under local complementation, pairwise commutation, dual failure bases
 and state-vector expectations.  ``validate_dual_swap`` checks the dual
@@ -45,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +58,7 @@ from fusioncodes.compiler import _run
 from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import AVAIL_BOTH, AVAIL_NONE, AVAIL_XX, AVAIL_ZZ, FusionSpec, LossPolynomial, pattern_states
-from fusioncodes.pauli import DimensionMismatch, PauliOperator, VerificationError, enumerate_group, gf2_reduce, multiply
+from fusioncodes.pauli import DimensionMismatch, PauliOperator, VerificationError, gf2_reduce, multiply
 from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
@@ -275,6 +280,81 @@ def signed_first_non_member(rows: list[PauliOperator], targets: list[PauliOperat
         if _pauli_key(rest) or rest.phase:
             return k, rest
     return None
+
+
+# -- signed stabilizer groups ----------------------------------------------
+
+
+def sign(p: PauliOperator) -> int:
+    """+1 or -1.  Raises if the phase is imaginary (+/-i)."""
+    if p.phase % 2:
+        raise ValueError("operator carries an imaginary phase, sign undefined")
+    return 1 if p.phase == 0 else -1
+
+
+class _GroupFields(NamedTuple):
+    n: int
+    generators: tuple[PauliOperator, ...]
+
+
+class StabilizerGroup(_GroupFields):
+    """Independent, mutually commuting generators of an abelian Pauli group."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, generators: tuple[PauliOperator, ...]):
+        for g in generators:
+            if g.n != n:
+                raise DimensionMismatch("generator qubit count differs from group")
+            sign(g)  # asserts the phase is real
+        rows = [g.x_bits | g.z_bits << n for g in generators]
+        # a & (zb | xb << n) holds xa & zb and za & xb: its popcount parity is the symplectic product
+        swapped = [g.z_bits | g.x_bits << n for g in generators]
+        for i, a in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                if (a & swapped[j]).bit_count() & 1:
+                    raise ValueError(f"generators do not commute: {generators[i]} vs {generators[j]}")
+        if len(gf2_reduce(rows)) != len(rows):
+            raise ValueError("generators are not independent")
+        return tuple.__new__(cls, (n, generators))
+
+    @property
+    def k(self) -> int:
+        return len(self.generators)
+
+
+def enumerate_group(group: StabilizerGroup) -> list[PauliOperator]:
+    """All 2^k signed elements, ordered by the generator-subset counter.
+
+    Element at index ``s`` is the product of the generators whose bit is
+    set in ``s``, so the ordering is reproducible across runs.
+    """
+    elements = [PauliOperator(group.n, 0, 0)]
+    for s in range(1, 1 << group.k):
+        low = (s & -s).bit_length() - 1
+        elements.append(multiply(elements[s & (s - 1)], group.generators[low]))
+    return elements
+
+
+def stabilizer_generators(g: GraphState) -> tuple[PauliOperator, ...]:
+    """One generator per vertex: X there, Z on each neighbor, sign +1."""
+    return tuple(PauliOperator(g.n, 1 << v, g.neighbor_mask(v), 0) for v in range(g.n))
+
+
+class SignedCode(NamedTuple):
+    logical_x: PauliOperator
+    logical_z: PauliOperator
+    stabilizers: StabilizerGroup
+
+
+def signed_code(code: GraphCode) -> SignedCode:
+    """A code's packed logicals and generators as sign +1 operators, the generators checked as a group."""
+    n = code.n_code
+    return SignedCode(
+        PauliOperator.unpack(n, code.logical_x),
+        PauliOperator.unpack(n, code.logical_z),
+        StabilizerGroup(n, tuple(PauliOperator.unpack(n, g) for g in code.stabilizers)),
+    )
 
 
 # -- the availability table, digit by digit --------------------------------
@@ -630,7 +710,7 @@ def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     n = code.n_code
     table = CodeFusionTable(code)
     arr = state_arrays(n)
-    stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(code.stabilizers)]
+    stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(signed_code(code).stabilizers)]
     sides = {}
     for basis in ("X", "Z"):
         reps = logical_set(code, basis)

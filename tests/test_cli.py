@@ -341,7 +341,7 @@ class TestRegion:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, code
 
     def test_code_region_builds_one_table(self, tmp_path, monkeypatch):
-        # the loss threshold and the decoder read the same CodeFusionTable
+        # only the loss threshold builds a CodeFusionTable; the decoder reads the code's packed cosets
         built = []
         real = CodeFusionTable.__init__
 
@@ -353,6 +353,10 @@ class TestRegion:
         cfg = write_config(tmp_path)
         assert main(["region", "--code", "LLPL", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
         assert built == ["LLPL"]
+        # the search over n=4 builds one table per code, and the winner's region none more
+        built.clear()
+        assert main(["region", "--n", "4", "--config", cfg, "--out", str(tmp_path / "r4.csv")]) == 0
+        assert sorted(built) == sorted(r.sequence for r in enumerate_progenitor_records(4))
 
     def test_size_region_reuses_the_search_result(self, tmp_path, monkeypatch):
         # the region of the n=4 winner takes its threshold from the search:

@@ -40,6 +40,7 @@ from oracles import (
     photon_order,
     photon_statevector,
     progenitor_scan,
+    signed_code,
     signed_first_non_member,
     states_equal_up_to_phase,
     target_statevector,
@@ -431,9 +432,9 @@ class TestVerification:
         outer = build_progenitor(seq.outer_ops)
 
         def logical_stabilizer(v):
-            op = lift(inner.logical_x, v)
+            op = lift(signed_code(inner).logical_x, v)
             for u in outer.neighbors(v):
-                op = multiply(op, lift(inner.logical_z, u))
+                op = multiply(op, lift(signed_code(inner).logical_z, u))
             return op
 
         base, _ = photon_statevector(seq)

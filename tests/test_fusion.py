@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, logical_set
-from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer, _flip_bias, _fwht_side_by_side, _lowest_readable
+from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer, _flip_bias, _fwht_side_by_side
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
     FusionSpec,
@@ -15,7 +15,6 @@ from fusioncodes.lpoly import (
     eta2_numerators,
     pattern_states,
 )
-from fusioncodes.pauli import enumerate_group
 
 import oracles
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     consistent_counts,
     dense_graph_state,
     dual_failure_basis,
+    enumerate_group,
     eta2_coeffs,
     is_normalized,
     joint_flip_distribution,
@@ -34,6 +34,8 @@ from oracles import (
     pauli_from_string,
     pauli_matrix,
     recoverable,
+    sign,
+    signed_code,
 )
 
 S, F, L = Outcome.SUCCESS, Outcome.FAIL, Outcome.LOSS
@@ -67,8 +69,8 @@ def _codeword_states(code):
 
     zlift = ["I"] * code.n_code
     for i in range(code.n_code):
-        zlift[i] = code.logical_z.letter(i)
-    zmat = pauli_matrix("".join(zlift), code.logical_z.sign)
+        zlift[i] = signed_code(code).logical_z.letter(i)
+    zmat = pauli_matrix("".join(zlift), sign(signed_code(code).logical_z))
     zero = plus + zmat @ plus
     zero /= np.linalg.norm(zero)
     return plus, zero
@@ -102,7 +104,7 @@ def oracle_recoverable(code, outcomes, w, basis):
         elif out is F:
             ops.append(_paired_letter_matrix([(i, "X" if w[i] else "Z")], n))
 
-    anchor = code.logical_x if basis == "X" else code.logical_z
+    anchor = signed_code(code).logical_x if basis == "X" else signed_code(code).logical_z
     target = _paired_letter_matrix([(i, anchor.letter(i)) for i in range(n) if anchor.letter(i) != "I"], n)
 
     branches = [joint]
@@ -177,7 +179,7 @@ def oracle_pattern_error(code, outcomes, w, basis, eps):
     rep = next((p for p in logical_set(code, basis) if fits(p)), None)
     if rep is None:
         return None
-    stabs = [s for s in enumerate_group(code.stabilizers) if fits(s)]
+    stabs = [s for s in enumerate_group(signed_code(code).stabilizers) if fits(s)]
 
     joint = oracle_joint_flips(eps)
     marg_u = joint[(1, 0)] + joint[(1, 1)]
@@ -502,17 +504,11 @@ class TestAllBasesEngine:
             codes += [code_of(records[i].sequence) for i in rng.choice(len(records), size=6, replace=False)]
         for code in codes:
             table, n = CodeFusionTable(code), code.n_code
-            assert table.stab == [p.x_bits | p.z_bits << n for p in enumerate_group(code.stabilizers)], code.code_id
+            group = signed_code(code).stabilizers
+            assert table.stab == [p.x_bits | p.z_bits << n for p in enumerate_group(group)], code.code_id
             for basis in ("X", "Z"):
                 want = [p.x_bits | p.z_bits << n for p in logical_set(code, basis)]
                 assert table.reps[basis] == want, (code.code_id, basis)
-
-    def test_rep_index_up_closure_matches_scan(self):
-        for code in small_codes(6) + [code_of("LLPLPLPL"), code_of("LLLLLLLL")]:
-            table = CodeFusionTable(code)
-            for basis in ("X", "Z"):
-                index = _lowest_readable(table.reps[basis], table.n)
-                assert np.array_equal(index, oracles.rep_index_scan(table, basis)), code.code_id
 
     def test_readable_set_is_the_scan_up_closure(self):
         for code in small_codes(6) + [code_of("LLPLPLPL")]:
