@@ -8,9 +8,10 @@ and photon-loss thresholds under bias models, and compiling two-emitter
 (or emitter-plus-memory) generation sequences with resource counts.
 
 ``FusionSpec`` and ``erasure_analysis`` load ``fusioncodes.lpoly`` on
-first access; neither loads numpy, and importing the package or the
-compiler does not either.  ML-decoded error rates come from
-``fusion.ErrorAnalyzer``, which loads numpy.
+first access; neither loads numpy, and importing the package, the
+compiler or the threshold search (``thresholds``) does not either.
+ML-decoded error rates and the correctable region come from
+``fusion``, the one module that loads numpy.
 """
 
 __version__ = "0.1.0"

@@ -11,12 +11,14 @@ config, outer-graph or code input), 4 resource cap (a code id longer
 than 8 photons, a size above 8, more than ``GRID_POINTS_CAP`` region
 grid points), 5 verification failure.
 
-The analysis modules (``lpoly``, ``fusion``, ``thresholds``) and numpy,
+The analysis modules (``lpoly``, ``thresholds``, ``fusion``) and numpy,
 and the ``compiler``, are imported inside the commands that use them:
-``enumerate``, ``duals``, ``compile``, ``analyze`` and usage errors run
-without numpy (``analyze`` counts patterns on the readable sets of
-``lpoly``, pure Python ints), and no command but ``compile`` loads the
-compiler.
+``enumerate``, ``duals``, ``compile``, ``analyze``, ``threshold``,
+``optimize-w`` and usage errors run without numpy (``analyze`` counts
+patterns on the readable sets of ``lpoly``, pure Python ints, and the
+threshold search bisects ``lpoly``'s exact transfer counts in Python
+floats).  Only ``region`` loads numpy, for the ML decoder in ``fusion``,
+and no command but ``compile`` loads the compiler.
 
 Start-up dominates these commands.  Measured with ``-X importtime`` on
 a 2-core x86-64 host (Python 3.11.7, medians of 20 fresh processes): the
@@ -24,7 +26,7 @@ interpreter plus ``site`` take 50-70 ms, numpy 100 ms where a command
 loads it, and importing this module 26 ms (27 ms after numpy), 16 ms
 less than when the records were generated classes whose module imports
 ``inspect`` and execs methods for every class.  Records are NamedTuples
-or ``__slots__`` classes, so only the numpy commands load ``inspect``.
+or ``__slots__`` classes, so only ``region`` (numpy) loads ``inspect``.
 Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``) each process
 also compiles the package source it imports: about 9 ms for this module
 and its imports, 13-22 ms for ``compile`` and 17-29 ms for
@@ -285,7 +287,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_region(args) -> int:
-    from .thresholds import correctable_region, search_best_code
+    from .fusion import correctable_region
+    from .thresholds import search_best_code
 
     if args.grid_points > GRID_POINTS_CAP:
         raise ResourceCapExceeded(f"{args.grid_points} grid points exceeds cap {GRID_POINTS_CAP}")

@@ -1,78 +1,26 @@
-"""Exact loss and Pauli-error analysis of transversal logical fusions.
+"""ML-decoded Pauli-error rates of transversal logical fusions, and the correctable region.
 
 Two identical graph codes are fused pairwise with standard physical
-fusions (availability states and readable sets: see ``lpoly``).  Each
-code keeps one readable set per logical parity, a 4^n-bit Python int.
-With p_fail = a/q, contracting which states recover one qubit at a
-time, each availability digit weighted by its outcome's integer
-probability and mapped to that qubit's failure-basis bit, yields the
-exact success polynomials of all 2^n bases at once in Bernstein form,
-which keeps the basis scan exact and fast.  Only the ML decoder needs
-which representative a pattern reads out: it reads the code's packed
-cosets itself and takes the lowest one whose minimal state the pattern
-includes, the test it also applies to the stabilizers.
+fusions (availability states and readable sets: see ``lpoly``).  The
+ML decoder reads the code's packed cosets and, for each recovering
+pattern, takes the lowest representative whose minimal state the
+pattern includes, the test it also applies to the stabilizers.  The
+correctable (loss, error) region bisects the decoder's rate in epsilon
+at every loss grid point in lockstep.  This is the one module that
+loads numpy, and only ``region`` loads it.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .codes import GraphCode, packed_cosets
-from .lpoly import AVAIL_BOTH, AVAIL_NONE, AVAIL_XX, AVAIL_ZZ, minimal_state, pattern_states, readable_set
+from .lpoly import minimal_state, pattern_states
 from .pauli import gf2_reduce, span
-
-# -- per-code readable sets ---------------------------------------------
-
-
-class CodeFusionTable:
-    """A code's packed cosets (``codes.packed_cosets``) and the readable set of each logical parity."""
-
-    def __init__(self, code: GraphCode):
-        self.code = code
-        self.n = n = code.n_code
-        self.stab, self.reps = packed_cosets(code)
-        self.readable = {basis: readable_set(self.reps[basis], n) for basis in ("X", "Z")}
-
-    def bernstein(self, p_fail) -> tuple[np.ndarray, int]:
-        """(B, q): Bernstein numerators of the XX and ZZ success probabilities of every failure basis.
-
-        With p_fail read as a/q (``limit_denominator(2**30)``), B[0] is X,
-        B[1] is Z, and B[., w, k] sums (q-a)^s a^f over the patterns with
-        s + f = k that recover under w (bit i set: pair i recovers XX), so
-        success = sum_k B[., w, k] q^-k x^k (1-x)^(n-k) in x = eta^2.
-        Contracting qubit k maps its availability digit to bit k of w:
-        NONE weighs 1 at degree +0, the digit that bit's failure recovers
-        a at degree +1, and BOTH q-a at degree +1.  Every partial sum is
-        at most (1 + q)^n, so below 2^31 the contraction runs in int32.
-        As |B[., w, k]| is at most C(n, k) (|q-a| + |a|)^k,
-        ``eta2_numerators`` stays within (|q-a| + |a| + 2q)^n, (3q)^n for
-        p_fail in [0, 1]: below 2^53 B is int64 (every numerator an exact
-        double), else Python ints.
-        """
-        a, q = p_fail.as_integer_ratio()  # exact, so a dyadic p_fail such as 1/2 loads no fractions module
-        if q > 1 << 30:
-            from fractions import Fraction
-
-            a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
-        n = self.n
-        dtype = np.int64 if (abs(q - a) + abs(a) + 2 * q) ** n < 1 << 53 else object
-        work = np.int32 if (1 + q) ** n < 1 << 31 else dtype
-        b = np.empty((2, 1 << n, n + 1), dtype=dtype)
-        # one parity at a time: both at once doubled the peak memory, no faster
-        for parity, basis in enumerate(("X", "Z")):
-            packed = np.frombuffer(self.readable[basis].to_bytes((4**n + 7) >> 3, "little"), dtype=np.uint8)
-            r = np.unpackbits(packed, count=4**n, bitorder="little").astype(work)
-            for k in range(n):
-                # axes: qubits above k, qubit k's digit, bits below k of w, degree
-                digit = r.reshape(4 ** (n - k - 1), 4, 1 << k, k + 1)
-                r = np.zeros((4 ** (n - k - 1), 2, 1 << k, k + 2), dtype=work)
-                r[..., :-1] = digit[:, AVAIL_NONE, None]
-                r[..., 1:] += (q - a) * digit[:, AVAIL_BOTH, None]
-                r[:, 0, :, 1:] += a * digit[:, AVAIL_ZZ]
-                r[:, 1, :, 1:] += a * digit[:, AVAIL_XX]
-            b[parity] = r.reshape(1 << n, n + 1)
-        return b, q
-
+from .thresholds import BISECTION_TOL, BiasConfig, BiasMode, ErrorThresholdConfig, ThresholdResult, _rates
+from .thresholds import loss_threshold, randomized_bias_rate
 
 # -- depolarizing flips ------------------------------------------------
 
@@ -162,8 +110,8 @@ class ErrorAnalyzer:
         for basis in ("X", "Z"):
             reps = all_reps[basis]
             fit = fits(reps)
-            select = np.nonzero(fit.any(1))[0]
-            rep_of = fit.argmax(1)  # the lowest representative each pattern reads out
+            rep_of = fit.argmax(1)  # the lowest representative each pattern reads out, if any
+            select = np.nonzero(np.take_along_axis(fit, rep_of[:, None], 1)[:, 0])[0]
             spanned, weight_rows = {}, []  # weight row per (readable row, representative) and per pattern
             for k, rep in zip(select.tolist(), rep_of[select].tolist()):
                 pair = (readable[k].tobytes(), rep)
@@ -233,3 +181,87 @@ class ErrorAnalyzer:
             p = self.pattern_probabilities(basis, eta) if probs is None else probs[basis]
             result[basis] = _mean_rate(p, self.pattern_error_rates(basis, epsilon))
         return result
+
+
+# -- correctable region ----------------------------------------------
+
+# grid points bisected together: bounds the (points, patterns) arrays of the decoder
+REGION_CHUNK = 32
+
+
+class RegionPoint(NamedTuple):
+    gamma: float
+    epsilon_boundary: float
+
+
+def _bisect_largest_feasible(feasible, size: int, upper: float, tol: float = BISECTION_TOL) -> np.ndarray:
+    """Largest value in [0, upper) with feasible(value) per entry, each feasible
+    at zero and assumed to cross once.
+
+    ``feasible`` maps ``size`` values to as many booleans.  The entries
+    bisect in lockstep, and each one stops when its own bracket is within
+    ``tol``, so every entry sees the float steps of a scalar bisection.
+    """
+    lo, hi = np.zeros(size), np.full(size, upper)
+    open_ = hi - lo > tol
+    while open_.any():
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
+        open_ = hi - lo > tol
+    return lo
+
+
+def correctable_region(
+    code: GraphCode,
+    bias: BiasConfig,
+    err: ErrorThresholdConfig,
+    p_fail: float = 0.5,
+    grid_points: int = 21,
+    epsilon_cap: float = 0.2,
+    result: ThresholdResult | None = None,
+) -> list[RegionPoint]:
+    """Boundary of the jointly correctable (loss, error) region.
+
+    Under randomized bias: for each loss value below the loss threshold,
+    the boundary error rate is the largest epsilon whose averaged logical
+    error stays below the tolerable fusion error at the corresponding
+    logical erasure rate.  ``result`` is the code's ``loss_threshold``
+    under the same bias and ``p_fail`` when the caller already has it,
+    as ``search_best_code`` returns it; otherwise it is computed here.
+    """
+    if bias.mode is not BiasMode.RANDOMIZED:
+        raise ValueError("correctable regions are computed under randomized bias")
+    if result is None:
+        result = loss_threshold(code, bias, p_fail)
+    gamma_star = result.gamma_star
+    if gamma_star <= 0.0:
+        return []
+    gammas = gamma_star * np.arange(grid_points) / (grid_points - 1)
+    cx, cz = result.coeffs
+    eps_m = np.array([err.epsilon_m(randomized_bias_rate(*_rates(cx, cz, g))) for g in gammas.tolist()])
+    analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
+    boundary = np.concatenate(
+        [
+            _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK], epsilon_cap)
+            for s in range(0, grid_points, REGION_CHUNK)
+        ]
+    )
+    return [RegionPoint(gamma=g, epsilon_boundary=e) for g, e in zip(gammas.tolist(), boundary.tolist())]
+
+
+def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarray, cap: float) -> np.ndarray:
+    """Boundary epsilon per transmission: 0 where epsilon=0 is already infeasible,
+    ``cap`` where the cap is feasible, else bisected, all points in lockstep."""
+    probs = {basis: analyzer.pattern_probabilities(basis, eta) for basis in ("X", "Z")}
+
+    def feasible(eps, points):
+        r = analyzer.rates(eta[points], eps, probs={b: p[points] for b, p in probs.items()})
+        return 0.5 * (r["X"] + r["Z"]) <= eps_m[points]
+
+    at_zero = feasible(np.zeros(len(eta)), slice(None))
+    at_cap = at_zero & feasible(np.full(len(eta), cap), slice(None))
+    boundary = np.where(at_cap, cap, 0.0)
+    inner = at_zero & ~at_cap
+    boundary[inner] = _bisect_largest_feasible(lambda eps: feasible(eps, inner), int(inner.sum()), cap)
+    return boundary

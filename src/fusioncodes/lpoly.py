@@ -1,4 +1,4 @@
-"""Exact erasure analysis: readable sets and integer-counted polynomials.
+"""Exact erasure analysis: readable sets, transfer counts and integer-counted polynomials.
 
 Each fused pair yields the XX and ZZ joint parities on success, one of
 them on failure (chosen by the per-pair failure basis w_i: 1 recovers
@@ -8,8 +8,8 @@ that is one of 4^n availability states, state index s with bits 2i and
 when some representative of its logical coset can be read out qubit by
 qubit: X needs XX, Z needs ZZ, Y both.  A code's readable set for one
 parity is a Python int of 4^n bits, bit s set when state s reads out a
-representative; it is all this module and ``fusion``'s Bernstein
-contraction need, so neither keeps a representative index.
+representative; it is all the counts below need, so no representative
+index is kept.
 
 A pattern over n fused pairs with s successes, f failures and l losses
 occurs with probability (1-pf)^s pf^f (eta^2)^(s+f) (1-eta^2)^l.  Sums
@@ -17,24 +17,21 @@ of patterns are stored as integer counts keyed by (s, f, l), which keeps
 every identity (normalization, dual swaps) exact; numbers only appear
 when a polynomial is evaluated at concrete eta and pf.
 
-Bernstein numerator rows (one per failure basis, see
-``CodeFusionTable.bernstein``) turn into coefficients in x = eta^2
-through one triangular integer matrix, so a whole basis scan stays
-exact until its final, correctly rounded division.  Only that step
-imports numpy, so ``analyze`` runs without it.
+The threshold search needs every failure basis at once.  Read in
+emission order, a readable set is a small automaton (the trellis of the
+code), and its transfer counts (``transfer_numerators``) give the exact
+numerators of the coefficients in x = eta^2 of all 2^n bases, so a basis
+scan stays exact until its final, correctly rounded division.  Nothing
+here imports numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .codes import GraphCode, packed_cosets
 from .graphs import PROGENITOR_CAP
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # availability digits, one per fused pair: bit 0 the ZZ parity, bit 1 the XX parity
 AVAIL_NONE = 0  # photon loss: no parity
@@ -159,35 +156,76 @@ class LossPolynomial:
         return total
 
 
-def eta2_numerators(b: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    """Exact eta^2-power coefficients of Bernstein rows: numerators N over q^n.
+def transfer_numerators(readable: int, n: int, a: int, q: int) -> list[tuple[int, ...]]:
+    """N[w][j]: the x^j numerator over q^n, x = eta^2, of the success probability under failure basis w.
 
-    ``b[..., k]`` is the numerator of the x^k (1-x)^(n-k) term over q^k,
-    as ``CodeFusionTable.bernstein`` returns it with its q.  Then
-    N = b @ M with M[k, k+i] = q^(n-k) C(n-k, i) (-1)^i, constant term
-    first, in b's dtype, whose magnitude rule keeps every N exact.
+    ``readable`` is a readable set and p_fail = a/q.  Split from the top
+    qubit down into one sub-block per availability digit, the set's
+    distinct nonzero blocks at each cut are the states of an automaton:
+    at most 2 for every code up to the size cap, as one emitter
+    generates the code.  Each state carries one polynomial per basis
+    suffix, all in one signed Python int at X = 2^B: the x^j coefficient
+    of suffix slot u at X^(u(n+1)+j), with bit i of w at bit n-1-i of u.
+    Pair k weighs NONE q(1-x), the digit its basis bit's failure recovers
+    a x and BOTH (q-a) x.  Every |N| is at most (|q-a| + |a| + 2q)^n =
+    (3q)^n for p_fail in [0, 1], so B = bit_length((3q)^n) + 2, rounded
+    up to a power of two of at least 8, keeps the coefficients apart.
     """
-    import numpy as np
+    import struct  # here, so that ``analyze`` does not load it
 
-    n = b.shape[-1] - 1
-    m = np.zeros((n + 1, n + 1), dtype=b.dtype)
-    for k in range(n + 1):
-        for i in range(n + 1 - k):
-            m[k, k + i] = q ** (n - k) * comb(n - k, i) * (-1) ** i
-    return b @ m, q**n
+    bits = max(8, 1 << (((3 * q) ** n).bit_length() + 1).bit_length())
+    states = {readable: 1}
+    for k in range(n - 1, -1, -1):
+        size = 4**k
+        mask = (1 << size) - 1
+        common, zz, xx = {}, {}, {}  # terms per next block: under either basis bit, under 0 only, under 1 only
+        for block, v in states.items():
+            none, fail_zz, fail_xx, success = (block >> d * size & mask for d in range(4))
+            qv, fail = q * v, a * v << bits
+            for part, to, term in (
+                (common, none, qv - (qv << bits)),
+                (common, success, (qv - a * v) << bits),
+                (zz, fail_zz, fail),
+                (xx, fail_xx, fail),
+            ):
+                if to:  # the empty block reads out nothing
+                    part[to] = part.get(to, 0) + term
+        shift = (n + 1) * bits << n - 1 - k  # past the 2^(n-1-k) slots so far: bit k of w
+        states = {
+            to: common.get(to, 0) + zz.get(to, 0) + (common.get(to, 0) + xx.get(to, 0) << shift)
+            for to in common.keys() | zz.keys() | xx.keys()
+        }
+    count, width = (n + 1) << n, bits // 8
+    # bit B-1 of every coefficient: adding it lifts each into [0, X), so that no borrow crosses
+    # coefficients, and flipping it back leaves each one's two's complement in its own B bits
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = ((states.get(1, 0) + top) ^ top).to_bytes(count * width, "little")
+    if width <= 8:
+        digits = struct.unpack(f"<{count}{dict(zip((1, 2, 4, 8), 'bhiq'))[width]}", raw)
+    else:
+        digits = tuple(int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width))
+    slots = [0]
+    for i in range(n):
+        slots += [u + (1 << n - 1 - i) for u in slots]
+    return [digits[u * (n + 1) : (u + 1) * (n + 1)] for u in slots]
 
 
-def eta2_float_coeffs(b: np.ndarray, q: int) -> np.ndarray:
-    """``eta2_numerators`` as floats, each the correctly rounded N / q^n.
+def basis_numerators(code: GraphCode, p_fail) -> tuple[list, list, int]:
+    """(XX rows, ZZ rows, q^n): ``transfer_numerators`` of both parities of a code.
 
-    Both routes round once: int64 numerators and q^n are exact doubles,
-    so IEEE division rounds correctly, and Python int division does too.
-    The floats therefore equal ``float(Fraction(N, q**n))``.
+    p_fail is read as a/q, through ``limit_denominator(2**30)`` where the
+    exact q is larger.  Python's int division rounds each N / q^n
+    correctly, so those floats equal ``float(Fraction(N, q**n))``.
     """
-    num, den = eta2_numerators(b, q)
-    if num.dtype == object:
-        return (num / den).astype(float)
-    return num / float(den)
+    n = code.n_code
+    a, q = p_fail.as_integer_ratio()  # exact, so a dyadic p_fail such as 1/2 loads no fractions module
+    if q > 1 << 30:
+        from fractions import Fraction
+
+        a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
+    reps = packed_cosets(code)[1]
+    nx, nz = (transfer_numerators(readable_set(reps[basis], n), n, a, q) for basis in ("X", "Z"))
+    return nx, nz, q**n
 
 
 # -- erasure analysis --------------------------------------------------

@@ -7,21 +7,25 @@ map from logical erasure rate to the tolerable fusion measurement error.
 Those belong to the outer code and are consumed here as inputs; the
 default randomized threshold is derived by inverting the boosted-fusion
 baseline the logical encodings are compared against.
+
+The search runs in Python floats on ``lpoly``'s exact coefficients, one
+scalar bisection per failure basis, and imports no numpy: ``threshold``
+and ``optimize-w`` run without it.  The correctable region, which needs
+the ML decoder, lives in ``fusion``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
-import numpy as np
-
 from .codes import GraphCode, code_from_progenitor
-from .fusion import CodeFusionTable, ErrorAnalyzer
 from .graphs import PROGENITOR_CAP, enumerate_progenitor_records
-from .lpoly import eta2_float_coeffs
+from .lpoly import basis_numerators
 from .pauli import ConfigError
 
 BISECTION_TOL = 1e-9
@@ -39,26 +43,24 @@ class BiasMode(Enum):
     PASSIVE = "passive"
 
 
-def _check_rates(*rates) -> None:
+def _check_rates(*rates: float) -> None:
     """Probabilities within rounding (1e-12) of [0, 1]; 1 - P(success) can round below 0."""
-    for v in map(np.asarray, rates):
-        bad = ~((v >= -1e-12) & (v <= 1.0 + 1e-12))
-        if bad.any():
-            raise ValueError(f"rate out of range: {v[bad].flat[0]}")
+    for v in rates:
+        if not -1e-12 <= v <= 1.0 + 1e-12:
+            raise ValueError(f"rate out of range: {v}")
 
 
-def randomized_bias_rate(p_xx, p_zz):
-    """Erasure rate after uniformly randomizing the failure bases (elementwise on arrays)."""
+def randomized_bias_rate(p_xx: float, p_zz: float) -> float:
+    """Erasure rate after uniformly randomizing the failure bases."""
     _check_rates(p_xx, p_zz)
     return 0.5 * (p_xx + p_zz)
 
 
-def bias_ratio(p_xx, p_zz):
+def bias_ratio(p_xx: float, p_zz: float) -> float:
     """min/max of the two erasure rates; both zero counts as unbiased (1)."""
     _check_rates(p_xx, p_zz)
-    hi = np.maximum(p_xx, p_zz)
-    ratio = np.minimum(p_xx, p_zz) / np.where(hi == 0.0, 1.0, hi)
-    return np.where(hi == 0.0, 1.0, ratio)[()]
+    hi = max(p_xx, p_zz)
+    return min(p_xx, p_zz) / hi if hi != 0.0 else 1.0
 
 
 def invert_baseline_threshold(
@@ -73,18 +75,16 @@ def invert_baseline_threshold(
     return 1.0 - (1.0 - p_fail / 2.0) * (1.0 - gamma) ** n_photons
 
 
-def _interp_table(table: tuple[tuple[float, float], ...], x):
-    """Piecewise-linear lookup with flat extrapolation, elementwise on arrays."""
-    xs, ys = np.array(table, dtype=np.float64).T
-    x = np.asarray(x, dtype=np.float64)
-    y = np.where(x <= xs[0], ys[0], ys[-1])
-    inner = (x > xs[0]) & (x < xs[-1])
-    if inner.any():
-        xi = x[inner]
-        j = np.searchsorted(xs, xi, side="left")
-        t = (xi - xs[j - 1]) / (xs[j] - xs[j - 1])
-        y[inner] = ys[j - 1] * (1 - t) + ys[j] * t
-    return y if y.ndim else float(y)
+def _interp_table(table: tuple[tuple[float, float], ...], x: float) -> float:
+    """Piecewise-linear lookup with flat extrapolation."""
+    if x <= table[0][0]:
+        return table[0][1]
+    if not x < table[-1][0]:  # nan too
+        return table[-1][1]
+    j = bisect_left(table, x, key=itemgetter(0))
+    (x0, y0), (x1, y1) = table[j - 1], table[j]
+    t = (x - x0) / (x1 - x0)
+    return y0 * (1 - t) + y1 * t
 
 
 class _BiasFields(NamedTuple):
@@ -249,8 +249,8 @@ def config_to_json_dict(bias: BiasConfig, err: ErrorThresholdConfig | None = Non
 class ThresholdResult:
     """Best failure basis and loss threshold of one code under one bias.
 
-    ``coeffs`` is (cx, cz): w_star's eta^2 coefficient rows, 1 x (n+1)
-    each, for ``correctable_region``; it is in no output.
+    ``coeffs`` is (cx, cz): w_star's eta^2 coefficients, n+1 floats each,
+    for ``fusion.correctable_region``; it is in no output.
     """
 
     __slots__ = ("code_id", "n_code", "w_star", "gamma_star", "bias_mode", "diagnostics", "coeffs")
@@ -271,48 +271,43 @@ class ThresholdResult:
         self.bias_mode, self.diagnostics, self.coeffs = bias_mode, diagnostics, coeffs
 
 
-def _basis_coeffs(code: GraphCode, p_fail: float) -> np.ndarray:
-    """(2, 2^n, n+1) eta^2-power coefficient rows of the XX and ZZ success probabilities, one per failure basis."""
-    return eta2_float_coeffs(*CodeFusionTable(code).bernstein(p_fail))
-
-
-def _erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """(p_xx, p_zz) per coefficient row at photon loss gamma: one Horner pass over all rows."""
+def _rates(cx: list[float], cz: list[float], gamma: float) -> tuple[float, float]:
+    """(p_xx, p_zz) of one failure basis at photon loss gamma: Horner in x = eta^2, top coefficient first."""
     eta = 1.0 - gamma
     x = eta * eta
     sx = sz = 0.0
-    for j in range(cx.shape[1] - 1, -1, -1):
-        sx = sx * x + cx[:, j]
-        sz = sz * x + cz[:, j]
+    for j in range(len(cx) - 1, -1, -1):
+        sx = sx * x + cx[j]
+        sz = sz * x + cz[j]
     return 1.0 - sx, 1.0 - sz
 
 
-def _feasible(bias: BiasConfig, p_xx, p_zz):
+def _feasible(bias: BiasConfig, p_xx: float, p_zz: float) -> bool:
     if bias.mode is BiasMode.RANDOMIZED:
         return randomized_bias_rate(p_xx, p_zz) <= bias.p_tilde_randomized
-    return np.maximum(p_xx, p_zz) <= bias.passive_threshold(bias_ratio(p_xx, p_zz))
+    return max(p_xx, p_zz) <= bias.passive_threshold(bias_ratio(p_xx, p_zz))
 
 
-def _bisect_largest_feasible(feasible, size: int, upper: float = 1.0, tol: float = BISECTION_TOL) -> np.ndarray:
-    """Largest value in [0, upper) with feasible(value) per entry, each feasible
-    at zero and assumed to cross once.
+def _bisect(feasible, cut: float = -1.0) -> float | None:
+    """Largest value in [0, 1) with feasible(value), feasible at zero and assumed to cross once.
 
-    ``feasible`` maps ``size`` values to as many booleans.  The entries
-    bisect in lockstep, and each one stops when its own bracket is within
-    ``tol``, so every entry sees the float steps of a scalar bisection.
+    The bracket halves until it is within ``BISECTION_TOL``.  None as soon as
+    its top falls to ``cut`` or below, where the result can no longer exceed ``cut``.
     """
-    lo, hi = np.zeros(size), np.full(size, upper)
-    open_ = hi - lo > tol
-    while open_.any():
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
-        open_ = hi - lo > tol
+        if feasible(mid):
+            lo = mid
+        elif mid <= cut:
+            return None
+        else:
+            hi = mid
     return lo
 
 
 def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> ThresholdResult:
-    """Largest tolerable photon loss over all 2^n failure bases, bisected together.
+    """Largest tolerable photon loss over all 2^n failure bases.
 
     Ties keep the lowest basis vector read as a binary integer (bit i is
     qubit i), unless a later one is better by more than 1e-12.  Every
@@ -323,51 +318,45 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
 
 
 def _loss_thresholds(codes: list[GraphCode], bias: BiasConfig, p_fail: float) -> list[ThresholdResult]:
-    """``loss_threshold`` of each code of one size, every (code, basis) row in one lockstep.
+    """``loss_threshold`` of each code of one size.
 
-    Row c * 2^n + w holds basis w of codes[c].  Each row keeps its own
-    bracket and elementwise float steps, so the results equal one
-    bisection per code.
+    The bases bisect one at a time, in order.  A basis stops as soon as
+    its bracket's top is within 1e-12 of the best earlier basis's
+    threshold, where the tie rule can no longer pick it; the others take
+    every step of a full bisection, so the results are those of bisecting
+    every basis to the end.
     """
     n = codes[0].n_code
-    size = 1 << n
-    cx, cz = coeffs = np.empty((2, len(codes) * size, n + 1))
-    for c, code in enumerate(codes):
-        coeffs[:, c * size : (c + 1) * size] = _basis_coeffs(code, p_fail)
-    ok = _feasible(bias, *_erasure_rates(cx, cz, 0.0))
-    fx, fz = cx[ok], cz[ok]
-    gammas = np.zeros(len(cx))
-    gammas[ok] = _bisect_largest_feasible(lambda g: _feasible(bias, *_erasure_rates(fx, fz, g)), len(fx))
-    g = gammas.tolist()
-    rows = []
-    for c in range(len(codes)):
-        best = c * size
-        for r in range(best + 1, best + size):
-            if g[r] > g[best] + 1e-12:
-                best = r
-        rows.append(best)
-    p_xx, p_zz = _erasure_rates(cx[rows], cz[rows], gammas[rows])
-    rates = zip(
-        p_xx.tolist(), p_zz.tolist(), randomized_bias_rate(p_xx, p_zz).tolist(), bias_ratio(p_xx, p_zz).tolist()
-    )
-    return [
-        ThresholdResult(
-            code_id=code.code_id,
-            n_code=n,
-            w_star=tuple(((best % size) >> i) & 1 for i in range(n)),
-            gamma_star=g[best],
-            bias_mode=bias.mode,
-            diagnostics={
-                "p_erase_xx": xx,
-                "p_erase_zz": zz,
-                "averaged": averaged,
-                "bias_ratio": ratio,
-                "feasible_at_zero_loss": bool(ok[best]),
-            },
-            coeffs=(cx[best : best + 1].copy(), cz[best : best + 1].copy()),  # a view would keep every row
-        )
-        for code, best, (xx, zz, averaged, ratio) in zip(codes, rows, rates)
-    ]
+    results = []
+    for code in codes:
+        nx, nz, den = basis_numerators(code, p_fail)
+        best, g_best, ok_best, seen = 0, 0.0, False, set()
+        for w, key in enumerate(zip(nx, nz)):
+            if key in seen:
+                continue  # the same rows bisect the same way, and the earlier basis wins ties
+            seen.add(key)
+            cx, cz = ([c / den for c in row] for row in key)
+
+            def feasible(gamma, cx=cx, cz=cz):
+                return _feasible(bias, *_rates(cx, cz, gamma))
+
+            if not feasible(0.0):
+                continue  # gamma 0, which no later basis can lose to
+            g = _bisect(feasible, cut=g_best + 1e-12 if w else -1.0)
+            if g is not None and (w == 0 or g > g_best + 1e-12):
+                best, g_best, ok_best = w, g, True
+        cx, cz = ([c / den for c in row] for row in (nx[best], nz[best]))
+        p_xx, p_zz = _rates(cx, cz, g_best)
+        diagnostics = {
+            "p_erase_xx": p_xx,
+            "p_erase_zz": p_zz,
+            "averaged": randomized_bias_rate(p_xx, p_zz),
+            "bias_ratio": bias_ratio(p_xx, p_zz),
+            "feasible_at_zero_loss": ok_best,
+        }
+        w_star = tuple((best >> i) & 1 for i in range(n))
+        results.append(ThresholdResult(code.code_id, n, w_star, g_best, bias.mode, diagnostics, (cx, cz)))
+    return results
 
 
 def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list[ThresholdResult]:
@@ -399,7 +388,7 @@ def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> T
     def feasible(gamma):
         return 1.0 - (1.0 - p_fail / 2.0) * (1.0 - gamma) ** n_photons <= p_tilde
 
-    gamma = float(_bisect_largest_feasible(feasible, 1)[0]) if feasible(0.0) else 0.0
+    gamma = _bisect(feasible) if feasible(0.0) else 0.0
     return ThresholdResult(
         code_id=f"boosted-pfail-{p_fail}",
         n_code=0,
@@ -419,69 +408,3 @@ def boost_level_parameters(level: int) -> tuple[float, int]:
     if level < 1:
         raise ValueError("boost level starts at 1")
     return 2.0 ** -(level + 1), 2 ** (level + 1) - 2
-
-
-# -- correctable region -------------------------------------------------
-
-
-# grid points bisected together: bounds the (points, patterns) arrays of the decoder
-REGION_CHUNK = 32
-
-
-class RegionPoint(NamedTuple):
-    gamma: float
-    epsilon_boundary: float
-
-
-def correctable_region(
-    code: GraphCode,
-    bias: BiasConfig,
-    err: ErrorThresholdConfig,
-    p_fail: float = 0.5,
-    grid_points: int = 21,
-    epsilon_cap: float = 0.2,
-    result: ThresholdResult | None = None,
-) -> list[RegionPoint]:
-    """Boundary of the jointly correctable (loss, error) region.
-
-    Under randomized bias: for each loss value below the loss threshold,
-    the boundary error rate is the largest epsilon whose averaged logical
-    error stays below the tolerable fusion error at the corresponding
-    logical erasure rate.  ``result`` is the code's ``loss_threshold``
-    under the same bias and ``p_fail`` when the caller already has it,
-    as ``search_best_code`` returns it; otherwise it is computed here.
-    """
-    if bias.mode is not BiasMode.RANDOMIZED:
-        raise ValueError("correctable regions are computed under randomized bias")
-    if result is None:
-        result = _loss_thresholds([code], bias, p_fail)[0]
-    gamma_star = result.gamma_star
-    if gamma_star <= 0.0:
-        return []
-    gammas = gamma_star * np.arange(grid_points) / (grid_points - 1)
-    eps_m = err.epsilon_m(randomized_bias_rate(*_erasure_rates(*result.coeffs, gammas)))
-    analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
-    boundary = np.concatenate(
-        [
-            _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK], epsilon_cap)
-            for s in range(0, grid_points, REGION_CHUNK)
-        ]
-    )
-    return [RegionPoint(gamma=g, epsilon_boundary=e) for g, e in zip(gammas.tolist(), boundary.tolist())]
-
-
-def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarray, cap: float) -> np.ndarray:
-    """Boundary epsilon per transmission: 0 where epsilon=0 is already infeasible,
-    ``cap`` where the cap is feasible, else bisected, all points in lockstep."""
-    probs = {basis: analyzer.pattern_probabilities(basis, eta) for basis in ("X", "Z")}
-
-    def feasible(eps, points):
-        r = analyzer.rates(eta[points], eps, probs={b: p[points] for b, p in probs.items()})
-        return 0.5 * (r["X"] + r["Z"]) <= eps_m[points]
-
-    at_zero = feasible(np.zeros(len(eta)), slice(None))
-    at_cap = at_zero & feasible(np.full(len(eta), cap), slice(None))
-    boundary = np.where(at_cap, cap, 0.0)
-    inner = at_zero & ~at_cap
-    boundary[inner] = _bisect_largest_feasible(lambda eps: feasible(eps, inner), int(inner.sum()), cap)
-    return boundary

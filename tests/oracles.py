@@ -8,10 +8,14 @@ per size.  The erasure oracles redo the loss-threshold scan one failure
 basis at a time, in exact ``Fraction`` arithmetic and scalar floats;
 they share only the package's readable sets (``readable_states``), and
 ``bernstein_violations`` certifies exactly that every success
-probability is nondecreasing in eta.  ``gather_counts`` and
-``count_numerators`` are the (s, f) count gather and its count-matrix
-numerators, the reference the package's Bernstein contraction is
-pinned against.  The pattern oracles list outcomes
+probability is nondecreasing in eta.  ``CodeFusionTable.bernstein``
+(the 4^n Bernstein contraction), ``eta2_numerators`` and
+``eta2_float_coeffs`` are the reference the package's transfer counts
+are pinned against, and ``lockstep_loss_thresholds`` bisects every
+(code, basis) row to the end in one numpy lockstep, the reference for
+the pruned scalar search.  ``gather_counts`` and ``count_numerators``
+are the (s, f) count gather and its count-matrix numerators, which pin
+the contraction in turn.  The pattern oracles list outcomes
 object by object, and the decoder oracles build the decoder's weight
 rows one table state at a time, give the uncorrected baseline from each
 pattern's readable representative, and redo the region one grid point
@@ -53,13 +57,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fusioncodes.codes import GraphCode, logical_set
+from fusioncodes.codes import GraphCode, logical_set, packed_cosets
 from fusioncodes.compiler import _run
-from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer
+from fusioncodes.fusion import ErrorAnalyzer, _bisect_largest_feasible
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
-from fusioncodes.lpoly import AVAIL_BOTH, AVAIL_NONE, AVAIL_XX, AVAIL_ZZ, FusionSpec, LossPolynomial, pattern_states
+from fusioncodes.lpoly import (
+    AVAIL_BOTH,
+    AVAIL_NONE,
+    AVAIL_XX,
+    AVAIL_ZZ,
+    FusionSpec,
+    LossPolynomial,
+    pattern_states,
+    readable_set,
+)
 from fusioncodes.pauli import DimensionMismatch, PauliOperator, VerificationError, gf2_reduce, multiply
-from fusioncodes.thresholds import BISECTION_TOL, _basis_coeffs, _erasure_rates, randomized_bias_rate
+from fusioncodes.thresholds import BISECTION_TOL, BiasMode, ThresholdResult
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
 
 I2 = np.eye(2, dtype=complex)
@@ -506,6 +519,153 @@ def bernstein_violations(b: np.ndarray, q: int) -> np.ndarray:
     return (b[:, :-1] * (q * binom[1:]) > b[:, 1:] * binom[:-1]).any(axis=1)
 
 
+# -- the 4^n Bernstein contraction and the numpy lockstep search ------------
+
+
+class CodeFusionTable:
+    """A code's packed cosets (``codes.packed_cosets``) and the readable set of each logical parity."""
+
+    def __init__(self, code: GraphCode):
+        self.code = code
+        self.n = n = code.n_code
+        self.stab, self.reps = packed_cosets(code)
+        self.readable = {basis: readable_set(self.reps[basis], n) for basis in ("X", "Z")}
+
+    def bernstein(self, p_fail) -> tuple[np.ndarray, int]:
+        """(B, q): Bernstein numerators of the XX and ZZ success probabilities of every failure basis.
+
+        With p_fail read as a/q (``limit_denominator(2**30)``), B[0] is X,
+        B[1] is Z, and B[., w, k] sums (q-a)^s a^f over the patterns with
+        s + f = k that recover under w (bit i set: pair i recovers XX), so
+        success = sum_k B[., w, k] q^-k x^k (1-x)^(n-k) in x = eta^2.
+        Contracting qubit k maps its availability digit to bit k of w:
+        NONE weighs 1 at degree +0, the digit that bit's failure recovers
+        a at degree +1, and BOTH q-a at degree +1.  Every partial sum is
+        at most (1 + q)^n, so below 2^31 the contraction runs in int32.
+        As |B[., w, k]| is at most C(n, k) (|q-a| + |a|)^k,
+        ``eta2_numerators`` stays within (|q-a| + |a| + 2q)^n, (3q)^n for
+        p_fail in [0, 1]: below 2^53 B is int64 (every numerator an exact
+        double), else Python ints.
+        """
+        a, q = p_fail.as_integer_ratio()
+        if q > 1 << 30:
+            a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
+        n = self.n
+        dtype = np.int64 if (abs(q - a) + abs(a) + 2 * q) ** n < 1 << 53 else object
+        work = np.int32 if (1 + q) ** n < 1 << 31 else dtype
+        b = np.empty((2, 1 << n, n + 1), dtype=dtype)
+        for parity, basis in enumerate(("X", "Z")):
+            packed = np.frombuffer(self.readable[basis].to_bytes((4**n + 7) >> 3, "little"), dtype=np.uint8)
+            r = np.unpackbits(packed, count=4**n, bitorder="little").astype(work)
+            for k in range(n):
+                # axes: qubits above k, qubit k's digit, bits below k of w, degree
+                digit = r.reshape(4 ** (n - k - 1), 4, 1 << k, k + 1)
+                r = np.zeros((4 ** (n - k - 1), 2, 1 << k, k + 2), dtype=work)
+                r[..., :-1] = digit[:, AVAIL_NONE, None]
+                r[..., 1:] += (q - a) * digit[:, AVAIL_BOTH, None]
+                r[:, 0, :, 1:] += a * digit[:, AVAIL_ZZ]
+                r[:, 1, :, 1:] += a * digit[:, AVAIL_XX]
+            b[parity] = r.reshape(1 << n, n + 1)
+        return b, q
+
+
+def eta2_numerators(b: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Exact eta^2-power coefficients of Bernstein rows: numerators N over q^n.
+
+    ``b[..., k]`` is the numerator of the x^k (1-x)^(n-k) term over q^k,
+    as ``CodeFusionTable.bernstein`` returns it with its q.  Then
+    N = b @ M with M[k, k+i] = q^(n-k) C(n-k, i) (-1)^i, constant term
+    first, in b's dtype, whose magnitude rule keeps every N exact.
+    """
+    n = b.shape[-1] - 1
+    m = np.zeros((n + 1, n + 1), dtype=b.dtype)
+    for k in range(n + 1):
+        for i in range(n + 1 - k):
+            m[k, k + i] = q ** (n - k) * comb(n - k, i) * (-1) ** i
+    return b @ m, q**n
+
+
+def eta2_float_coeffs(b: np.ndarray, q: int) -> np.ndarray:
+    """``eta2_numerators`` as floats, each the correctly rounded N / q^n (int64 and q^n are exact doubles)."""
+    num, den = eta2_numerators(b, q)
+    if num.dtype == object:
+        return (num / den).astype(float)
+    return num / float(den)
+
+
+def erasure_rates(cx: np.ndarray, cz: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(p_xx, p_zz) per coefficient row at photon loss gamma: one Horner pass over all rows."""
+    eta = 1.0 - gamma
+    x = eta * eta
+    sx = sz = 0.0
+    for j in range(cx.shape[1] - 1, -1, -1):
+        sx = sx * x + cx[:, j]
+        sz = sz * x + cz[:, j]
+    return 1.0 - sx, 1.0 - sz
+
+
+def interp_rows(table, x: np.ndarray) -> np.ndarray:
+    """Piecewise-linear lookup with flat extrapolation, elementwise."""
+    xs, ys = np.array(table, dtype=np.float64).T
+    y = np.where(x <= xs[0], ys[0], ys[-1])
+    inner = (x > xs[0]) & (x < xs[-1])
+    if inner.any():
+        xi = x[inner]
+        j = np.searchsorted(xs, xi, side="left")
+        t = (xi - xs[j - 1]) / (xs[j] - xs[j - 1])
+        y[inner] = ys[j - 1] * (1 - t) + ys[j] * t
+    return y
+
+
+def feasible_rows(bias, p_xx: np.ndarray, p_zz: np.ndarray) -> np.ndarray:
+    """The bias rule elementwise on arrays of erasure rates."""
+    for v in (p_xx, p_zz):
+        assert ((v >= -1e-12) & (v <= 1.0 + 1e-12)).all()
+    if bias.mode is BiasMode.RANDOMIZED:
+        return 0.5 * (p_xx + p_zz) <= bias.p_tilde_randomized
+    hi = np.maximum(p_xx, p_zz)
+    ratio = np.where(hi == 0.0, 1.0, np.minimum(p_xx, p_zz) / np.where(hi == 0.0, 1.0, hi))
+    return hi <= interp_rows(bias.p_tilde_biased, ratio)
+
+
+def lockstep_loss_thresholds(codes, bias, p_fail) -> list[ThresholdResult]:
+    """Every (code, basis) row of one size bisected to the end in one numpy lockstep.
+
+    Row c * 2^n + w holds basis w of codes[c], its coefficients those of
+    the Bernstein contraction; the tie rule and diagnostics are the
+    package's.  The reference for the pruned scalar search.
+    """
+    n = codes[0].n_code
+    size = 1 << n
+    cx, cz = coeffs = np.empty((2, len(codes) * size, n + 1))
+    for c, code in enumerate(codes):
+        coeffs[:, c * size : (c + 1) * size] = eta2_float_coeffs(*CodeFusionTable(code).bernstein(p_fail))
+    ok = feasible_rows(bias, *erasure_rates(cx, cz, 0.0))
+    fx, fz = cx[ok], cz[ok]
+    gammas = np.zeros(len(cx))
+    gammas[ok] = _bisect_largest_feasible(lambda g: feasible_rows(bias, *erasure_rates(fx, fz, g)), len(fx), 1.0)
+    g = gammas.tolist()
+    out = []
+    for c, code in enumerate(codes):
+        best = c * size
+        for r in range(best + 1, best + size):
+            if g[r] > g[best] + 1e-12:
+                best = r
+        p_xx, p_zz = (float(v[0]) for v in erasure_rates(cx[best : best + 1], cz[best : best + 1], g[best]))
+        hi = max(p_xx, p_zz)
+        diagnostics = {
+            "p_erase_xx": p_xx,
+            "p_erase_zz": p_zz,
+            "averaged": 0.5 * (p_xx + p_zz),
+            "bias_ratio": min(p_xx, p_zz) / hi if hi else 1.0,
+            "feasible_at_zero_loss": bool(ok[best]),
+        }
+        w_star = tuple(((best % size) >> i) & 1 for i in range(n))
+        coeffs = (cx[best].tolist(), cz[best].tolist())
+        out.append(ThresholdResult(code.code_id, n, w_star, g[best], bias.mode, diagnostics, coeffs))
+    return out
+
+
 # -- the count gather the Bernstein engine replaced ------------------------
 
 
@@ -802,12 +962,13 @@ def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=
     if gamma_star <= 0.0:
         return []
     w = sum(1 << i for i, b in enumerate(result.w_star) if b)
-    cx, cz = (c[w : w + 1] for c in _basis_coeffs(code, p_fail))
+    cx, cz = (c[w : w + 1] for c in eta2_float_coeffs(*CodeFusionTable(code).bernstein(p_fail)))
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
     points = []
     for i in range(grid_points):
         gamma = gamma_star * i / (grid_points - 1)
-        p_bar = float(randomized_bias_rate(*_erasure_rates(cx, cz, gamma))[0])
+        p_xx, p_zz = erasure_rates(cx, cz, gamma)
+        p_bar = float(0.5 * (p_xx + p_zz)[0])
         eps_m = err.epsilon_m(p_bar)
 
         def feasible(eps):

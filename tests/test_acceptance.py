@@ -9,7 +9,7 @@ import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
 from fusioncodes.compiler import Mode, compile_generation, count_resources, verify_sequence
-from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer
+from fusioncodes.fusion import ErrorAnalyzer, correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import FusionSpec, LossPolynomial, erasure_analysis
 from fusioncodes.thresholds import (
@@ -17,7 +17,6 @@ from fusioncodes.thresholds import (
     ErrorThresholdConfig,
     boost_level_parameters,
     boosted_baseline,
-    correctable_region,
     default_bias_config,
     example_error_threshold_table,
     invert_baseline_threshold,
@@ -25,7 +24,7 @@ from fusioncodes.thresholds import (
 )
 
 import oracles
-from oracles import consistent_counts, is_normalized, pattern_outcomes
+from oracles import CodeFusionTable, consistent_counts, is_normalized, pattern_outcomes
 from test_fusion import (
     all_w,
     oracle_pattern_error,

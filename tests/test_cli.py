@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import fusioncodes
 from fusioncodes import thresholds
 from fusioncodes.cli import GRID_POINTS_CAP, main
-from fusioncodes.fusion import CodeFusionTable
 from fusioncodes.graphs import enumerate_progenitor_records
 from fusioncodes.thresholds import (
     ErrorThresholdConfig,
@@ -146,7 +145,58 @@ class TestAnalyze:
         assert not out.exists()
 
 
+# sha256 of the `optimize-w --code C --bias B --p-fail P` JSON files,
+# concatenated over B randomized, passive and P 0.5, 0.3 in that order,
+# for each n=6 code and LLPLPLPL
+OPTIMIZE_W_JSON_SHA256 = {
+    "LLLLLL": "37bae6c5354354bdc2fa523dd83b3f5c7cff31f1ecac5f4b0c0d012f31b469fa",
+    "LPLLLL": "e341102920ee0ad261b15cf156d2b1c7c93363cd1959e16e84687b76977c684a",
+    "LLPLLL": "f5ed8133faa92107360d6e99276fcbdb2538e31da19adb9303d97cb7c8d313c4",
+    "LPPLLL": "c5131daccdbd93394d3862fedc3845f78141554e8648fe36a5ab2a612e7b3920",
+    "LLLPLL": "2ac4346f2c3e01c37fc5aeffa98e13c9fd279aaf06f1a6e52095c154b64d398b",
+    "LPLPLL": "ddd89e03e9316b29f6c32423ef970d16c6c589dda29d8d6dd3cf13d6dcb91bf8",
+    "LLPPLL": "cd1a0f1b6f0490069e0eb86194c7400b413ef1ecee9c04fbc4d0add7b4bc9390",
+    "LPPPLL": "68e6b5d8d625d77de3af8175324575f3e9425045059db3f338fd13f66963a9b4",
+    "LLLLPL": "bc61bf74243d2b22d1371e67e17ea7f926c8b6c1555f3c379bef3ed0ce82b556",
+    "LPLLPL": "fb913511269abad223e63d6a4abf3f6b2174f56dfdd60dcebbf81b7279e9ff19",
+    "LLPLPL": "24c55f758824b0c27cdcacf6c2c2713eced362b0f26c4d51799383d582c44256",
+    "LPPLPL": "6a084d577a4a45683b6dcb8d90099aac0851f7c1b277a06b35f1bb4f3e1333a6",
+    "LLLPPL": "ce501cb55ab5b7a004fc8591363dfce2b64b5aa99250c5501a74fb729c904dec",
+    "LPLPPL": "86a8f9f90cc34c34024ddb3fb05904405488b16887d15f08ea706fae8e5b3971",
+    "LLPPPL": "846ac6e43ee0441d7ddc2ddcf52f2a2161c4fadf48134006f8584c461b1ac5a7",
+    "LPPPPL": "df1fd6175cf9815500533d94f83937cde22f4d4cb80d6c191a441a8132e02d9e",
+    "LLLLLP": "b16fa0d2cc0af36a086bbf7d7c40c74ac9e311fe92416c2dbc9996b15b82fa0a",
+    "LPLLLP": "66770c37ff7854ec6fcf88c785b2b5cb94709dd06120979be4dfd1a81460051b",
+    "LLPLLP": "042fa27f806e3e3be34c909cdcb1b695303c89beaf86af47c3dbea380918a16c",
+    "LPPLLP": "d1535d5fd693dea94008792662d1d2ed8e5de788ed8d2de19487c9d5b22675fb",
+    "LLLPLP": "6633d96a73daae76636541cd91fa0190e792242d7f342dbdc82571f466648eb7",
+    "LPLPLP": "f219aef2f08fcb6aa3d48d960244b9a4f09d75cb82f127456ec711590ee724f4",
+    "LLPPLP": "0c1590ddea56f97f688dbe7418bbae60fab51783e009c03d86a5e12219d09d38",
+    "LPPPLP": "0b9d2812de02f67b20380f5d3064932fde1578f85913886f6a60df1908928ca1",
+    "LLLLPP": "80cba81e4bf3523077f2d0ac1f4ea923e0c0fe5e1a760611ac4944ffc54c8f26",
+    "LPLLPP": "31cd5fca592f72392a1ff7f531e79b8cb3e35b97d22106a69f74521d3057f844",
+    "LLPLPP": "e97db27ee820455a60cc074ed102e43cafe65c1e689bd2aa7822fb72d4189743",
+    "LPPLPP": "e4f46c8ad2f8013d624cbb5d1a81068f779181019a0dbee4ccdea79b89f57668",
+    "LLLPPP": "afeec0221c255c20099113f87133c51fe36b6bbc637a7c314923ba37a016f2f1",
+    "LPLPPP": "78df5a9b8b44d36bb36d3993f67b82a3997af2c388cfe21b8176a0087a413921",
+    "LLPPPP": "ce8bfe35d1b292332ee8d374354a4f88f013a85494059e17489288ef4705c167",
+    "LPPPPP": "0922d9c0e73f9d8bd23f0565c2703dd8999f493e1e7828f22cc1c1861959787b",
+    "LLPLPLPL": "9d53a3d0554a608e4f061b97e6e85abb9e9130c73c4d6d2024077b44614c0088",
+}
+
+
 class TestOptimizeW:
+    def test_report_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "w.json"
+        for code, digest in OPTIMIZE_W_JSON_SHA256.items():
+            h = hashlib.sha256()
+            for bias in ("randomized", "passive"):
+                for p_fail in ("0.5", "0.3"):
+                    argv = ["optimize-w", "--code", code, "--bias", bias, "--p-fail", p_fail, "--out", str(out)]
+                    assert main(argv) == 0
+                    h.update(out.read_bytes())
+            assert h.hexdigest() == digest, code
+
     def test_reports_best_basis(self, tmp_path):
         out = tmp_path / "w.json"
         cfg = write_config(tmp_path)
@@ -171,7 +221,30 @@ class TestOptimizeW:
             assert code == 0 and json.loads(out.read_text())["bias_mode"] == bias
 
 
+# sha256 of the `threshold --n-min 1 --n-max N --bias B --p-fail P` CSV
+# followed by its .codes.json, default config, keyed by (B, P); N is 6,
+# and 5 at P 0.1234567 (q near 2^30: numerators past 2^53)
+THRESHOLD_SHA256 = {
+    ("randomized", "0.5"): "c61d40f02ae83033e6a2de9c425b093ae17b3c50528fd896a7b2c31f7491d6b7",
+    ("randomized", "0.3"): "86dc3b945033881c4e643ef2aef9d036abd79cb79513f2df41b3a4a7cc6e6892",
+    ("randomized", "0.1234567"): "abaf2e5299c746ff5483315d0085892d3a8a79c0dadf5662c281d554e46ad5cf",
+    ("passive", "0.5"): "8cdd263833e843eab894b0d1bf31647a22bbac033bf41ab7d5edda0f6200f2d5",
+    ("passive", "0.3"): "7c4647fad6999276aa22a52571fed5c92933154dc61fd27a7235e0a630c686ff",
+    ("passive", "0.1234567"): "f92b0f752d870586d07bdf80805cda65cc0838b8f49e28379ae419b8666b8257",
+}
+
+
 class TestThreshold:
+    def test_output_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "t.csv"
+        for (bias, p_fail), digest in THRESHOLD_SHA256.items():
+            n_max = "5" if p_fail == "0.1234567" else "6"
+            argv = ["threshold", "--n-min", "1", "--n-max", n_max, "--bias", bias, "--p-fail", p_fail]
+            assert main(argv + ["--out", str(out)]) == 0
+            h = hashlib.sha256(out.read_bytes())
+            h.update((tmp_path / "t.csv.codes.json").read_bytes())
+            assert h.hexdigest() == digest, (bias, p_fail)
+
     def test_small_range(self, tmp_path):
         out = tmp_path / "thresholds.csv"
         cfg = write_config(tmp_path)
@@ -226,18 +299,23 @@ class TestThreshold:
         main(["threshold", "--config", cfg, "--n-max", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_one_lockstep_bisection_per_code_size(self, tmp_path, monkeypatch):
-        # every failure basis of every code of one size bisects together
-        sizes = []
-        real = thresholds._bisect_largest_feasible
+    @pytest.mark.parametrize(
+        "bias, evaluations", [("randomized", [68, 204, 506, 1632]), ("passive", [68, 204, 506, 1534])]
+    )
+    def test_pruned_search_horner_evaluations(self, tmp_path, monkeypatch, bias, evaluations):
+        # per size n = 2..5: the 680 (code, basis) rows there would take about 30 evaluations apiece
+        # in full bisections; one more per code gives the winner's diagnostics
+        calls = []
+        real = thresholds._rates
 
-        def counting(feasible, size, *args, **kwargs):
-            sizes.append(size)
-            return real(feasible, size, *args, **kwargs)
+        def counting(cx, cz, gamma):
+            calls.append(len(cx))
+            return real(cx, cz, gamma)
 
-        monkeypatch.setattr(thresholds, "_bisect_largest_feasible", counting)
-        assert main(["threshold", "--n-min", "2", "--n-max", "5", "--out", str(tmp_path / "t.csv")]) == 0
-        assert len(sizes) == 4, sizes
+        monkeypatch.setattr(thresholds, "_rates", counting)
+        argv = ["threshold", "--n-min", "2", "--n-max", "5", "--bias", bias, "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        assert [calls.count(n + 1) for n in range(2, 6)] == evaluations
 
     @pytest.mark.parametrize("n_min, n_max, expected", [("9", "9", 4), ("5", "3", 2)])
     def test_size_range_checked_before_search(self, tmp_path, n_min, n_max, expected):
@@ -341,19 +419,19 @@ class TestRegion:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, code
 
     def test_code_region_builds_one_table(self, tmp_path, monkeypatch):
-        # only the loss threshold builds a CodeFusionTable; the decoder reads the code's packed cosets
+        # only the loss threshold counts a code's patterns; the decoder reads the code's packed cosets
         built = []
-        real = CodeFusionTable.__init__
+        real = thresholds.basis_numerators
 
-        def counting(table, code):
+        def counting(code, p_fail):
             built.append(code.code_id)
-            real(table, code)
+            return real(code, p_fail)
 
-        monkeypatch.setattr(CodeFusionTable, "__init__", counting)
+        monkeypatch.setattr(thresholds, "basis_numerators", counting)
         cfg = write_config(tmp_path)
         assert main(["region", "--code", "LLPL", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
         assert built == ["LLPL"]
-        # the search over n=4 builds one table per code, and the winner's region none more
+        # the search over n=4 counts each code once, and the winner's region none more
         built.clear()
         assert main(["region", "--n", "4", "--config", cfg, "--out", str(tmp_path / "r4.csv")]) == 0
         assert sorted(built) == sorted(r.sequence for r in enumerate_progenitor_records(4))
@@ -610,16 +688,37 @@ assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_analyze_runs_without_numpy(self, tmp_path):
         # erasure counts read only the readable sets; the probe still sees numpy where a command imports it
+        cfg = write_config(tmp_path)
         _fresh_python(
-            """
+            f"""
 import sys
 from fusioncodes.cli import main
-heavy = {"numpy", "fusioncodes.fusion", "fusioncodes.thresholds"}
+heavy = {{"numpy", "fusioncodes.fusion", "fusioncodes.thresholds"}}
 for p_fail in ("0.5", "0.3"):
     argv = ["analyze", "--code", "LLPLPLPL", "--w", "10010100", "--p-fail", p_fail, "--out", "report.json"]
     assert main(argv) == 0
     assert not heavy & set(sys.modules), heavy & set(sys.modules)
-assert main(["optimize-w", "--code", "LL", "--out", "w.json"]) == 0
+assert main(["region", "--code", "LL", "--config", {cfg!r}, "--out", "r.csv"]) == 0
+assert heavy <= set(sys.modules)
+""",
+            tmp_path,
+        )
+
+    def test_threshold_and_optimize_w_run_without_numpy(self, tmp_path):
+        # the search counts on the readable sets in Python ints; only the decoder behind region loads numpy
+        cfg = write_config(tmp_path)
+        _fresh_python(
+            f"""
+import sys
+from fusioncodes.cli import main
+heavy = {{"numpy", "fusioncodes.fusion"}}
+for bias in ("randomized", "passive"):
+    for p_fail in ("0.5", "0.3", "0.1234567"):
+        argv = ["--bias", bias, "--p-fail", p_fail, "--config", {cfg!r}]
+        assert main(["threshold", "--n-min", "1", "--n-max", "5", *argv, "--out", "t.csv"]) == 0
+        assert main(["optimize-w", "--code", "LLPLPLPL", *argv, "--out", "w.json"]) == 0
+        assert not heavy & set(sys.modules), heavy & set(sys.modules)
+assert main(["region", "--n", "3", "--config", {cfg!r}, "--out", "r.csv"]) == 0
 assert heavy <= set(sys.modules)
 """,
             tmp_path,

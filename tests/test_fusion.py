@@ -4,20 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, logical_set
-from fusioncodes.fusion import CodeFusionTable, ErrorAnalyzer, _flip_bias, _fwht_side_by_side
+from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, logical_set, packed_cosets
+from fusioncodes.fusion import ErrorAnalyzer, _flip_bias, _fwht_side_by_side
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
     FusionSpec,
     LossPolynomial,
+    basis_numerators,
     erasure_analysis,
-    eta2_float_coeffs,
-    eta2_numerators,
     pattern_states,
+    readable_set,
+    transfer_numerators,
 )
 
 import oracles
 from oracles import (
+    CodeFusionTable,
     Outcome,
     basis_counts,
     consistent_counts,
@@ -25,6 +27,8 @@ from oracles import (
     dual_failure_basis,
     enumerate_group,
     eta2_coeffs,
+    eta2_float_coeffs,
+    eta2_numerators,
     is_normalized,
     joint_flip_distribution,
     measurement_patterns,
@@ -457,16 +461,65 @@ class TestAllBasesEngine:
         for code in codes:
             table = CodeFusionTable(code)
             n = code.n_code
-            for basis, got in zip("XZ", eta2_float_coeffs(*table.bernstein(p_fail))):
+            nx, nz, den = basis_numerators(code, p_fail)
+            for basis, rows, lockstep in zip("XZ", (nx, nz), eta2_float_coeffs(*table.bernstein(p_fail))):
                 for w in range(1 << n):
                     want = [float(c) for c in eta2_coeffs(basis_counts(table, basis, w), n, pf)]
-                    assert got[w].tolist() == want, (code.code_id, basis, w)
+                    assert [c / den for c in rows[w]] == want, (code.code_id, basis, w)
+                    assert lockstep[w].tolist() == want, (code.code_id, basis, w)
 
     def test_numerator_dtype_follows_magnitude_bound(self):
         table = CodeFusionTable(code_of("LLPL"))
         assert eta2_numerators(*table.bernstein(0.3))[0].dtype == np.int64
         num, den = eta2_numerators(*table.bernstein(0.1234567))
         assert num.dtype == object and den == Fraction(0.1234567).limit_denominator(1 << 30).denominator ** 4
+
+    @pytest.mark.parametrize("p_fail", [0.5, 0.3, 0.1234567, 0.0, 1.0])
+    def test_transfer_numerators_match_bernstein_oracle(self, p_fail):
+        # both parities of every code up to the size cap; q^n and every float too
+        for n in range(1, 9):
+            for rec in enumerate_progenitor_records(n):
+                code = code_of(rec.sequence)
+                (bx, bz), q = CodeFusionTable(code).bernstein(p_fail)
+                nx, nz, den = basis_numerators(code, p_fail)
+                for got, b in ((nx, bx), (nz, bz)):
+                    want, want_den = eta2_numerators(b, q)
+                    assert den == want_den and got == [tuple(map(int, row)) for row in want], (rec.sequence, p_fail)
+                    floats = eta2_float_coeffs(b, q).tolist()
+                    assert [[c / den for c in row] for row in got] == floats, (rec.sequence, p_fail)
+
+    def test_automaton_has_at_most_two_states_per_cut(self):
+        # the distinct nonzero sub-blocks of each readable set, split from the top qubit down
+        widest = 0
+        for n in range(1, 9):
+            for rec in enumerate_progenitor_records(n):
+                reps = packed_cosets(code_of(rec.sequence))[1]
+                for basis in ("X", "Z"):
+                    blocks = {readable_set(reps[basis], n)}
+                    for k in range(n - 1, -1, -1):
+                        size = 4**k
+                        blocks = {b >> d * size & (1 << size) - 1 for b in blocks for d in range(4)} - {0}
+                        widest = max(widest, len(blocks))
+                        assert len(blocks) <= 2, (rec.sequence, basis, k)
+        assert widest == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_transfer_numerators_exact_on_wide_automata(self, n):
+        # random sets, not up-closed and far wider than a code's: the counts stay exact
+        rng = np.random.default_rng(20 + n)
+        low, spread, key = oracles.trit_patterns(n)
+        for _ in range(6):
+            bits = rng.random(4**n) < 0.5
+            readable = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+            for p_fail in (0.5, 0.3, 0.1234567):
+                a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
+                counts = np.empty((1 << n, (n + 1) ** 2), dtype=np.int64)
+                for w in range(1 << n):
+                    idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
+                    counts[w] = np.bincount(key[bits[idx]], minlength=(n + 1) ** 2)
+                want, _ = oracles.count_numerators(counts, n, p_fail)
+                got = transfer_numerators(readable, n, a, q)
+                assert got == [tuple(map(int, row)) for row in want], p_fail
 
     def test_bernstein_numerators_match_gather_oracle(self):
         rng = np.random.default_rng(11)

@@ -5,20 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fusioncodes import thresholds
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
-from fusioncodes.fusion import CodeFusionTable
+from fusioncodes.fusion import REGION_CHUNK, _bisect_largest_feasible, correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
-    REGION_CHUNK,
     BiasMode,
     ConfigError,
     ErrorThresholdConfig,
-    _bisect_largest_feasible,
+    _bisect,
     boost_level_parameters,
     boosted_baseline,
     bias_ratio,
-    correctable_region,
     default_bias_config,
     default_passive_table,
     example_error_threshold_table,
@@ -29,6 +28,7 @@ from fusioncodes.thresholds import (
 )
 
 import oracles
+from oracles import CodeFusionTable
 
 
 def code_of(seq):
@@ -62,7 +62,9 @@ class TestBiasRates:
         with pytest.raises(ValueError):
             bias_ratio(1.5, 0.5)
         with pytest.raises(ValueError, match="3.375"):
-            randomized_bias_rate(np.array([0.1, 3.375]), np.array([0.2, 0.2]))
+            randomized_bias_rate(0.1, 3.375)
+        with pytest.raises(ValueError, match="nan"):
+            bias_ratio(0.2, math.nan)
 
 
 class TestBaselineInversion:
@@ -169,12 +171,26 @@ class TestAllBasesAgainstOracle:
                 assert res.gamma_star == gamma, rec.sequence
                 assert res.w_star == tuple((w >> i) & 1 for i in range(n)), rec.sequence
 
+    @pytest.mark.parametrize("mode", ["randomized", "passive", "non-monotone"])
+    def test_pruned_search_equals_full_lockstep(self, mode):
+        # every code up to the size cap at p_fail 1/2, and up to n = 6 at 0.3
+        bias = TestSearch.NON_MONOTONE if mode == "non-monotone" else default_bias_config(BiasMode(mode))
+        for p_fail, n_max in ((0.5, 8), (0.3, 6)):
+            for n in range(1, n_max + 1):
+                codes = [code_of(r.sequence) for r in enumerate_progenitor_records(n)]
+                got = thresholds._loss_thresholds(codes, bias, p_fail)
+                want = oracles.lockstep_loss_thresholds(codes, bias, p_fail)
+                for a, b in zip(got, want, strict=True):
+                    assert (a.w_star, a.gamma_star) == (b.w_star, b.gamma_star), (a.code_id, p_fail)
+                    assert (a.diagnostics, a.coeffs) == (b.diagnostics, b.coeffs), (a.code_id, p_fail)
+
     def test_array_interpolation_matches_scalar(self):
+        # the lockstep oracle's array lookup, the package's scalar one and a plain scalar oracle
         cfg = default_bias_config(BiasMode.PASSIVE)
-        xs = np.array([-0.5, 0.0, 0.01, 0.05, 0.5, 0.73, 0.95, 1.0, 2.0])
-        got = cfg.passive_threshold(xs)
-        assert got.tolist() == [cfg.passive_threshold(float(x)) for x in xs]
-        assert got.tolist() == [oracles.interp_table(cfg.p_tilde_biased, float(x)) for x in xs]
+        xs = np.array([-0.5, 0.0, 0.01, 0.05, 0.5, 0.73, 0.95, 1.0, 2.0, math.nan])
+        got = [cfg.passive_threshold(x) for x in xs.tolist()]
+        assert got == oracles.interp_rows(cfg.p_tilde_biased, xs).tolist()
+        assert got[:-1] == [oracles.interp_table(cfg.p_tilde_biased, x) for x in xs[:-1].tolist()]
 
 
 class TestSearch:
@@ -216,7 +232,7 @@ class TestSearch:
                 got = batched[code_id]
                 assert (got.gamma_star, got.w_star) == (one.gamma_star, one.w_star), code_id
                 assert got.diagnostics == one.diagnostics, code_id
-                assert [c.tolist() for c in got.coeffs] == [c.tolist() for c in one.coeffs], code_id
+                assert got.coeffs == one.coeffs, code_id
 
     def test_size_bounds(self):
         bias = BiasConfig(BiasMode.RANDOMIZED, 0.14)
@@ -276,13 +292,13 @@ class TestRegion:
     def test_contracts_only_in_the_threshold_search(self, monkeypatch):
         # the region reads the winner's coefficient rows off its result
         calls = []
-        real = CodeFusionTable.bernstein
+        real = thresholds.basis_numerators
 
-        def counting(table, p_fail):
-            calls.append(table.code.code_id)
-            return real(table, p_fail)
+        def counting(code, p_fail):
+            calls.append(code.code_id)
+            return real(code, p_fail)
 
-        monkeypatch.setattr(CodeFusionTable, "bernstein", counting)
+        monkeypatch.setattr(thresholds, "basis_numerators", counting)
         code = code_of("LLPL")
         bias = BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold())
         err = ErrorThresholdConfig(example_error_threshold_table())
@@ -339,8 +355,19 @@ class TestRegionAgainstOracle:
         # tolerance, where brackets of equal start width stop apart
         for upper in (0.2, 1.0, 16e-9 * (1 + 1e-15)):
             cuts = np.random.default_rng(5).random(200) * upper
+            want = [scalar(c, upper) for c in cuts.tolist()]
             got = _bisect_largest_feasible(lambda v: v <= cuts, len(cuts), upper)
-            assert got.tolist() == [scalar(c, upper) for c in cuts.tolist()], upper
+            assert got.tolist() == want, upper
+            if upper != 1.0:
+                continue
+            # the threshold search's scalar bisection: stopped early only where the result is at most ``cut``
+            assert [_bisect(lambda v: v <= c) for c in cuts.tolist()] == want
+            stopped = 0
+            for c, lo, bound in zip(cuts.tolist(), want, np.random.default_rng(6).random(200).tolist()):
+                got = _bisect(lambda v: v <= c, cut=bound)
+                assert got == lo or (got is None and lo <= bound), (c, bound)
+                stopped += got is None
+            assert stopped > 50
 
 
 class TestConfig:
