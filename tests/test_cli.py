@@ -300,7 +300,9 @@ class TestThreshold:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "bias, evaluations", [("randomized", [68, 204, 506, 1632]), ("passive", [68, 204, 506, 1534])]
+        "bias, evaluations",
+        [("randomized", [68, 204, 506, 1632]), ("passive", [68, 204, 506, 1534])],
+        ids=["randomized", "passive"],
     )
     def test_pruned_search_horner_evaluations(self, tmp_path, monkeypatch, bias, evaluations):
         # per size n = 2..5: the 680 (code, basis) rows there would take about 30 evaluations apiece
