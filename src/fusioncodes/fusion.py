@@ -2,12 +2,14 @@
 
 Two identical graph codes are fused pairwise with standard physical
 fusions (availability states and readable sets: see ``lpoly``).  The
-ML decoder reads the code's packed cosets and, for each recovering
-pattern, takes the lowest representative whose minimal state the
-pattern includes, the test it also applies to the stabilizers.  The
-correctable (loss, error) region bisects the decoder's rate in epsilon
-at every loss grid point in lockstep.  This is the one module that
-loads numpy, and only ``region`` loads it.
+ML decoder reads the code's packed cosets through one inclusion matrix,
+the state bits each stabilizer needs and each pattern lacks.  A
+stabilizer is readable where it lacks none; as minimal states are linear
+in XOR, representative anchor ^ stab[j] is readable where stab[j] lacks
+exactly the anchor's lacking bits, and each pattern takes its lowest.
+The correctable (loss, error) region bisects the decoder's rate in
+epsilon at every loss grid point in lockstep.  This is the one module
+that loads numpy, and only ``region`` loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import GraphCode, packed_cosets
-from .lpoly import minimal_state, pattern_states
+from .lpoly import check_failures, minimal_state, pattern_states
 from .pauli import gf2_reduce, span
 from .thresholds import BISECTION_TOL, BiasConfig, BiasMode, ErrorThresholdConfig, ThresholdResult, _rates
 from .thresholds import loss_threshold, randomized_bias_rate
@@ -71,6 +73,16 @@ def _mean_rate(p: np.ndarray, perr: np.ndarray):
     return mean if mean.ndim else float(mean)
 
 
+class _DecoderSide(NamedTuple):
+    """One parity's decoder state: s, f and ids hold one entry per recovering pattern, in ``pattern_states`` order."""
+
+    s: np.ndarray  # successes, float64
+    f: np.ndarray  # failures, float64
+    flat: np.ndarray  # the distinct int8 weight rows side by side, longest first
+    blocks: list  # (start, stop, m) in flat per run of rows of length m
+    ids: np.ndarray  # the distinct weight row of each pattern
+
+
 class ErrorAnalyzer:
     """Per-(code, failure-basis) setup for repeated error-rate evaluation.
 
@@ -90,6 +102,7 @@ class ErrorAnalyzer:
     def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5):
         if len(w) != code.n_code:
             raise ValueError("failure basis length mismatch")
+        check_failures(p_fail, w)
         self.code = code
         self.w = tuple(w)
         self.p_fail = p_fail
@@ -97,19 +110,17 @@ class ErrorAnalyzer:
         stab, all_reps = packed_cosets(code)
         states, key = map(np.array, pattern_states(n, self.w))
         s_all, f_all = divmod(key, n + 1)
-        unread = ~states.astype(np.uint16)[:, None]  # uint16 holds 4^8 states
-
-        def fits(elements):
-            """[k, e]: state k reads every parity element e needs (its minimal state is included in k)."""
-            return (np.array([minimal_state(v, n) for v in elements], dtype=np.uint16) & unread) == 0
-
+        unread = ~states.astype(np.uint16)  # uint16 holds 4^8 states
+        # lacks[k, j]: the state bits stabilizer j needs and pattern k lacks; j is readable where it is 0
+        lacks = np.array([minimal_state(v, n) for v in stab], dtype=np.uint16) & unread[:, None]
+        readable = lacks == 0
         elems = np.array(stab)
-        readable = fits(stab)
         mask_n = (1 << n) - 1
         self._sides = {}
         for basis in ("X", "Z"):
             reps = all_reps[basis]
-            fit = fits(reps)
+            # minimal_state is linear in XOR, so reps[j] = reps[0] ^ stab[j] is readable where lacks[k, j] is this
+            fit = lacks == (minimal_state(reps[0], n) & unread)[:, None]
             rep_of = fit.argmax(1)  # the lowest representative each pattern reads out, if any
             select = np.nonzero(np.take_along_axis(fit, rep_of[:, None], 1)[:, 0])[0]
             spanned, weight_rows = {}, []  # weight row per (readable row, representative) and per pattern
@@ -123,27 +134,18 @@ class ErrorAnalyzer:
             # longest first; within a length, byte order is np.unique(axis=0)'s for these int8 rows
             distinct = sorted(sorted(set(weight_rows)), key=len, reverse=True)
             ids = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).get, weight_rows), np.int64, len(select))
-            flat = np.frombuffer(b"".join(distinct), dtype=np.int8)
             lengths = list(map(len, distinct))
-            groups, blocks, first, start = {}, [], 0, 0
+            blocks, start = [], 0
             for m in dict.fromkeys(lengths):
-                count = lengths.count(m)
-                stop = start + m * count
-                rows = np.nonzero((ids >= first) & (ids < first + count))[0]
-                # rows[i] has weight row distinct[inverse[i]], of rank log2(m) - 1
-                groups[m.bit_length() - 2] = (rows, (ids[rows] - first, flat[start:stop].reshape(count, m)))
-                blocks.append((start, stop, m))
-                first, start = first + count, stop
-            s_cnt = s_all[select].astype(np.float64)
-            f_cnt = f_all[select].astype(np.float64)
-            self._sides[basis] = {
-                "idxs": states[select],
-                "s": s_cnt,
-                "f": f_cnt,
-                "l": n - s_cnt - f_cnt,
-                "groups": groups,
-                "walsh": (flat, blocks, ids),
-            }
+                blocks.append((start, start + m * lengths.count(m), m))
+                start = blocks[-1][1]
+            self._sides[basis] = _DecoderSide(
+                s_all[select].astype(np.float64),
+                f_all[select].astype(np.float64),
+                np.frombuffer(b"".join(distinct), dtype=np.int8),
+                blocks,
+                ids,
+            )
 
     def pattern_probabilities(self, basis: str, eta) -> np.ndarray:
         side = self._sides[basis]
@@ -151,15 +153,15 @@ class ErrorAnalyzer:
         if np.ndim(a):
             a = a[..., None]
         return (
-            (1.0 - self.p_fail) ** side["s"]
-            * self.p_fail ** side["f"]
-            * a ** (side["s"] + side["f"])
-            * (1.0 - a) ** side["l"]
+            (1.0 - self.p_fail) ** side.s
+            * self.p_fail ** side.f
+            * a ** (side.s + side.f)
+            * (1.0 - a) ** (self.n - side.s - side.f)
         )
 
     def pattern_error_rates(self, basis: str, epsilon) -> np.ndarray:
         """Conditional logical error rate per recovering pattern."""
-        flat, blocks, ids = self._sides[basis]["walsh"]
+        _, _, flat, blocks, ids = self._sides[basis]
         # (1-2p)^k, k = 0..n, on a new last axis: the same pow as raising the bias to a weight
         powers = np.asarray(_flip_bias(epsilon))[..., None] ** np.arange(self.n + 1.0)
         t = _fwht_side_by_side(np.take(powers, flat, axis=-1), blocks)
@@ -187,6 +189,8 @@ class ErrorAnalyzer:
 
 # grid points bisected together: bounds the (points, patterns) arrays of the decoder
 REGION_CHUNK = 32
+# largest boundary epsilon a region reports; the bisection brackets [0, EPSILON_CAP)
+EPSILON_CAP = 0.2
 
 
 class RegionPoint(NamedTuple):
@@ -194,21 +198,21 @@ class RegionPoint(NamedTuple):
     epsilon_boundary: float
 
 
-def _bisect_largest_feasible(feasible, size: int, upper: float, tol: float = BISECTION_TOL) -> np.ndarray:
+def _bisect_largest_feasible(feasible, size: int, upper: float) -> np.ndarray:
     """Largest value in [0, upper) with feasible(value) per entry, each feasible
     at zero and assumed to cross once.
 
     ``feasible`` maps ``size`` values to as many booleans.  The entries
     bisect in lockstep, and each one stops when its own bracket is within
-    ``tol``, so every entry sees the float steps of a scalar bisection.
+    ``BISECTION_TOL``, so every entry sees the float steps of a scalar bisection.
     """
     lo, hi = np.zeros(size), np.full(size, upper)
-    open_ = hi - lo > tol
+    open_ = hi - lo > BISECTION_TOL
     while open_.any():
         mid = 0.5 * (lo + hi)
         ok = feasible(mid)
         lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
-        open_ = hi - lo > tol
+        open_ = hi - lo > BISECTION_TOL
     return lo
 
 
@@ -218,7 +222,6 @@ def correctable_region(
     err: ErrorThresholdConfig,
     p_fail: float = 0.5,
     grid_points: int = 21,
-    epsilon_cap: float = 0.2,
     result: ThresholdResult | None = None,
 ) -> list[RegionPoint]:
     """Boundary of the jointly correctable (loss, error) region.
@@ -243,16 +246,16 @@ def correctable_region(
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
     boundary = np.concatenate(
         [
-            _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK], epsilon_cap)
+            _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK])
             for s in range(0, grid_points, REGION_CHUNK)
         ]
     )
     return [RegionPoint(gamma=g, epsilon_boundary=e) for g, e in zip(gammas.tolist(), boundary.tolist())]
 
 
-def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarray, cap: float) -> np.ndarray:
+def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarray) -> np.ndarray:
     """Boundary epsilon per transmission: 0 where epsilon=0 is already infeasible,
-    ``cap`` where the cap is feasible, else bisected, all points in lockstep."""
+    ``EPSILON_CAP`` where the cap is feasible, else bisected, all points in lockstep."""
     probs = {basis: analyzer.pattern_probabilities(basis, eta) for basis in ("X", "Z")}
 
     def feasible(eps, points):
@@ -260,8 +263,8 @@ def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarr
         return 0.5 * (r["X"] + r["Z"]) <= eps_m[points]
 
     at_zero = feasible(np.zeros(len(eta)), slice(None))
-    at_cap = at_zero & feasible(np.full(len(eta), cap), slice(None))
-    boundary = np.where(at_cap, cap, 0.0)
+    at_cap = at_zero & feasible(np.full(len(eta), EPSILON_CAP), slice(None))
+    boundary = np.where(at_cap, EPSILON_CAP, 0.0)
     inner = at_zero & ~at_cap
-    boundary[inner] = _bisect_largest_feasible(lambda eps: feasible(eps, inner), int(inner.sum()), cap)
+    boundary[inner] = _bisect_largest_feasible(lambda eps: feasible(eps, inner), int(inner.sum()), EPSILON_CAP)
     return boundary

@@ -57,11 +57,16 @@ class FusionSpec(_SpecFields):
     def __new__(cls, eta: float, p_fail: float = 0.5, w: tuple[int, ...] = ()):
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta out of range: {eta}")
-        if not 0.0 <= p_fail <= 1.0:
-            raise ValueError(f"p_fail out of range: {p_fail}")
-        if any(b not in (0, 1) for b in w):
-            raise ValueError("failure bases must be 0 (ZZ) or 1 (XX)")
+        check_failures(p_fail, w)
         return tuple.__new__(cls, (eta, p_fail, w))
+
+
+def check_failures(p_fail: float, w=()) -> None:
+    """ValueError unless p_fail lies in [0, 1] and every failure-basis bit is 0 (ZZ) or 1 (XX), not a bool."""
+    if not 0.0 <= p_fail <= 1.0:
+        raise ValueError(f"p_fail out of range: {p_fail}")
+    if any(b not in (0, 1) or isinstance(b, bool) for b in w):
+        raise ValueError("failure bases must be 0 (ZZ) or 1 (XX)")
 
 
 # -- readable sets -----------------------------------------------------
@@ -216,7 +221,9 @@ def basis_numerators(code: GraphCode, p_fail) -> tuple[list, list, int]:
     p_fail is read as a/q, through ``limit_denominator(2**30)`` where the
     exact q is larger.  Python's int division rounds each N / q^n
     correctly, so those floats equal ``float(Fraction(N, q**n))``.
+    A p_fail outside [0, 1], which the packing width does not cover, raises ``ValueError``.
     """
+    check_failures(p_fail)
     n = code.n_code
     a, q = p_fail.as_integer_ratio()  # exact, so a dyadic p_fail such as 1/2 loads no fractions module
     if q > 1 << 30:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .codes import GraphCode, code_from_progenitor
 from .graphs import PROGENITOR_CAP, enumerate_progenitor_records
-from .lpoly import basis_numerators
+from .lpoly import basis_numerators, check_failures
 from .pauli import ConfigError
 
 BISECTION_TOL = 1e-9
@@ -313,50 +313,40 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
     qubit i), unless a later one is better by more than 1e-12.  Every
     erasure rate is nondecreasing in loss, as recovery is up-closed in
     availability; this is proved, and certified exactly in the tests.
-    """
-    return _loss_thresholds([code], bias, p_fail)[0]
-
-
-def _loss_thresholds(codes: list[GraphCode], bias: BiasConfig, p_fail: float) -> list[ThresholdResult]:
-    """``loss_threshold`` of each code of one size.
 
     The bases bisect one at a time, in order.  A basis stops as soon as
     its bracket's top is within 1e-12 of the best earlier basis's
     threshold, where the tie rule can no longer pick it; the others take
-    every step of a full bisection, so the results are those of bisecting
+    every step of a full bisection, so the result is that of bisecting
     every basis to the end.
     """
-    n = codes[0].n_code
-    results = []
-    for code in codes:
-        nx, nz, den = basis_numerators(code, p_fail)
-        best, g_best, ok_best, seen = 0, 0.0, False, set()
-        for w, key in enumerate(zip(nx, nz)):
-            if key in seen:
-                continue  # the same rows bisect the same way, and the earlier basis wins ties
-            seen.add(key)
-            cx, cz = ([c / den for c in row] for row in key)
+    nx, nz, den = basis_numerators(code, p_fail)
+    best, g_best, ok_best, seen = 0, 0.0, False, set()
+    for w, key in enumerate(zip(nx, nz)):
+        if key in seen:
+            continue  # the same rows bisect the same way, and the earlier basis wins ties
+        seen.add(key)
+        cx, cz = ([c / den for c in row] for row in key)
 
-            def feasible(gamma, cx=cx, cz=cz):
-                return _feasible(bias, *_rates(cx, cz, gamma))
+        def feasible(gamma, cx=cx, cz=cz):
+            return _feasible(bias, *_rates(cx, cz, gamma))
 
-            if not feasible(0.0):
-                continue  # gamma 0, which no later basis can lose to
-            g = _bisect(feasible, cut=g_best + 1e-12 if w else -1.0)
-            if g is not None and (w == 0 or g > g_best + 1e-12):
-                best, g_best, ok_best = w, g, True
-        cx, cz = ([c / den for c in row] for row in (nx[best], nz[best]))
-        p_xx, p_zz = _rates(cx, cz, g_best)
-        diagnostics = {
-            "p_erase_xx": p_xx,
-            "p_erase_zz": p_zz,
-            "averaged": randomized_bias_rate(p_xx, p_zz),
-            "bias_ratio": bias_ratio(p_xx, p_zz),
-            "feasible_at_zero_loss": ok_best,
-        }
-        w_star = tuple((best >> i) & 1 for i in range(n))
-        results.append(ThresholdResult(code.code_id, n, w_star, g_best, bias.mode, diagnostics, (cx, cz)))
-    return results
+        if not feasible(0.0):
+            continue  # gamma 0, which no later basis can lose to
+        g = _bisect(feasible, cut=g_best + 1e-12 if w else -1.0)
+        if g is not None and (w == 0 or g > g_best + 1e-12):
+            best, g_best, ok_best = w, g, True
+    cx, cz = ([c / den for c in row] for row in (nx[best], nz[best]))
+    p_xx, p_zz = _rates(cx, cz, g_best)
+    diagnostics = {
+        "p_erase_xx": p_xx,
+        "p_erase_zz": p_zz,
+        "averaged": randomized_bias_rate(p_xx, p_zz),
+        "bias_ratio": bias_ratio(p_xx, p_zz),
+        "feasible_at_zero_loss": ok_best,
+    }
+    w_star = tuple((best >> i) & 1 for i in range(code.n_code))
+    return ThresholdResult(code.code_id, code.n_code, w_star, g_best, bias.mode, diagnostics, (cx, cz))
 
 
 def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list[ThresholdResult]:
@@ -367,8 +357,7 @@ def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list
     if n_code < 1 or n_code > PROGENITOR_CAP:
         raise ValueError(f"code size must be between 1 and {PROGENITOR_CAP}")
     records = enumerate_progenitor_records(n_code)
-    codes = [code_from_progenitor(r.graph, code_id=r.sequence) for r in records]
-    results = _loss_thresholds(codes, bias, p_fail)
+    results = [loss_threshold(code_from_progenitor(r.graph, code_id=r.sequence), bias, p_fail) for r in records]
     results.sort(key=lambda r: (-r.gamma_star, r.code_id))
     return results
 
@@ -379,8 +368,7 @@ def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> T
     Any lost photon, fused or ancillary, erases both parities, so the
     randomized-bias erasure rate is 1 - (1 - p_fail/2) eta^(2+n_ancilla).
     """
-    if not 0.0 <= p_fail <= 1.0:
-        raise ValueError("p_fail out of range")
+    check_failures(p_fail)
     if n_ancilla_photons < 0:
         raise ValueError("negative ancilla count")
     n_photons = 2 + n_ancilla_photons

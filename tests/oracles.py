@@ -17,7 +17,9 @@ the pruned scalar search.  ``gather_counts`` and ``count_numerators``
 are the (s, f) count gather and its count-matrix numerators, which pin
 the contraction in turn.  The pattern oracles list outcomes
 object by object, and the decoder oracles build the decoder's weight
-rows one table state at a time, give the uncorrected baseline from each
+rows one table state at a time, read each decoder row's state and
+weight row back out of the package's packed setup (``row_states``,
+``weight_rows``), give the uncorrected baseline from each
 pattern's readable representative, and redo the region one grid point
 and one epsilon at a time with the block-loop Walsh transform and the
 16-term flip enumeration.  The sequence oracles key every LEAF/PATH_EDGE
@@ -863,9 +865,11 @@ def flip_bias(epsilon):
 def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     """The decoder's per-basis setup, built one w-consistent table state at a time.
 
-    Per basis: ``idxs``, ``s``, ``f`` and ``l`` as in
-    ``ErrorAnalyzer._sides``, and ``weights``, the weight row of each
-    pattern over the subgroup of readable stabilizers times {1, rep}.
+    Per basis: ``idxs``, each recovering pattern's table state, the
+    decoder's row states (``row_states``); ``s`` and ``f`` as in
+    ``ErrorAnalyzer._sides`` and ``l`` = n - s - f; and ``weights``, the
+    weight row of each pattern over the subgroup of readable stabilizers
+    times {1, rep}, the decoder's ``weight_rows``.
     """
     n = code.n_code
     table = CodeFusionTable(code)
@@ -917,16 +921,30 @@ def fwht_blocks(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def row_states(ana: ErrorAnalyzer, basis: str) -> np.ndarray:
+    """Availability state of each decoder row: the recovering patterns of ``pattern_states``, in order."""
+    n = ana.n
+    readable = readable_set(packed_cosets(ana.code)[1][basis], n).to_bytes((4**n + 7) // 8, "little")
+    return np.array([s for s in pattern_states(n, ana.w)[0] if readable[s >> 3] >> (s & 7) & 1])
+
+
+def weight_rows(ana: ErrorAnalyzer, basis: str) -> list[np.ndarray]:
+    """Each decoder row's int8 weight row, cut from the distinct rows laid side by side."""
+    side = ana._sides[basis]
+    distinct = [side.flat[i : i + m] for start, stop, m in side.blocks for i in range(start, stop, m)]
+    return [distinct[j] for j in side.ids.tolist()]
+
+
 def pattern_error_rates(ana: ErrorAnalyzer, basis: str, epsilon: float) -> np.ndarray:
     """Per-pattern error rates from every pattern's own weight row, raised to float powers."""
-    side = ana._sides[basis]
     bias = flip_bias(epsilon)
-    out = np.zeros(len(side["idxs"]), dtype=np.float64)
-    for r, (rows, (inverse, weights)) in side["groups"].items():
-        wmat = weights[inverse].astype(np.float64)
-        t = fwht_blocks(bias**wmat) / float(wmat.shape[1])
-        half = 1 << r
-        out[rows] = np.minimum(t[:, :half], t[:, half:]).sum(axis=1)
+    rows = weight_rows(ana, basis)
+    out = np.zeros(len(rows), dtype=np.float64)
+    for m in {len(row) for row in rows}:
+        at = [i for i, row in enumerate(rows) if len(row) == m]
+        wmat = np.array([rows[i] for i in at]).astype(np.float64)
+        t = fwht_blocks(bias**wmat) / float(m)
+        out[at] = np.minimum(t[:, : m // 2], t[:, m // 2 :]).sum(axis=1)
     return out
 
 
@@ -948,7 +966,7 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
             perr = pattern_error_rates(ana, basis, epsilon)
         else:
             reps = logical_set(ana.code, basis)
-            rep_of = rep_index_scan(CodeFusionTable(ana.code), basis)[ana._sides[basis]["idxs"]]
+            rep_of = rep_index_scan(CodeFusionTable(ana.code), basis)[row_states(ana, basis)]
             weight = np.array([(reps[k].x_bits | reps[k].z_bits).bit_count() for k in rep_of.tolist()], dtype=np.float64)
             perr = 0.5 * (1.0 - flip_bias(epsilon) ** weight)
         result[basis] = float(np.dot(p, perr) / total)

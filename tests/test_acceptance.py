@@ -143,14 +143,13 @@ def test_a6_oracle_equivalence():
                             assert rates["X"] == 0.0 and rates["Z"] == 0.0
                         continue
                     for basis in ("X", "Z"):
-                        side = ana._sides[basis]
                         got_rates = ana.pattern_error_rates(basis, eps)
                         oracle_rates = np.array(
                             [
                                 oracle_pattern_error(
                                     code, pattern_outcomes(table, int(avail)), w, basis, eps
                                 )
-                                for avail in side["idxs"]
+                                for avail in oracles.row_states(ana, basis)
                             ]
                         )
                         worst_error = max(worst_error, float(np.max(np.abs(got_rates - oracle_rates), initial=0.0)))

@@ -440,18 +440,21 @@ class TestRegion:
 
     def test_size_region_reuses_the_search_result(self, tmp_path, monkeypatch):
         # the region of the n=4 winner takes its threshold from the search:
-        # one threshold engine call holding every n=4 code and none more
+        # one loss_threshold call per n=4 code and none more; fusion imports the name, so it is patched there too
+        from fusioncodes import fusion
+
         calls = []
-        real = thresholds._loss_thresholds
+        real = thresholds.loss_threshold
 
-        def counting(codes, *args, **kwargs):
-            calls.append(sorted(c.code_id for c in codes))
-            return real(codes, *args, **kwargs)
+        def counting(code, *args, **kwargs):
+            calls.append(code.code_id)
+            return real(code, *args, **kwargs)
 
-        monkeypatch.setattr(thresholds, "_loss_thresholds", counting)
+        for module in (thresholds, fusion):
+            monkeypatch.setattr(module, "loss_threshold", counting)
         cfg = write_config(tmp_path)
         assert main(["region", "--n", "4", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-        assert calls == [sorted(r.sequence for r in enumerate_progenitor_records(4))]
+        assert sorted(calls) == sorted(r.sequence for r in enumerate_progenitor_records(4))
 
 
 class TestCompile:

@@ -365,6 +365,24 @@ class TestFlipDistribution:
 
 
 class TestErrorAnalysis:
+    @pytest.mark.parametrize(
+        "w, p_fail",
+        [
+            ((2, 0, 0, 0), 0.5),
+            ((-1, 0, 0, 0), 0.5),
+            ((0.5, 0, 0, 0), 0.5),
+            ((True, 0, 0, 0), 0.5),
+            ((1, 0, 0, 0), 1.5),
+            ((1, 0, 0, 0), -0.5),
+        ],
+    )
+    def test_inputs_checked_as_fusion_spec_checks_them(self, w, p_fail):
+        with pytest.raises(ValueError) as spec_error:
+            FusionSpec(1.0, p_fail, w)
+        with pytest.raises(ValueError) as analyzer_error:
+            ErrorAnalyzer(code_of("LLPL"), w, p_fail)
+        assert str(analyzer_error.value) == str(spec_error.value)
+
     def test_zero_epsilon_means_zero_error(self):
         for seq in ("L", "LL", "LPL"):
             code = code_of(seq)
@@ -411,9 +429,8 @@ class TestErrorAnalysis:
             ana = ErrorAnalyzer(code, w)
             for eps in (0.01, 0.05):
                 for basis in ("X", "Z"):
-                    side = ana._sides[basis]
                     got = ana.pattern_error_rates(basis, eps)
-                    for row, avail in enumerate(side["idxs"]):
+                    for row, avail in enumerate(oracles.row_states(ana, basis)):
                         outcomes = pattern_outcomes(table, int(avail))
                         want = oracle_pattern_error(code, outcomes, w, basis, eps)
                         assert want is not None
@@ -426,9 +443,8 @@ class TestErrorAnalysis:
             ana = ErrorAnalyzer(code, w)
             table = CodeFusionTable(code)
             for basis in ("X", "Z"):
-                side = ana._sides[basis]
                 got = ana.pattern_error_rates(basis, 0.01)
-                for row, avail in list(enumerate(side["idxs"]))[::5]:
+                for row, avail in list(enumerate(oracles.row_states(ana, basis)))[::5]:
                     outcomes = pattern_outcomes(table, int(avail))
                     want = oracle_pattern_error(code, outcomes, w, basis, 0.01)
                     assert abs(got[row] - want) < 1e-12
@@ -607,27 +623,29 @@ class TestDecoderArrays:
         cases = [(code, w) for code in small_codes(5) for w in all_w(code.n_code)]
         cases += [(code_of("LLPLPLPL"), tuple(rng.integers(0, 2, 8).tolist())) for _ in range(8)]
         for code, w in cases:
-            sides, want = ErrorAnalyzer(code, w)._sides, oracles.per_row_sides(code, w)
+            ana, want = ErrorAnalyzer(code, w), oracles.per_row_sides(code, w)
             for basis in ("X", "Z"):
-                side, ref = sides[basis], want[basis]
+                side, ref = ana._sides[basis], want[basis]
+                # the row states from the patterns and readable sets, the table's idxs from its own scan
+                rebuilt = {"idxs": oracles.row_states(ana, basis), "s": side.s, "f": side.f}
+                rebuilt["l"] = ana.n - side.s - side.f
                 for key in ("idxs", "s", "f", "l"):
-                    same = side[key].dtype == ref[key].dtype and side[key].tobytes() == ref[key].tobytes()
+                    same = rebuilt[key].dtype == ref[key].dtype and rebuilt[key].tobytes() == ref[key].tobytes()
                     assert same, (code.code_id, w, basis, key)
-                got = [None] * len(ref["weights"])
-                for rows, (inverse, distinct) in side["groups"].values():
-                    for row, j in zip(rows.tolist(), inverse.tolist()):
-                        got[row] = distinct[j]
+                got = oracles.weight_rows(ana, basis)
                 assert [g.tobytes() for g in got] == [r.tobytes() for r in ref["weights"]], (code.code_id, w, basis)
 
     def test_distinct_rows_scatter_to_every_pattern(self):
         for seq, w in self.CASES:
             ana = ErrorAnalyzer(code_of(seq), w)
             for basis in ("X", "Z"):
-                groups = ana._sides[basis]["groups"]
-                rows = np.concatenate([rows for rows, _ in groups.values()])
-                assert sorted(rows.tolist()) == list(range(len(ana._sides[basis]["idxs"])))
-                for rows, (inverse, weights) in groups.values():
-                    assert len(inverse) == len(rows) and len(np.unique(weights, axis=0)) == len(weights)
+                side = ana._sides[basis]
+                assert len(side.ids) == len(oracles.row_states(ana, basis))
+                # every distinct row belongs to some pattern, and each is distinct within its length
+                assert sorted(set(side.ids.tolist())) == list(range(sum((b - a) // m for a, b, m in side.blocks)))
+                for start, stop, m in side.blocks:
+                    weights = side.flat[start:stop].reshape(-1, m)
+                    assert len(np.unique(weights, axis=0)) == len(weights)
 
     def test_scalar_rates_match_per_row_formula(self):
         for seq, w in self.CASES:

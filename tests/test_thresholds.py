@@ -178,7 +178,7 @@ class TestAllBasesAgainstOracle:
         for p_fail, n_max in ((0.5, 8), (0.3, 6)):
             for n in range(1, n_max + 1):
                 codes = [code_of(r.sequence) for r in enumerate_progenitor_records(n)]
-                got = thresholds._loss_thresholds(codes, bias, p_fail)
+                got = [loss_threshold(code, bias, p_fail) for code in codes]
                 want = oracles.lockstep_loss_thresholds(codes, bias, p_fail)
                 for a, b in zip(got, want, strict=True):
                     assert (a.w_star, a.gamma_star) == (b.w_star, b.gamma_star), (a.code_id, p_fail)
@@ -240,6 +240,17 @@ class TestSearch:
             search_best_code(0, bias)
         with pytest.raises(ValueError):
             search_best_code(9, bias)
+
+    @pytest.mark.parametrize("p_fail", [100.0, 1.5, -0.5, math.nan])
+    def test_p_fail_out_of_range(self, p_fail):
+        # the transfer counts' packing width is sized for p_fail in [0, 1] only
+        bias = BiasConfig(BiasMode.RANDOMIZED, 0.14)
+        with pytest.raises(ValueError, match="p_fail out of range"):
+            loss_threshold(code_of("LLP"), bias, p_fail)
+        with pytest.raises(ValueError, match="p_fail out of range"):
+            search_best_code(3, bias, p_fail)
+        with pytest.raises(ValueError, match="p_fail out of range"):
+            boosted_baseline(p_fail, 2, 0.14)
 
 
 class TestBoostedBaseline:
