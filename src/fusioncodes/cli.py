@@ -6,19 +6,20 @@ the command, parameters, config digest and tool version, so repeated
 runs with identical inputs produce byte-identical files.
 
 Exit codes: 0 ok, 2 usage (including a --p-fail or --eta-grid value
-outside [0, 1] or not a number), 3 config (unreadable or malformed
-config, outer-graph or code input), 4 resource cap (a code id longer
-than 8 photons, a size above 8, more than ``GRID_POINTS_CAP`` region
-grid points), 5 verification failure.
+outside [0, 1] or not a number, and --inject-fault on a one-vertex
+outer graph, which has no spin-spin CZ to delete), 3 config (unreadable
+or malformed config, outer-graph or code input), 4 resource cap (a code
+id longer than 8 photons, a size above 8, more than ``GRID_POINTS_CAP``
+region grid points), 5 verification failure.
 
 The analysis modules (``lpoly``, ``thresholds``, ``fusion``) and numpy,
 and the ``compiler``, are imported inside the commands that use them:
 ``enumerate``, ``duals``, ``compile``, ``analyze``, ``threshold``,
-``optimize-w`` and usage errors run without numpy (``analyze`` counts
-patterns on the readable sets of ``lpoly``, pure Python ints, and the
-threshold search bisects ``lpoly``'s exact transfer counts in Python
-floats).  Only ``region`` loads numpy, for the ML decoder in ``fusion``,
-and no command but ``compile`` loads the compiler.
+``optimize-w`` and usage errors run without numpy (``analyze`` reads
+one basis's pattern counts, and the threshold search bisects every
+basis's exact numerators in Python floats, both off ``lpoly``'s transfer
+counts on Python ints).  Only ``region`` loads numpy, for the ML decoder
+in ``fusion``, and no command but ``compile`` loads the compiler.
 
 Start-up dominates these commands.  Measured with ``-X importtime`` on
 a 2-core x86-64 host (Python 3.11.7, medians of 20 fresh processes): the
@@ -324,10 +325,12 @@ def cmd_compile(args) -> int:
     seq = compile_generation(outer, inner, mode)
     if args.inject_fault:
         cz_positions = [k for k, i in enumerate(seq.ops) if i.op.value == "cz"]
-        if cz_positions:
-            ops = list(seq.ops)
-            del ops[cz_positions[-1]]
-            seq = seq._replace(ops=tuple(ops))
+        if not cz_positions:
+            print("usage error: --inject-fault finds no spin-spin CZ to delete (one outer vertex)", file=sys.stderr)
+            return EXIT_USAGE
+        ops = list(seq.ops)
+        del ops[cz_positions[-1]]
+        seq = seq._replace(ops=tuple(ops))
     verdict = verify_sequence(seq)
     resources = count_resources(seq)
     manifest = _manifest(args, "compile")

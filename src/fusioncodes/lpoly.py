@@ -1,4 +1,4 @@
-"""Exact erasure analysis: readable sets, transfer counts and integer-counted polynomials.
+"""Exact erasure analysis: readable sets and their transfer counts.
 
 Each fused pair yields the XX and ZZ joint parities on success, one of
 them on failure (chosen by the per-pair failure basis w_i: 1 recovers
@@ -12,21 +12,24 @@ representative; it is all the counts below need, so no representative
 index is kept.
 
 A pattern over n fused pairs with s successes, f failures and l losses
-occurs with probability (1-pf)^s pf^f (eta^2)^(s+f) (1-eta^2)^l.  Sums
-of patterns are stored as integer counts keyed by (s, f, l), which keeps
-every identity (normalization, dual swaps) exact; numbers only appear
-when a polynomial is evaluated at concrete eta and pf.
-
-The threshold search needs every failure basis at once.  Read in
-emission order, a readable set is a small automaton (the trellis of the
-code), and its transfer counts (``transfer_numerators``) give the exact
-numerators of the coefficients in x = eta^2 of all 2^n bases, so a basis
-scan stays exact until its final, correctly rounded division.  Nothing
-here imports numpy.
+occurs with probability (1-pf)^s pf^f (eta^2)^(s+f) (1-eta^2)^l.  Read
+in emission order, a readable set is a small automaton (the trellis of
+the code), and its transfer counts (``transfer_counts``), the one
+counting engine here, sum per-pair outcome weights over the patterns it
+reads under all 2^n failure bases at once.  ``erasure_analysis`` picks
+weights whose sums are the integer pattern counts per (s, f), which
+keeps every identity (normalization, dual swaps) exact; numbers only
+appear when a report is evaluated at concrete eta and pf.  The threshold
+search picks weights whose sums are the exact numerators of the
+coefficients in x = eta^2, so a basis scan stays exact until its final,
+correctly rounded division.  ``pattern_states`` places the 3^n patterns
+under one basis for the decoder in ``fusion``.  Nothing here imports
+numpy.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -123,62 +126,25 @@ def pattern_states(n: int, w) -> tuple[list[int], list[int]]:
     return states, keys
 
 
-# -- integer-counted polynomials -----------------------------------------
+def transfer_counts(readable: int, n: int, weights) -> list[tuple[int, ...]]:
+    """C[w][j]: the y^j coefficient of the weights summed over the patterns ``readable`` reads under basis w.
 
-
-class LossPolynomial:
-    """Integer-counted sum of fusion-pattern probability monomials."""
-
-    __slots__ = ("n", "counts")
-
-    def __init__(self, n: int, counts: dict[tuple[int, int, int], int] | None = None):
-        self.n = n
-        self.counts = dict(counts or {})
-
-    @classmethod
-    def from_counts(cls, n: int, row) -> "LossPolynomial":
-        """From a count row indexed by s*(n+1)+f, as ``erasure_analysis`` counts it."""
-        poly = cls(n)
-        for k, c in enumerate(row):
-            if c:
-                s, f = divmod(k, n + 1)
-                poly.add_pattern(s, f, n - s - f, int(c))
-        return poly
-
-    def add_pattern(self, s: int, f: int, l: int, count: int = 1) -> None:
-        key = (s, f, l)
-        self.counts[key] = self.counts.get(key, 0) + count
-        if self.counts[key] == 0:
-            del self.counts[key]
-
-    def eval(self, eta: float, p_fail: float) -> float:
-        """Numeric value at transmission ``eta`` and failure rate ``p_fail``."""
-        a = eta * eta
-        b = 1.0 - a
-        total = 0.0
-        for (s, f, l), c in sorted(self.counts.items()):
-            total += c * (1.0 - p_fail) ** s * p_fail**f * a ** (s + f) * b**l
-        return total
-
-
-def transfer_numerators(readable: int, n: int, a: int, q: int) -> list[tuple[int, ...]]:
-    """N[w][j]: the x^j numerator over q^n, x = eta^2, of the success probability under failure basis w.
-
-    ``readable`` is a readable set and p_fail = a/q.  Split from the top
-    qubit down into one sub-block per availability digit, the set's
-    distinct nonzero blocks at each cut are the states of an automaton:
-    at most 2 for every code up to the size cap, as one emitter
-    generates the code.  Each state carries one polynomial per basis
-    suffix, all in one signed Python int at X = 2^B: the x^j coefficient
-    of suffix slot u at X^(u(n+1)+j), with bit i of w at bit n-1-i of u.
-    Pair k weighs NONE q(1-x), the digit its basis bit's failure recovers
-    a x and BOTH (q-a) x.  Every |N| is at most (|q-a| + |a| + 2q)^n =
-    (3q)^n for p_fail in [0, 1], so B = bit_length((3q)^n) + 2, rounded
-    up to a power of two of at least 8, keeps the coefficients apart.
+    ``weights`` holds three integer coefficient tuples in y, constant
+    first: the weight of a pair's NONE, failure and BOTH outcome, whose
+    product a pattern weighs.  Split from the top qubit down into one
+    sub-block per availability digit, the set's distinct nonzero blocks
+    at each cut are the states of an automaton: at most 2 for every code
+    up to the size cap, as one emitter generates the code.  Each state
+    carries one polynomial per basis suffix in one signed int at X = 2^B:
+    the y^j coefficient of suffix slot u (bit i of w at bit n-1-i) at
+    X^(u*m+j), m = n(longest tuple - 1) + 1.  Every |C| is at most S^n,
+    S the weights' summed |coefficients|, so B = bit_length(S^n) + 2,
+    rounded up to a power of two of at least 8, keeps them apart.
     """
-    import struct  # here, so that ``analyze`` does not load it
-
-    bits = max(8, 1 << (((3 * q) ** n).bit_length() + 1).bit_length())
+    per = n * (max(map(len, weights)) - 1) + 1
+    bound = sum(abs(c) for weight in weights for c in weight) ** n
+    bits = max(8, 1 << (bound.bit_length() + 1).bit_length())
+    w_none, w_fail, w_both = (sum(c << j * bits for j, c in enumerate(weight)) for weight in weights)
     states = {readable: 1}
     for k in range(n - 1, -1, -1):
         size = 4**k
@@ -186,21 +152,21 @@ def transfer_numerators(readable: int, n: int, a: int, q: int) -> list[tuple[int
         common, zz, xx = {}, {}, {}  # terms per next block: under either basis bit, under 0 only, under 1 only
         for block, v in states.items():
             none, fail_zz, fail_xx, success = (block >> d * size & mask for d in range(4))
-            qv, fail = q * v, a * v << bits
+            fail = v * w_fail
             for part, to, term in (
-                (common, none, qv - (qv << bits)),
-                (common, success, (qv - a * v) << bits),
+                (common, none, v * w_none),
+                (common, success, v * w_both),
                 (zz, fail_zz, fail),
                 (xx, fail_xx, fail),
             ):
                 if to:  # the empty block reads out nothing
                     part[to] = part.get(to, 0) + term
-        shift = (n + 1) * bits << n - 1 - k  # past the 2^(n-1-k) slots so far: bit k of w
+        shift = per * bits << n - 1 - k  # past the 2^(n-1-k) slots so far: bit k of w
         states = {
             to: common.get(to, 0) + zz.get(to, 0) + (common.get(to, 0) + xx.get(to, 0) << shift)
             for to in common.keys() | zz.keys() | xx.keys()
         }
-    count, width = (n + 1) << n, bits // 8
+    count, width = per << n, bits // 8
     # bit B-1 of every coefficient: adding it lifts each into [0, X), so that no borrow crosses
     # coefficients, and flipping it back leaves each one's two's complement in its own B bits
     top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -212,16 +178,18 @@ def transfer_numerators(readable: int, n: int, a: int, q: int) -> list[tuple[int
     slots = [0]
     for i in range(n):
         slots += [u + (1 << n - 1 - i) for u in slots]
-    return [digits[u * (n + 1) : (u + 1) * (n + 1)] for u in slots]
+    return [digits[u * per : (u + 1) * per] for u in slots]
 
 
 def basis_numerators(code: GraphCode, p_fail) -> tuple[list, list, int]:
-    """(XX rows, ZZ rows, q^n): ``transfer_numerators`` of both parities of a code.
+    """(XX rows, ZZ rows, q^n): N[w][j], the x^j numerator over q^n, x = eta^2, of success under basis w.
 
     p_fail is read as a/q, through ``limit_denominator(2**30)`` where the
-    exact q is larger.  Python's int division rounds each N / q^n
+    exact q is larger.  In ``transfer_counts`` a pair weighs NONE q(1-x),
+    the failure its basis bit recovers a x and BOTH (q-a) x, so every
+    |N| is at most (3q)^n.  Python's int division rounds each N / q^n
     correctly, so those floats equal ``float(Fraction(N, q**n))``.
-    A p_fail outside [0, 1], which the packing width does not cover, raises ``ValueError``.
+    A p_fail outside [0, 1], which that bound does not cover, raises ``ValueError``.
     """
     check_failures(p_fail)
     n = code.n_code
@@ -231,7 +199,8 @@ def basis_numerators(code: GraphCode, p_fail) -> tuple[list, list, int]:
 
         a, q = Fraction(p_fail).limit_denominator(1 << 30).as_integer_ratio()
     reps = packed_cosets(code)[1]
-    nx, nz = (transfer_numerators(readable_set(reps[basis], n), n, a, q) for basis in ("X", "Z"))
+    weights = ((q, -q), (0, a), (0, q - a))
+    nx, nz = (transfer_counts(readable_set(reps[basis], n), n, weights) for basis in ("X", "Z"))
     return nx, nz, q**n
 
 
@@ -239,16 +208,30 @@ def basis_numerators(code: GraphCode, p_fail) -> tuple[list, list, int]:
 
 
 class ErasureReport(NamedTuple):
-    """Result of analysing one (code, failure basis) pair."""
+    """One (code, failure basis) pair's count rows, indexed as in ``erasure_analysis``."""
 
     code: GraphCode
     spec: FusionSpec
-    p_success_xx: LossPolynomial
-    p_success_zz: LossPolynomial
+    p_success_xx: tuple[int, ...]
+    p_success_zz: tuple[int, ...]
+
+    def terms(self, basis: str):
+        """((s, f, l), count) of each nonzero entry of the parity's count row, in index order."""
+        n = self.code.n_code
+        for k, c in enumerate(self.p_success_xx if basis == "X" else self.p_success_zz):
+            if c:
+                s, f = divmod(k, n + 1)
+                yield (s, f, n - s - f), c
 
     def success_probability(self, basis: str, eta: float | None = None) -> float:
-        poly = self.p_success_xx if basis == "X" else self.p_success_zz
-        return poly.eval(self.spec.eta if eta is None else eta, self.spec.p_fail)
+        eta = self.spec.eta if eta is None else eta
+        p_fail = self.spec.p_fail
+        a = eta * eta
+        b = 1.0 - a
+        total = 0.0
+        for (s, f, l), c in self.terms(basis):
+            total += c * (1.0 - p_fail) ** s * p_fail**f * a ** (s + f) * b**l
+        return total
 
     def erasure_rate(self, basis: str, eta: float | None = None) -> float:
         return 1.0 - self.success_probability(basis, eta)
@@ -260,8 +243,8 @@ class ErasureReport(NamedTuple):
             "n_code": self.code.n_code,
             "w": list(spec.w),
             "p_fail": spec.p_fail,
-            "p_success_xx_counts": {f"{s},{f},{l}": c for (s, f, l), c in sorted(self.p_success_xx.counts.items())},
-            "p_success_zz_counts": {f"{s},{f},{l}": c for (s, f, l), c in sorted(self.p_success_zz.counts.items())},
+            "p_success_xx_counts": {f"{s},{f},{l}": c for (s, f, l), c in self.terms("X")},
+            "p_success_zz_counts": {f"{s},{f},{l}": c for (s, f, l), c in self.terms("Z")},
             "rates": [
                 {
                     "eta": e,
@@ -274,23 +257,16 @@ class ErasureReport(NamedTuple):
 
 
 def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
-    """Exact success polynomials for the two paired logical parities.
+    """Exact success counts of the two paired logical parities: row w = sum w_i 2^i of ``transfer_counts``.
 
-    Each of the 3^n patterns, placed under ``spec.w``, is looked up in the
-    readable set's bytes and counted by (s, f).
+    With weights NONE 1, failure y and BOTH y^(n+1), entry s(n+1)+f of a
+    row counts the readable patterns with s successes and f failures.
     """
     n = code.n_code
     if len(spec.w) != n:
         raise ValueError(f"failure basis length {len(spec.w)} != {n} code qubits")
     reps = packed_cosets(code)[1]
-    states, keys = pattern_states(n, spec.w)
-
-    def poly(basis: str) -> LossPolynomial:
-        bits = readable_set(reps[basis], n).to_bytes((4**n + 7) >> 3, "little")
-        row = [0] * (n + 1) ** 2
-        for s, k in zip(states, keys):
-            if bits[s >> 3] >> (s & 7) & 1:
-                row[k] += 1
-        return LossPolynomial.from_counts(n, row)
-
-    return ErasureReport(code=code, spec=spec, p_success_xx=poly("X"), p_success_zz=poly("Z"))
+    weights = ((1,), (0, 1), (0,) * (n + 1) + (1,))
+    w = sum(b << i for i, b in enumerate(spec.w))
+    xx, zz = (transfer_counts(readable_set(reps[basis], n), n, weights)[w] for basis in ("X", "Z"))
+    return ErasureReport(code=code, spec=spec, p_success_xx=xx, p_success_zz=zz)

@@ -15,13 +15,14 @@ are pinned against, and ``lockstep_loss_thresholds`` bisects every
 (code, basis) row to the end in one numpy lockstep, the reference for
 the pruned scalar search.  ``gather_counts`` and ``count_numerators``
 are the (s, f) count gather and its count-matrix numerators, which pin
-the contraction in turn.  The pattern oracles list outcomes
-object by object, and the decoder oracles build the decoder's weight
-rows one table state at a time, read each decoder row's state and
-weight row back out of the package's packed setup (``row_states``,
-``weight_rows``), give the uncorrected baseline from each
-pattern's readable representative, and redo the region one grid point
-and one epsilon at a time with the block-loop Walsh transform and the
+the contraction and the package's count rows in turn; ``LossPolynomial``
+keys such counts by (s, f, l) and evaluates them term by term.  The
+pattern oracles list outcomes object by object, and the decoder oracles
+build the decoder's weight rows one table state at a time, read each
+decoder row's state and weight row back out of the package's packed
+setup (``row_states``, ``weight_rows``), give the uncorrected baseline
+from each pattern's readable representative, and redo the region one
+grid point and one epsilon at a time with the block-loop Walsh transform and the
 16-term flip enumeration.  The sequence oracles key every LEAF/PATH_EDGE
 string of a size by AHU tree canonical forms: ``progenitor_scan``
 dedupes them into the marked-graph classes, the scans find a graph's
@@ -69,7 +70,6 @@ from fusioncodes.lpoly import (
     AVAIL_XX,
     AVAIL_ZZ,
     FusionSpec,
-    LossPolynomial,
     pattern_states,
     readable_set,
 )
@@ -425,6 +425,41 @@ def consistent_counts(n: int) -> np.ndarray:
         hit = ((arr.fail_xx_mask[idx] & ~w) | (arr.fail_zz_mask[idx] & w)) == 0
         out[w] = np.bincount(key[hit], minlength=(n + 1) ** 2)
     return out
+
+
+class LossPolynomial:
+    """Integer-counted sum of fusion-pattern probability monomials, keyed by (s, f, l)."""
+
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int, counts: dict[tuple[int, int, int], int] | None = None):
+        self.n = n
+        self.counts = dict(counts or {})
+
+    @classmethod
+    def from_counts(cls, n: int, row) -> "LossPolynomial":
+        """From a count row indexed by s*(n+1)+f, as ``lpoly.erasure_analysis`` reports it."""
+        poly = cls(n)
+        for k, c in enumerate(row):
+            if c:
+                s, f = divmod(k, n + 1)
+                poly.add_pattern(s, f, n - s - f, int(c))
+        return poly
+
+    def add_pattern(self, s: int, f: int, l: int, count: int = 1) -> None:
+        key = (s, f, l)
+        self.counts[key] = self.counts.get(key, 0) + count
+        if self.counts[key] == 0:
+            del self.counts[key]
+
+    def eval(self, eta: float, p_fail: float) -> float:
+        """Numeric value at transmission ``eta`` and failure rate ``p_fail``."""
+        a = eta * eta
+        b = 1.0 - a
+        total = 0.0
+        for (s, f, l), c in sorted(self.counts.items()):
+            total += c * (1.0 - p_fail) ** s * p_fail**f * a ** (s + f) * b**l
+        return total
 
 
 def is_normalized(poly: LossPolynomial) -> bool:

@@ -11,7 +11,7 @@ from fusioncodes.codes import code_from_progenitor, dual_code_with_map
 from fusioncodes.compiler import Mode, compile_generation, count_resources, verify_sequence
 from fusioncodes.fusion import ErrorAnalyzer, correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
-from fusioncodes.lpoly import FusionSpec, LossPolynomial, erasure_analysis
+from fusioncodes.lpoly import FusionSpec, erasure_analysis
 from fusioncodes.thresholds import (
     BiasMode,
     ErrorThresholdConfig,
@@ -24,7 +24,7 @@ from fusioncodes.thresholds import (
 )
 
 import oracles
-from oracles import CodeFusionTable, consistent_counts, is_normalized, pattern_outcomes
+from oracles import CodeFusionTable, LossPolynomial, consistent_counts, is_normalized, pattern_outcomes
 from test_fusion import (
     all_w,
     oracle_pattern_error,

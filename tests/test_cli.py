@@ -491,6 +491,19 @@ class TestCompile:
         seq = json.loads((tmp_path / "bad.sequence.json").read_text())
         assert seq["verified"] is False
 
+    @pytest.mark.parametrize("mode", ["two-emitter", "emitter-memory"])
+    def test_fault_with_no_cz_to_delete_is_usage_error(self, tmp_path, capsys, mode):
+        # one outer vertex compiles to no spin-spin CZ, so the flag would leave the sequence intact
+        outer = tmp_path / "outer.json"
+        outer.write_text(json.dumps({"n": 1, "edges": []}))
+        argv = ["compile", "--outer", str(outer), "--inner", "LLPL", "--mode", mode, "--out", str(tmp_path / "one")]
+        assert main(argv + ["--inject-fault"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --inject-fault finds no spin-spin CZ to delete (one outer vertex)\n"
+        )
+        assert list(tmp_path.iterdir()) == [outer]  # no output file written
+        assert main(argv) == 0
+
     def test_non_caterpillar_outer_rejected(self, tmp_path):
         outer = tmp_path / "outer.json"
         outer.write_text(

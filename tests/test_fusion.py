@@ -9,17 +9,17 @@ from fusioncodes.fusion import ErrorAnalyzer, _flip_bias, _fwht_side_by_side
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
     FusionSpec,
-    LossPolynomial,
     basis_numerators,
     erasure_analysis,
     pattern_states,
     readable_set,
-    transfer_numerators,
+    transfer_counts,
 )
 
 import oracles
 from oracles import (
     CodeFusionTable,
+    LossPolynomial,
     Outcome,
     basis_counts,
     consistent_counts,
@@ -454,6 +454,11 @@ def small_codes(n_max=5):
     return [code_of(r.sequence) for n in range(1, n_max + 1) for r in enumerate_progenitor_records(n)]
 
 
+def count_weights(n):
+    """``transfer_counts`` weights NONE 1, failure y, BOTH y^(n+1): the y^(s(n+1)+f) coefficient counts patterns."""
+    return (1,), (0, 1), (0,) * (n + 1) + (1,)
+
+
 class TestAllBasesEngine:
     """The all-bases counts and coefficients against one-basis-at-a-time oracles."""
 
@@ -464,8 +469,10 @@ class TestAllBasesEngine:
             for basis in ("X", "Z"):
                 rows = oracles.gather_counts(table, basis)
                 assert rows.shape == (1 << n, (n + 1) ** 2)
+                engine = transfer_counts(table.readable[basis], n, count_weights(n))
                 for w in range(1 << n):
                     assert LossPolynomial.from_counts(n, rows[w]).counts == basis_counts(table, basis, w)
+                    assert engine[w] + (0,) * n == tuple(rows[w].tolist()), (code.code_id, basis, w)
             for w in range(1 << n):
                 assert LossPolynomial.from_counts(n, consistent_counts(n)[w]).counts == basis_counts(table, None, w)
 
@@ -534,8 +541,10 @@ class TestAllBasesEngine:
                     idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
                     counts[w] = np.bincount(key[bits[idx]], minlength=(n + 1) ** 2)
                 want, _ = oracles.count_numerators(counts, n, p_fail)
-                got = transfer_numerators(readable, n, a, q)
+                got = transfer_counts(readable, n, ((q, -q), (0, a), (0, q - a)))
                 assert got == [tuple(map(int, row)) for row in want], p_fail
+            got = transfer_counts(readable, n, count_weights(n))
+            assert [row + (0,) * n for row in got] == [tuple(row) for row in counts.tolist()]
 
     def test_bernstein_numerators_match_gather_oracle(self):
         rng = np.random.default_rng(11)
@@ -708,5 +717,6 @@ class TestDualSwap:
                 a = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
                 b = erasure_analysis(double, FusionSpec(1.0, 0.5, w2))
                 pf = Fraction(1, 2)
-                assert eta2_coeffs(a.p_success_xx.counts, 3, pf) == eta2_coeffs(b.p_success_xx.counts, 3, pf)
-                assert eta2_coeffs(a.p_success_zz.counts, 3, pf) == eta2_coeffs(b.p_success_zz.counts, 3, pf)
+                for row_a, row_b in ((a.p_success_xx, b.p_success_xx), (a.p_success_zz, b.p_success_zz)):
+                    counts_a, counts_b = (LossPolynomial.from_counts(3, row).counts for row in (row_a, row_b))
+                    assert eta2_coeffs(counts_a, 3, pf) == eta2_coeffs(counts_b, 3, pf)
