@@ -268,8 +268,6 @@ class ConcatenatedTarget(NamedTuple):
     n_photons: int
     n_virtual: int
     edges: frozenset[tuple[int, int]]
-    outer_ops: str
-    inner_ops: str
 
     @property
     def n_total(self) -> int:
@@ -307,13 +305,7 @@ def build_concatenated_target(outer_ops: str, inner_ops: str) -> ConcatenatedTar
             edges.add((min(a, c), max(a, c)))
     for u, v in outer.edges:
         edges.add((m * n + u, m * n + v))
-    return ConcatenatedTarget(
-        n_photons=m * n,
-        n_virtual=m,
-        edges=frozenset(edges),
-        outer_ops=outer_ops,
-        inner_ops=inner_ops,
-    )
+    return ConcatenatedTarget(n_photons=m * n, n_virtual=m, edges=frozenset(edges))
 
 
 # -- replaying a sequence -------------------------------------------------
@@ -388,11 +380,11 @@ def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) ->
     from .tableau import StabilizerTableau
 
     got, want = _replay(seq, target, StabilizerTableau)
-    stray = got.first_non_member(want.rows)
+    stray = got.first_non_member(want.xs, want.zs, want.signs)
     if stray is None:
         return None
     k, rest = stray
-    return k, want.rows[k], bool(rest.x_bits | rest.z_bits)
+    return k, PauliOperator(want.n, want.xs[k], want.zs[k], 2 * (want.signs >> k & 1)), bool(rest)
 
 
 # -- verification ---------------------------------------------------------

@@ -4,10 +4,11 @@ Codes and the fusion layer hold a Pauli as one integer ``x | z << n``:
 bit i of x / z is the X / Z component on qubit i (X = (1,0), Z = (0,1),
 Y = (1,1) with the Hermitian convention Y = iXZ).  Every generator and
 anchor logical of a graph code has sign +1, so those ints carry no sign.
-``PauliOperator`` is the signed form: it renders logical sets and
-stabilizer strings, and it is the tableau's row type.  Its phase is a
-power of i, so that multiplication stays exactly associative, e.g.
-(XZ)^2 = -I.
+``PauliOperator`` is the signed form that renders logical sets and
+stabilizer strings.  Its phase is a power of i, so that multiplication
+stays exactly associative, e.g. (XZ)^2 = -I.  ``product_phase`` is the
+one phase rule, shared by ``multiply`` and the stabilizer tableau's
+int rows.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class CompileError(ValueError):
 
 class VerificationError(RuntimeError):
     """A compiled sequence failed verification."""
-
-
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
 
 # Records are NamedTuples: equality and hashing by value, no per-class
@@ -73,12 +70,6 @@ class PauliOperator(_PauliFields):
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def single(n: int, qubit: int, kind: str, sign: int = 1) -> "PauliOperator":
-        """One non-identity letter ``kind`` in {X, Y, Z} on ``qubit``."""
-        x, z = _CHAR_TO_BITS[kind]
-        return PauliOperator(n, x << qubit, z << qubit, 0 if sign == 1 else 2)
-
-    @staticmethod
     def unpack(n: int, packed: int) -> "PauliOperator":
         """The sign +1 operator ``packed`` as x | z << n."""
         return PauliOperator(n, packed & ((1 << n) - 1), packed >> n)
@@ -86,7 +77,7 @@ class PauliOperator(_PauliFields):
     # -- basic queries -----------------------------------------------
 
     def letter(self, qubit: int) -> str:
-        return _BITS_TO_CHAR[((self.x_bits >> qubit) & 1, (self.z_bits >> qubit) & 1)]
+        return "IXZY"[(self.x_bits >> qubit & 1) | (self.z_bits >> qubit & 1) << 1]
 
     def to_string(self) -> str:
         sgn = "+" if self.phase == 0 else "-" if self.phase == 2 else ("+i" if self.phase == 1 else "-i")
@@ -96,24 +87,25 @@ class PauliOperator(_PauliFields):
         return self.to_string()
 
 
-def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Product ``a * b`` with exact phase bookkeeping.
+def product_phase(xa: int, za: int, xb: int, zb: int) -> int:
+    """Exponent k (mod 4) of the factor i^k that the product of the Pauli
+    strings (xa, za) and (xb, zb), in that order, picks up.
 
     Writing each letter canonically as i^(x z) X^x Z^z, the product picks
     up i^g per qubit with
     g = x_a z_a + x_b z_b + 2 z_a x_b - (x_a ^ x_b)(z_a ^ z_b)  (mod 4).
+    The product of two commuting Hermitian strings is Hermitian: k is 0 or 2.
     """
+    g = (xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+    return (g - ((xa ^ xb) & (za ^ zb)).bit_count()) & 3
+
+
+def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    """Product ``a * b`` with exact phase bookkeeping."""
     if a.n != b.n:
         raise DimensionMismatch(f"qubit counts differ: {a.n} vs {b.n}")
-    x = a.x_bits ^ b.x_bits
-    z = a.z_bits ^ b.z_bits
-    g = (
-        (a.x_bits & a.z_bits).bit_count()
-        + (b.x_bits & b.z_bits).bit_count()
-        + 2 * (a.z_bits & b.x_bits).bit_count()
-        - (x & z).bit_count()
-    )
-    return PauliOperator(a.n, x, z, a.phase + b.phase + g)
+    phase = a.phase + b.phase + product_phase(a.x_bits, a.z_bits, b.x_bits, b.z_bits)
+    return PauliOperator(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, phase)
 
 
 def gf2_reduce(rows: list[int]) -> list[int]:

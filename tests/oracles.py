@@ -173,7 +173,7 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
 def project_x(state: np.ndarray, qubit: int, outcome: int = 1) -> np.ndarray:
     """Normalized projection of one qubit onto X = ``outcome``."""
     n = state.size.bit_length() - 1
-    out = 0.5 * (state + outcome * apply_pauli(state, PauliOperator.single(n, qubit, "X")))
+    out = 0.5 * (state + outcome * apply_pauli(state, PauliOperator(n, 1 << qubit, 0)))
     prob = float(np.vdot(out, out).real)
     if prob < 1e-12:
         raise VerificationError("measurement branch has zero probability")
@@ -222,7 +222,7 @@ class DenseBackend:
 
     def reinit(self, wire: int) -> None:
         if wire in self.minus:
-            self.state = apply_pauli(self.state, PauliOperator.single(self.n, wire, "Z"))
+            self.state = apply_pauli(self.state, PauliOperator(self.n, 0, 1 << wire))
             self.minus.discard(wire)
 
 

@@ -504,6 +504,31 @@ class TestCompile:
         assert list(tmp_path.iterdir()) == [outer]  # no output file written
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("mode", ["two-emitter", "emitter-memory"])
+    @pytest.mark.parametrize(
+        "outer_json, inner, line",
+        [
+            (
+                {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+                "LLPL",
+                "target generator 20 (+IIXXIIZIIIIZZZIIIIIIXI) is missing from the compiled group",
+            ),
+            (
+                {"n": 11, "edges": [[0, v] for v in range(1, 11)]},
+                "LLPLPLPL",
+                "target generator 90 (+" + "IIIIZIIZIIZIXZ" + "IIIIZIXZ" * 9 + "IIIIXIIIIIIIIII) is missing from the compiled group",
+            ),
+        ],
+        ids=["chain4-LLPL", "star11-LLPLPLPL"],
+    )
+    def test_injected_fault_names_the_tableau_generator(self, tmp_path, capsys, mode, outer_json, inner, line):
+        # both targets exceed the state vector's auto limits, so the tableau reports
+        outer = tmp_path / "outer.json"
+        outer.write_text(json.dumps(outer_json))
+        argv = ["compile", "--outer", str(outer), "--inner", inner, "--mode", mode, "--inject-fault"]
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 5
+        assert capsys.readouterr().err == f"verification failed: {line}\n"
+
     def test_non_caterpillar_outer_rejected(self, tmp_path):
         outer = tmp_path / "outer.json"
         outer.write_text(
