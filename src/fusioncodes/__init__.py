@@ -12,13 +12,15 @@ first access; neither loads numpy, and importing the package, the
 compiler or the threshold search (``thresholds``) does not either.
 ML-decoded error rates and the correctable region come from
 ``fusion``, the one module that loads numpy.
+
+Paulis are packed ints ``x | z << n``; signed Pauli strings exist only
+as text from ``pauli.pauli_string``, which ``logical_set`` returns.
 """
 
 __version__ = "0.1.0"
 
 from .codes import GraphCode, code_from_progenitor, logical_set  # noqa: F401
 from .graphs import GraphState  # noqa: F401
-from .pauli import PauliOperator  # noqa: F401
 
 
 def __getattr__(name):

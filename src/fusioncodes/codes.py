@@ -5,8 +5,9 @@ outcome +1 leaves an n-qubit code word.  The logical operators are
 X = product of Z over the neighbors of q, and Z = S_q0 Z_q for any
 neighbor q0; the code stabilizers are the progenitor stabilizers (and
 products) that act trivially on q.  A code holds them packed,
-``x | z << n`` on the code qubits, all with sign +1; signed
-``PauliOperator``s are built only to render them.
+``x | z << n`` on the code qubits, all with sign +1.  Signed operators
+exist only as rendered text: ``logical_set`` carries each element's
+phase beside its packed int and returns the strings.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import PROGENITOR_CAP, GraphState, local_complement
-from .pauli import PauliOperator, ResourceCapExceeded, multiply, span
+from .pauli import ResourceCapExceeded, pauli_string, product_phase, span
 
 
 class CodeConstructionError(ValueError):
@@ -46,14 +47,15 @@ class GraphCode(NamedTuple):
         return self.code_qubits.index(vertex)
 
     def to_json_dict(self) -> dict:
+        n, low = self.n_code, (1 << self.n_code) - 1
         return {
             "code_id": self.code_id,
             "progenitor": self.progenitor.to_json_dict(),
             "input_qubit": self.input_qubit,
             "n_code": self.n_code,
-            "logical_x": [p.to_string() for p in logical_set(self, "X")],
-            "logical_z": [p.to_string() for p in logical_set(self, "Z")],
-            "stabilizer_generators": [PauliOperator.unpack(self.n_code, g).to_string() for g in self.stabilizers],
+            "logical_x": logical_set(self, "X"),
+            "logical_z": logical_set(self, "Z"),
+            "stabilizer_generators": [pauli_string(n, g & low, g >> n) for g in self.stabilizers],
         }
 
 
@@ -94,22 +96,23 @@ def code_from_progenitor(g: GraphState, code_id: str = "") -> GraphCode:
     )
 
 
-def logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
-    """All 2^(n-1) signed representatives of the X or Z logical, stable order.
+def logical_set(code: GraphCode, basis: str) -> list[str]:
+    """All 2^(n-1) signed representatives of the X or Z logical as strings, stable order.
 
     Element k is the anchor logical times the stabilizer generators
     whose bit is set in k, as ``packed_cosets`` orders them; the
     generators commute, so the product's sign does not depend on the
-    order of its factors.
+    order of its factors.  Each product is a packed int with its phase
+    exponent, signed by ``product_phase``.
     """
     if basis not in ("X", "Z"):
         raise ValueError("basis must be 'X' or 'Z'")
-    n = code.n_code
-    out = [PauliOperator.unpack(n, code.logical_x if basis == "X" else code.logical_z)]
+    n, low = code.n_code, (1 << code.n_code) - 1
+    out = [(code.logical_x if basis == "X" else code.logical_z, 0)]
     for g in code.stabilizers:
-        gen = PauliOperator.unpack(n, g)
-        out += [multiply(p, gen) for p in out]
-    return out
+        gx, gz = g & low, g >> n
+        out += [(p ^ g, (k + product_phase(p & low, p >> n, gx, gz)) & 3) for p, k in out]
+    return [pauli_string(n, p & low, p >> n, k) for p, k in out]
 
 
 def packed_cosets(code: GraphCode) -> tuple[list[int], dict[str, list[int]]]:

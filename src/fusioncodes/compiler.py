@@ -20,9 +20,10 @@ inner block embedded at every node and the virtual node of each block
 measured in X with outcome +1.  Either backend builds the target on the
 replay's own wires.  The state vector compares amplitudes and signs;
 on the tableau, each target generator must be a +1 element of the
-compiled stabilizer group.  Compiling and both verifiers run on Python
-ints alone, without numpy, and a verifier imports its backend module
-only when it runs.
+compiled stabilizer group, and a failure names the first one that is
+not, rendered as text by ``pauli.pauli_string``.  Compiling and both
+verifiers run on Python ints alone, without numpy, and a verifier
+imports its backend module only when it runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 from .codes import GraphCode
 from .graphs import GraphState, build_progenitor, caterpillar_spine
-from .pauli import CompileError, PauliOperator, VerificationError  # noqa: F401  (re-exported)
+from .pauli import CompileError, VerificationError, pauli_string  # noqa: F401  (errors re-exported)
 
 # 'auto' verification limits of the state vector: photons of the replay,
 # and photons plus one virtual wire per outer vertex for the target
@@ -372,10 +373,11 @@ def _replay(seq: GenerationSequence, target: ConcatenatedTarget, backend):
     return got, want
 
 
-def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) -> tuple[int, PauliOperator, bool] | None:
-    """(index, row, missing) of the first target generator that is not a
+def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) -> tuple[int, str, bool] | None:
+    """(index, text, missing) of the first target generator that is not a
     +1 element of the compiled group, or None when the states are equal;
-    ``missing`` is False for a generator the group holds with sign -1.
+    ``text`` is the generator rendered with its sign, and ``missing`` is
+    False for a generator the group holds with sign -1.
     """
     from .tableau import StabilizerTableau
 
@@ -384,7 +386,7 @@ def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) ->
     if stray is None:
         return None
     k, rest = stray
-    return k, PauliOperator(want.n, want.xs[k], want.zs[k], 2 * (want.signs >> k & 1)), bool(rest)
+    return k, pauli_string(want.n, want.xs[k], want.zs[k], 2 * (want.signs >> k & 1)), bool(rest)
 
 
 # -- verification ---------------------------------------------------------
@@ -451,12 +453,12 @@ def verify_sequence(
             return VerificationResult(False, method, f"simulation diverged: {exc}")
         if stray is None:
             return VerificationResult(True, method)
-        k, row, missing = stray
+        k, text, missing = stray
         how = "is missing from" if missing else "has sign -1 in"
         return VerificationResult(
             False,
             method,
-            f"target generator {k} ({row}) {how} the compiled group",
-            {"generator_index": k, "generator": row.to_string(), "missing": missing},
+            f"target generator {k} ({text}) {how} the compiled group",
+            {"generator_index": k, "generator": text, "missing": missing},
         )
     raise ValueError(f"unknown method {method!r}")

@@ -25,6 +25,9 @@ class GenerationOp(Enum):
     PATH_EDGE = "P"
 
 
+# Records are NamedTuples: equality and hashing by value, no per-class
+# generated code.  One that validates subclasses its fields and checks
+# them in ``__new__``, which builds the tuple directly.
 class _GraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]

@@ -33,14 +33,20 @@ in emission order; they share only the instruction loop ``_run`` with
 the package's bit-packed state vector, and they replay -1 outcomes too.
 ``signed_first_non_member`` tests stabilizer-group membership by a
 signed row echelon, the reference for the tableau's tagged unsigned
-elimination.  ``StabilizerGroup`` (commutation and independence checked
-on construction), ``enumerate_group``, ``stabilizer_generators`` and
-``sign`` are the signed group algebra; ``signed_code`` turns a code's
-packed logicals and generators into operators and its generators into a
-checked group.  The rest are small helpers that
-only tests use: JSON round trips, Pauli-string parsing, Pauli images
-under local complementation, pairwise commutation, dual failure bases
-and state-vector expectations.  ``validate_dual_swap`` checks the dual
+elimination.  ``PauliOperator`` (a validated record with a mod-4 phase),
+``multiply`` (signed by the package's ``product_phase``) and
+``DimensionMismatch`` are the signed Pauli algebra, checked against
+dense matrices; the package keeps only packed ints and renders signed
+strings with ``pauli.pauli_string``, which ``to_string``, a separate
+rendering, pins.  ``StabilizerGroup`` (commutation and independence
+checked on construction), ``enumerate_group``, ``stabilizer_generators``
+and ``sign`` are the signed group algebra; ``signed_code`` turns a
+code's packed logicals and generators into operators and its generators
+into a checked group, and ``signed_logical_set`` multiplies out the
+logical set that the package's ``logical_set`` returns as strings.  The
+rest are small helpers that only tests use: JSON round trips,
+Pauli-string parsing, Pauli images under local complementation,
+pairwise commutation, dual failure bases and state-vector expectations.  ``validate_dual_swap`` checks the dual
 swap on the success polynomials themselves, the reference for the
 package's check on logical cosets.
 """
@@ -60,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fusioncodes.codes import GraphCode, logical_set, packed_cosets
+from fusioncodes.codes import GraphCode, packed_cosets
 from fusioncodes.compiler import _run
 from fusioncodes.fusion import ErrorAnalyzer, _bisect_largest_feasible
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
@@ -73,9 +79,70 @@ from fusioncodes.lpoly import (
     pattern_states,
     readable_set,
 )
-from fusioncodes.pauli import DimensionMismatch, PauliOperator, VerificationError, gf2_reduce, multiply
+from fusioncodes.pauli import VerificationError, gf2_reduce, product_phase
 from fusioncodes.thresholds import BISECTION_TOL, BiasMode, ThresholdResult
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
+
+# -- the signed Pauli algebra ------------------------------------------------
+
+
+class DimensionMismatch(ValueError):
+    """Two operators act on different qubit counts."""
+
+
+class _PauliFields(NamedTuple):
+    n: int
+    x_bits: int
+    z_bits: int
+    phase: int = 0
+
+
+class PauliOperator(_PauliFields):
+    """Signed n-qubit Pauli string.
+
+    ``phase`` is the exponent k of the global factor i^k (mod 4).  Every
+    element of a code's logical set has k in {0, 2}, i.e. sign +1 or -1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x_bits: int, z_bits: int, phase: int = 0):
+        if n < 0:
+            raise ValueError("negative qubit count")
+        mask = (1 << n) - 1
+        if x_bits & ~mask or z_bits & ~mask:
+            raise ValueError("component bits outside qubit range")
+        return tuple.__new__(cls, (n, x_bits, z_bits, phase % 4))
+
+    # -- constructors ------------------------------------------------
+
+    @staticmethod
+    def unpack(n: int, packed: int) -> "PauliOperator":
+        """The sign +1 operator ``packed`` as x | z << n."""
+        return PauliOperator(n, packed & ((1 << n) - 1), packed >> n)
+
+    # -- basic queries -----------------------------------------------
+
+    def letter(self, qubit: int) -> str:
+        return "IXZY"[(self.x_bits >> qubit & 1) | (self.z_bits >> qubit & 1) << 1]
+
+    def to_string(self) -> str:
+        sgn = "+" if self.phase == 0 else "-" if self.phase == 2 else ("+i" if self.phase == 1 else "-i")
+        return sgn + "".join(self.letter(q) for q in range(self.n))
+
+    def __str__(self):
+        return self.to_string()
+
+
+def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    """Product ``a * b`` with exact phase bookkeeping."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"qubit counts differ: {a.n} vs {b.n}")
+    phase = a.phase + b.phase + product_phase(a.x_bits, a.z_bits, b.x_bits, b.z_bits)
+    return PauliOperator(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, phase)
+
+
+# -- dense Pauli matrices ----------------------------------------------------
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,7 +164,11 @@ def pauli_matrix(letters: str, sign: int = 1) -> np.ndarray:
 
 
 def string_and_sign(op) -> tuple[str, int]:
-    """Letters and sign of a package PauliOperator, via its public API."""
+    """Letters and sign of a ``PauliOperator``, read off its rendered string.
+
+    ``to_string`` is the oracle's own rendering, independent of the
+    package's ``pauli.pauli_string``, the one place where the package
+    turns a signed Pauli into text."""
     text = op.to_string()
     assert text[0] in "+-", f"imaginary phase leaked into {text}"
     return text[1:], 1 if text[0] == "+" else -1
@@ -360,6 +431,24 @@ class SignedCode(NamedTuple):
     logical_x: PauliOperator
     logical_z: PauliOperator
     stabilizers: StabilizerGroup
+
+
+def signed_logical_set(code: GraphCode, basis: str) -> list[PauliOperator]:
+    """All 2^(n-1) signed representatives of the X or Z logical, stable order.
+
+    Element k is the anchor logical times the stabilizer generators
+    whose bit is set in k, as ``packed_cosets`` orders them; the
+    generators commute, so the product's sign does not depend on the
+    order of its factors.  The package's ``logical_set`` renders these.
+    """
+    if basis not in ("X", "Z"):
+        raise ValueError("basis must be 'X' or 'Z'")
+    n = code.n_code
+    out = [PauliOperator.unpack(n, code.logical_x if basis == "X" else code.logical_z)]
+    for g in code.stabilizers:
+        gen = PauliOperator.unpack(n, g)
+        out += [multiply(p, gen) for p in out]
+    return out
 
 
 def signed_code(code: GraphCode) -> SignedCode:
@@ -829,7 +918,7 @@ def measurement_patterns(code, spec: FusionSpec, basis: str):
     table = CodeFusionTable(code)
     index = rep_index_scan(table, basis)
     select = consistent(table.n, basis_mask(spec.w)) & (index >= 0)
-    reps = logical_set(code, basis)
+    reps = signed_logical_set(code, basis)
     out = []
     for avail_idx in np.nonzero(select)[0]:
         outcomes = pattern_outcomes(table, int(avail_idx))
@@ -849,7 +938,7 @@ def rep_index_scan(table, basis: str) -> np.ndarray:
     """Lowest representative each table state can read out, by one full-table scan per representative."""
     arr = state_arrays(table.n)
     rep = np.full(4**table.n, -1, dtype=np.int16)
-    for k, p in enumerate(logical_set(table.code, basis)):
+    for k, p in enumerate(signed_logical_set(table.code, basis)):
         cov = ((p.x_bits & ~arr.ax_mask) == 0) & ((p.z_bits & ~arr.az_mask) == 0)
         rep[cov & (rep < 0)] = k
     return rep
@@ -912,7 +1001,7 @@ def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     stab_xz = [(p.x_bits, p.z_bits) for p in enumerate_group(signed_code(code).stabilizers)]
     sides = {}
     for basis in ("X", "Z"):
-        reps = logical_set(code, basis)
+        reps = signed_logical_set(code, basis)
         index = rep_index_scan(table, basis)
         idxs = np.nonzero(consistent(n, basis_mask(w)) & (index >= 0))[0]
         rows = []
@@ -1000,7 +1089,7 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
         if corrections:
             perr = pattern_error_rates(ana, basis, epsilon)
         else:
-            reps = logical_set(ana.code, basis)
+            reps = signed_logical_set(ana.code, basis)
             rep_of = rep_index_scan(CodeFusionTable(ana.code), basis)[row_states(ana, basis)]
             weight = np.array([(reps[k].x_bits | reps[k].z_bits).bit_count() for k in rep_of.tolist()], dtype=np.float64)
             perr = 0.5 * (1.0 - flip_bias(epsilon) ** weight)

@@ -25,6 +25,7 @@ from oracles import (
     project,
     sign,
     signed_code,
+    signed_logical_set,
 )
 
 
@@ -128,11 +129,11 @@ class TestPackedCodes:
 class TestLogicalSets:
     def test_bare_code_single_element(self):
         code = code_from_progenitor(build_progenitor("L"))
-        assert [p.to_string() for p in logical_set(code, "X")] == ["+Z"]
+        assert logical_set(code, "X") == ["+Z"]
 
     def test_star_code_two_elements(self):
         code = code_from_progenitor(build_progenitor("LL"))
-        xs = [p.to_string() for p in logical_set(code, "X")]
+        xs = logical_set(code, "X")
         # frozen from the matrix oracle: ZZ * XX = -YY
         assert xs == ["+ZZ", "-YY"]
         prod = op_matrix(signed_code(code).logical_x) @ op_matrix(signed_code(code).stabilizers.generators[0])
@@ -143,15 +144,22 @@ class TestLogicalSets:
             assert len(logical_set(code, "X")) == 2 ** (code.n_code - 1)
             assert len(logical_set(code, "Z")) == 2 ** (code.n_code - 1)
 
+    def test_strings_render_the_signed_oracle_products(self):
+        # the package signs by product_phase on packed ints; the oracle multiplies PauliOperators
+        for code in all_codes(6):
+            for basis in ("X", "Z"):
+                want = [p.to_string() for p in signed_logical_set(code, basis)]
+                assert logical_set(code, basis) == want, (code.code_id, basis)
+
     def test_commutation_structure(self):
         for code in all_codes(4):
             stabs = enumerate_group(signed_code(code).stabilizers)
-            for lx in logical_set(code, "X"):
-                for lz in logical_set(code, "Z"):
+            for lx in signed_logical_set(code, "X"):
+                for lz in signed_logical_set(code, "Z"):
                     assert not commutes(lx, lz)
                 for s in stabs:
                     assert commutes(lx, s)
-            for lz in logical_set(code, "Z"):
+            for lz in signed_logical_set(code, "Z"):
                 for s in stabs:
                     assert commutes(lz, s)
 
@@ -194,10 +202,10 @@ class TestDualCode:
     def test_dual_swaps_logical_supports(self):
         for code in all_codes(5):
             dual = dual_code_with_map(code)[0]
-            x_supports = sorted(p.x_bits | p.z_bits for p in logical_set(code, "X"))
-            z_supports = sorted(p.x_bits | p.z_bits for p in logical_set(code, "Z"))
-            assert sorted(p.x_bits | p.z_bits for p in logical_set(dual, "Z")) == x_supports
-            assert sorted(p.x_bits | p.z_bits for p in logical_set(dual, "X")) == z_supports
+            x_supports = sorted(p.x_bits | p.z_bits for p in signed_logical_set(code, "X"))
+            z_supports = sorted(p.x_bits | p.z_bits for p in signed_logical_set(code, "Z"))
+            assert sorted(p.x_bits | p.z_bits for p in signed_logical_set(dual, "Z")) == x_supports
+            assert sorted(p.x_bits | p.z_bits for p in signed_logical_set(dual, "X")) == z_supports
 
     def test_stabilizer_supports_invariant(self):
         for code in all_codes(6):
@@ -214,8 +222,8 @@ class TestDualCode:
             double = dual_code_with_map(dual_code_with_map(code)[0])[0]
             assert double.n_code == code.n_code
             for basis in ("X", "Z"):
-                assert sorted(p.x_bits | p.z_bits for p in logical_set(double, basis)) == sorted(
-                    p.x_bits | p.z_bits for p in logical_set(code, basis)
+                assert sorted(p.x_bits | p.z_bits for p in signed_logical_set(double, basis)) == sorted(
+                    p.x_bits | p.z_bits for p in signed_logical_set(code, basis)
                 )
             assert sorted(p.x_bits | p.z_bits for p in enumerate_group(signed_code(double).stabilizers)) == sorted(
                 p.x_bits | p.z_bits for p in enumerate_group(signed_code(code).stabilizers)

@@ -27,15 +27,16 @@ from fusioncodes.compiler import (
     _run,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
-from fusioncodes.pauli import PauliOperator, multiply
 from fusioncodes.statevec import MAX_WIRES, FlatState
 from fusioncodes.tableau import BranchImpossible, StabilizerTableau
 
 from oracles import (
+    PauliOperator,
     dense_amplitudes,
     drop_plus_qubit,
     expectation,
     marked_sequence_scan,
+    multiply,
     outer_sequence_scan,
     pauli_from_string,
     photon_order,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, logical_set, packed_cosets
+from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, packed_cosets
 from fusioncodes.fusion import ErrorAnalyzer, _flip_bias, _fwht_side_by_side
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
@@ -40,6 +40,7 @@ from oracles import (
     recoverable,
     sign,
     signed_code,
+    signed_logical_set,
 )
 
 S, F, L = Outcome.SUCCESS, Outcome.FAIL, Outcome.LOSS
@@ -180,7 +181,7 @@ def oracle_pattern_error(code, outcomes, w, basis, eps):
                 return False
         return True
 
-    rep = next((p for p in logical_set(code, basis) if fits(p)), None)
+    rep = next((p for p in signed_logical_set(code, basis) if fits(p)), None)
     if rep is None:
         return None
     stabs = [s for s in enumerate_group(signed_code(code).stabilizers) if fits(s)]
@@ -585,7 +586,7 @@ class TestAllBasesEngine:
             group = signed_code(code).stabilizers
             assert table.stab == [p.x_bits | p.z_bits << n for p in enumerate_group(group)], code.code_id
             for basis in ("X", "Z"):
-                want = [p.x_bits | p.z_bits << n for p in logical_set(code, basis)]
+                want = [p.x_bits | p.z_bits << n for p in signed_logical_set(code, basis)]
                 assert table.reps[basis] == want, (code.code_id, basis)
 
     def test_readable_set_is_the_scan_up_closure(self):

@@ -12,9 +12,10 @@ from fusioncodes.graphs import (
     enumerate_progenitor_records,
     local_complement,
 )
-from fusioncodes.pauli import PauliOperator, ResourceCapExceeded
+from fusioncodes.pauli import ResourceCapExceeded
 
 from oracles import (
+    PauliOperator,
     StabilizerGroup,
     apply_generation_op,
     canonical_key,

@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from fusioncodes.pauli import DimensionMismatch, PauliOperator, multiply
+from fusioncodes.pauli import pauli_string
 
 from oracles import (
+    DimensionMismatch,
+    PauliOperator,
     StabilizerGroup,
     commutes,
     enumerate_group,
     identify_pauli,
+    multiply,
     op_matrix,
     pauli_from_string,
     pauli_matrix,
@@ -172,6 +175,17 @@ class TestRendering:
         assert sign(P("-ZZ")) == -1
         with pytest.raises(ValueError, match="imaginary"):
             sign(multiply(P("X"), P("Z")))
+
+    def test_pauli_string_matches_oracle_rendering(self):
+        # up to the wire counts of compile's messages, and the +-i phases no code or generator carries
+        rng = random.Random(25)
+        for _ in range(300):
+            n = rng.randint(1, 80)
+            x, z = rng.getrandbits(n), rng.getrandbits(n)
+            for k in range(4):
+                assert pauli_string(n, x, z, k) == PauliOperator(n, x, z, k).to_string(), (n, x, z, k)
+        assert pauli_string(3, 0b011, 0b110) == "+XYZ"
+        assert [pauli_string(1, 1, 1, k) for k in range(4)] == ["+Y", "+iY", "-Y", "-iY"]
 
     def test_matrix_convention(self):
         # sanity-pin the oracle itself: Y = i X Z
