@@ -8,10 +8,8 @@ and photon-loss thresholds under bias models, and compiling two-emitter
 (or emitter-plus-memory) generation sequences with resource counts.
 
 ``FusionSpec`` and ``erasure_analysis`` load ``fusioncodes.lpoly`` on
-first access; neither loads numpy, and importing the package, the
-compiler or the threshold search (``thresholds``) does not either.
-ML-decoded error rates and the correctable region come from
-``fusion``, the one module that loads numpy.
+first access.  ML-decoded error rates and the correctable region come
+from ``fusion``.  No module of the package imports numpy.
 
 Paulis are packed ints ``x | z << n``; signed Pauli strings exist only
 as text from ``pauli.pauli_string``, which ``logical_set`` returns.

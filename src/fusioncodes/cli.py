@@ -12,22 +12,18 @@ or malformed config, outer-graph or code input), 4 resource cap (a code
 id longer than 8 photons, a size above 8, more than ``GRID_POINTS_CAP``
 region grid points), 5 verification failure.
 
-The analysis modules (``lpoly``, ``thresholds``, ``fusion``) and numpy,
-and the ``compiler``, are imported inside the commands that use them:
-``enumerate``, ``duals``, ``compile``, ``analyze``, ``threshold``,
-``optimize-w`` and usage errors run without numpy (``analyze`` reads
-one basis's pattern counts, and the threshold search bisects every
-basis's exact numerators in Python floats, both off ``lpoly``'s transfer
-counts on Python ints).  Only ``region`` loads numpy, for the ML decoder
-in ``fusion``, and no command but ``compile`` loads the compiler.
+The analysis modules (``lpoly``, ``thresholds``, ``fusion``) and the
+``compiler`` are imported inside the commands that use them, and no
+command loads numpy: ``analyze`` and the threshold search count on
+``lpoly``'s Python-int transfer counts, and ``region``'s ML decoder
+evaluates integer polynomials folded once per code.
 
 Start-up dominates these commands.  Measured with ``-X importtime`` on
 a 2-core x86-64 host (Python 3.11.7, medians of 20 fresh processes): the
-interpreter plus ``site`` take 50-70 ms, numpy 100 ms where a command
-loads it, and importing this module 26 ms (27 ms after numpy), 16 ms
-less than when the records were generated classes whose module imports
-``inspect`` and execs methods for every class.  Records are NamedTuples
-or ``__slots__`` classes, so only ``region`` (numpy) loads ``inspect``.
+interpreter plus ``site`` take 50-70 ms and importing this module 26 ms,
+16 ms less than when the records were generated classes whose module
+imports ``inspect`` and execs methods for every class.  Records are
+NamedTuples or ``__slots__`` classes, so no command loads ``inspect``.
 Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``) each process
 also compiles the package source it imports: about 9 ms for this module
 and its imports, 13-22 ms for ``compile`` and 17-29 ms for
@@ -51,9 +47,6 @@ from .graphs import (
     enumerate_progenitor_records,
 )
 from .pauli import CompileError, ConfigError, ResourceCapExceeded, VerificationError
-
-# before numpy loads: no BLAS call here gains from a second thread, whose idle spin costs ~0.13 CPU-s
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # values of ``compiler.Mode``, spelled out so the parser needs no compiler
 MODES = ("two-emitter", "emitter-memory")

@@ -1,22 +1,22 @@
 """ML-decoded Pauli-error rates of transversal logical fusions, and the correctable region.
 
 Two identical graph codes are fused pairwise with standard physical
-fusions (availability states and readable sets: see ``lpoly``).  The
-ML decoder reads the code's packed cosets through one inclusion matrix,
-the state bits each stabilizer needs and each pattern lacks.  A
-stabilizer is readable where it lacks none; as minimal states are linear
-in XOR, representative anchor ^ stab[j] is readable where stab[j] lacks
-exactly the anchor's lacking bits, and each pattern takes its lowest.
-The correctable (loss, error) region bisects the decoder's rate in
-epsilon at every loss grid point in lockstep.  This is the one module
-that loads numpy, and only ``region`` loads it.
+fusions (availability states and readable sets: see ``lpoly``).  Every
+entry of the ML decoder's decision is an integer polynomial in the flip
+bias beta = 1-2p (a coset weight enumerator), so the setup builds, once
+and in Python ints, one polynomial per (successes, failures) plus the
+few differences whose sign Descartes' rule cannot certify on beta in
+(0, 1), the image of every epsilon in [0, 1].  An evaluation is one
+Horner pass plus those few terms, and the correctable (loss, error)
+region bisects it in epsilon at every loss grid point.  No numpy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
+from itertools import accumulate
 from typing import NamedTuple
-
-import numpy as np
 
 from .codes import GraphCode, packed_cosets
 from .lpoly import check_failures, minimal_state, pattern_states
@@ -24,19 +24,14 @@ from .pauli import gf2_reduce, span
 from .thresholds import BISECTION_TOL, BiasConfig, BiasMode, ErrorThresholdConfig, ThresholdResult, _rates
 from .thresholds import loss_threshold, randomized_bias_rate
 
-# -- depolarizing flips ------------------------------------------------
-
-
 def _flip_bias(epsilon):
-    """Common bias factor E[(-1)^flip] per touched pair (elementwise on arrays).
+    """Common bias factor beta = E[(-1)^flip] per touched pair.
 
     Each photon is clean with probability a = 1-eps or suffers X, Y or Z
     with probability b = eps/3; X flips the pair's ZZ parity, Z flips XX
-    and Y both.  The XX, ZZ and joint parity flips therefore share one
-    probability p = P(1,0) + P(1,1) over the 16 two-photon assignments,
-    and a group element touching a pair contributes 1-2p whatever its
-    letter there.  The sums keep the enumeration's addition order, so
-    the result is bit for bit that of summing all 16 terms.
+    and Y both, so the XX, ZZ and joint flips share one probability
+    p = P(1,0) + P(1,1) over the 16 two-photon assignments, summed here
+    in the enumeration's order: bit for bit that of all 16 terms.
     """
     a, b = 1.0 - epsilon, epsilon / 3
     ab, bb = a * b, b * b
@@ -45,150 +40,188 @@ def _flip_bias(epsilon):
 
 # -- maximum-likelihood error decoding ---------------------------------
 
+# bits per coefficient of a packed polynomial: every packed sum stays below 3^n 2^(2n-1) <= 2^28 in size
+_SLOT = 32
 
-def _fwht_side_by_side(a: np.ndarray, blocks) -> np.ndarray:
-    """In-place Walsh-Hadamard transform of rows laid side by side along the last axis.
 
-    ``blocks`` holds (start, stop, m) per run of rows of power-of-two length m, longest first, so the rows
-    of length >= 2h fill a prefix.  Stage h maps each (x, y) half pair of it to (x + y, x - y) in one step.
-    """
-    h = 1
-    for _, stop, m in reversed(blocks):
-        while h < m:
-            pairs = a[..., :stop].reshape(a.shape[:-1] + (stop // (2 * h), 2, h), copy=False)
-            x, y = pairs[..., 0, :], pairs[..., 1, :]
-            total = x + y
-            np.subtract(x, y, out=y)
-            x[...] = total
-            h *= 2
+def _walsh(row: bytes) -> list[int]:
+    """Walsh-Hadamard transform of the monomials beta^row[v], each packed as 2^(_SLOT row[v])."""
+    a, h = [1 << _SLOT * r for r in row], 1
+    while h < len(a):  # stage h maps each (x, y) = (a[i], a[i + h]) to (x + y, x - y)
+        a = [a[i] + a[i + h] if not i & h else a[i - h] - a[i] for i in range(len(a))]
+        h *= 2
     return a
 
 
-def _mean_rate(p: np.ndarray, perr: np.ndarray):
-    """Probability-weighted mean of perr over the patterns (last axis); 0 where no pattern can occur."""
-    dot = np.vecdot(p, perr)  # on C-contiguous rows, the same BLAS dot as np.dot row by row
-    total = np.broadcast_to(p.sum(axis=-1), np.shape(dot))
-    mean = np.zeros(np.shape(dot))
-    np.divide(dot, total, out=mean, where=total > 0.0)
-    return mean if mean.ndim else float(mean)
+def _unpack(t: int, n: int) -> tuple[int, ...]:
+    """Coefficients c_0..c_n of a packed polynomial, constant first."""
+    half = 1 << _SLOT - 1
+    t += sum(half << _SLOT * k for k in range(n + 1))  # every coefficient made nonnegative: plain digits
+    return tuple((t >> _SLOT * k & (2 * half - 1)) - half for k in range(n + 1))
 
 
-class _DecoderSide(NamedTuple):
-    """One parity's decoder state: s, f and ids hold one entry per recovering pattern, in ``pattern_states`` order."""
+def _descartes(d: tuple[int, ...]) -> tuple[int, bool]:
+    """(sign of D just below beta = 1, whether D keeps that sign on all of (0, 1); (0, True) for D = 0).
 
-    s: np.ndarray  # successes, float64
-    f: np.ndarray  # failures, float64
-    flat: np.ndarray  # the distinct int8 weight rows side by side, longest first
-    blocks: list  # (start, stop, m) in flat per run of rows of length m
-    ids: np.ndarray  # the distinct weight row of each pattern
+    With beta = 1/(1+s), (1+s)^n D(1/(1+s)) has, by Descartes' rule of signs,
+    no more roots s > 0 than sign changes in its coefficients, the lowest
+    nonzero of which has the sign of D as s -> 0+, beta -> 1-.
+    """
+    q = list(d[::-1])  # R(t) = t^n D(1/t), shifted to R(1 + s) in place
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += q[j + 1]
+    signs = [c > 0 for c in q if c]
+    if not signs:
+        return 0, True
+    return (1 if signs[0] else -1), len(set(signs)) == 1
+
+
+class _Fold(NamedTuple):
+    """One parity's decoder folded by (successes, failures) ``sf``, at denominator 2^n, constant coefficient first.
+
+    Each syndrome of a pattern's weight row gives a pair (A, B), its chance
+    without and with a logical flip; min(A, B) = lower - max(0, -D), lower
+    the side lower just below beta = 1 and D the other minus it.  ``poly``
+    sums each fold's lower sides, divided by 1 - beta, where all vanish;
+    ``uncertified`` holds (D, weight per fold) where D may change sign.
+    """
+
+    sf: list[tuple[int, int]]
+    counts: list[int]  # recovering patterns per fold
+    poly: list[tuple[int, ...]]
+    uncertified: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 class ErrorAnalyzer:
     """Per-(code, failure-basis) setup for repeated error-rate evaluation.
 
     For each recovering pattern the decoder sees the syndrome of the
-    paired code stabilizers that are reconstructible from the available
-    parities, and flips the recovered logical parity to the likelier
-    value.  The joint law of (syndrome, logical flip) is the Walsh
-    transform of per-group-element biases (1-2p)^weight, so each
-    pattern reduces to one small transform.  The setup spans each
-    (readable stabilizers, representative) pair once and keeps each
-    distinct weight row once; an evaluation lays a basis's rows side by
-    side and runs one butterfly pass over all of them.  Every method also
-    takes arrays of epsilon (and eta), which add leading axes to its
-    result.
+    paired code stabilizers reconstructible from the available parities,
+    and flips the recovered logical parity to the likelier value; the
+    joint law of (syndrome, flip) is the Walsh transform of beta^weight
+    over the readable subgroup times {1, the lowest readable representative}.
     """
 
     def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5):
         if len(w) != code.n_code:
             raise ValueError("failure basis length mismatch")
         check_failures(p_fail, w)
-        self.code = code
-        self.w = tuple(w)
-        self.p_fail = p_fail
-        self.n = n = code.n_code
-        stab, all_reps = packed_cosets(code)
-        states, key = map(np.array, pattern_states(n, self.w))
-        s_all, f_all = divmod(key, n + 1)
-        unread = ~states.astype(np.uint16)  # uint16 holds 4^8 states
-        # lacks[k, j]: the state bits stabilizer j needs and pattern k lacks; j is readable where it is 0
-        lacks = np.array([minimal_state(v, n) for v in stab], dtype=np.uint16) & unread[:, None]
-        readable = lacks == 0
-        elems = np.array(stab)
-        mask_n = (1 << n) - 1
-        self._sides = {}
-        for basis in ("X", "Z"):
-            reps = all_reps[basis]
-            # minimal_state is linear in XOR, so reps[j] = reps[0] ^ stab[j] is readable where lacks[k, j] is this
-            fit = lacks == (minimal_state(reps[0], n) & unread)[:, None]
-            rep_of = fit.argmax(1)  # the lowest representative each pattern reads out, if any
-            select = np.nonzero(np.take_along_axis(fit, rep_of[:, None], 1)[:, 0])[0]
-            spanned, weight_rows = {}, []  # weight row per (readable row, representative) and per pattern
-            for k, rep in zip(select.tolist(), rep_of[select].tolist()):
-                pair = (readable[k].tobytes(), rep)
-                if pair not in spanned:
-                    gens = gf2_reduce(elems[readable[k]].tolist())
-                    # subgroup <gens> x {1, rep}: bit j < len(gens) -> gens[j], top bit -> rep
-                    spanned[pair] = bytes([((v & mask_n) | (v >> n)).bit_count() for v in span(gens + [reps[rep]])])
-                weight_rows.append(spanned[pair])
-            # longest first; within a length, byte order is np.unique(axis=0)'s for these int8 rows
-            distinct = sorted(sorted(set(weight_rows)), key=len, reverse=True)
-            ids = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).get, weight_rows), np.int64, len(select))
-            lengths = list(map(len, distinct))
-            blocks, start = [], 0
-            for m in dict.fromkeys(lengths):
-                blocks.append((start, start + m * lengths.count(m), m))
-                start = blocks[-1][1]
-            self._sides[basis] = _DecoderSide(
-                s_all[select].astype(np.float64),
-                f_all[select].astype(np.float64),
-                np.frombuffer(b"".join(distinct), dtype=np.int8),
-                blocks,
-                ids,
-            )
+        self.code, self.w, self.p_fail, self.n = code, tuple(w), p_fail, code.n_code
+        n = self.n
+        stab, reps = packed_cosets(code)
+        size, full = len(stab), (1 << len(stab)) - 1
+        # elems: stabilizer j at j, X and Z representative j at size + j and 2 size + j; need[b] has bit j set
+        # when elems[j]'s minimal state has state bit b.  Minimal states are linear in XOR: readable sets are subspaces
+        elems = stab + reps["X"] + reps["Z"]
+        weight = [((v & ((1 << n) - 1)) | (v >> n)).bit_count() for v in elems]
+        need = [sum(1 << j for j, v in enumerate(elems) if minimal_state(v, n) >> b & 1) for b in range(16)]
+        low, high = _clear_bit_tables(need[:8]), _clear_bit_tables(need[8:])
+        lacking = [(low[state & 255] | high[state >> 8], key) for state, key in zip(*pattern_states(n, self.w))]
 
-    def pattern_probabilities(self, basis: str, eta) -> np.ndarray:
-        side = self._sides[basis]
-        a = eta * eta
-        if np.ndim(a):
-            a = a[..., None]
-        return (
-            (1.0 - self.p_fail) ** side.s
-            * self.p_fail ** side.f
-            * a ** (side.s + side.f)
-            * (1.0 - a) ** (self.n - side.s - side.f)
-        )
+        @cache
+        def subgroup(readable: int) -> list[int]:
+            """The readable stabilizers' indices in span order: index XOR is element XOR."""
+            members = []
+            while readable:
+                members.append((readable & -readable).bit_length() - 1)
+                readable &= readable - 1
+            return span(gf2_reduce(members))
 
-    def pattern_error_rates(self, basis: str, epsilon) -> np.ndarray:
-        """Conditional logical error rate per recovering pattern."""
-        _, _, flat, blocks, ids = self._sides[basis]
-        # (1-2p)^k, k = 0..n, on a new last axis: the same pow as raising the bias to a weight
-        powers = np.asarray(_flip_bias(epsilon))[..., None] ** np.arange(self.n + 1.0)
-        t = _fwht_side_by_side(np.take(powers, flat, axis=-1), blocks)
-        per = []
-        for start, stop, m in blocks:
-            t[..., start:stop] /= float(m)
-            rows = t[..., start:stop].reshape(t.shape[:-1] + (-1, m))
-            per.append(np.minimum(rows[..., : m // 2], rows[..., m // 2 :]).sum(axis=-1))
-        return np.take(np.concatenate(per, axis=-1), ids, axis=-1)
+        @cache
+        def weight_row(readable: int, rep: int) -> bytes:  # <readable stabilizers> x {1, element rep}
+            return bytes([weight[j] for j in subgroup(readable)] + [weight[rep ^ j] for j in subgroup(readable)])
 
-    def rates(self, eta, epsilon, probs: dict | None = None) -> dict:
-        """Erasure-weighted ML-decoded logical error rate for each parity.
+        self._folds = {}
+        for basis, shift in (("X", size), ("Z", 2 * size)):
+            # (readable stabilizers, the lowest readable representative's element, (s, f) key) -> patterns
+            fits = ((~lack & full, ~(lack >> shift) & full, key) for lack, key in lacking)
+            found = Counter((r, shift + (fit & -fit).bit_length() - 1, key) for r, fit, key in fits if fit)
+            rows = {}  # weight row -> patterns per key
+            for (readable, rep, key), c in found.items():
+                per_key = rows.setdefault(weight_row(readable, rep), {})
+                per_key[key] = per_key.get(key, 0) + c
+            self._folds[basis] = _fold(rows, n)
+        self._eta = self._folded = None  # the last eta rates() saw, and its fold
 
-        ``probs`` holds ``pattern_probabilities`` per basis at this eta, for
-        callers that try many epsilons at one eta.
-        """
-        result = {}
-        for basis in ("X", "Z"):
-            p = self.pattern_probabilities(basis, eta) if probs is None else probs[basis]
-            result[basis] = _mean_rate(p, self.pattern_error_rates(basis, epsilon))
-        return result
+    def rates(self, eta: float, epsilon: float) -> dict:
+        """Erasure-weighted ML-decoded logical error rate per parity, 0 where no pattern recovers.
+
+        The probabilities fold in once per eta; each epsilon at that eta is then one Horner pass."""
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta out of range: {eta}")
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon out of range: {epsilon}")
+        if eta != self._eta:
+            self._eta, self._folded = eta, {basis: self._fold_at(fold, eta) for basis, fold in self._folds.items()}
+        beta = _flip_bias(epsilon)
+        return {basis: _decoded_rate(folded, beta) for basis, folded in self._folded.items()}
+
+    def _fold_at(self, fold: _Fold, eta: float) -> tuple:
+        """(coefficients of rate / (1 - beta), top first; (D, top first, weight) per uncertified D of
+        positive weight), over the recovering patterns' total probability at this eta."""
+        a, pf, n = eta * eta, self.p_fail, self.n
+        probs = [(1.0 - pf) ** s * pf**f * a ** (s + f) * (1.0 - a) ** (n - s - f) for s, f in fold.sf]
+        total = sum(p * c for p, c in zip(probs, fold.counts)) * (1 << n)
+        if total <= 0.0:
+            return (), ()
+        coeffs = [sum(p * c for p, c in zip(probs, col)) / total for col in reversed(list(zip(*fold.poly)))]
+        terms = [(d[::-1], sum(p * c for p, c in zip(probs, weights)) / total) for d, weights in fold.uncertified]
+        return coeffs, [(d, weight) for d, weight in terms if weight > 0.0]
+
+
+def _decoded_rate(folded: tuple, beta: float) -> float:
+    """(1 - beta) times the Horner sum, plus weight * D for every uncertified D below zero at beta."""
+    coeffs, terms = folded
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * beta + c
+    rate = (1.0 - beta) * acc
+    for d, weight in terms:
+        v = 0.0
+        for c in d:
+            v = v * beta + c
+        if v < 0.0:
+            rate += weight * v
+    return rate
+
+
+def _clear_bit_tables(need: list[int]) -> list[int]:
+    """t[byte]: the OR of need[b] over the bits b clear in byte."""
+    t = [0] * 256
+    for byte in range(254, -1, -1):
+        clear = ~byte & (byte + 1)  # lowest clear bit
+        t[byte] = t[byte | clear] | need[clear.bit_length() - 1]
+    return t
+
+
+def _fold(rows: dict, n: int) -> _Fold:
+    """Transform each distinct weight row once and fold its syndrome pairs by (s, f) key."""
+    # patterns and packed sums of lower sides per key, each uncertified D's weights per key, each D's certificate
+    patterns, sums, uncertified, signs = Counter(), {}, {}, {}
+    for row, counts in rows.items():
+        t = [v * ((1 << n) // len(row)) for v in _walsh(row)]  # at denominator 2^n
+        lower = 0
+        for (a, b), m in Counter(zip(t[: len(t) // 2], t[len(t) // 2 :])).items():
+            if a - b not in signs:
+                signs[a - b] = _descartes(_unpack(a - b, n))
+            sign, certified = signs[a - b]
+            lower += m * (b if sign >= 0 else a)
+            if not certified:
+                uncertified.setdefault((a - b) * sign, Counter()).update({key: m * c for key, c in counts.items()})
+        for key, c in counts.items():
+            sums[key] = sums.get(key, 0) + c * lower
+        patterns.update(counts)
+    keys = sorted(patterns)
+    totals = [_unpack(sums[key], n) for key in keys]
+    assert not any(map(sum, totals))  # zero at beta = 1: over 1 - beta, the coefficients become prefix sums
+    poly = [tuple(accumulate(total))[:-1] for total in totals]
+    uncertified = [(_unpack(d, n), tuple(weights[key] for key in keys)) for d, weights in uncertified.items()]
+    return _Fold([divmod(key, n + 1) for key in keys], [patterns[key] for key in keys], poly, uncertified)
 
 
 # -- correctable region ----------------------------------------------
 
-# grid points bisected together: bounds the (points, patterns) arrays of the decoder
-REGION_CHUNK = 32
 # largest boundary epsilon a region reports; the bisection brackets [0, EPSILON_CAP)
 EPSILON_CAP = 0.2
 
@@ -196,24 +229,6 @@ EPSILON_CAP = 0.2
 class RegionPoint(NamedTuple):
     gamma: float
     epsilon_boundary: float
-
-
-def _bisect_largest_feasible(feasible, size: int, upper: float) -> np.ndarray:
-    """Largest value in [0, upper) with feasible(value) per entry, each feasible
-    at zero and assumed to cross once.
-
-    ``feasible`` maps ``size`` values to as many booleans.  The entries
-    bisect in lockstep, and each one stops when its own bracket is within
-    ``BISECTION_TOL``, so every entry sees the float steps of a scalar bisection.
-    """
-    lo, hi = np.zeros(size), np.full(size, upper)
-    open_ = hi - lo > BISECTION_TOL
-    while open_.any():
-        mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
-        open_ = hi - lo > BISECTION_TOL
-    return lo
 
 
 def correctable_region(
@@ -229,9 +244,11 @@ def correctable_region(
     Under randomized bias: for each loss value below the loss threshold,
     the boundary error rate is the largest epsilon whose averaged logical
     error stays below the tolerable fusion error at the corresponding
-    logical erasure rate.  ``result`` is the code's ``loss_threshold``
-    under the same bias and ``p_fail`` when the caller already has it,
-    as ``search_best_code`` returns it; otherwise it is computed here.
+    logical erasure rate: 0 where epsilon = 0 already fails,
+    ``EPSILON_CAP`` where the cap holds, else bisected to ``BISECTION_TOL``.
+    ``result`` is the code's ``loss_threshold`` under the same bias and
+    ``p_fail`` when the caller already has it, as ``search_best_code``
+    returns it; otherwise it is computed here.
     """
     if bias.mode is not BiasMode.RANDOMIZED:
         raise ValueError("correctable regions are computed under randomized bias")
@@ -240,31 +257,23 @@ def correctable_region(
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []
-    gammas = gamma_star * np.arange(grid_points) / (grid_points - 1)
     cx, cz = result.coeffs
-    eps_m = np.array([err.epsilon_m(randomized_bias_rate(*_rates(cx, cz, g))) for g in gammas.tolist()])
     analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
-    boundary = np.concatenate(
-        [
-            _region_boundaries(analyzer, 1.0 - gammas[s : s + REGION_CHUNK], eps_m[s : s + REGION_CHUNK])
-            for s in range(0, grid_points, REGION_CHUNK)
-        ]
-    )
-    return [RegionPoint(gamma=g, epsilon_boundary=e) for g, e in zip(gammas.tolist(), boundary.tolist())]
+    points = []
+    for i in range(grid_points):
+        gamma = gamma_star * i / (grid_points - 1)
+        eps_m = err.epsilon_m(randomized_bias_rate(*_rates(cx, cz, gamma)))
 
+        def feasible(eps):
+            r = analyzer.rates(1.0 - gamma, eps)
+            return 0.5 * (r["X"] + r["Z"]) <= eps_m
 
-def _region_boundaries(analyzer: ErrorAnalyzer, eta: np.ndarray, eps_m: np.ndarray) -> np.ndarray:
-    """Boundary epsilon per transmission: 0 where epsilon=0 is already infeasible,
-    ``EPSILON_CAP`` where the cap is feasible, else bisected, all points in lockstep."""
-    probs = {basis: analyzer.pattern_probabilities(basis, eta) for basis in ("X", "Z")}
-
-    def feasible(eps, points):
-        r = analyzer.rates(eta[points], eps, probs={b: p[points] for b, p in probs.items()})
-        return 0.5 * (r["X"] + r["Z"]) <= eps_m[points]
-
-    at_zero = feasible(np.zeros(len(eta)), slice(None))
-    at_cap = at_zero & feasible(np.full(len(eta), EPSILON_CAP), slice(None))
-    boundary = np.where(at_cap, EPSILON_CAP, 0.0)
-    inner = at_zero & ~at_cap
-    boundary[inner] = _bisect_largest_feasible(lambda eps: feasible(eps, inner), int(inner.sum()), EPSILON_CAP)
-    return boundary
+        # an empty bracket where epsilon = 0 fails, a closed one where the cap holds
+        lo, hi = 0.0, EPSILON_CAP if feasible(0.0) else 0.0
+        if hi and feasible(hi):
+            lo = hi
+        while hi - lo > BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+        points.append(RegionPoint(gamma, lo))
+    return points

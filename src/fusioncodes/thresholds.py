@@ -9,9 +9,9 @@ default randomized threshold is derived by inverting the boosted-fusion
 baseline the logical encodings are compared against.
 
 The search runs in Python floats on ``lpoly``'s exact coefficients, one
-scalar bisection per failure basis, and imports no numpy: ``threshold``
-and ``optimize-w`` run without it.  The correctable region, which needs
-the ML decoder, lives in ``fusion``.
+scalar bisection per failure basis, and imports neither numpy nor the
+ML decoder: ``threshold`` and ``optimize-w`` run without ``fusion``,
+where the correctable region and its decoder live.
 """
 
 from __future__ import annotations

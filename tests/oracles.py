@@ -12,18 +12,25 @@ probability is nondecreasing in eta.  ``CodeFusionTable.bernstein``
 (the 4^n Bernstein contraction), ``eta2_numerators`` and
 ``eta2_float_coeffs`` are the reference the package's transfer counts
 are pinned against, and ``lockstep_loss_thresholds`` bisects every
-(code, basis) row to the end in one numpy lockstep, the reference for
-the pruned scalar search.  ``gather_counts`` and ``count_numerators``
-are the (s, f) count gather and its count-matrix numerators, which pin
+(code, basis) row to the end in one numpy lockstep
+(``bisect_largest_feasible``), the reference for the pruned scalar
+search.  ``gather_counts`` and ``count_numerators`` are the (s, f)
+count gather and its count-matrix numerators, which pin
 the contraction and the package's count rows in turn; ``LossPolynomial``
 keys such counts by (s, f, l) and evaluates them term by term.  The
 pattern oracles list outcomes object by object, and the decoder oracles
-build the decoder's weight rows one table state at a time, read each
-decoder row's state and weight row back out of the package's packed
-setup (``row_states``, ``weight_rows``), give the uncorrected baseline
-from each pattern's readable representative, and redo the region one
-grid point and one epsilon at a time with the block-loop Walsh transform and the
-16-term flip enumeration.  The sequence oracles key every LEAF/PATH_EDGE
+build the decoder's weight rows one table state at a time
+(``per_row_sides``), reading nothing of the package's decoder but a
+record's code, w and p_fail.  In floats they transform each pattern's
+row on its own with the block-loop Walsh transform, give the uncorrected
+baseline from each pattern's readable representative, and redo the
+region one grid point and one epsilon at a time with the 16-term flip
+enumeration.  In integers they transform one-hot weight matrices
+(``walsh_pairs``), fold the pairs by their lower side just below beta = 1
+from Taylor coefficients (``fold_pairs``), evaluate the rates in exact
+rationals (``exact_error_rates``) and count roots in (0, 1) by Sturm
+sequences (``sturm_roots``), the reference for the package's Descartes
+certificate.  The sequence oracles key every LEAF/PATH_EDGE
 string of a size by AHU tree canonical forms: ``progenitor_scan``
 dedupes them into the marked-graph classes, the scans find a graph's
 generation sequence, and ``apply_generation_op`` grows a progenitor one
@@ -68,7 +75,6 @@ import numpy as np
 
 from fusioncodes.codes import GraphCode, packed_cosets
 from fusioncodes.compiler import _run
-from fusioncodes.fusion import ErrorAnalyzer, _bisect_largest_feasible
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import (
     AVAIL_BOTH,
@@ -754,6 +760,24 @@ def feasible_rows(bias, p_xx: np.ndarray, p_zz: np.ndarray) -> np.ndarray:
     return hi <= interp_rows(bias.p_tilde_biased, ratio)
 
 
+def bisect_largest_feasible(feasible, size: int, upper: float) -> np.ndarray:
+    """Largest value in [0, upper) with feasible(value) per entry, each feasible
+    at zero and assumed to cross once.
+
+    ``feasible`` maps ``size`` values to as many booleans.  The entries
+    bisect in lockstep, and each one stops when its own bracket is within
+    ``BISECTION_TOL``, so every entry sees the float steps of a scalar bisection.
+    """
+    lo, hi = np.zeros(size), np.full(size, upper)
+    open_ = hi - lo > BISECTION_TOL
+    while open_.any():
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
+        open_ = hi - lo > BISECTION_TOL
+    return lo
+
+
 def lockstep_loss_thresholds(codes, bias, p_fail) -> list[ThresholdResult]:
     """Every (code, basis) row of one size bisected to the end in one numpy lockstep.
 
@@ -769,7 +793,7 @@ def lockstep_loss_thresholds(codes, bias, p_fail) -> list[ThresholdResult]:
     ok = feasible_rows(bias, *erasure_rates(cx, cz, 0.0))
     fx, fz = cx[ok], cz[ok]
     gammas = np.zeros(len(cx))
-    gammas[ok] = _bisect_largest_feasible(lambda g: feasible_rows(bias, *erasure_rates(fx, fz, g)), len(fx), 1.0)
+    gammas[ok] = bisect_largest_feasible(lambda g: feasible_rows(bias, *erasure_rates(fx, fz, g)), len(fx), 1.0)
     g = gammas.tolist()
     out = []
     for c, code in enumerate(codes):
@@ -989,11 +1013,11 @@ def flip_bias(epsilon):
 def per_row_sides(code, w: tuple[int, ...]) -> dict[str, dict]:
     """The decoder's per-basis setup, built one w-consistent table state at a time.
 
-    Per basis: ``idxs``, each recovering pattern's table state, the
-    decoder's row states (``row_states``); ``s`` and ``f`` as in
-    ``ErrorAnalyzer._sides`` and ``l`` = n - s - f; and ``weights``, the
-    weight row of each pattern over the subgroup of readable stabilizers
-    times {1, rep}, the decoder's ``weight_rows``.
+    Per basis: ``idxs``, each recovering pattern's table state, in
+    increasing order; ``s``, ``f`` and ``l``, its successes, failures and
+    losses; and ``weights``, its int8 weight row over the subgroup of
+    readable stabilizers times {1, rep}, rep the lowest readable
+    representative, the top bit of the index selecting rep.
     """
     n = code.n_code
     table = CodeFusionTable(code)
@@ -1045,24 +1069,27 @@ def fwht_blocks(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def row_states(ana: ErrorAnalyzer, basis: str) -> np.ndarray:
-    """Availability state of each decoder row: the recovering patterns of ``pattern_states``, in order."""
-    n = ana.n
-    readable = readable_set(packed_cosets(ana.code)[1][basis], n).to_bytes((4**n + 7) // 8, "little")
-    return np.array([s for s in pattern_states(n, ana.w)[0] if readable[s >> 3] >> (s & 7) & 1])
+@lru_cache(maxsize=64)
+def _sides(code, w: tuple[int, ...]) -> dict[str, dict]:
+    """``per_row_sides``, kept per (code, w): the decoder oracles below read it many times."""
+    return per_row_sides(code, w)
 
 
-def weight_rows(ana: ErrorAnalyzer, basis: str) -> list[np.ndarray]:
-    """Each decoder row's int8 weight row, cut from the distinct rows laid side by side."""
-    side = ana._sides[basis]
-    distinct = [side.flat[i : i + m] for start, stop, m in side.blocks for i in range(start, stop, m)]
-    return [distinct[j] for j in side.ids.tolist()]
+def pattern_probabilities(ana, basis: str, eta: float) -> np.ndarray:
+    """Each recovering pattern's probability (1-pf)^s pf^f (eta^2)^(s+f) (1-eta^2)^l, one per row of ``per_row_sides``.
+
+    ``ana`` is an ``ErrorAnalyzer`` or any record of its ``code``, ``w`` and
+    ``p_fail``; the decoder oracles read nothing else of it.
+    """
+    side = _sides(ana.code, ana.w)[basis]
+    a, pf = eta * eta, ana.p_fail
+    return (1.0 - pf) ** side["s"] * pf ** side["f"] * a ** (side["s"] + side["f"]) * (1.0 - a) ** side["l"]
 
 
-def pattern_error_rates(ana: ErrorAnalyzer, basis: str, epsilon: float) -> np.ndarray:
+def pattern_error_rates(ana, basis: str, epsilon: float) -> np.ndarray:
     """Per-pattern error rates from every pattern's own weight row, raised to float powers."""
     bias = flip_bias(epsilon)
-    rows = weight_rows(ana, basis)
+    rows = _sides(ana.code, ana.w)[basis]["weights"]
     out = np.zeros(len(rows), dtype=np.float64)
     for m in {len(row) for row in rows}:
         at = [i for i, row in enumerate(rows) if len(row) == m]
@@ -1072,7 +1099,7 @@ def pattern_error_rates(ana: ErrorAnalyzer, basis: str, epsilon: float) -> np.nd
     return out
 
 
-def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: bool = True) -> dict[str, float]:
+def error_rates(ana, eta: float, epsilon: float, corrections: bool = True) -> dict[str, float]:
     """Erasure-weighted logical error rate per parity at one (eta, epsilon) point.
 
     Without corrections a pattern's rate is the chance that its readable
@@ -1081,7 +1108,7 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
     """
     result = {}
     for basis in ("X", "Z"):
-        p = ana.pattern_probabilities(basis, eta)
+        p = pattern_probabilities(ana, basis, eta)
         total = p.sum()
         if total <= 0.0:
             result[basis] = 0.0
@@ -1090,22 +1117,147 @@ def error_rates(ana: ErrorAnalyzer, eta: float, epsilon: float, corrections: boo
             perr = pattern_error_rates(ana, basis, epsilon)
         else:
             reps = signed_logical_set(ana.code, basis)
-            rep_of = rep_index_scan(CodeFusionTable(ana.code), basis)[row_states(ana, basis)]
+            rep_of = rep_index_scan(CodeFusionTable(ana.code), basis)[_sides(ana.code, ana.w)[basis]["idxs"]]
             weight = np.array([(reps[k].x_bits | reps[k].z_bits).bit_count() for k in rep_of.tolist()], dtype=np.float64)
             perr = 0.5 * (1.0 - flip_bias(epsilon) ** weight)
         result[basis] = float(np.dot(p, perr) / total)
     return result
 
 
+# -- the decoder in exact integers: one-hot Walsh pairs and a Sturm count ----
+
+
+@lru_cache(maxsize=64)
+def walsh_pairs(code, w: tuple[int, ...]) -> dict[str, dict[tuple, dict[tuple[int, int], int]]]:
+    """Per parity, every syndrome's pair (A, B) mapped to its multiplicity per (s, f) over the recovering patterns.
+
+    A and B are integer coefficient tuples in beta, constant first, at
+    denominator 2^n.  Each pattern's weight row r becomes the one-hot
+    integer matrix E[k, v] = [r[v] == k]; its block-loop Walsh transform
+    along v holds, at column u, the coefficients of
+    sum_v (-1)^(u.v) beta^r[v].  A is column u and B column u + m/2, for
+    u < m/2.
+    """
+    n = code.n_code
+    out = {}
+    for basis, side in _sides(code, w).items():
+        table: dict[tuple, dict[tuple[int, int], int]] = {}
+        for s, f, row in zip(side["s"].tolist(), side["f"].tolist(), side["weights"]):
+            m = len(row)
+            onehot = (np.arange(n + 1)[:, None] == row.astype(np.int64)[None, :]).astype(np.int64)
+            t = (fwht_blocks(onehot) * ((1 << n) // m)).T.tolist()
+            for u in range(m // 2):
+                per_sf = table.setdefault((tuple(t[u]), tuple(t[u + m // 2])), {})
+                per_sf[(int(s), int(f))] = per_sf.get((int(s), int(f)), 0) + 1
+        out[basis] = table
+    return out
+
+
+def lower_side(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The one of A and B that is lower just below beta = 1, by the Taylor
+    coefficients of D = A - B there: D(1 - x) has x^j coefficient
+    (-1)^j sum_k d_k C(k, j).  B where they are equal."""
+    d = [p - q for p, q in zip(a, b)]
+    for j in range(len(d)):
+        c = (-1) ** j * sum(dk * comb(k, j) for k, dk in enumerate(d) if k >= j)
+        if c:
+            return b if c > 0 else a
+    return b
+
+
+def fold_pairs(table: dict) -> tuple[dict, dict]:
+    """(lower, differences) of a ``walsh_pairs`` table: per (s, f) the weighted sum of every
+    pair's lower side, and per difference D = other - lower (D != 0) its weight per (s, f)."""
+    lower: dict[tuple[int, int], list[int]] = {}
+    diffs: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for (a, b), per_sf in table.items():
+        lo = lower_side(a, b)
+        d = tuple(p + q - 2 * r for p, q, r in zip(a, b, lo))
+        for sf, c in per_sf.items():
+            acc = lower.setdefault(sf, [0] * len(a))
+            for k, v in enumerate(lo):
+                acc[k] += c * v
+            if any(d):
+                diffs.setdefault(d, {})
+                diffs[d][sf] = diffs[d].get(sf, 0) + c
+    return {sf: tuple(v) for sf, v in lower.items()}, diffs
+
+
+def exact_error_rates(ana, eta: float, beta: Fraction) -> dict[str, Fraction]:
+    """The decoded rate per parity in exact rationals: min(A, B) of every
+    ``walsh_pairs`` entry at flip bias ``beta``, weighted by exact pattern
+    probabilities at ``eta`` and ``ana.p_fail`` (each float read exactly)."""
+    n, a, pf = ana.code.n_code, Fraction(eta) ** 2, Fraction(ana.p_fail)
+    result = {}
+    for basis, table in walsh_pairs(ana.code, ana.w).items():
+        side = _sides(ana.code, ana.w)[basis]
+        prob = {}
+        for s, f in zip(side["s"].tolist(), side["f"].tolist()):
+            s, f = int(s), int(f)
+            prob[(s, f)] = (1 - pf) ** s * pf**f * a ** (s + f) * (1 - a) ** (n - s - f)
+        total = sum(prob[(int(s), int(f))] for s, f in zip(side["s"].tolist(), side["f"].tolist()))
+        if total == 0:
+            result[basis] = Fraction(0)
+            continue
+        num = Fraction(0)
+        for (pa, pb), per_sf in table.items():
+            low = min(sum(c * beta**k for k, c in enumerate(pa)), sum(c * beta**k for k, c in enumerate(pb)))
+            num += low * sum(prob[sf] * c for sf, c in per_sf.items())
+        result[basis] = num / (total * (1 << n))
+    return result
+
+
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b, coefficient lists constant first, b's top coefficient nonzero."""
+    a = list(a)
+    while len(a) >= len(b) and any(a):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def sturm_roots(d) -> int:
+    """Distinct real roots of the integer polynomial D (constant first) in the open interval (0, 1), by Sturm's theorem.
+
+    Roots at 0 and 1 are divided out first, so that neither end is a
+    root; then V(0) - V(1), the drop in sign changes along the Sturm
+    chain D, D', -rem(...), counts the distinct roots between.  0 for D = 0.
+    """
+    p = [Fraction(c) for c in d]
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return 0
+    while p[0] == 0:
+        p.pop(0)
+    while len(p) > 1 and sum(p) == 0:  # divide by (1 - beta): quotient coefficients are the prefix sums
+        p = [sum(p[: k + 1]) for k in range(len(p) - 1)]
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
+    chain.pop()
+
+    def changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (sum(c * x**k for k, c in enumerate(q)) for q in chain) if v != 0]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return changes(Fraction(0)) - changes(Fraction(1))
+
+
 def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=0.2) -> list[tuple[float, float]]:
-    """(gamma, boundary epsilon) pairs by one scalar bisection per grid point."""
+    """(gamma, boundary epsilon) pairs by one scalar bisection per grid point, on the per-row decoder above."""
     result = package_loss_threshold(code, bias, p_fail)
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []
     w = sum(1 << i for i, b in enumerate(result.w_star) if b)
     cx, cz = (c[w : w + 1] for c in eta2_float_coeffs(*CodeFusionTable(code).bernstein(p_fail)))
-    analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
+    decoder = SimpleNamespace(code=code, w=result.w_star, p_fail=p_fail)
     points = []
     for i in range(grid_points):
         gamma = gamma_star * i / (grid_points - 1)
@@ -1114,7 +1266,7 @@ def correctable_region(code, bias, err, p_fail=0.5, grid_points=21, epsilon_cap=
         eps_m = err.epsilon_m(p_bar)
 
         def feasible(eps):
-            r = error_rates(analyzer, 1.0 - gamma, eps)
+            r = error_rates(decoder, 1.0 - gamma, eps)
             return 0.5 * (r["X"] + r["Z"]) <= eps_m
 
         if not feasible(0.0):

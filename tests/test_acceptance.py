@@ -136,6 +136,7 @@ def test_a6_oracle_equivalence():
                         assert abs(got - want) <= 1e-12
 
                 ana = ErrorAnalyzer(code, w)
+                sides = oracles.per_row_sides(code, w)
                 for eps in epsilons:
                     if eps == 0.0:
                         for eta in etas:
@@ -143,19 +144,19 @@ def test_a6_oracle_equivalence():
                             assert rates["X"] == 0.0 and rates["Z"] == 0.0
                         continue
                     for basis in ("X", "Z"):
-                        got_rates = ana.pattern_error_rates(basis, eps)
+                        got_rates = oracles.pattern_error_rates(ana, basis, eps)
                         oracle_rates = np.array(
                             [
                                 oracle_pattern_error(
                                     code, pattern_outcomes(table, int(avail)), w, basis, eps
                                 )
-                                for avail in oracles.row_states(ana, basis)
+                                for avail in sides[basis]["idxs"]
                             ]
                         )
                         worst_error = max(worst_error, float(np.max(np.abs(got_rates - oracle_rates), initial=0.0)))
                         assert np.allclose(got_rates, oracle_rates, atol=1e-12)
                         for eta in etas:
-                            p = ana.pattern_probabilities(basis, eta)
+                            p = oracles.pattern_probabilities(ana, basis, eta)
                             if p.sum() > 0:
                                 want = float(np.dot(p, oracle_rates) / p.sum())
                                 got = ana.rates(eta, eps)[basis]

@@ -365,6 +365,17 @@ REGION_CSV_SHA256 = {
 }
 
 
+# sha256 of the `region` CSV on paths the pins above miss: another p_fail,
+# a finer grid, and a size whose winner the search picks
+REGION_PATH_SHA256 = {
+    ("--code", "LLPLPL", "--p-fail", "0.25"): "2344612a03b50bf0a2f54a5cd442426f7fd540174c449c935303d6e44915c3c1",
+    ("--code", "LLPLPLPL", "--p-fail", "0.25"): "751f85f364657cae560175b6ae268210fecc571415d4914a00e97531e9666737",
+    ("--code", "LLPLPL", "--grid-points", "201"): "d9a7d2db22a2b1bc2dc51893af9521ad506bb4a8de69a17ba69114d89fe4735b",
+    ("--code", "LLPLPLPL", "--grid-points", "201"): "97bf83c8da06bc72bfb185c5ea1b93c5c11e29acc697167596e38aeaa96195b4",
+    ("--n", "8"): "878c5d8c5370da8c7dd7f5bf76eb233898c946963380147da121c425c3f334cb",
+}
+
+
 class TestRegion:
     def test_zero_epsilon_map_warns_but_succeeds(self, tmp_path, capsys):
         cfg_dict = config_to_json_dict(default_bias_config())
@@ -419,6 +430,13 @@ class TestRegion:
         for code, digest in REGION_CSV_SHA256.items():
             assert main(["region", "--code", code, "--config", cfg, "--out", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, code
+
+    @pytest.mark.parametrize("args", list(REGION_PATH_SHA256), ids=" ".join)
+    def test_region_path_bytes_are_pinned(self, tmp_path, args):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["region", *args, "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REGION_PATH_SHA256[args]
 
     def test_code_region_builds_one_table(self, tmp_path, monkeypatch):
         # only the loss threshold counts a code's patterns; the decoder reads the code's packed cosets
@@ -611,7 +629,35 @@ def _fresh_python(script: str, cwd, base_env=os.environ) -> None:
 
 
 class TestStartup:
-    """Commands import numpy and the analysis modules only when they use them."""
+    """No command imports numpy; commands import the analysis modules only when they use them."""
+
+    def test_no_command_loads_numpy(self, tmp_path):
+        (tmp_path / "chain4.json").write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+        (tmp_path / "chain11.json").write_text(json.dumps({"n": 11, "edges": [[i, i + 1] for i in range(10)]}))
+        cfg = write_config(tmp_path)
+        _fresh_python(
+            f"""
+import contextlib, io, sys
+from fusioncodes.cli import main
+commands = [
+    ["enumerate", "--n", "3", "--out", "lib"],
+    ["duals", "--n", "3", "--out", "duals.json"],
+    ["compile", "--outer", "chain4.json", "--inner", "LPL", "--out", "run"],
+    ["compile", "--outer", "chain11.json", "--inner", "LLPLPLPL", "--out", "run"],
+    ["analyze", "--code", "LLPL", "--w", "1001", "--out", "report.json"],
+    ["optimize-w", "--code", "LLPL", "--config", {cfg!r}, "--out", "w.json"],
+    ["threshold", "--n-min", "1", "--n-max", "4", "--config", {cfg!r}, "--out", "t.csv"],
+    ["region", "--code", "LLPLPL", "--config", {cfg!r}, "--out", "r.csv"],
+    ["region", "--n", "4", "--config", {cfg!r}, "--p-fail", "0.3", "--out", "r4.csv"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules, argv
+assert "fusioncodes.fusion" in sys.modules
+""",
+            tmp_path,
+        )
 
     def test_enumerate_and_stabilizer_compile_run_without_numpy(self, tmp_path):
         (tmp_path / "chain.json").write_text(json.dumps({"n": 11, "edges": [[i, i + 1] for i in range(10)]}))
@@ -657,9 +703,10 @@ for mode in ("two-emitter", "emitter-memory"):
         )
 
     def test_no_command_loads_dataclasses(self, tmp_path):
-        # records are NamedTuples or slotted classes; numpy imports inspect itself, but not dataclasses
+        # records are NamedTuples or slotted classes, and no command loads numpy, which imports inspect
         for m in (4, 11):
             (tmp_path / f"chain{m}.json").write_text(json.dumps({"n": m, "edges": [[i, i + 1] for i in range(m - 1)]}))
+        write_config(tmp_path)
         _fresh_python(
             """
 import contextlib, io, json, sys
@@ -682,7 +729,8 @@ assert methods == ["statevector"] * 2 + ["stabilizer"] * 2, methods
 unloaded("dataclasses", "inspect")
 assert main(["analyze", "--code", "LL", "--out", "report.json"]) == 0
 assert main(["optimize-w", "--code", "LLPL", "--out", "w.json"]) == 0
-unloaded("dataclasses")
+assert main(["region", "--code", "LLPL", "--config", "config.json", "--out", "r.csv"]) == 0
+unloaded("dataclasses", "inspect")
 """,
             tmp_path,
         )
@@ -699,30 +747,6 @@ assert "fusioncodes.compiler" not in sys.modules
             tmp_path,
         )
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
-    def test_numpy_starts_no_blas_worker_thread(self, tmp_path):
-        plain = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        _fresh_python(
-            """
-import os
-import fusioncodes.cli
-import numpy
-assert len(os.listdir("/proc/self/task")) == 1, os.listdir("/proc/self/task")
-""",
-            tmp_path,
-            plain,
-        )
-        # a thread count the user set wins
-        _fresh_python(
-            """
-import os
-import fusioncodes.cli
-assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-""",
-            tmp_path,
-            {**plain, "OPENBLAS_NUM_THREADS": "3"},
-        )
-
     def test_parser_modes_are_the_compiler_modes(self):
         from fusioncodes.cli import MODES
         from fusioncodes.compiler import Mode
@@ -730,7 +754,7 @@ assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert MODES == tuple(m.value for m in Mode)
 
     def test_analyze_runs_without_numpy(self, tmp_path):
-        # erasure counts read only the readable sets; the probe still sees numpy where a command imports it
+        # erasure counts read only the readable sets; region loads the decoder, still without numpy
         cfg = write_config(tmp_path)
         _fresh_python(
             f"""
@@ -742,13 +766,13 @@ for p_fail in ("0.5", "0.3"):
     assert main(argv) == 0
     assert not heavy & set(sys.modules), heavy & set(sys.modules)
 assert main(["region", "--code", "LL", "--config", {cfg!r}, "--out", "r.csv"]) == 0
-assert heavy <= set(sys.modules)
+assert "fusioncodes.fusion" in sys.modules and "numpy" not in sys.modules
 """,
             tmp_path,
         )
 
     def test_threshold_and_optimize_w_run_without_numpy(self, tmp_path):
-        # the search counts on the readable sets in Python ints; only the decoder behind region loads numpy
+        # the search counts on the readable sets in Python ints; region loads the decoder, still without numpy
         cfg = write_config(tmp_path)
         _fresh_python(
             f"""
@@ -762,7 +786,7 @@ for bias in ("randomized", "passive"):
         assert main(["optimize-w", "--code", "LLPLPLPL", *argv, "--out", "w.json"]) == 0
         assert not heavy & set(sys.modules), heavy & set(sys.modules)
 assert main(["region", "--n", "3", "--config", {cfg!r}, "--out", "r.csv"]) == 0
-assert heavy <= set(sys.modules)
+assert "fusioncodes.fusion" in sys.modules and "numpy" not in sys.modules
 """,
             tmp_path,
         )

@@ -1,11 +1,14 @@
 import itertools
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, packed_cosets
-from fusioncodes.fusion import ErrorAnalyzer, _flip_bias, _fwht_side_by_side
+from fusioncodes.fusion import ErrorAnalyzer, _descartes, _flip_bias, _unpack, _walsh
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
     FusionSpec,
@@ -391,11 +394,23 @@ class TestErrorAnalysis:
             assert rates["X"] == 0.0
             assert rates["Z"] == 0.0
 
+    @pytest.mark.parametrize(
+        "eta, eps", [(-0.5, 0.01), (1.5, 0.01), (math.nan, 0.01), (0.9, -1e-9), (0.9, 1.5), (0.9, math.nan)]
+    )
+    def test_rates_reject_points_outside_the_unit_interval(self, eta, eps):
+        # the sign certificate covers beta in [0, 1], the image of epsilon in [0, 1]
+        ana = ErrorAnalyzer(code_of("LPL"), (1, 0, 1))
+        with pytest.raises(ValueError) as got:
+            ana.rates(eta, eps)
+        with pytest.raises(ValueError) as want:
+            FusionSpec(eta, 0.5, (1, 0, 1)) if not 0.0 <= eta <= 1.0 else pauli_flip_probability(eps)
+        assert str(got.value) == str(want.value)
+
     def test_bare_code_has_nothing_to_correct(self):
         code = code_of("L")
         eps = 0.02
         ana = ErrorAnalyzer(code, (0,))
-        rates = ana.pattern_error_rates("X", eps)
+        rates = oracles.pattern_error_rates(ana, "X", eps)
         assert rates == pytest.approx(pauli_flip_probability(eps))
         assert ana.rates(1.0, eps)["X"] == pytest.approx(pauli_flip_probability(eps))
 
@@ -428,14 +443,21 @@ class TestErrorAnalysis:
         table = CodeFusionTable(code)
         for w in all_w(n):
             ana = ErrorAnalyzer(code, w)
+            sides = oracles.per_row_sides(code, w)
             for eps in (0.01, 0.05):
                 for basis in ("X", "Z"):
-                    got = ana.pattern_error_rates(basis, eps)
-                    for row, avail in enumerate(oracles.row_states(ana, basis)):
+                    got = oracles.pattern_error_rates(ana, basis, eps)
+                    enumerated = []
+                    for row, avail in enumerate(sides[basis]["idxs"]):
                         outcomes = pattern_outcomes(table, int(avail))
                         want = oracle_pattern_error(code, outcomes, w, basis, eps)
                         assert want is not None
                         assert abs(got[row] - want) < 1e-12
+                        enumerated.append(want)
+                    # the package's rate is the probability-weighted mean of the enumerated pattern rates
+                    for eta in (0.9, 1.0):
+                        p = oracles.pattern_probabilities(ana, basis, eta)
+                        assert abs(ana.rates(eta, eps)[basis] - float(np.dot(p, enumerated) / p.sum())) < 1e-12
 
     def test_three_qubit_codes_match_oracle_spotwise(self):
         for rec in enumerate_progenitor_records(3):
@@ -443,12 +465,17 @@ class TestErrorAnalysis:
             w = (1, 0, 0)
             ana = ErrorAnalyzer(code, w)
             table = CodeFusionTable(code)
+            sides = oracles.per_row_sides(code, w)
             for basis in ("X", "Z"):
-                got = ana.pattern_error_rates(basis, 0.01)
-                for row, avail in list(enumerate(oracles.row_states(ana, basis)))[::5]:
-                    outcomes = pattern_outcomes(table, int(avail))
-                    want = oracle_pattern_error(code, outcomes, w, basis, 0.01)
-                    assert abs(got[row] - want) < 1e-12
+                got = oracles.pattern_error_rates(ana, basis, 0.01)
+                enumerated = [
+                    oracle_pattern_error(code, pattern_outcomes(table, int(avail)), w, basis, 0.01)
+                    for avail in sides[basis]["idxs"]
+                ]
+                for row in range(0, len(enumerated), 5):
+                    assert abs(got[row] - enumerated[row]) < 1e-12
+                p = oracles.pattern_probabilities(ana, basis, 0.95)
+                assert abs(ana.rates(0.95, 0.01)[basis] - float(np.dot(p, enumerated) / p.sum())) < 1e-12
 
 
 def small_codes(n_max=5):
@@ -606,80 +633,99 @@ class TestAllBasesEngine:
 
 
 class TestDecoderArrays:
-    """The butterfly, the distinct-row gather and the epsilon arrays, bit for bit."""
+    """The decoder's packed butterfly, folded integer polynomials and sign
+    certificate against the per-row oracles in exact integers, and its float
+    rates against the per-row Walsh transform and exact rationals."""
 
     CASES = [("LL", (0, 0)), ("LPL", (1, 0, 1)), ("LLPL", (1, 0, 0, 1)), ("LLPLPL", (1, 0, 0, 1, 0, 1))]
-    EPS = np.array([0.0, 1e-9, 0.0031, 0.05, 0.2, 0.75, 1.0])
+    EPS = [0.0, 1e-9, 0.0031, 0.05, 0.2, 0.75, 1.0]
+
+    @staticmethod
+    def setup_cases():
+        """Every code with n <= 4 under every basis, two seeded bases of every code with n = 5, 6, and LLPLPLPL."""
+        rng = random.Random(2406)
+        cases = [(code, w) for code in small_codes(4) for w in all_w(code.n_code)]
+        for n in (5, 6):
+            for rec in enumerate_progenitor_records(n):
+                code = code_of(rec.sequence)
+                cases += [(code, tuple(rng.randrange(2) for _ in range(n))) for _ in range(2)]
+        anchor = code_of("LLPLPLPL")
+        return cases + [(anchor, (1, 0, 0, 1, 0, 1, 0, 0)), (anchor, tuple(rng.randrange(2) for _ in range(8)))]
 
     def test_butterfly_matches_block_loop(self):
-        # rows of several lengths side by side, longest first, each against its own block loop
-        rng = np.random.default_rng(7)
+        # packed-int transforms of random weight rows against the block loop on one-hot integer matrices
+        rng = random.Random(7)
         for k in range(1, 9):
-            for lead in ((), (3,), (2, 5)):
-                lengths = sorted(1 << rng.integers(1, k + 1, size=4), reverse=True)
-                blocks, start = [], 0
-                for m in sorted(set(lengths), reverse=True):
-                    blocks.append((start, start + m * lengths.count(m), m))
-                    start += m * lengths.count(m)
-                a = rng.standard_normal(lead + (start,))
-                got = _fwht_side_by_side(a.copy(), blocks)
-                for start, stop, m in blocks:
-                    rows = a[..., start:stop].reshape(lead + (-1, m))
-                    want = oracles.fwht_blocks(rows.copy()).reshape(lead + (-1,))
-                    assert got[..., start:stop].tobytes() == want.tobytes(), (k, lead, m)
+            for top in (1, 4, 8):
+                row = bytes(rng.randrange(top + 1) for _ in range(1 << k))
+                onehot = (np.arange(9)[:, None] == np.frombuffer(row, dtype=np.uint8)[None, :]).astype(np.int64)
+                want = oracles.fwht_blocks(onehot).T.tolist()
+                assert [list(_unpack(t, 8)) for t in _walsh(row)] == want, (k, top)
 
     def test_setup_matches_per_row_oracle(self):
-        rng = np.random.default_rng(2406)
-        cases = [(code, w) for code in small_codes(5) for w in all_w(code.n_code)]
-        cases += [(code_of("LLPLPLPL"), tuple(rng.integers(0, 2, 8).tolist())) for _ in range(8)]
-        for code, w in cases:
-            ana, want = ErrorAnalyzer(code, w), oracles.per_row_sides(code, w)
+        # pattern counts, lower sides and uncertified differences per (s, f), exactly, against one-hot Walsh pairs
+        uncertified = 0
+        for code, w in self.setup_cases():
+            ana, pairs, sides = ErrorAnalyzer(code, w), oracles.walsh_pairs(code, w), oracles.per_row_sides(code, w)
             for basis in ("X", "Z"):
-                side, ref = ana._sides[basis], want[basis]
-                # the row states from the patterns and readable sets, the table's idxs from its own scan
-                rebuilt = {"idxs": oracles.row_states(ana, basis), "s": side.s, "f": side.f}
-                rebuilt["l"] = ana.n - side.s - side.f
-                for key in ("idxs", "s", "f", "l"):
-                    same = rebuilt[key].dtype == ref[key].dtype and rebuilt[key].tobytes() == ref[key].tobytes()
-                    assert same, (code.code_id, w, basis, key)
-                got = oracles.weight_rows(ana, basis)
-                assert [g.tobytes() for g in got] == [r.tobytes() for r in ref["weights"]], (code.code_id, w, basis)
+                fold, (lower, diffs) = ana._folds[basis], oracles.fold_pairs(pairs[basis])
+                counts = Counter(zip(sides[basis]["s"].astype(int).tolist(), sides[basis]["f"].astype(int).tolist()))
+                assert dict(zip(fold.sf, fold.counts)) == counts, (code.code_id, w, basis)
+                # poly is the lower sides' sum divided by 1 - beta
+                times = {sf: tuple(a - b for a, b in zip(r + (0,), (0,) + r)) for sf, r in zip(fold.sf, fold.poly)}
+                assert times == lower, (code.code_id, w, basis)
+                for d, weights in fold.uncertified:
+                    assert {sf: c for sf, c in zip(fold.sf, weights) if c} == diffs[d], (code.code_id, w, basis, d)
+                uncertified += len(fold.uncertified)
+        assert uncertified > 0
 
-    def test_distinct_rows_scatter_to_every_pattern(self):
-        for seq, w in self.CASES:
-            ana = ErrorAnalyzer(code_of(seq), w)
+    def test_certified_differences_keep_one_sign(self):
+        # every difference left out of the uncertified list has no root in (0, 1) by Sturm's count, and is >= 0 there
+        seen, rooted = set(), 0
+        for code, w in self.setup_cases():
+            ana, pairs = ErrorAnalyzer(code, w), oracles.walsh_pairs(code, w)
             for basis in ("X", "Z"):
-                side = ana._sides[basis]
-                assert len(side.ids) == len(oracles.row_states(ana, basis))
-                # every distinct row belongs to some pattern, and each is distinct within its length
-                assert sorted(set(side.ids.tolist())) == list(range(sum((b - a) // m for a, b, m in side.blocks)))
-                for start, stop, m in side.blocks:
-                    weights = side.flat[start:stop].reshape(-1, m)
-                    assert len(np.unique(weights, axis=0)) == len(weights)
+                diffs = oracles.fold_pairs(pairs[basis])[1]
+                listed = {d for d, _ in ana._folds[basis].uncertified}
+                for d in set(diffs) - seen:
+                    seen.add(d)
+                    if d in listed:
+                        rooted += oracles.sturm_roots(d) > 0
+                        continue
+                    assert oracles.sturm_roots(d) == 0, (code.code_id, w, basis, d)
+                    assert sum(c * Fraction(1, 2) ** k for k, c in enumerate(d)) >= 0, d
+        assert rooted > 0  # the list holds differences that do change sign in range
+
+    def test_roots_in_range_stay_uncertified(self):
+        # a simple and a double root at 3/4, at every degree up to 8 and times beta or 1 - beta
+        for d in [(-3, 4), (9, -24, 16)]:
+            assert oracles.sturm_roots(d) == 1
+            for times in [(1,), (0, 1), (1, -1)]:
+                p = [0] * (len(d) + len(times) - 1)
+                for i, a in enumerate(d):
+                    for j, b in enumerate(times):
+                        p[i + j] += a * b
+                for pad in range(9 - len(p)):
+                    assert _descartes(tuple(p) + (0,) * pad)[1] is False, (p, pad)
+        # one sign, read just below beta = 1
+        assert _descartes((1, -1)) == (1, True)
+        assert _descartes((-1, 1, 0)) == (-1, True)
+        assert _descartes((1, -2, 1)) == (1, True)
+        assert _descartes((0, 0, 0)) == (0, True)
 
     def test_scalar_rates_match_per_row_formula(self):
+        # the folded polynomials sum in another order than the per-row transform: within 1e-15 absolute
+        # of the float oracle, and of the exact rationals at the float's own beta and eta
         for seq, w in self.CASES:
             ana = ErrorAnalyzer(code_of(seq), w)
-            for eps in self.EPS.tolist():
-                for basis in ("X", "Z"):
-                    got = ana.pattern_error_rates(basis, eps)
-                    assert got.tobytes() == oracles.pattern_error_rates(ana, basis, eps).tobytes(), (seq, eps)
+            for eps in self.EPS:
+                beta = Fraction(_flip_bias(eps))
                 for eta in (0.0, 0.9, 1.0):
-                    assert ana.rates(eta, eps) == oracles.error_rates(ana, eta, eps), (seq, eps)
-
-    def test_epsilon_array_equals_stacked_scalar_calls(self):
-        etas = np.linspace(0.8, 1.0, len(self.EPS))
-        for seq, w in self.CASES:
-            ana = ErrorAnalyzer(code_of(seq), w)
-            for basis in ("X", "Z"):
-                stacked = np.stack([ana.pattern_error_rates(basis, e) for e in self.EPS.tolist()])
-                assert ana.pattern_error_rates(basis, self.EPS).tobytes() == stacked.tobytes(), (seq, basis)
-                probs = np.stack([ana.pattern_probabilities(basis, e) for e in etas.tolist()])
-                assert ana.pattern_probabilities(basis, etas).tobytes() == probs.tobytes()
-            got = ana.rates(etas, self.EPS)
-            for i, (eta, eps) in enumerate(zip(etas.tolist(), self.EPS.tolist())):
-                want = ana.rates(eta, eps)
-                assert (float(got["X"][i]), float(got["Z"][i])) == (want["X"], want["Z"]), (seq, i)
+                    got = ana.rates(eta, eps)
+                    floats, exact = oracles.error_rates(ana, eta, eps), oracles.exact_error_rates(ana, eta, beta)
+                    for basis in ("X", "Z"):
+                        assert abs(got[basis] - floats[basis]) <= 1e-15, (seq, eps, eta, basis)
+                        assert abs(got[basis] - exact[basis]) <= 1e-15, (seq, eps, eta, basis)
 
 
 class TestDualSwap:

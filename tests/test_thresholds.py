@@ -7,7 +7,7 @@ import pytest
 
 from fusioncodes import thresholds
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
-from fusioncodes.fusion import REGION_CHUNK, _bisect_largest_feasible, correctable_region
+from fusioncodes.fusion import correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
@@ -329,7 +329,7 @@ class TestRegion:
 
 
 class TestRegionAgainstOracle:
-    """The lockstep region against one scalar bisection per grid point."""
+    """The region against the per-row Walsh decoder, one scalar bisection per grid point."""
 
     @staticmethod
     def _both(code, p_fail=0.5, grid_points=21):
@@ -350,8 +350,9 @@ class TestRegionAgainstOracle:
         assert nonempty >= 3
 
     def test_chunk_seam(self):
-        got, want = self._both(code_of("LLPL"), grid_points=REGION_CHUNK + 3)
-        assert len(got) == REGION_CHUNK + 3
+        # 35 points: once past a seam where grid points were bisected in chunks of 32
+        got, want = self._both(code_of("LLPL"), grid_points=35)
+        assert len(got) == 35
         assert got == want
 
     def test_each_entry_stops_like_a_scalar_bisection(self):
@@ -367,7 +368,7 @@ class TestRegionAgainstOracle:
         for upper in (0.2, 1.0, 16e-9 * (1 + 1e-15)):
             cuts = np.random.default_rng(5).random(200) * upper
             want = [scalar(c, upper) for c in cuts.tolist()]
-            got = _bisect_largest_feasible(lambda v: v <= cuts, len(cuts), upper)
+            got = oracles.bisect_largest_feasible(lambda v: v <= cuts, len(cuts), upper)
             assert got.tolist() == want, upper
             if upper != 1.0:
                 continue
