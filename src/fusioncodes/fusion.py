@@ -1,14 +1,17 @@
 """ML-decoded Pauli-error rates of transversal logical fusions, and the correctable region.
 
 Two identical graph codes are fused pairwise with standard physical
-fusions (availability states and readable sets: see ``lpoly``).  Every
-entry of the ML decoder's decision is an integer polynomial in the flip
-bias beta = 1-2p (a coset weight enumerator), so the setup builds, once
-and in Python ints, one polynomial per (successes, failures) plus the
-few differences whose sign Descartes' rule cannot certify on beta in
-(0, 1), the image of every epsilon in [0, 1].  An evaluation is one
-Horner pass plus those few terms, and the correctable (loss, error)
-region bisects it in epsilon at every loss grid point.  No numpy.
+fusions.  At its qubit a loss reads no Pauli letter, a failure reads Z
+under basis bit 0 and X under bit 1, and a success reads X, Y and Z, so
+each of the 3^n loss/failure/success patterns reads the stabilizers and
+representatives that avoid its unread letters.  Every entry of the ML
+decoder's decision is an integer polynomial in the flip bias beta = 1-2p
+(a coset weight enumerator), so the setup builds, once and in Python
+ints, one polynomial per (successes, failures) plus the few differences
+whose sign Descartes' rule cannot certify on beta in (0, 1), the image
+of every epsilon in [0, 1].  An evaluation is one Horner pass plus
+those few terms, and the correctable (loss, error) region bisects it in
+epsilon at every loss grid point.  No numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .codes import GraphCode, packed_cosets
-from .lpoly import check_failures, minimal_state, pattern_states
+from .lpoly import check_failures, signed_digits
 from .pauli import gf2_reduce, span
-from .thresholds import BISECTION_TOL, BiasConfig, BiasMode, ErrorThresholdConfig, ThresholdResult, _rates
+from .thresholds import BiasConfig, BiasMode, ErrorThresholdConfig, ThresholdResult, _bisect, _rates
 from .thresholds import loss_threshold, randomized_bias_rate
 
 def _flip_bias(epsilon):
@@ -51,13 +54,6 @@ def _walsh(row: bytes) -> list[int]:
         a = [a[i] + a[i + h] if not i & h else a[i - h] - a[i] for i in range(len(a))]
         h *= 2
     return a
-
-
-def _unpack(t: int, n: int) -> tuple[int, ...]:
-    """Coefficients c_0..c_n of a packed polynomial, constant first."""
-    half = 1 << _SLOT - 1
-    t += sum(half << _SLOT * k for k in range(n + 1))  # every coefficient made nonnegative: plain digits
-    return tuple((t >> _SLOT * k & (2 * half - 1)) - half for k in range(n + 1))
 
 
 def _descartes(d: tuple[int, ...]) -> tuple[int, bool]:
@@ -111,13 +107,20 @@ class ErrorAnalyzer:
         n = self.n
         stab, reps = packed_cosets(code)
         size, full = len(stab), (1 << len(stab)) - 1
-        # elems: stabilizer j at j, X and Z representative j at size + j and 2 size + j; need[b] has bit j set
-        # when elems[j]'s minimal state has state bit b.  Minimal states are linear in XOR: readable sets are subspaces
+        # elems: stabilizer j at j, X and Z representative j at size + j and 2 size + j; on_x[i] (on_z[i]) has bit j
+        # set when elems[j] has X or Y (Z or Y) at qubit i.  A pattern reads the elements outside the masks of the
+        # letters it leaves unread, a set closed under XOR: readable sets are subspaces
         elems = stab + reps["X"] + reps["Z"]
         weight = [((v & ((1 << n) - 1)) | (v >> n)).bit_count() for v in elems]
-        need = [sum(1 << j for j, v in enumerate(elems) if minimal_state(v, n) >> b & 1) for b in range(16)]
-        low, high = _clear_bit_tables(need[:8]), _clear_bit_tables(need[8:])
-        lacking = [(low[state & 255] | high[state >> 8], key) for state, key in zip(*pattern_states(n, self.w))]
+        on_x = [sum(1 << j for j, v in enumerate(elems) if v >> i & 1) for i in range(n)]
+        on_z = [sum(1 << j for j, v in enumerate(elems) if v >> n + i & 1) for i in range(n)]
+        # the elements each loss/failure/success pattern leaves unread, and its key s*(n+1)+f.  Patterns count
+        # up in base 3, trit i pair i: 0 loss (nothing read), 1 failure (ZZ under basis bit 0, XX under 1), 2 success
+        lacking, keys = [0], [0]
+        for i, bit in enumerate(self.w):
+            lost, failed = on_x[i] | on_z[i], on_z[i] if bit else on_x[i]
+            lacking = [m | lost for m in lacking] + [m | failed for m in lacking] + lacking
+            keys = keys + [k + 1 for k in keys] + [k + n + 1 for k in keys]
 
         @cache
         def subgroup(readable: int) -> list[int]:
@@ -135,7 +138,7 @@ class ErrorAnalyzer:
         self._folds = {}
         for basis, shift in (("X", size), ("Z", 2 * size)):
             # (readable stabilizers, the lowest readable representative's element, (s, f) key) -> patterns
-            fits = ((~lack & full, ~(lack >> shift) & full, key) for lack, key in lacking)
+            fits = ((~lack & full, ~(lack >> shift) & full, key) for lack, key in zip(lacking, keys))
             found = Counter((r, shift + (fit & -fit).bit_length() - 1, key) for r, fit, key in fits if fit)
             rows = {}  # weight row -> patterns per key
             for (readable, rep, key), c in found.items():
@@ -186,15 +189,6 @@ def _decoded_rate(folded: tuple, beta: float) -> float:
     return rate
 
 
-def _clear_bit_tables(need: list[int]) -> list[int]:
-    """t[byte]: the OR of need[b] over the bits b clear in byte."""
-    t = [0] * 256
-    for byte in range(254, -1, -1):
-        clear = ~byte & (byte + 1)  # lowest clear bit
-        t[byte] = t[byte | clear] | need[clear.bit_length() - 1]
-    return t
-
-
 def _fold(rows: dict, n: int) -> _Fold:
     """Transform each distinct weight row once and fold its syndrome pairs by (s, f) key."""
     # patterns and packed sums of lower sides per key, each uncertified D's weights per key, each D's certificate
@@ -204,7 +198,7 @@ def _fold(rows: dict, n: int) -> _Fold:
         lower = 0
         for (a, b), m in Counter(zip(t[: len(t) // 2], t[len(t) // 2 :])).items():
             if a - b not in signs:
-                signs[a - b] = _descartes(_unpack(a - b, n))
+                signs[a - b] = _descartes(signed_digits(a - b, n + 1, _SLOT))
             sign, certified = signs[a - b]
             lower += m * (b if sign >= 0 else a)
             if not certified:
@@ -213,10 +207,12 @@ def _fold(rows: dict, n: int) -> _Fold:
             sums[key] = sums.get(key, 0) + c * lower
         patterns.update(counts)
     keys = sorted(patterns)
-    totals = [_unpack(sums[key], n) for key in keys]
+    totals = [signed_digits(sums[key], n + 1, _SLOT) for key in keys]
     assert not any(map(sum, totals))  # zero at beta = 1: over 1 - beta, the coefficients become prefix sums
     poly = [tuple(accumulate(total))[:-1] for total in totals]
-    uncertified = [(_unpack(d, n), tuple(weights[key] for key in keys)) for d, weights in uncertified.items()]
+    uncertified = [
+        (signed_digits(d, n + 1, _SLOT), tuple(weights[key] for key in keys)) for d, weights in uncertified.items()
+    ]
     return _Fold([divmod(key, n + 1) for key in keys], [patterns[key] for key in keys], poly, uncertified)
 
 
@@ -244,8 +240,8 @@ def correctable_region(
     Under randomized bias: for each loss value below the loss threshold,
     the boundary error rate is the largest epsilon whose averaged logical
     error stays below the tolerable fusion error at the corresponding
-    logical erasure rate: 0 where epsilon = 0 already fails,
-    ``EPSILON_CAP`` where the cap holds, else bisected to ``BISECTION_TOL``.
+    logical erasure rate: ``EPSILON_CAP`` where the cap holds, else
+    bisected to ``BISECTION_TOL``.
     ``result`` is the code's ``loss_threshold`` under the same bias and
     ``p_fail`` when the caller already has it, as ``search_best_code``
     returns it; otherwise it is computed here.
@@ -268,12 +264,6 @@ def correctable_region(
             r = analyzer.rates(1.0 - gamma, eps)
             return 0.5 * (r["X"] + r["Z"]) <= eps_m
 
-        # an empty bracket where epsilon = 0 fails, a closed one where the cap holds
-        lo, hi = 0.0, EPSILON_CAP if feasible(0.0) else 0.0
-        if hi and feasible(hi):
-            lo = hi
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-        points.append(RegionPoint(gamma, lo))
+        # epsilon = 0 always holds: its rates are exactly 0.0 and eps_m >= 0
+        points.append(RegionPoint(gamma, EPSILON_CAP if feasible(EPSILON_CAP) else _bisect(feasible, EPSILON_CAP)))
     return points

@@ -22,9 +22,9 @@ keeps every identity (normalization, dual swaps) exact; numbers only
 appear when a report is evaluated at concrete eta and pf.  The threshold
 search picks weights whose sums are the exact numerators of the
 coefficients in x = eta^2, so a basis scan stays exact until its final,
-correctly rounded division.  ``pattern_states`` places the 3^n patterns
-under one basis for the decoder in ``fusion``.  Nothing here imports
-numpy.
+correctly rounded division.  The counts come out of one int of packed
+signed coefficients, read back by ``signed_digits``, which the decoder
+in ``fusion`` shares.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ from typing import NamedTuple
 
 from .codes import GraphCode, packed_cosets
 from .graphs import PROGENITOR_CAP
-
-# availability digits, one per fused pair: bit 0 the ZZ parity, bit 1 the XX parity
-AVAIL_NONE = 0  # photon loss: no parity
-AVAIL_ZZ = 1  # failure recovering ZZ
-AVAIL_XX = 2  # failure recovering XX
-AVAIL_BOTH = 3  # successful fusion: XX and ZZ
 
 # _SPREAD[b] moves bit i of the byte b to bit 2i
 _SPREAD = tuple(sum(((b >> i) & 1) << 2 * i for i in range(8)) for b in range(256))
@@ -75,11 +69,6 @@ def check_failures(p_fail: float, w=()) -> None:
 # -- readable sets -----------------------------------------------------
 
 
-def minimal_state(v: int, n: int) -> int:
-    """Least state reading packed Pauli v = x | z << n (n <= 8): per qubit I -> NONE, Z -> ZZ, X -> XX, Y -> BOTH."""
-    return _SPREAD[v >> n] | _SPREAD[v & ((1 << n) - 1)] << 1
-
-
 @lru_cache(maxsize=PROGENITOR_CAP)
 def _clear_masks(n: int) -> tuple[int, ...]:
     """m_j, j < 2n: the 4^n-bit mask of the states whose bit j is clear."""
@@ -97,33 +86,18 @@ def readable_set(reps: list[int], n: int) -> int:
     """4^n-bit set of the states that read out some of ``reps`` (packed x | z << n).
 
     A representative is readable exactly on the states whose bits include
-    its minimal state's.  Seeding every minimal state and moving each set
-    bit up along every state bit j, ``r |= (r & m_j) << 2^j``, leaves that
-    up-closure.
+    its minimal state's: per qubit I none, Z the ZZ bit, X the XX bit and
+    Y both.  Seeding every minimal state and moving each set bit up along
+    every state bit j, ``r |= (r & m_j) << 2^j``, leaves that up-closure.
     """
     seeds = bytearray((4**n + 7) >> 3)
     for v in reps:
-        s = minimal_state(v, n)
+        s = _SPREAD[v >> n] | _SPREAD[v & ((1 << n) - 1)] << 1  # n <= 8: one byte of x and one of z
         seeds[s >> 3] |= 1 << (s & 7)
     r = int.from_bytes(seeds, "little")
     for j, m in enumerate(_clear_masks(n)):
         r |= (r & m) << (1 << j)
     return r
-
-
-def pattern_states(n: int, w) -> tuple[list[int], list[int]]:
-    """(state, key) of each of the 3^n loss/failure/success patterns under failure basis ``w``.
-
-    ``key`` is s*(n+1)+f.  Patterns count up in base 3 (trit i is pair i:
-    0 loss, 1 failure, 2 success) and each trit maps to a larger digit the
-    larger it is, so under every w the states increase.
-    """
-    states, keys = [0], [0]
-    for i, bit in enumerate(w):
-        fail, both = (AVAIL_XX if bit else AVAIL_ZZ) << 2 * i, AVAIL_BOTH << 2 * i
-        states = states + [s + fail for s in states] + [s + both for s in states]
-        keys = keys + [k + 1 for k in keys] + [k + n + 1 for k in keys]
-    return states, keys
 
 
 def transfer_counts(readable: int, n: int, weights) -> list[tuple[int, ...]]:
@@ -166,19 +140,24 @@ def transfer_counts(readable: int, n: int, weights) -> list[tuple[int, ...]]:
             to: common.get(to, 0) + zz.get(to, 0) + (common.get(to, 0) + xx.get(to, 0) << shift)
             for to in common.keys() | zz.keys() | xx.keys()
         }
-    count, width = per << n, bits // 8
-    # bit B-1 of every coefficient: adding it lifts each into [0, X), so that no borrow crosses
-    # coefficients, and flipping it back leaves each one's two's complement in its own B bits
-    top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = ((states.get(1, 0) + top) ^ top).to_bytes(count * width, "little")
-    if width <= 8:
-        digits = struct.unpack(f"<{count}{dict(zip((1, 2, 4, 8), 'bhiq'))[width]}", raw)
-    else:
-        digits = tuple(int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width))
+    digits = signed_digits(states.get(1, 0), per << n, bits)
     slots = [0]
     for i in range(n):
         slots += [u + (1 << n - 1 - i) for u in slots]
     return [digits[u * per : (u + 1) * per] for u in slots]
+
+
+def signed_digits(t: int, count: int, bits: int) -> tuple[int, ...]:
+    """c_0..c_(count-1) of t = sum c_j 2^(j bits), each c_j in [-2^(bits-1), 2^(bits-1)), bits a multiple of 8."""
+    width = bits // 8
+    # bit bits-1 of every coefficient: adding it lifts each into [0, 2^bits), so that no borrow
+    # crosses coefficients, and flipping it back leaves each one's two's complement in its own bits
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = ((t + top) ^ top).to_bytes(count * width, "little")
+    fmt = {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
+    if fmt:
+        return struct.unpack(f"<{count}{fmt}", raw)
+    return tuple(int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width))
 
 
 def basis_numerators(code: GraphCode, p_fail) -> tuple[list, list, int]:

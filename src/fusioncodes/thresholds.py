@@ -288,13 +288,13 @@ def _feasible(bias: BiasConfig, p_xx: float, p_zz: float) -> bool:
     return max(p_xx, p_zz) <= bias.passive_threshold(bias_ratio(p_xx, p_zz))
 
 
-def _bisect(feasible, cut: float = -1.0) -> float | None:
-    """Largest value in [0, 1) with feasible(value), feasible at zero and assumed to cross once.
+def _bisect(feasible, top: float = 1.0, cut: float = -1.0) -> float | None:
+    """Largest value in [0, top) with feasible(value), feasible at zero and assumed to cross once.
 
     The bracket halves until it is within ``BISECTION_TOL``.  None as soon as
     its top falls to ``cut`` or below, where the result can no longer exceed ``cut``.
     """
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, top
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

@@ -76,15 +76,7 @@ import numpy as np
 from fusioncodes.codes import GraphCode, packed_cosets
 from fusioncodes.compiler import _run
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
-from fusioncodes.lpoly import (
-    AVAIL_BOTH,
-    AVAIL_NONE,
-    AVAIL_XX,
-    AVAIL_ZZ,
-    FusionSpec,
-    pattern_states,
-    readable_set,
-)
+from fusioncodes.lpoly import FusionSpec, readable_set
 from fusioncodes.pauli import VerificationError, gf2_reduce, product_phase
 from fusioncodes.thresholds import BISECTION_TOL, BiasMode, ThresholdResult
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
@@ -469,6 +461,12 @@ def signed_code(code: GraphCode) -> SignedCode:
 
 # -- the availability table, digit by digit --------------------------------
 
+# availability digits, one per fused pair: bit 0 the ZZ parity, bit 1 the XX parity
+AVAIL_NONE = 0  # photon loss: no parity
+AVAIL_ZZ = 1  # failure recovering ZZ
+AVAIL_XX = 2  # failure recovering XX
+AVAIL_BOTH = 3  # successful fusion: XX and ZZ
+
 
 @lru_cache(maxsize=None)
 def state_arrays(n: int) -> SimpleNamespace:
@@ -511,12 +509,13 @@ def consistent_counts(n: int) -> np.ndarray:
     that land on a state whose XX failures lie in w and ZZ failures outside it.
 
     Every pattern should, so each row should be the multinomials n!/(s!f!l!).
-    The patterns are placed by the package's ``lpoly.pattern_states``.
+    The patterns are placed by ``trit_patterns``.
     """
     arr = state_arrays(n)
+    low, spread, key = trit_patterns(n)
     out = np.zeros((1 << n, (n + 1) ** 2), dtype=np.int64)
     for w in range(1 << n):
-        idx, key = map(np.array, pattern_states(n, [(w >> i) & 1 for i in range(n)]))
+        idx = low + (spread & sum(4**i for i in range(n) if (w >> i) & 1))
         hit = ((arr.fail_xx_mask[idx] & ~w) | (arr.fail_zz_mask[idx] & w)) == 0
         out[w] = np.bincount(key[hit], minlength=(n + 1) ** 2)
     return out

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swap_holds, packed_cosets
-from fusioncodes.fusion import ErrorAnalyzer, _descartes, _flip_bias, _unpack, _walsh
+from fusioncodes.fusion import ErrorAnalyzer, _descartes, _flip_bias, _walsh
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
     FusionSpec,
     basis_numerators,
     erasure_analysis,
-    pattern_states,
     readable_set,
+    signed_digits,
     transfer_counts,
 )
 
@@ -388,11 +388,12 @@ class TestErrorAnalysis:
         assert str(analyzer_error.value) == str(spec_error.value)
 
     def test_zero_epsilon_means_zero_error(self):
-        for seq in ("L", "LL", "LPL"):
-            code = code_of(seq)
-            rates = ErrorAnalyzer(code, (0,) * code.n_code).rates(0.9, 0.0)
-            assert rates["X"] == 0.0
-            assert rates["Z"] == 0.0
+        # exactly 0.0 at every eta, which lets a region skip probing epsilon = 0
+        rng = random.Random(27)
+        for code in small_codes(6) + [code_of("LLPLPLPL")]:
+            ana = ErrorAnalyzer(code, tuple(rng.randrange(2) for _ in range(code.n_code)))
+            for eta in (0.0, 0.5, 0.9, 1.0):
+                assert ana.rates(eta, 0.0) == {"X": 0.0, "Z": 0.0}, (code.code_id, eta)
 
     @pytest.mark.parametrize(
         "eta, eps", [(-0.5, 0.01), (1.5, 0.01), (math.nan, 0.01), (0.9, -1e-9), (0.9, 1.5), (0.9, math.nan)]
@@ -554,6 +555,16 @@ class TestAllBasesEngine:
                         assert len(blocks) <= 2, (rec.sequence, basis, k)
         assert widest == 2
 
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64, 128, 256])
+    def test_signed_digits_read_back_packed_coefficients(self, bits):
+        # struct reads widths up to 8 bytes and from_bytes the wider ones; both ends of the range included
+        rng = random.Random(bits)
+        low, high = -(1 << bits - 1), (1 << bits - 1) - 1
+        for count in range(1, 41):
+            coeffs = [rng.choice((low, high, 0, -1, rng.randint(low, high))) for _ in range(count)]
+            t = sum(c << j * bits for j, c in enumerate(coeffs))
+            assert signed_digits(t, count, bits) == tuple(coeffs), (bits, count)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_transfer_numerators_exact_on_wide_automata(self, n):
         # random sets, not up-closed and far wider than a code's: the counts stay exact
@@ -589,18 +600,6 @@ class TestAllBasesEngine:
                     want, want_den = oracles.count_numerators(oracles.gather_counts(table, basis), n, p_fail)
                     assert got.dtype == want.dtype and den == want_den, (code.code_id, str(p_fail))
                     assert np.array_equal(got, want), (code.code_id, basis, str(p_fail))
-
-    def test_patterns_match_trit_matrix(self):
-        # every basis up to n = 4, then all-0, all-1 and four random ones
-        rng = np.random.default_rng(13)
-        for n in range(1, 9):
-            low, spread, key = oracles.trit_patterns(n)
-            masks = range(1 << n) if n <= 4 else [0, (1 << n) - 1, *rng.integers(1 << n, size=4).tolist()]
-            for mask in masks:
-                w = [(mask >> i) & 1 for i in range(n)]
-                states, keys = pattern_states(n, w)
-                assert states == (low + (spread & sum(4**i for i in range(n) if w[i]))).tolist(), (n, mask)
-                assert keys == key.tolist(), n
 
     def test_packed_sets_match_group_and_logical_set_order(self):
         rng = np.random.default_rng(12)
@@ -660,7 +659,7 @@ class TestDecoderArrays:
                 row = bytes(rng.randrange(top + 1) for _ in range(1 << k))
                 onehot = (np.arange(9)[:, None] == np.frombuffer(row, dtype=np.uint8)[None, :]).astype(np.int64)
                 want = oracles.fwht_blocks(onehot).T.tolist()
-                assert [list(_unpack(t, 8)) for t in _walsh(row)] == want, (k, top)
+                assert [list(signed_digits(t, 9, 32)) for t in _walsh(row)] == want, (k, top)
 
     def test_setup_matches_per_row_oracle(self):
         # pattern counts, lower sides and uncertified differences per (s, f), exactly, against one-hot Walsh pairs

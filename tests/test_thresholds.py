@@ -7,7 +7,7 @@ import pytest
 
 from fusioncodes import thresholds
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
-from fusioncodes.fusion import correctable_region
+from fusioncodes.fusion import EPSILON_CAP, correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.thresholds import (
     BiasConfig,
@@ -332,9 +332,9 @@ class TestRegionAgainstOracle:
     """The region against the per-row Walsh decoder, one scalar bisection per grid point."""
 
     @staticmethod
-    def _both(code, p_fail=0.5, grid_points=21):
+    def _both(code, p_fail=0.5, grid_points=21, epsilon_m_map=None):
         bias = default_bias_config(BiasMode.RANDOMIZED)
-        err = ErrorThresholdConfig(example_error_threshold_table())
+        err = ErrorThresholdConfig(example_error_threshold_table() if epsilon_m_map is None else epsilon_m_map)
         got = correctable_region(code, bias, err, p_fail=p_fail, grid_points=grid_points)
         want = oracles.correctable_region(code, bias, err, p_fail=p_fail, grid_points=grid_points)
         return [(p.gamma, p.epsilon_boundary) for p in got], want
@@ -349,8 +349,22 @@ class TestRegionAgainstOracle:
             nonempty += any(eps > 0.0 for _, eps in got)
         assert nonempty >= 3
 
+    @pytest.mark.parametrize(
+        "epsilon_m_map, boundary", [(((0.0, 1.0), (1.0, 1.0)), EPSILON_CAP), (((0.0, 0.0), (1.0, 0.0)), 0.0)]
+    )
+    def test_boundaries_at_the_cap_and_at_zero(self, epsilon_m_map, boundary):
+        # epsilon_M = 1 holds at the cap everywhere; epsilon_M = 0 fails every epsilon > 0
+        seqs = [r.sequence for n in range(1, 5) for r in enumerate_progenitor_records(n)] + ["LLPLPL"]
+        points = 0
+        for seq in seqs:
+            got, want = self._both(code_of(seq), epsilon_m_map=epsilon_m_map)
+            assert got == want, seq
+            assert all(eps == boundary for _, eps in got), seq
+            points += len(got)
+        assert points > 0
+
     def test_chunk_seam(self):
-        # 35 points: once past a seam where grid points were bisected in chunks of 32
+        # 35 grid points rather than the default 21: a finer spacing of the loss grid
         got, want = self._both(code_of("LLPL"), grid_points=35)
         assert len(got) == 35
         assert got == want
