@@ -18,21 +18,23 @@ command loads numpy: ``analyze`` and the threshold search count on
 ``lpoly``'s Python-int transfer counts, and ``region``'s ML decoder
 evaluates integer polynomials folded once per code.
 
-Start-up dominates these commands.  Measured with ``-X importtime`` on
-a 2-core x86-64 host (Python 3.11.7, medians of 20 fresh processes): the
-interpreter plus ``site`` take 50-70 ms and importing this module 26 ms,
-16 ms less than when the records were generated classes whose module
-imports ``inspect`` and execs methods for every class.  Records are
-NamedTuples or ``__slots__`` classes, so no command loads ``inspect``.
-Without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``) each process
-also compiles the package source it imports: about 9 ms for this module
-and its imports, 13-22 ms for ``compile`` and 17-29 ms for
-``threshold``.  See README "Startup".
+Start-up dominates these commands, and shutdown adds to it.  Measured
+on a 2-core x86-64 host (Python 3.11.7, fresh processes, no bytecode
+cache (``PYTHONDONTWRITEBYTECODE=1``), so each process also compiles
+the package source it imports): the interpreter plus ``site`` take
+40-70 ms, and importing this module takes 13-16 ms more (``-X
+importtime``).  Records are NamedTuples or ``__slots__`` classes, so no
+command loads ``inspect``, which generated classes would.  At exit the
+interpreter runs a full garbage collection over every object still
+tracked, about 5 ms here; ``run``, the process entry, freezes the
+collector first so that collection has nothing to traverse.  See
+README "Startup".
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -86,7 +88,7 @@ def _manifest(args, command: str, config_dict=None) -> dict:
     }
     digest = None
     if config_dict is not None:
-        import hashlib  # its OpenSSL load costs about 5 ms, so only runs with a config digest pay it
+        import hashlib  # its OpenSSL load costs about 3 ms, so only runs with a config digest pay it
 
         digest = hashlib.sha256(_canonical_json(config_dict).encode()).hexdigest()
     return {
@@ -96,6 +98,24 @@ def _manifest(args, command: str, config_dict=None) -> dict:
         "version": __version__,
         "seed": getattr(args, "seed", None),
     }
+
+
+def _say(line: str | None = None) -> None:
+    """Print a progress or summary line, then flush stdout (``None``: only flush).
+
+    These lines are informational.  Once stdout's reader has gone, stdout
+    is pointed at ``os.devnull``, as in the Python docs' note on SIGPIPE:
+    the command still writes its files and keeps its exit code, and no
+    later write or exit-time flush raises.
+    """
+    try:
+        if line is not None:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -150,25 +170,30 @@ def _check_code_size(n: int) -> None:
         raise ResourceCapExceeded(f"code size {n} exceeds cap {PROGENITOR_CAP}")
 
 
+def _checked(parse, ok, message: str, text: str):
+    """``parse(text)`` if it parses and passes ``ok``, else the usage error
+    ``message``: unparseable and out-of-range text read the same."""
+    try:
+        value = parse(text)
+    except ValueError:
+        pass
+    else:
+        if ok(value):
+            return value
+    raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+    return _checked(int, lambda v: v >= 1, "expected a positive integer", text)
 
 
 def _grid_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {value}")
-    return value
+    return _checked(int, lambda v: v >= 2, "a grid needs at least 2 points", text)
 
 
 def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # false for nan too
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-    return value
+    # the range test is false for nan too
+    return _checked(float, lambda v: 0.0 <= v <= 1.0, "expected a number in [0, 1]", text)
 
 
 def _eta_grid(text: str) -> str:
@@ -200,7 +225,7 @@ def cmd_enumerate(args) -> int:
     _write_json(os.path.join(args.out, "graphs.json"), payload)
     for r in records:
         _atomic_write(os.path.join(args.out, f"{r.sequence}.dot"), r.graph.to_dot(r.sequence))
-    print(f"enumerated {len(records)} progenitors with {args.n} photons -> {args.out}")
+    _say(f"enumerated {len(records)} progenitors with {args.n} photons -> {args.out}")
     return EXIT_OK
 
 
@@ -213,7 +238,7 @@ def cmd_analyze(args) -> int:
     report = erasure_analysis(code, FusionSpec(eta=grid[0], p_fail=args.p_fail, w=w))
     payload = {"manifest": _manifest(args, "analyze"), "report": report.to_json_dict(grid)}
     _write_json(args.out, payload)
-    print(f"analyzed {args.code} w={''.join(map(str, w))} -> {args.out}")
+    _say(f"analyzed {args.code} w={''.join(map(str, w))} -> {args.out}")
     return EXIT_OK
 
 
@@ -232,7 +257,7 @@ def cmd_optimize_w(args) -> int:
         "diagnostics": result.diagnostics,
     }
     _write_json(args.out, payload)
-    print(f"best failure basis for {args.code}: {payload['w_star']} (gamma*={result.gamma_star:.6f})")
+    _say(f"best failure basis for {args.code}: {payload['w_star']} (gamma*={result.gamma_star:.6f})")
     return EXIT_OK
 
 
@@ -273,7 +298,7 @@ def cmd_threshold(args) -> int:
                 "code": _resolve_code(best.code_id).to_json_dict(),
             }
         )
-        print(f"n={n}: best {best.code_id} gamma*={best.gamma_star:.6f}")
+        _say(f"n={n}: best {best.code_id} gamma*={best.gamma_star:.6f}")
     header = ["n", "code_id", "bias_mode", "gamma_star", "w_star", "p_erase_xx", "p_erase_zz"]
     _write_csv(args.out, header, rows, manifest)
     _write_json(args.out + ".codes.json", {"manifest": manifest, "winners": winners})
@@ -297,7 +322,7 @@ def cmd_region(args) -> int:
     else:
         winner = search_best_code(args.n, rand, p_fail=args.p_fail)[0]
         code = _resolve_code(winner.code_id)
-        print(f"using n={args.n} winner {code.code_id}")
+        _say(f"using n={args.n} winner {code.code_id}")
     points = correctable_region(code, rand, err, p_fail=args.p_fail, grid_points=args.grid_points, result=winner)
     manifest = _manifest(args, "region", raw)
     if not points or all(p.epsilon_boundary == 0.0 for p in points):
@@ -305,7 +330,7 @@ def cmd_region(args) -> int:
     rows = [[p.gamma, p.epsilon_boundary] for p in points]
     _write_csv(args.out, ["gamma", "epsilon_boundary"], rows, manifest)
     if points:
-        print(f"region boundary written ({len(points)} points, intercept {points[0].epsilon_boundary:.6f})")
+        _say(f"region boundary written ({len(points)} points, intercept {points[0].epsilon_boundary:.6f})")
     return EXIT_OK
 
 
@@ -343,7 +368,7 @@ def cmd_compile(args) -> int:
     if not verdict.ok:
         print(f"verification failed: {verdict.message}", file=sys.stderr)
         return EXIT_VERIFY
-    print(
+    _say(
         f"compiled {seq.outer_size}-vertex outer x {inner.n_code}-qubit inner "
         f"({mode.value}): {resources.spin_spin_gates} spin-spin gates, "
         f"depth {resources.max_emitter_depth}, {resources.photons} photons [verified: {verdict.method}]"
@@ -369,7 +394,7 @@ def cmd_duals(args) -> int:
             print(f"warning: dual swap failed for {rec.sequence}", file=sys.stderr)
     payload = {"manifest": _manifest(args, "duals"), "duals": entries}
     _write_json(args.out, payload)
-    print(f"wrote {len(entries)} dual codes -> {args.out}")
+    _say(f"wrote {len(entries)} dual codes -> {args.out}")
     return EXIT_OK
 
 
@@ -465,5 +490,25 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def run() -> None:
+    """Process entry of the ``fusioncodes`` command and ``python -m fusioncodes.cli``.
+
+    Runs ``main`` on ``sys.argv``, flushes stdout and stderr, then freezes
+    the garbage collector: every object moves to the permanent
+    generation, so the full collection the interpreter runs at exit has
+    nothing to traverse (about 5 ms per process).  ``atexit`` handlers and
+    the exit-time flush still run.  ``main`` itself has no process-wide
+    side effects, so in-process callers can call it any number of times.
+    """
+    try:
+        rc = main()
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
+        rc = exc.code
+    _say()
+    sys.stderr.flush()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -577,6 +578,21 @@ class TestCompile:
         assert main(["compile", "--outer", str(outer), "--inner", inner, "--out", str(tmp_path / "x")]) == 3
 
 
+def _child_env(*first: str) -> dict:
+    """Environment of a child interpreter that imports the package under test,
+    with the ``first`` directories ahead of it on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusioncodes.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*first, src, os.environ.get("PYTHONPATH")]))}
+
+
+def _cli_process(argv, cwd, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m fusioncodes.cli *argv`` in a fresh interpreter; stdout and stderr captured as text by default."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run(
+        [sys.executable, "-m", "fusioncodes.cli", *argv], cwd=cwd, env=env or _child_env(), text=True, **kwargs
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -589,13 +605,35 @@ class TestCompile:
 def test_deeply_nested_json_is_config_error(tmp_path, argv):
     # past about a thousand levels json.load raises RecursionError, not ValueError
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fusioncodes.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fusioncodes.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
+    proc = _cli_process(argv, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["enumerate", "--n", "abc"], "fusioncodes enumerate: error: argument --n: expected a positive integer, got 'abc'"),
+        (
+            ["region", "--code", "LL", "--grid-points", "2.5"],
+            "fusioncodes region: error: argument --grid-points: a grid needs at least 2 points, got '2.5'",
+        ),
+        (["analyze", "--code", "LL", "--p-fail", "x"], "fusioncodes analyze: error: argument --p-fail: expected a number in [0, 1], got 'x'"),
+        (["analyze", "--code", "LL", "--eta-grid", ""], "fusioncodes analyze: error: argument --eta-grid: expected a number in [0, 1], got ''"),
+        (
+            ["analyze", "--code", "LL", "--eta-grid", "0.5,,0.4"],
+            "fusioncodes analyze: error: argument --eta-grid: expected a number in [0, 1], got ''",
+        ),
+    ],
+    ids=["n", "grid-points", "p-fail", "eta-grid-empty", "eta-grid-empty-item"],
+)
+def test_unparseable_value_reads_like_out_of_range(tmp_path, capsys, argv, line):
+    # int() and float() raise before the range check; the message must not name the private converter
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+    assert not (tmp_path / "out").exists()
 
 
 class TestCodeSizeCap:
@@ -622,10 +660,84 @@ class TestDuals:
 
 def _fresh_python(script: str, cwd) -> None:
     """Run ``script`` in a new interpreter that imports the package under test."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fusioncodes.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+CHAIN4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+
+
+class TestProcessEntry:
+    """``python -m fusioncodes.cli`` and the ``fusioncodes`` script enter ``cli.run``."""
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["enumerate", "--n", "1", "--out", "lib"], 0, None),
+            (["enumerate", "--n", "abc", "--out", "lib"], 2, "fusioncodes enumerate: error: argument --n: expected a positive integer, got 'abc'"),
+            (["optimize-w", "--code", "LL", "--config", "bad.json", "--out", "w.json"], 3, "config error: config root must be a JSON object"),
+            (["enumerate", "--n", "9", "--out", "lib"], 4, "resource cap exceeded: 9 photons exceeds cap 8"),
+            (
+                ["compile", "--outer", "chain4.json", "--inner", "LLPL", "--inject-fault", "--out", "c"],
+                5,
+                "verification failed: target generator 20 (+IIXXIIZIIIIZZZIIIIIIXI) is missing from the compiled group",
+            ),
+        ],
+        ids=["ok", "usage", "config", "resource", "verify"],
+    )
+    def test_documented_exit_codes(self, tmp_path, argv, code, line):
+        (tmp_path / "bad.json").write_text("[1]")
+        (tmp_path / "chain4.json").write_text(json.dumps(CHAIN4))
+        proc = _cli_process(argv, tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1:] == ([line] if line else [])
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["enumerate", "--n", "3", "--out", str(tmp_path / "lib")]) == 0
+        with pytest.raises(SystemExit):
+            main(["enumerate", "--n", "abc", "--out", str(tmp_path / "lib")])
+        assert gc.get_freeze_count() == before
+
+    def test_exit_runs_frozen_and_keeps_atexit(self, tmp_path):
+        # site imports sitecustomize from the path before -m runs the module
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(f'frozen at exit: {gc.get_freeze_count()}', file=sys.stderr))\n"
+        )
+        proc = _cli_process(["enumerate", "--n", "2", "--out", "lib"], tmp_path, env=_child_env(str(probe)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "enumerated 2 progenitors with 2 photons -> lib\n"
+        label, count = proc.stderr.rsplit(": ", 1)
+        assert label == "frozen at exit" and int(count) > 0
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_keeps_files_and_exit_code(self, tmp_path, unbuffered):
+        # unbuffered, the first progress line meets the closed pipe; buffered, the flush after it does
+        argv = ["threshold", "--n-min", "2", "--n-max", "4", "--out", "t.csv"]
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        normal, closed = tmp_path / "normal", tmp_path / "closed"
+        normal.mkdir()
+        closed.mkdir()
+        assert _cli_process(argv, normal, env).returncode == 0
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _cli_process(argv, closed, env, stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        names = ["t.csv", "t.csv.codes.json", "t.csv.manifest.json"]
+        assert sorted(p.name for p in closed.iterdir()) == names
+        for name in names:
+            assert (closed / name).read_bytes() == (normal / name).read_bytes(), name
 
 
 class TestStartup:

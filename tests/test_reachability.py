@@ -1,7 +1,8 @@
 """Every function in the package is reached by some command.
 
 A fixed battery of CLI invocations runs in one fresh interpreter under
-``sys.setprofile``, which records every Python function it enters.  Each
+``sys.setprofile``, which records every Python function it enters; the
+last invocation goes through the process entry ``cli.run``.  Each
 ``def`` of ``src/fusioncodes`` (nested ones included) is matched by file,
 first line (the first decorator's line for a decorated function) and
 name.  Only the library functions the README documents and no command
@@ -38,7 +39,13 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 from fusioncodes import cli
 
-exits = [cli.main(args) for args in json.loads(battery)]
+*in_process, last = json.loads(battery)
+exits = [cli.main(args) for args in in_process]
+sys.argv = ["fusioncodes", *last]
+try:
+    cli.run()  # the process entry, which ends in SystemExit
+except SystemExit as exc:
+    exits.append(exc.code)
 sys.setprofile(None)
 with open(out, "w") as fh:
     json.dump({"exits": exits, "entered": sorted(entered)}, fh)
