@@ -282,8 +282,8 @@ def cmd_threshold(args) -> int:
                 bias.mode.value,
                 best.gamma_star,
                 "".join(str(b) for b in best.w_star),
-                best.diagnostics.get("p_erase_xx", 0.0),
-                best.diagnostics.get("p_erase_zz", 0.0),
+                best.diagnostics["p_erase_xx"],
+                best.diagnostics["p_erase_zz"],
             ]
         )
         winners.append(
@@ -482,10 +482,10 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (VerificationError,) as exc:
+    except VerificationError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (CompileError, OSError, json.JSONDecodeError) as exc:
+    except (CompileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

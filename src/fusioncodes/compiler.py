@@ -17,13 +17,17 @@ that drives either an exact bit-packed state vector (by default up to
 12 photons and 16 target wires) or a sign-exact stabilizer tableau (any
 size).  The target is the concatenated graph: the outer graph with an
 inner block embedded at every node and the virtual node of each block
-measured in X with outcome +1.  Either backend builds the target on the
-replay's own wires.  The state vector compares amplitudes and signs;
-on the tableau, each target generator must be a +1 element of the
-compiled stabilizer group, and a failure names the first one that is
-not, rendered as text by ``pauli.pauli_string``.  Compiling and both
-verifiers run on Python ints alone, without numpy, and a verifier
-imports its backend module only when it runs.
+measured in X with outcome +1.  A backend is a class with five methods:
+``graph_state(n, edges)`` builds the target on the replay's own wires,
+``cz``, ``measure_x`` and ``reinit`` replay the instructions, and
+``got.mismatch(want)`` gives the verdict, a failure message or None.
+The state vector compares amplitudes and signs; on the tableau, each
+target generator must be a +1 element of the compiled stabilizer
+group, and a failure names the first one that is not.  A forced +1
+outcome of zero probability raises ``BranchImpossible`` on either
+backend.  Compiling and both verifiers run on Python ints alone,
+without numpy, and a verifier imports its backend module only when it
+runs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import NamedTuple
 
 from .codes import GraphCode
 from .graphs import GraphState, build_progenitor, caterpillar_spine
-from .pauli import CompileError, VerificationError, pauli_string  # noqa: F401  (errors re-exported)
+from .pauli import BranchImpossible, CompileError, VerificationError  # noqa: F401  (errors re-exported)
 
 # 'auto' verification limits of the state vector: photons of the replay,
 # and photons plus one virtual wire per outer vertex for the target
@@ -362,7 +366,7 @@ def _replay(seq: GenerationSequence, target: ConcatenatedTarget, backend):
     measurements both states are pure on the same wires, and the final
     slot wires are isolated |+> vertices of the target.  ``backend`` is
     a class with ``graph_state(n, edges)`` besides the methods ``_run``
-    calls.
+    calls; ``verify_sequence`` reads the verdict off ``got.mismatch(want)``.
     """
     got = backend(seq.photon_count + 2 + target.n_virtual)
     wire = _run(seq, got)[: seq.photon_count]
@@ -373,40 +377,18 @@ def _replay(seq: GenerationSequence, target: ConcatenatedTarget, backend):
     return got, want
 
 
-def _stabilizer_mismatch(seq: GenerationSequence, target: ConcatenatedTarget) -> tuple[int, str, bool] | None:
-    """(index, text, missing) of the first target generator that is not a
-    +1 element of the compiled group, or None when the states are equal;
-    ``text`` is the generator rendered with its sign, and ``missing`` is
-    False for a generator the group holds with sign -1.
-    """
-    from .tableau import StabilizerTableau
-
-    got, want = _replay(seq, target, StabilizerTableau)
-    stray = got.first_non_member(want.xs, want.zs, want.signs)
-    if stray is None:
-        return None
-    k, rest = stray
-    return k, pauli_string(want.n, want.xs[k], want.zs[k], 2 * (want.signs >> k & 1)), bool(rest)
-
-
 # -- verification ---------------------------------------------------------
 
 
-class VerificationResult:
-    """Verdict of ``verify_sequence``; ``detail`` holds what the message reports."""
+class VerificationResult(NamedTuple):
+    """Verdict of ``verify_sequence``: the failure message when not ``ok``."""
 
-    __slots__ = ("ok", "method", "message", "detail")
-
-    def __init__(self, ok: bool, method: str, message: str = "", detail: dict | None = None):
-        self.ok, self.method, self.message = ok, method, message
-        self.detail = {} if detail is None else detail
+    ok: bool
+    method: str
+    message: str = ""
 
 
-def verify_sequence(
-    seq: GenerationSequence,
-    expected: ConcatenatedTarget | None = None,
-    method: str = "auto",
-) -> VerificationResult:
+def verify_sequence(seq: GenerationSequence, method: str = "auto") -> VerificationResult:
     """Check a sequence against the concatenated target construction.
 
     ``method``: 'statevector' (exact bit-packed amplitudes, small targets
@@ -416,49 +398,30 @@ def verify_sequence(
     tableau otherwise.  An explicit 'statevector' raises
     ``VerificationError`` when the simulated wires, P photons, two spin
     slots and m outer vertices, exceed ``statevec.MAX_WIRES`` (24).
-    Both replay the sequence with every spin measurement forced to +1
-    and check the state against the target exactly, signs included: the
-    state vector by comparing support and signs, the tableau by testing
-    each target generator for membership in the compiled group.  A
-    failed state-vector check reports the overlap of the two states; a
-    failed tableau check names the first target generator that the
-    group lacks or holds with sign -1 (on the replay's wires) in
-    ``message`` and ``detail``.
+    Both replay the sequence with every spin measurement forced to +1,
+    and the compiled state gives the verdict against the target as
+    ``mismatch``, exactly, signs included: the state vector compares
+    support and signs and reports the overlap of the two states; the
+    tableau tests each target generator for membership in the compiled
+    group and names the first one that the group lacks or holds with
+    sign -1 (on the replay's wires).  A forced outcome of zero
+    probability fails as a diverged simulation.
     """
-    target = expected or build_concatenated_target(seq.outer_ops, seq.inner_ops)
+    target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
     if target.n_photons != seq.photon_count:
         return VerificationResult(False, "none", "photon count differs from target")
     if method == "auto":
         small = seq.photon_count <= AUTO_MAX_PHOTONS and target.n_total <= AUTO_MAX_WIRES
         method = "statevector" if small else "stabilizer"
     if method == "statevector":
-        from .statevec import FlatState
-
-        got, want = _replay(seq, target, FlatState)
-        if got.equals_up_to_phase(want):
-            return VerificationResult(True, method)
-        overlap = got.overlap(want)
-        return VerificationResult(
-            False,
-            method,
-            f"compiled state deviates from target (overlap {overlap:.6f})",
-            {"overlap": overlap},
-        )
-    if method == "stabilizer":
-        from .tableau import BranchImpossible
-
-        try:
-            stray = _stabilizer_mismatch(seq, target)
-        except BranchImpossible as exc:
-            return VerificationResult(False, method, f"simulation diverged: {exc}")
-        if stray is None:
-            return VerificationResult(True, method)
-        k, text, missing = stray
-        how = "is missing from" if missing else "has sign -1 in"
-        return VerificationResult(
-            False,
-            method,
-            f"target generator {k} ({text}) {how} the compiled group",
-            {"generator_index": k, "generator": text, "missing": missing},
-        )
-    raise ValueError(f"unknown method {method!r}")
+        from .statevec import FlatState as backend
+    elif method == "stabilizer":
+        from .tableau import StabilizerTableau as backend
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    try:
+        got, want = _replay(seq, target, backend)
+    except BranchImpossible as exc:
+        return VerificationResult(False, method, f"simulation diverged: {exc}")
+    message = got.mismatch(want)
+    return VerificationResult(message is None, method, message or "")

@@ -17,8 +17,8 @@ class ResourceCapExceeded(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
-# ConfigError, CompileError and VerificationError live here, where the CLI
-# can catch them without importing the modules that raise them.
+# ConfigError, CompileError and the verification errors live here, where
+# the CLI can catch them without importing the modules that raise them.
 class ConfigError(ValueError):
     """A configuration file violates the expected schema."""
 
@@ -29,6 +29,10 @@ class CompileError(ValueError):
 
 class VerificationError(RuntimeError):
     """A compiled sequence failed verification."""
+
+
+class BranchImpossible(VerificationError):
+    """A verification backend's forced +1 measurement branch has zero probability."""
 
 
 def product_phase(xa: int, za: int, xb: int, zb: int) -> int:

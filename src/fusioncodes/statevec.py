@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .pauli import VerificationError
+from .pauli import BranchImpossible, VerificationError
 
 MAX_WIRES = 24  # 2^24-bit ints, 2 MB each
 
@@ -78,7 +78,7 @@ class FlatState:
             raise VerificationError(f"X projection of wire {q} leaves a state that is not flat")
         pairs = kept | lone
         if not pairs:
-            raise VerificationError("measurement branch has zero probability")
+            raise BranchImpossible(f"forced +1 outcome on wire {q} has zero probability")
         neg_low = ((n0 & s0) | (n1 & ~s0)) & pairs
         self.support = pairs | pairs << d
         self.negative = neg_low | neg_low << d
@@ -95,3 +95,9 @@ class FlatState:
 
     def equals_up_to_phase(self, other: "FlatState") -> bool:
         return self.support == other.support and (self.negative ^ other.negative) in (0, self.support)
+
+    def mismatch(self, want: "FlatState") -> str | None:
+        """Why this state is not ``want`` up to a global phase, or None."""
+        if self.equals_up_to_phase(want):
+            return None
+        return f"compiled state deviates from target (overlap {self.overlap(want):.6f})"

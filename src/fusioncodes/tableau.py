@@ -12,16 +12,13 @@ sign-exact state-equality check (the deterministic-measurement test of
 Aaronson and Gottesman's CHP).  Membership runs on ``pauli.gf2_reduce``
 over the generators, each tagged with its index below its Pauli bits;
 the row's sign is then that of the product of the generators its tags
-name.
+name.  ``mismatch`` is the verifier's verdict: the first target
+generator that fails, rendered by ``pauli.pauli_string``.
 """
 
 from __future__ import annotations
 
-from .pauli import gf2_reduce, product_phase
-
-
-class BranchImpossible(RuntimeError):
-    """The forced +1 measurement branch has zero probability."""
+from .pauli import BranchImpossible, gf2_reduce, pauli_string, product_phase
 
 
 class StabilizerTableau:
@@ -79,6 +76,17 @@ class StabilizerTableau:
 
     def reinit(self, wire: int) -> None:
         """No-op: the only measurements are +1 X projections, which leave |+>."""
+
+    def mismatch(self, want: "StabilizerTableau") -> str | None:
+        """Why this state is not ``want``, naming the first generator of
+        ``want`` that is not a +1 element of this group, or None."""
+        stray = self.first_non_member(want.xs, want.zs, want.signs)
+        if stray is None:
+            return None
+        k, rest = stray
+        text = pauli_string(want.n, want.xs[k], want.zs[k], 2 * (want.signs >> k & 1))
+        how = "is missing from" if rest else "has sign -1 in"
+        return f"target generator {k} ({text}) {how} the compiled group"
 
     def first_non_member(self, xs: list[int], zs: list[int], signs: int) -> tuple[int, int] | None:
         """Index and residue of the first row k, (``xs[k]``, ``zs[k]``) with

@@ -139,9 +139,13 @@ class ErrorThresholdConfig(_ErrorFields):
         return _interp_table(self.epsilon_m_map, p_erase)
 
 
-def default_passive_table(
-    p_tilde: float, low_bias_bonus: float = 0.05, knots: int = 21
-) -> tuple[tuple[float, float], ...]:
+# The placeholder passive table's bonus at bias ratio 0 (strong bias) and
+# its number of evenly spaced knots in the bias ratio
+PASSIVE_LOW_BIAS_BONUS = 0.05
+PASSIVE_KNOTS = 21
+
+
+def default_passive_table(p_tilde: float) -> tuple[tuple[float, float], ...]:
     """Illustrative stand-in for an outer-code bias-threshold table.
 
     The real table belongs to the outer code and should be supplied via
@@ -154,9 +158,9 @@ def default_passive_table(
     code.
     """
     rows = []
-    for i in range(knots):
-        b = i / (knots - 1)
-        rows.append((round(b, 6), 2.0 * p_tilde / (1.0 + b) * (1.0 + low_bias_bonus * (1.0 - b))))
+    for i in range(PASSIVE_KNOTS):
+        b = i / (PASSIVE_KNOTS - 1)
+        rows.append((round(b, 6), 2.0 * p_tilde / (1.0 + b) * (1.0 + PASSIVE_LOW_BIAS_BONUS * (1.0 - b))))
     return tuple(rows)
 
 
@@ -253,12 +257,11 @@ class ThresholdResult:
     for ``fusion.correctable_region``; it is in no output.
     """
 
-    __slots__ = ("code_id", "n_code", "w_star", "gamma_star", "bias_mode", "diagnostics", "coeffs")
+    __slots__ = ("code_id", "w_star", "gamma_star", "bias_mode", "diagnostics", "coeffs")
 
     def __init__(
         self,
         code_id: str,
-        n_code: int,
         w_star: tuple[int, ...],
         gamma_star: float,
         bias_mode: BiasMode,
@@ -267,7 +270,7 @@ class ThresholdResult:
     ):
         if not 0.0 <= gamma_star < 1.0:
             raise ValueError(f"gamma_star out of range: {gamma_star}")
-        self.code_id, self.n_code, self.w_star, self.gamma_star = code_id, n_code, w_star, gamma_star
+        self.code_id, self.w_star, self.gamma_star = code_id, w_star, gamma_star
         self.bias_mode, self.diagnostics, self.coeffs = bias_mode, diagnostics, coeffs
 
 
@@ -346,7 +349,7 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
         "feasible_at_zero_loss": ok_best,
     }
     w_star = tuple((best >> i) & 1 for i in range(code.n_code))
-    return ThresholdResult(code.code_id, code.n_code, w_star, g_best, bias.mode, diagnostics, (cx, cz))
+    return ThresholdResult(code.code_id, w_star, g_best, bias.mode, diagnostics, (cx, cz))
 
 
 def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list[ThresholdResult]:
@@ -379,7 +382,6 @@ def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> T
     gamma = _bisect(feasible) if feasible(0.0) else 0.0
     return ThresholdResult(
         code_id=f"boosted-pfail-{p_fail}",
-        n_code=0,
         w_star=(),
         gamma_star=gamma,
         bias_mode=BiasMode.RANDOMIZED,

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -27,8 +28,9 @@ from fusioncodes.compiler import (
     _run,
 )
 from fusioncodes.graphs import GraphState, build_progenitor, enumerate_progenitor_records
+from fusioncodes.pauli import BranchImpossible
 from fusioncodes.statevec import MAX_WIRES, FlatState
-from fusioncodes.tableau import BranchImpossible, StabilizerTableau
+from fusioncodes.tableau import StabilizerTableau
 
 from oracles import (
     PauliOperator,
@@ -277,13 +279,12 @@ class TestVerification:
         # compiled and with each CZ, SWAP and rotation deleted in turn
         checked = failed = 0
         for seq in statevector_sequences(mode):
-            target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
             cuts = [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)]
             for k in [None] + cuts:
                 ops = seq.ops if k is None else seq.ops[:k] + seq.ops[k + 1 :]
                 variant = seq._replace(ops=ops)
-                by_vector = verify_sequence(variant, target, "statevector").ok
-                res = verify_sequence(variant, target, "stabilizer")
+                by_vector = verify_sequence(variant, "statevector").ok
+                res = verify_sequence(variant, "stabilizer")
                 assert res.ok == by_vector, (seq.outer_ops, seq.inner_ops, k, res.message)
                 assert res.ok or k is not None, (seq.outer_ops, seq.inner_ops, res.message)
                 checked += 1
@@ -296,15 +297,14 @@ class TestVerification:
         for seq in statevector_sequences(mode):
             if seq.outer_size > 3 or len(seq.inner_ops) > 5:
                 continue
-            target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
             for k in range(len(seq.ops) + 1):
                 variant = seq._replace(ops=seq.ops[:k] + (Instruction(Op.CZ, (0, 1)),) + seq.ops[k:])
-                by_vector = verify_sequence(variant, target, "statevector")
-                res = verify_sequence(variant, target, "stabilizer")
+                by_vector = verify_sequence(variant, "statevector")
+                res = verify_sequence(variant, "stabilizer")
                 assert res.ok == by_vector.ok, (seq.outer_ops, seq.inner_ops, k, res.message)
                 checked += 1
                 failed += not res.ok
-                if not res.ok and res.detail["missing"] is False:
+                if "has sign -1 in" in res.message:
                     sign_only += 1
                     first = first or (seq.outer_ops, seq.inner_ops, k, res.message, by_vector.message)
         assert (checked, failed, sign_only) == (1269, 1220, {Mode.TWO_EMITTER: 97, Mode.EMITTER_MEMORY: 104}[mode])
@@ -342,8 +342,8 @@ class TestVerification:
             if cz_at:
                 bad = seq._replace(ops=seq.ops[: cz_at[-1]] + seq.ops[cz_at[-1] + 1 :])
                 overlap = abs(np.vdot(photon_statevector(bad)[0], dense_target))
-                res = verify_sequence(bad, target, "statevector")
-                assert res.detail.get("overlap", 1.0) == pytest.approx(overlap, abs=1e-12), seq
+                got, want = _replay(bad, target, FlatState)
+                assert got.overlap(want) == pytest.approx(overlap, abs=1e-12), seq
         assert replays == 392
 
     def test_projection_that_breaks_flatness_raises(self):
@@ -385,10 +385,9 @@ class TestVerification:
         ops = list(seq.ops)
         del ops[[k for k, i in enumerate(ops) if i.op is Op.CZ][1]]
         res = verify_sequence(seq._replace(ops=tuple(ops)), method="stabilizer")
-        detail = res.detail
-        assert not res.ok and detail["missing"]
-        assert f"target generator {detail['generator_index']} ({detail['generator']}) is missing" in res.message
-        assert pauli_from_string(detail["generator"]).n == seq.photon_count + 2 + seq.outer_size
+        named = re.fullmatch(r"target generator (\d+) \(([-+][IXYZ]+)\) is missing from the compiled group", res.message)
+        assert not res.ok and named, res.message
+        assert pauli_from_string(named[2]).n == seq.photon_count + 2 + seq.outer_size
 
     def test_deletion_messages_are_pinned(self):
         # the tableau's message for every single-instruction deletion of these
@@ -422,8 +421,9 @@ class TestVerification:
 
     def test_photon_count_mismatch_detected(self):
         seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
-        target = build_concatenated_target("P", "LL")
-        assert not verify_sequence(seq, expected=target).ok
+        emit = next(k for k, i in enumerate(seq.ops) if i.op is Op.EMIT_PHOTON)
+        res = verify_sequence(seq._replace(ops=seq.ops[:emit] + seq.ops[emit + 1 :]))
+        assert res == (False, "none", "photon count differs from target")
 
     def test_minus_one_outcome_flips_one_logical_sign(self):
         # a -1 spin measurement shows up as a sign flip of exactly one
@@ -470,12 +470,36 @@ class TestVerification:
 
     def test_both_modes_verify_against_the_same_target(self):
         for outer_ops, inner_ops in [("PP", "LL"), ("PLP", "L")]:
-            target = None
+            targets = set()
             for mode in Mode:
                 seq = compile_generation(build_progenitor(outer_ops), inner_code(inner_ops), mode)
-                if target is None:
-                    target = build_concatenated_target(seq.outer_ops, seq.inner_ops)
-                assert verify_sequence(seq, expected=target, method="statevector").ok
+                targets.add(build_concatenated_target(seq.outer_ops, seq.inner_ops))
+                assert verify_sequence(seq, method="statevector").ok
+            assert len(targets) == 1, (outer_ops, inner_ops)
+
+    @pytest.mark.parametrize("backend, method", [(FlatState, "statevector"), (StabilizerTableau, "stabilizer")])
+    def test_zero_probability_branch_has_one_verdict(self, backend, method, monkeypatch):
+        # both backends raise the same error for a forced +1 outcome on |->,
+        # and verify_sequence turns it into one failed result
+        def minus(n, wire):
+            state = backend(n)
+            if backend is FlatState:
+                state.negative = state.high(wire)
+            else:
+                state.signs = 1 << wire
+            return state
+
+        with pytest.raises(BranchImpossible, match=r"^forced \+1 outcome on wire 0 has zero probability$"):
+            minus(2, 0).measure_x(0)
+        # no compiled sequence reaches that branch: every spin measurement
+        # is made to meet a |-> wire instead
+        real = backend.measure_x
+        monkeypatch.setattr(backend, "measure_x", lambda self, wire: real(minus(self.n, wire), wire))
+        seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
+        # the one outer edge reads as a leaf: the first measurement is of
+        # spin slot 1, on wire 3 after the two photons and slot 0
+        diverged = "simulation diverged: forced +1 outcome on wire 3 has zero probability"
+        assert verify_sequence(seq, method=method) == (False, method, diverged)
 
 
 class TestStabilizerTableau:
