@@ -36,8 +36,8 @@ from typing import NamedTuple
 from .codes import GraphCode, packed_cosets
 from .graphs import PROGENITOR_CAP
 
-# _SPREAD[b] moves bit i of the byte b to bit 2i
-_SPREAD = tuple(sum(((b >> i) & 1) << 2 * i for i in range(8)) for b in range(256))
+# _SPREAD[b] moves bit i of the byte b to bit 2i: b's binary digits read in base 4
+_SPREAD = tuple(int(format(b, "b"), 4) for b in range(256))
 
 
 class _SpecFields(NamedTuple):

@@ -43,10 +43,13 @@ class BiasMode(Enum):
     PASSIVE = "passive"
 
 
+# A rate is a probability within rounding of [0, 1]: 1 - P(success) can round below 0
+_RATE_LO, _RATE_HI = -1e-12, 1.0 + 1e-12
+
+
 def _check_rates(*rates: float) -> None:
-    """Probabilities within rounding (1e-12) of [0, 1]; 1 - P(success) can round below 0."""
     for v in rates:
-        if not -1e-12 <= v <= 1.0 + 1e-12:
+        if not _RATE_LO <= v <= _RATE_HI:
             raise ValueError(f"rate out of range: {v}")
 
 
@@ -279,16 +282,33 @@ def _rates(cx: list[float], cz: list[float], gamma: float) -> tuple[float, float
     eta = 1.0 - gamma
     x = eta * eta
     sx = sz = 0.0
-    for j in range(len(cx) - 1, -1, -1):
-        sx = sx * x + cx[j]
-        sz = sz * x + cz[j]
+    for a, b in zip(reversed(cx), reversed(cz)):
+        sx = sx * x + a
+        sz = sz * x + b
     return 1.0 - sx, 1.0 - sz
 
 
-def _feasible(bias: BiasConfig, p_xx: float, p_zz: float) -> bool:
-    if bias.mode is BiasMode.RANDOMIZED:
-        return randomized_bias_rate(p_xx, p_zz) <= bias.p_tilde_randomized
-    return max(p_xx, p_zz) <= bias.passive_threshold(bias_ratio(p_xx, p_zz))
+def _feasibility(bias: BiasConfig, cx: list[float], cz: list[float]):
+    """feasible(gamma) of one failure basis, with the bias rule resolved once.
+
+    The randomized rule bounds ``randomized_bias_rate``, the passive rule the
+    worse rate by the table at ``bias_ratio``.  Both are written out here with
+    the same float operations, so an evaluation calls ``_rates`` and, in
+    passive mode, the table lookup, and nothing else.
+    """
+    randomized = bias.mode is BiasMode.RANDOMIZED
+    p_tilde, threshold = bias.p_tilde_randomized, bias.passive_threshold
+
+    def feasible(gamma: float) -> bool:
+        p_xx, p_zz = _rates(cx, cz, gamma)
+        if not (_RATE_LO <= p_xx <= _RATE_HI and _RATE_LO <= p_zz <= _RATE_HI):
+            _check_rates(p_xx, p_zz)  # raises
+        if randomized:
+            return 0.5 * (p_xx + p_zz) <= p_tilde
+        hi = max(p_xx, p_zz)
+        return hi <= threshold(min(p_xx, p_zz) / hi if hi != 0.0 else 1.0)
+
+    return feasible
 
 
 def _bisect(feasible, top: float = 1.0, cut: float = -1.0) -> float | None:
@@ -329,11 +349,7 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
         if key in seen:
             continue  # the same rows bisect the same way, and the earlier basis wins ties
         seen.add(key)
-        cx, cz = ([c / den for c in row] for row in key)
-
-        def feasible(gamma, cx=cx, cz=cz):
-            return _feasible(bias, *_rates(cx, cz, gamma))
-
+        feasible = _feasibility(bias, *([c / den for c in row] for row in key))
         if not feasible(0.0):
             continue  # gamma 0, which no later basis can lose to
         g = _bisect(feasible, cut=g_best + 1e-12 if w else -1.0)

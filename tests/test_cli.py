@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusioncodes
-from fusioncodes import thresholds
+from fusioncodes import cli, thresholds
 from fusioncodes.cli import GRID_POINTS_CAP, main
 from fusioncodes.graphs import enumerate_progenitor_records
 from fusioncodes.thresholds import (
@@ -578,6 +580,21 @@ class TestCompile:
         assert main(["compile", "--outer", str(outer), "--inner", inner, "--out", str(tmp_path / "x")]) == 3
 
 
+class TestConfigDigest:
+    @pytest.mark.parametrize("blocked", [(), ("_sha256", "_sha2")], ids=["builtin", "hashlib-fallback"])
+    @pytest.mark.parametrize("source", ["default", "file"])
+    def test_digest_is_sha256_of_canonical_json(self, tmp_path, monkeypatch, source, blocked):
+        if source == "file":
+            with open(write_config(tmp_path)) as fh:
+                cfg = json.load(fh)
+        else:
+            cfg = config_to_json_dict(default_bias_config())
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)  # its import raises ImportError
+        manifest = cli._manifest(argparse.Namespace(n_max=5, out="t.csv"), "threshold", cfg)
+        assert manifest["config_digest"] == hashlib.sha256(cli._canonical_json(cfg).encode()).hexdigest()
+
+
 def _child_env(*first: str) -> dict:
     """Environment of a child interpreter that imports the package under test,
     with the ``first`` directories ahead of it on the path."""
@@ -787,8 +804,30 @@ assert "numpy" not in sys.modules and "fusioncodes.fusion" not in sys.modules
 assert main(["compile", "--outer", "chain.json", "--inner", "LLPLPLPL", "--out", "run"]) == 0
 assert json.load(open("run.sequence.json"))["verification_method"] == "stabilizer"
 assert "numpy" not in sys.modules and "fusioncodes.statevec" not in sys.modules
-# hashlib loads only where a config digest is written
+# no command loads hashlib
 assert preloaded or "hashlib" not in sys.modules
+""",
+            tmp_path,
+        )
+
+    def test_config_digest_skips_openssl(self, tmp_path):
+        if importlib.util.find_spec("_sha256") is None and importlib.util.find_spec("_sha2") is None:
+            pytest.skip("no built-in SHA-256 module: the config digest falls back to hashlib")
+        write_config(tmp_path)
+        _fresh_python(
+            """
+import contextlib, io, sys
+preloaded = "_hashlib" in sys.modules
+from fusioncodes.cli import main
+commands = [
+    ["threshold", "--n-min", "2", "--n-max", "3", "--config", "config.json", "--out", "t.csv"],
+    ["optimize-w", "--code", "LLPL", "--bias", "passive", "--out", "w.json"],
+    ["region", "--code", "LLPL", "--config", "config.json", "--out", "r.csv"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert preloaded or "_hashlib" not in sys.modules, argv
 """,
             tmp_path,
         )

@@ -11,6 +11,7 @@ from fusioncodes.codes import code_from_progenitor, dual_code_with_map, dual_swa
 from fusioncodes.fusion import ErrorAnalyzer, _descartes, _flip_bias, _walsh
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
+    _SPREAD,
     FusionSpec,
     basis_numerators,
     erasure_analysis,
@@ -621,6 +622,11 @@ class TestAllBasesEngine:
             for basis in ("X", "Z"):
                 scan = np.packbits(oracles.rep_index_scan(table, basis) >= 0, bitorder="little")
                 assert table.readable[basis] == int.from_bytes(scan.tobytes(), "little"), (code.code_id, basis)
+
+    def test_spread_moves_bit_i_to_bit_2i(self):
+        assert len(_SPREAD) == 256
+        for b in range(256):
+            assert _SPREAD[b] == sum(((b >> i) & 1) << 2 * i for i in range(8)), b
 
     def test_swap_check_rejects_a_wrong_pivot(self):
         rejected = 0

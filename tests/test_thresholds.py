@@ -141,6 +141,14 @@ class TestLossThreshold:
         res = loss_threshold(code_of("LLL"), BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold()), 0.3)
         assert 0.0 < res.gamma_star < 0.1
 
+    @pytest.mark.parametrize("mode", list(BiasMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("rates, bad", [((1.5, 0.25), "1.5"), ((0.25, math.nan), "nan")], ids=["1.5", "nan"])
+    def test_out_of_range_rate_raises(self, monkeypatch, mode, rates, bad):
+        # the feasibility closure checks both rates inline and raises _check_rates's error
+        monkeypatch.setattr(thresholds, "_rates", lambda cx, cz, gamma: rates)
+        with pytest.raises(ValueError) as exc:
+            loss_threshold(code_of("LL"), default_bias_config(mode))
+        assert str(exc.value) == f"rate out of range: {bad}"
 
     def test_success_is_monotone_in_eta_certificate(self):
         # loss_threshold bisects without checking monotonicity; this
