@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
 Every command validates its inputs, computes, and writes outputs
-atomically (temp file + rename) together with a run manifest carrying
-the command, parameters, config digest and tool version, so repeated
-runs with identical inputs produce byte-identical files.
+atomically (temp file + rename, with the mode a plain ``open()`` would
+give) together with a run manifest carrying the command, parameters,
+config digest and tool version, so repeated runs with identical inputs
+produce byte-identical files.
 
 Exit codes: 0 ok, 2 usage (including a --p-fail or --eta-grid value
 outside [0, 1] or not a number, and --inject-fault on a one-vertex
@@ -66,9 +67,12 @@ def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 becomes the mode open() would create
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -343,12 +347,12 @@ def cmd_region(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .compiler import Mode, compile_generation, count_resources, verify_sequence
+    from .compiler import Mode, compile_generation, count_resources, derive_outer_sequence, verify_sequence
 
     outer = _load_outer(args.outer)
     inner = _resolve_code(args.inner)
     mode = Mode(args.mode)
-    seq = compile_generation(outer, inner, mode)
+    seq = compile_generation(derive_outer_sequence(outer), args.inner, mode)
     if args.inject_fault:
         cz_positions = [k for k, i in enumerate(seq.ops) if i.op.value == "cz"]
         if not cz_positions:

@@ -9,8 +9,10 @@ and a logical path edge.  The emitter-plus-memory variant keeps all
 measurements on the short-lived emitter spin by inserting a SWAP after
 the CZ for path edges.
 
-Both the outer and the inner LEAF/PATH_EDGE letters come from one O(n)
-walk along the graph's caterpillar spine; any caterpillar compiles.
+The compiler takes both codes as LEAF/PATH_EDGE letters.  The inner
+code's letters are its id; the outer graph's come from one O(n) walk
+along its caterpillar spine, so any caterpillar compiles as the outer
+graph.
 
 Verification replays a sequence wire by wire through one interpreter
 that drives either an exact bit-packed state vector (by default up to
@@ -35,7 +37,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .codes import GraphCode
 from .graphs import GraphState, build_progenitor, caterpillar_spine
 from .pauli import BranchImpossible, CompileError, VerificationError  # noqa: F401  (errors re-exported)
 
@@ -106,37 +107,9 @@ class ResourceCount(NamedTuple):
 # A sequence L^a0 P L^a1 P ... P L^ak grows the path v0..vk with a_i
 # leaves on v_i and the emitter on vk, so the sequences of a caterpillar
 # read its spine in either direction, extended by at most one leaf at each
-# end.  A head leaf turns the first letter into P and a tail leaf the last
-# one.  The marked representative starts with L, as every record of
-# ``enumerate_progenitor_records`` does: it reads the spine toward the
-# emitter and extends only the tail, where a leaf emitter forces it.  The
-# outer one extends neither end and reads the spine in the direction of
-# smaller binary-counter value (a 'P' at index i weighs 2^i).  Everything
-# is one O(n) walk.
-
-
-def _letters(counts: list[int]) -> str:
-    return "P".join("L" * c for c in counts)
-
-
-def derive_marked_sequence(g: GraphState) -> str:
-    """LEAF/PATH_EDGE sequence generating this marked graph, if any."""
-    if g.n == 1:
-        return ""
-    spine = caterpillar_spine(g)
-    if spine is None:
-        raise CompileError("graph is not generatable by a single emitter: not a caterpillar tree")
-    spine = spine or [(g.emitter, 1)]  # a single edge
-    counts = [c for _, c in spine]
-    leaf = g.emitter not in {v for v, _ in spine}
-    end = next(iter(g.neighbors(g.emitter))) if leaf else g.emitter
-    if end == spine[0][0]:
-        counts.reverse()
-    elif end != spine[-1][0]:
-        raise CompileError("graph is not generatable by a single emitter with this marking")
-    if leaf:
-        counts[-1:] = [counts[-1] - 1, 0]
-    return _letters(counts)
+# end.  The outer one extends neither end and reads the spine in the
+# direction of smaller binary-counter value (a 'P' at index i weighs 2^i),
+# in one O(n) walk.
 
 
 def derive_outer_sequence(g: GraphState) -> str:
@@ -146,7 +119,7 @@ def derive_outer_sequence(g: GraphState) -> str:
     spine = caterpillar_spine(g)
     if spine is None:
         raise CompileError("outer graph must be a star, chain, or caterpillar")
-    ops = _letters([c for _, c in spine] or [1])
+    ops = "P".join("L" * c for _, c in spine) or "L"
     # the reverse reads the spine backwards; the smaller counter value is
     # the string whose reverse is lexicographically smaller
     return max(ops, ops[::-1])
@@ -155,17 +128,22 @@ def derive_outer_sequence(g: GraphState) -> str:
 # -- compilation --------------------------------------------------------
 
 
-def compile_generation(outer: GraphState, inner: GraphCode, mode: Mode) -> GenerationSequence:
-    """Instruction sequence generating ``outer`` concatenated with ``inner``.
+def compile_generation(outer_ops: str, inner_ops: str, mode: Mode) -> GenerationSequence:
+    """Instruction sequence generating the outer graph of ``outer_ops``
+    concatenated with the inner code of ``inner_ops``.
 
-    Outer vertices are produced in generation order (the order of the
-    derived LEAF/PATH_EDGE sequence), each as one inner block plus one
-    spin-spin CZ and one X measurement.  In memory mode the first block
-    is handed to the memory with a SWAP, and every path edge SWAPs
-    before measuring so only the emitter spin is ever measured.
+    ``derive_outer_sequence`` reads the outer letters off a graph, and a
+    code id is its inner letters.  Outer vertices are produced in generation order, each as one inner
+    block plus one spin-spin CZ and one X measurement.  In memory mode
+    the first block is handed to the memory with a SWAP, and every path
+    edge SWAPs before measuring so only the emitter spin is ever
+    measured.  Each block is emitted from the marked representative of
+    the inner code, ``inner_ops`` with its first letter set to L: a
+    leading P builds the same marked graph with vertices 0 and 1 swapped.
     """
-    outer_ops = derive_outer_sequence(outer)
-    inner_ops = derive_marked_sequence(inner.progenitor)
+    if not inner_ops or (outer_ops + inner_ops).strip("LP"):
+        raise CompileError(f"need L/P letters and an inner photon, got outer {outer_ops!r}, inner {inner_ops!r}")
+    inner_ops = "L" + inner_ops[1:]
     ins: list[Instruction] = []
     inited = [False, False]
 
@@ -248,25 +226,6 @@ def count_resources(seq: GenerationSequence) -> ResourceCount:
 # -- concatenated target -------------------------------------------------
 
 
-def _inner_wire_roles(inner_ops: str) -> tuple[dict[int, int], int]:
-    """Map emission index -> progenitor vertex, plus the input vertex.
-
-    A leaf emission carries the freshly created vertex; a path-edge
-    emission hands the new vertex to the spin and the photon flies off
-    with the old one.
-    """
-    emitter_vertex = 0
-    roles: dict[int, int] = {}
-    for t, op in enumerate(inner_ops):
-        new_vertex = t + 1
-        if op == "L":
-            roles[t] = new_vertex
-        else:
-            roles[t] = emitter_vertex
-            emitter_vertex = new_vertex
-    return roles, emitter_vertex
-
-
 class ConcatenatedTarget(NamedTuple):
     """Wire-level concatenated graph: photons first, then virtual nodes."""
 
@@ -286,30 +245,27 @@ def build_concatenated_target(outer_ops: str, inner_ops: str) -> ConcatenatedTar
     """Embed an inner block at every outer node (virtual input nodes last).
 
     Photon wires are numbered in emission order, block by block, which
-    matches the wire order produced by ``compile_generation``.
+    matches the wire order produced by ``compile_generation``.  One walk
+    over the inner letters gives a block's edges.  Photon t's vertex
+    hangs off the spin's: a leaf photon carries it away, while a path
+    edge hands the spin the new vertex and the photon flies off with the
+    old one, whose neighbors are then known.  The spin's last vertex is
+    the block's input, its virtual node.
     """
-    m = len(outer_ops) + 1
-    n = len(inner_ops)
-    if n < 1:
-        raise CompileError("inner code needs at least one photon")
-    outer = build_progenitor(outer_ops) if outer_ops else GraphState(1, frozenset(), 0)
-    block = build_progenitor(inner_ops)
-    roles, input_vertex = _inner_wire_roles(inner_ops)
-    wire_of_vertex = {v: t for t, v in roles.items()}
-
+    m, n = len(outer_ops) + 1, len(inner_ops)
+    inside: list[tuple[int, int]] = []
+    spin_nbrs: list[int] = []  # photons adjacent to the spin's present vertex
+    for t, op in enumerate(inner_ops):
+        if op == "P":
+            inside += [(u, t) for u in spin_nbrs]
+            spin_nbrs = []
+        spin_nbrs.append(t)
     edges = set()
     for b in range(m):
-        base = b * n
-        virt = m * n + b
-
-        def wire(vertex: int, base=base, virt=virt) -> int:
-            return virt if vertex == input_vertex else base + wire_of_vertex[vertex]
-
-        for u, v in block.edges:
-            a, c = wire(u), wire(v)
-            edges.add((min(a, c), max(a, c)))
-    for u, v in outer.edges:
-        edges.add((m * n + u, m * n + v))
+        base, virt = b * n, m * n + b
+        edges.update((base + u, base + v) for u, v in inside)
+        edges.update((base + u, virt) for u in spin_nbrs)
+    edges.update((m * n + u, m * n + v) for u, v in build_progenitor(outer_ops).edges)
     return ConcatenatedTarget(n_photons=m * n, n_virtual=m, edges=frozenset(edges))
 
 

@@ -234,8 +234,8 @@ def _pairs(rows, what: str) -> tuple[tuple[float, float], ...]:
     return tuple((_number(a, what), _number(b, what)) for a, b in rows)
 
 
-def config_to_json_dict(bias: BiasConfig, err: ErrorThresholdConfig | None = None) -> dict:
-    out = {
+def config_to_json_dict(bias: BiasConfig) -> dict:
+    return {
         "p_tilde_randomized": bias.p_tilde_randomized,
         "p_tilde_biased": [list(row) for row in bias.p_tilde_biased],
         "provenance": (
@@ -245,9 +245,6 @@ def config_to_json_dict(bias: BiasConfig, err: ErrorThresholdConfig | None = Non
             "bias-threshold table"
         ),
     }
-    if err is not None:
-        out["epsilon_M"] = [list(row) for row in err.epsilon_m_map]
-    return out
 
 
 # -- loss-threshold search ---------------------------------------------
@@ -333,15 +330,18 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
     """Largest tolerable photon loss over all 2^n failure bases.
 
     Ties keep the lowest basis vector read as a binary integer (bit i is
-    qubit i), unless a later one is better by more than 1e-12.  Every
-    erasure rate is nondecreasing in loss, as recovery is up-closed in
-    availability; this is proved, and certified exactly in the tests.
+    qubit i): a later one must be strictly better.  ``_bisect`` halves
+    [0, 1) down to ``BISECTION_TOL``, so every value it returns or tests
+    is a multiple of 2^-30, and comparing two of them exactly needs no
+    float margin.  Every erasure rate is nondecreasing in loss, as
+    recovery is up-closed in availability; this is proved, and certified
+    exactly in the tests.
 
     The bases bisect one at a time, in order.  A basis stops as soon as
-    its bracket's top is within 1e-12 of the best earlier basis's
-    threshold, where the tie rule can no longer pick it; the others take
-    every step of a full bisection, so the result is that of bisecting
-    every basis to the end.
+    its bracket's top falls to the best earlier basis's threshold, where
+    the tie rule can no longer pick it; the others take every step of a
+    full bisection, so the result is that of bisecting every basis to
+    the end.
     """
     nx, nz, den = basis_numerators(code, p_fail)
     best, g_best, ok_best, seen = 0, 0.0, False, set()
@@ -352,8 +352,8 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
         feasible = _feasibility(bias, *([c / den for c in row] for row in key))
         if not feasible(0.0):
             continue  # gamma 0, which no later basis can lose to
-        g = _bisect(feasible, cut=g_best + 1e-12 if w else -1.0)
-        if g is not None and (w == 0 or g > g_best + 1e-12):
+        g = _bisect(feasible, cut=g_best if w else -1.0)
+        if g is not None and (w == 0 or g > g_best):
             best, g_best, ok_best = w, g, True
     cx, cz = ([c / den for c in row] for row in (nx[best], nz[best]))
     p_xx, p_zz = _rates(cx, cz, g_best)

@@ -74,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from fusioncodes.codes import GraphCode, packed_cosets
-from fusioncodes.compiler import _run
+from fusioncodes.compiler import _run, compile_generation, derive_outer_sequence
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
 from fusioncodes.lpoly import FusionSpec, readable_set
 from fusioncodes.pauli import VerificationError, gf2_reduce, product_phase
@@ -1391,6 +1391,11 @@ def marked_sequence_scan(g) -> str | None:
 
 
 # -- small helpers only tests use -------------------------------------------
+
+
+def compile_graph(outer: GraphState, inner_ops: str, mode):
+    """``compile_generation`` of an outer graph, read as letters by the spine walk."""
+    return compile_generation(derive_outer_sequence(outer), inner_ops, mode)
 
 
 def graph_to_json(g: GraphState) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fusioncodes.codes import code_from_progenitor, dual_code_with_map
-from fusioncodes.compiler import Mode, compile_generation, count_resources, verify_sequence
+from fusioncodes.compiler import Mode, count_resources, verify_sequence
 from fusioncodes.fusion import ErrorAnalyzer, correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import FusionSpec, erasure_analysis
@@ -184,9 +184,8 @@ def test_a7_compiler_verification():
             outer = build_progenitor(outer_ops)
             for n in range(1, 5):
                 inner_seq = enumerate_progenitor_records(n)[0].sequence
-                inner = code_from_progenitor(build_progenitor(inner_seq), code_id=inner_seq)
                 for mode in Mode:
-                    seq = compile_generation(outer, inner, mode)
+                    seq = oracles.compile_graph(outer, inner_seq, mode)
                     method = "statevector" if m * n <= 12 else "stabilizer"
                     result = verify_sequence(seq, method=method)
                     assert result.ok, (m, label, n, mode, result.message)
@@ -196,13 +195,7 @@ def test_a7_compiler_verification():
     for mode in Mode:
         counts = {
             count_resources(
-                compile_generation(
-                    outer,
-                    code_from_progenitor(
-                        build_progenitor(enumerate_progenitor_records(n)[0].sequence)
-                    ),
-                    mode,
-                )
+                oracles.compile_graph(outer, enumerate_progenitor_records(n)[0].sequence, mode)
             ).spin_spin_gates
             for n in range(1, 9)
         }

@@ -19,19 +19,15 @@ import fusioncodes
 from fusioncodes import cli, thresholds
 from fusioncodes.cli import GRID_POINTS_CAP, main
 from fusioncodes.graphs import enumerate_progenitor_records
-from fusioncodes.thresholds import (
-    ErrorThresholdConfig,
-    config_to_json_dict,
-    default_bias_config,
-    example_error_threshold_table,
-)
+from fusioncodes.thresholds import config_to_json_dict, default_bias_config, example_error_threshold_table
 
 
 def write_config(tmp_path, with_epsilon=True):
-    cfg = default_bias_config()
-    err = ErrorThresholdConfig(example_error_threshold_table()) if with_epsilon else None
+    cfg = config_to_json_dict(default_bias_config())
+    if with_epsilon:
+        cfg["epsilon_M"] = [list(row) for row in example_error_threshold_table()]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config_to_json_dict(cfg, err)))
+    path.write_text(json.dumps(cfg))
     return str(path)
 
 
@@ -550,6 +546,22 @@ class TestCompile:
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 5
         assert capsys.readouterr().err == f"verification failed: {line}\n"
 
+    @pytest.mark.parametrize("mode", ["two-emitter", "emitter-memory"])
+    def test_leading_path_edge_inner_compiles_as_leading_leaf(self, tmp_path, mode):
+        # a leading P builds the marked graph of a leading L, so both ids write the same sequence and resources
+        outer = tmp_path / "chain4.json"
+        outer.write_text(json.dumps(CHAIN4))
+
+        def outputs(inner):
+            assert main(["compile", "--outer", str(outer), "--inner", inner, "--mode", mode, "--out", str(tmp_path / inner)]) == 0
+            payload = json.loads((tmp_path / f"{inner}.sequence.json").read_text())
+            del payload["manifest"]
+            return payload, (tmp_path / f"{inner}.resources.csv").read_bytes()
+
+        for n in range(1, 6):
+            for rec in enumerate_progenitor_records(n):
+                assert outputs("P" + rec.sequence[1:]) == outputs(rec.sequence), rec.sequence
+
     def test_non_caterpillar_outer_rejected(self, tmp_path):
         outer = tmp_path / "outer.json"
         outer.write_text(
@@ -709,6 +721,18 @@ class TestProcessEntry:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1:] == ([line] if line else [])
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_outputs_get_the_mode_open_would_create(self, tmp_path, umask):
+        # the umask is set in a fresh interpreter, beside a file made by a plain open()
+        _fresh_python(
+            f"import os\nos.umask({umask:#o})\nopen('plain', 'w').close()\n"
+            "from fusioncodes.cli import main\nassert main(['enumerate', '--n', '2', '--out', 'lib']) == 0\n",
+            tmp_path,
+        )
+        modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "lib").iterdir()}
+        assert sorted(modes) == ["LL.dot", "LP.dot", "graphs.json"]
+        assert set(modes.values()) == {(tmp_path / "plain").stat().st_mode & 0o777} == {0o666 & ~umask}
 
     def test_main_leaves_the_collector_unfrozen(self, tmp_path):
         before = gc.get_freeze_count()

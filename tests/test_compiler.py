@@ -20,10 +20,8 @@ from fusioncodes.compiler import (
     build_concatenated_target,
     compile_generation,
     count_resources,
-    derive_marked_sequence,
     derive_outer_sequence,
     verify_sequence,
-    _inner_wire_roles,
     _replay,
     _run,
 )
@@ -34,6 +32,8 @@ from fusioncodes.tableau import StabilizerTableau
 
 from oracles import (
     PauliOperator,
+    canonical_key,
+    compile_graph,
     dense_amplitudes,
     drop_plus_qubit,
     expectation,
@@ -51,24 +51,20 @@ from oracles import (
 )
 
 
-def inner_code(seq):
-    return code_from_progenitor(build_progenitor(seq), code_id=seq)
-
-
 def op_count(seq, op):
     return sum(1 for i in seq.ops if i.op is op)
 
 
 class TestCompile:
     def test_two_vertex_chain_with_bare_qubit(self):
-        seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("P"), "L", Mode.TWO_EMITTER)
         assert op_count(seq, Op.CZ) == 1
         # every virtual node is measured out, including the last one
         assert op_count(seq, Op.MEASURE_X) == 2
         assert seq.photon_count == 2
 
     def test_photon_budget(self):
-        seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("PLP"), "LL", Mode.TWO_EMITTER)
         assert seq.photon_count == 4 * 2 == seq.outer_size * len(seq.inner_ops)
 
     def test_spin_spin_gates_independent_of_inner_size(self):
@@ -77,23 +73,23 @@ class TestCompile:
             counts = set()
             for n in range(1, 9):
                 rec = enumerate_progenitor_records(n)[0]
-                seq = compile_generation(outer, inner_code(rec.sequence), mode)
+                seq = compile_graph(outer, rec.sequence, mode)
                 counts.add(count_resources(seq).spin_spin_gates)
             assert len(counts) == 1, (mode, counts)
 
     def test_memory_mode_swap_count(self):
         # one SWAP hands the first block to the memory, one more per path edge
         outer = build_progenitor("PLPPLPPLP")
-        seq = compile_generation(outer, inner_code("LL"), Mode.EMITTER_MEMORY)
+        seq = compile_graph(outer, "LL", Mode.EMITTER_MEMORY)
         assert op_count(seq, Op.SWAP) == 1 + seq.outer_ops.count("P")
 
     def test_two_emitter_mode_has_no_swaps(self):
-        seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("PLP"), "LL", Mode.TWO_EMITTER)
         assert op_count(seq, Op.SWAP) == 0
 
     def test_measure_always_follows_reinit_discipline(self):
         for mode in Mode:
-            seq = compile_generation(build_progenitor("PLPP"), inner_code("LPL"), mode)
+            seq = compile_graph(build_progenitor("PLPP"), "LPL", mode)
             pending = {}
             for ins in seq.ops:
                 if ins.op is Op.MEASURE_X:
@@ -109,16 +105,22 @@ class TestCompile:
     def test_rejects_non_caterpillar_outer(self):
         spider = GraphState.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
         with pytest.raises(CompileError):
-            compile_generation(spider, inner_code("L"), Mode.TWO_EMITTER)
+            compile_graph(spider, "L", Mode.TWO_EMITTER)
         cycle = GraphState.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        with pytest.raises(CompileError):
-            derive_outer_sequence(cycle)
-        # no single emitter makes a cyclic progenitor, so no inner block either
-        with pytest.raises(CompileError):
-            compile_generation(build_progenitor("P"), code_from_progenitor(cycle), Mode.TWO_EMITTER)
+        # n - 1 edges, but a triangle plus an isolated vertex
+        disconnected = GraphState.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        for g in (cycle, disconnected):
+            with pytest.raises(CompileError):
+                derive_outer_sequence(g)
+
+    def test_rejects_bad_letters(self):
+        # library callers pass letters unchecked: no inner photon, or a letter other than L/P
+        for outer_ops, inner_ops in [("L", ""), ("", "LLQ"), ("PX", "LP"), ("L", "lp")]:
+            with pytest.raises(CompileError):
+                compile_generation(outer_ops, inner_ops, Mode.TWO_EMITTER)
 
     def test_single_vertex_outer(self):
-        seq = compile_generation(GraphState(1, frozenset(), 0), inner_code("LL"), Mode.TWO_EMITTER)
+        seq = compile_graph(GraphState(1, frozenset(), 0), "LL", Mode.TWO_EMITTER)
         assert op_count(seq, Op.CZ) == 0
         assert verify_sequence(seq, method="statevector").ok
 
@@ -145,44 +147,25 @@ class TestSequenceWalk:
                 rng.shuffle(perm)
                 g = relabel(build_progenitor(ops), perm)
                 assert derive_outer_sequence(g) == outer_sequence_scan(g), ops
-                assert derive_marked_sequence(g) == marked_sequence_scan(g) == "L" + ops[1:], ops
+                # the marked representative compile_generation emits
+                assert marked_sequence_scan(g) == "L" + ops[1:], ops
 
-    def test_marked_walk_matches_scan_for_every_emitter(self):
-        # includes emitters in mid-spine and on leaves of mid-spine vertices,
-        # which no single emitter can end at
-        rng = random.Random(6)
-        for n in range(1, 8):
+    def test_target_block_is_the_progenitor(self):
+        # a one-vertex outer leaves one block: photons in emission order and
+        # the virtual input node last, marked like the emitter of the progenitor
+        for n in range(1, 9):
             for ops in map("".join, itertools.product("LP", repeat=n)):
-                perm = list(range(n + 1))
-                rng.shuffle(perm)
-                for e in range(n + 1):
-                    g = relabel(build_progenitor(ops), perm, emitter=e)
-                    want = marked_sequence_scan(g)
-                    if want is None:
-                        with pytest.raises(CompileError):
-                            derive_marked_sequence(g)
-                    else:
-                        assert derive_marked_sequence(g) == want, (ops, e)
-
-    def test_marked_walk_rejects(self):
-        chain_mid = GraphState.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], emitter=2)
-        with pytest.raises(CompileError):
-            derive_marked_sequence(chain_mid)
-        # n - 1 edges, but a triangle plus an isolated vertex
-        disconnected = GraphState.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-        for derive in (derive_marked_sequence, derive_outer_sequence):
-            with pytest.raises(CompileError):
-                derive(disconnected)
-        spider = GraphState.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-        with pytest.raises(CompileError):
-            derive_outer_sequence(spider)
+                target = build_concatenated_target("", ops)
+                block = GraphState(n + 1, target.edges, n)
+                assert (target.n_photons, target.n_virtual) == (n, 1), ops
+                assert canonical_key(block) == canonical_key(build_progenitor(ops)), ops
 
     def test_large_caterpillar_compiles_and_verifies(self):
         # ROADMAP item 4 gate: 64 outer vertices x 8 photons = 512 photons
         g = random_caterpillar(64, random.Random(64))
         start = time.perf_counter()
         for mode in Mode:
-            seq = compile_generation(g, inner_code("LLPLPLPL"), mode)
+            seq = compile_graph(g, "LLPLPLPL", mode)
             res = verify_sequence(seq, method="stabilizer")
             assert res.ok and seq.photon_count == 512, (mode, res.message)
         assert time.perf_counter() - start < 2.0
@@ -197,7 +180,7 @@ class TestSequenceWalk:
         g = random_caterpillar(256, random.Random(256))
         start = time.perf_counter()
         for mode in Mode:
-            seq = compile_generation(g, inner_code("LLPLPLPL"), mode)
+            seq = compile_graph(g, "LLPLPLPL", mode)
             res = verify_sequence(seq, method="stabilizer")
             assert res.ok and seq.photon_count == 2048, (mode, res.message)
         assert time.perf_counter() - start < 3.0
@@ -214,7 +197,7 @@ class TestResources:
         depths = []
         for n in range(1, 9):
             rec = enumerate_progenitor_records(n)[0]
-            seq = compile_generation(outer, inner_code(rec.sequence), Mode.TWO_EMITTER)
+            seq = compile_graph(outer, rec.sequence, Mode.TWO_EMITTER)
             depths.append(count_resources(seq).max_emitter_depth)
         diffs = {b - a for a, b in zip(depths, depths[1:])}
         assert all(d >= 1 for d in diffs)
@@ -222,9 +205,9 @@ class TestResources:
 
     def test_memory_is_exempt_from_depth(self):
         outer = build_progenitor("PPP")
-        seq = compile_generation(outer, inner_code("LL"), Mode.EMITTER_MEMORY)
+        seq = compile_graph(outer, "LL", Mode.EMITTER_MEMORY)
         rc = count_resources(seq)
-        two = count_resources(compile_generation(outer, inner_code("LL"), Mode.TWO_EMITTER))
+        two = count_resources(compile_graph(outer, "LL", Mode.TWO_EMITTER))
         assert rc.max_emitter_depth <= two.max_emitter_depth + 2
 
 
@@ -236,9 +219,8 @@ def statevector_sequences(mode):
         records = progenitor_scan(m - 1) if m > 1 else []
         outers = sorted({derive_outer_sequence(rec.graph) for rec in records} or {""})
         for outer_ops, n in itertools.product(outers, sizes):
-            outer = build_progenitor(outer_ops) if outer_ops else GraphState(1, frozenset(), 0)
             for rec in enumerate_progenitor_records(n):
-                yield compile_generation(outer, inner_code(rec.sequence), mode)
+                yield compile_generation(outer_ops, rec.sequence, mode)
 
 
 class TestVerification:
@@ -251,26 +233,26 @@ class TestVerification:
             ("PLP", "LL"),
         ]
         for outer_ops, inner_ops in cases:
-            seq = compile_generation(build_progenitor(outer_ops), inner_code(inner_ops), mode)
+            seq = compile_graph(build_progenitor(outer_ops), inner_ops, mode)
             for method in ("statevector", "stabilizer"):
                 res = verify_sequence(seq, method=method)
                 assert res.ok, (mode, outer_ops, inner_ops, method, res.message)
 
     def test_auto_picks_stabilizer_for_large_targets(self):
-        seq = compile_generation(build_progenitor("PLPPLPPLP"), inner_code("LPL"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("PLPPLPPLP"), "LPL", Mode.TWO_EMITTER)
         res = verify_sequence(seq)
         assert res.ok and res.method == "stabilizer"
 
     def test_auto_bounds_target_wires(self):
         # 12 photons, but the target vector of a 12-vertex chain of bare
         # qubits spans 24 wires (256 MB): the tableau takes it
-        seq = compile_generation(build_progenitor("P" * 11), inner_code("L"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("P" * 11), "L", Mode.TWO_EMITTER)
         start = time.perf_counter()
         res = verify_sequence(seq)
         assert res.ok and res.method == "stabilizer"
         assert time.perf_counter() - start < 1.0
         # 12 photons on 16 wires still fit the state vector
-        small = compile_generation(build_progenitor("PPP"), inner_code("LPL"), Mode.TWO_EMITTER)
+        small = compile_graph(build_progenitor("PPP"), "LPL", Mode.TWO_EMITTER)
         assert verify_sequence(small).method == "statevector"
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -374,14 +356,14 @@ class TestVerification:
 
     def test_explicit_statevector_counts_every_simulated_wire(self):
         # 8 outer vertices x 2 photons: 16 photons, 2 slots and 8 virtual wires
-        seq = compile_generation(build_progenitor("P" * 7), inner_code("LL"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("P" * 7), "LL", Mode.TWO_EMITTER)
         assert seq.photon_count + 2 + seq.outer_size > MAX_WIRES >= seq.photon_count + 2
         with pytest.raises(VerificationError, match=f"limited to {MAX_WIRES} wires"):
             verify_sequence(seq, method="statevector")
         assert verify_sequence(seq).ok
 
     def test_failed_stabilizer_check_names_the_generator(self):
-        seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("PLP"), "LL", Mode.TWO_EMITTER)
         ops = list(seq.ops)
         del ops[[k for k, i in enumerate(ops) if i.op is Op.CZ][1]]
         res = verify_sequence(seq._replace(ops=tuple(ops)), method="stabilizer")
@@ -395,7 +377,7 @@ class TestVerification:
         digest = hashlib.sha256()
         failed = 0
         for outer, inner, mode in itertools.product(("PLP", "LPPL", "PPPPPP"), ("LLPL", "LLPLPLPL"), list(Mode)):
-            seq = compile_generation(build_progenitor(outer), inner_code(inner), mode)
+            seq = compile_graph(build_progenitor(outer), inner, mode)
             for k in range(len(seq.ops)):
                 res = verify_sequence(seq._replace(ops=seq.ops[:k] + seq.ops[k + 1 :]), method="stabilizer")
                 digest.update((res.message + "\n").encode())
@@ -404,7 +386,7 @@ class TestVerification:
         assert digest.hexdigest() == "1778e16b239ded4c94a1a716d434e204e865d60f40b295f808e8dbafd0cb6e84"
 
     def test_fault_injection_reports_failure(self):
-        seq = compile_generation(build_progenitor("PLP"), inner_code("LL"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("PLP"), "LL", Mode.TWO_EMITTER)
         ops = list(seq.ops)
         cz_at = [k for k, i in enumerate(ops) if i.op is Op.CZ]
         del ops[cz_at[1]]
@@ -415,12 +397,12 @@ class TestVerification:
             assert res.message
 
     def test_unknown_method_rejected(self):
-        seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("P"), "L", Mode.TWO_EMITTER)
         with pytest.raises(ValueError):
             verify_sequence(seq, method="graph")
 
     def test_photon_count_mismatch_detected(self):
-        seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("P"), "L", Mode.TWO_EMITTER)
         emit = next(k for k, i in enumerate(seq.ops) if i.op is Op.EMIT_PHOTON)
         res = verify_sequence(seq._replace(ops=seq.ops[:emit] + seq.ops[emit + 1 :]))
         assert res == (False, "none", "photon count differs from target")
@@ -428,12 +410,12 @@ class TestVerification:
     def test_minus_one_outcome_flips_one_logical_sign(self):
         # a -1 spin measurement shows up as a sign flip of exactly one
         # block's logical X stabilizer, trackable classically
-        inner = inner_code("LL")
-        seq = compile_generation(build_progenitor("PPP"), inner, Mode.TWO_EMITTER)
+        inner = code_from_progenitor(build_progenitor("LL"))
+        seq = compile_graph(build_progenitor("PPP"), "LL", Mode.TWO_EMITTER)
         n, m = inner.n_code, seq.outer_size
         P = m * n
-        roles, _ = _inner_wire_roles(seq.inner_ops)
-        wire_of_vertex = {v: t for t, v in roles.items()}
+        # LL emits progenitor vertices 1 and 2 on photons 0 and 1
+        wire_of_vertex = {1: 0, 2: 1}
 
         def lift(op, block):
             x = z = 0
@@ -472,7 +454,7 @@ class TestVerification:
         for outer_ops, inner_ops in [("PP", "LL"), ("PLP", "L")]:
             targets = set()
             for mode in Mode:
-                seq = compile_generation(build_progenitor(outer_ops), inner_code(inner_ops), mode)
+                seq = compile_graph(build_progenitor(outer_ops), inner_ops, mode)
                 targets.add(build_concatenated_target(seq.outer_ops, seq.inner_ops))
                 assert verify_sequence(seq, method="statevector").ok
             assert len(targets) == 1, (outer_ops, inner_ops)
@@ -495,7 +477,7 @@ class TestVerification:
         # is made to meet a |-> wire instead
         real = backend.measure_x
         monkeypatch.setattr(backend, "measure_x", lambda self, wire: real(minus(self.n, wire), wire))
-        seq = compile_generation(build_progenitor("P"), inner_code("L"), Mode.TWO_EMITTER)
+        seq = compile_graph(build_progenitor("P"), "L", Mode.TWO_EMITTER)
         # the one outer edge reads as a leaf: the first measurement is of
         # spin slot 1, on wire 3 after the two photons and slot 0
         diverged = "simulation diverged: forced +1 outcome on wire 3 has zero probability"
@@ -572,7 +554,7 @@ class TestStabilizerTableau:
         rng = random.Random(13)
         for seq in statevector_sequences(mode):
             replay(seq, [None] + [k for k, i in enumerate(seq.ops) if i.op in (Op.CZ, Op.SWAP, Op.SPIN_ROTATION)])
-        big = compile_generation(random_caterpillar(64, random.Random(64)), inner_code("LLPLPLPL"), mode)
+        big = compile_graph(random_caterpillar(64, random.Random(64)), "LLPLPLPL", mode)
         cuts = [k for k, i in enumerate(big.ops) if i.op in (Op.CZ, Op.SPIN_ROTATION)]
         replay(big, rng.sample(cuts, 15))
         assert {None, True, False} <= set(seen), set(seen)
@@ -580,7 +562,7 @@ class TestStabilizerTableau:
 
 class TestSerialization:
     def test_json_and_text_round(self):
-        seq = compile_generation(build_progenitor("PP"), inner_code("LL"), Mode.EMITTER_MEMORY)
+        seq = compile_graph(build_progenitor("PP"), "LL", Mode.EMITTER_MEMORY)
         data = seq.to_json_dict()
         assert data["mode"] == "emitter-memory"
         assert len(data["instructions"]) == len(seq.ops)

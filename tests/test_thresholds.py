@@ -113,6 +113,14 @@ class TestLossThreshold:
         assert avg(g - 1e-6) <= bias.p_tilde_randomized + 1e-12
         assert avg(g + 1e-6) > bias.p_tilde_randomized
 
+    @pytest.mark.parametrize("mode", list(BiasMode))
+    def test_thresholds_are_multiples_of_the_bisection_step(self, mode):
+        # the tie rule compares thresholds exactly, which needs every one on the 2^-30 grid
+        bias = default_bias_config(mode)
+        for n in range(1, 7):
+            for res in search_best_code(n, bias):
+                assert (res.gamma_star * 2**30).is_integer(), res
+
     def test_two_qubit_code_threshold_value(self):
         # averaged rate in closed form: 1 - eta^2/2 - 3 eta^4/8 = p~
         code = code_of("LL")
@@ -446,7 +454,7 @@ class TestConfig:
         cfg = default_bias_config()
         err = ErrorThresholdConfig(example_error_threshold_table())
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(config_to_json_dict(cfg, err)))
+        p.write_text(json.dumps({**config_to_json_dict(cfg), "epsilon_M": [list(row) for row in err.epsilon_m_map]}))
         rand, passive, err2 = read_config(p)[:3]
         assert rand.p_tilde_randomized == cfg.p_tilde_randomized
         assert passive.mode is BiasMode.PASSIVE
