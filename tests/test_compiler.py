@@ -107,11 +107,8 @@ class TestCompile:
         with pytest.raises(CompileError):
             compile_graph(spider, "L", Mode.TWO_EMITTER)
         cycle = GraphState.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        # n - 1 edges, but a triangle plus an isolated vertex
-        disconnected = GraphState.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-        for g in (cycle, disconnected):
-            with pytest.raises(CompileError):
-                derive_outer_sequence(g)
+        with pytest.raises(CompileError):
+            derive_outer_sequence(cycle)
 
     def test_rejects_bad_letters(self):
         # library callers pass letters unchecked: no inner photon, or a letter other than L/P
@@ -149,6 +146,21 @@ class TestSequenceWalk:
                 assert derive_outer_sequence(g) == outer_sequence_scan(g), ops
                 # the marked representative compile_generation emits
                 assert marked_sequence_scan(g) == "L" + ops[1:], ops
+
+    def test_marked_walk_rejects(self):
+        # an emitter in mid-chain is a marked tree no letters make, so no
+        # inner id names it; the letter walk refuses anything but L/P
+        chain_mid = GraphState.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], emitter=2)
+        assert marked_sequence_scan(chain_mid) is None
+        for inner_ops in ("LPX", "", "lp"):
+            with pytest.raises(CompileError):
+                compile_generation("P", inner_ops, Mode.TWO_EMITTER)
+        # n - 1 edges, but a triangle plus an isolated vertex
+        disconnected = GraphState.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        spider = GraphState.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        for g in (disconnected, spider):
+            with pytest.raises(CompileError):
+                derive_outer_sequence(g)
 
     def test_target_block_is_the_progenitor(self):
         # a one-vertex outer leaves one block: photons in emission order and
