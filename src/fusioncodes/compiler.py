@@ -1,13 +1,14 @@
 """Two-emitter generation sequences for concatenated graph codes.
 
 An outer branched chain of logical qubits, each encoded in a
-single-emitter inner graph code, is produced by alternating the two
-spins: one spin grows the next inner block photon by photon, a single
-CZ fuses it to the outer structure, and one spin is measured in X and
-reinitialized.  Which spin is measured decides between a logical leaf
-and a logical path edge.  The emitter-plus-memory variant keeps all
-measurements on the short-lived emitter spin by inserting a SWAP after
-the CZ for path edges.
+single-emitter inner graph code, is produced by one loop over the outer
+letters: the spin not holding the current outer vertex grows the next
+inner block photon by photon, a single CZ fuses it to the outer
+structure, and one spin is measured in X and reinitialized.  A logical
+leaf measures the new block's spin; a logical path edge hands the outer
+vertex to that spin and measures the other.  The emitter-plus-memory
+variant is the same loop with a SWAP in place of the hand-over, so only
+the emitter spin is measured until the memory's final measurement.
 
 The compiler takes both codes as LEAF/PATH_EDGE letters.  The inner
 code's letters are its id; the outer graph's come from one O(n) walk
@@ -133,24 +134,24 @@ def compile_generation(outer_ops: str, inner_ops: str, mode: Mode) -> Generation
     concatenated with the inner code of ``inner_ops``.
 
     ``derive_outer_sequence`` reads the outer letters off a graph, and a
-    code id is its inner letters.  Outer vertices are produced in generation order, each as one inner
-    block plus one spin-spin CZ and one X measurement.  In memory mode
-    the first block is handed to the memory with a SWAP, and every path
-    edge SWAPs before measuring so only the emitter spin is ever
-    measured.  Each block is emitted from the marked representative of
-    the inner code, ``inner_ops`` with its first letter set to L: a
-    leading P builds the same marked graph with vertices 0 and 1 swapped.
+    code id is its inner letters.  Outer vertices are produced in
+    generation order, each as one inner block plus one spin-spin CZ and
+    one X measurement.  The ``active`` spin holds the vertex the next
+    block attaches to.  Memory mode differs in three places: the first
+    block starts on the emitter, slot 1, and is SWAPped into the memory,
+    slot 0; a path edge SWAPs where two-emitter mode hands ``active`` to
+    the other spin, so only the emitter is measured in the loop; and the
+    memory's final measurement gets no REINIT.  Each block is emitted
+    from the marked representative of the inner code, ``inner_ops`` with
+    its first letter set to L: a leading P builds the same marked graph
+    with vertices 0 and 1 swapped.
     """
     if not inner_ops or (outer_ops + inner_ops).strip("LP"):
         raise CompileError(f"need L/P letters and an inner photon, got outer {outer_ops!r}, inner {inner_ops!r}")
     inner_ops = "L" + inner_ops[1:]
-    ins: list[Instruction] = []
-    inited = [False, False]
-
-    def init_slot(e: int) -> None:
-        if not inited[e]:
-            ins.append(Instruction(Op.INIT_EMITTER, (e,)))
-            inited[e] = True
+    swap = mode is Mode.EMITTER_MEMORY
+    active = int(swap)
+    ins = [Instruction(Op.INIT_EMITTER, (active,))]
 
     def emit_block(e: int) -> None:
         for op in inner_ops:
@@ -158,43 +159,25 @@ def compile_generation(outer_ops: str, inner_ops: str, mode: Mode) -> Generation
                 ins.append(Instruction(Op.SPIN_ROTATION, (e,)))
             ins.append(Instruction(Op.EMIT_PHOTON, (e,)))
 
-    m = len(outer_ops) + 1
-    if mode is Mode.TWO_EMITTER:
-        active = 0
-        init_slot(active)
-        emit_block(active)
-        for op in outer_ops:
-            other = 1 - active
-            init_slot(other)
-            emit_block(other)
-            ins.append(Instruction(Op.CZ, (active, other)))
-            if op == "L":
-                ins.append(Instruction(Op.MEASURE_X, (other,)))
-                ins.append(Instruction(Op.REINIT, (other,)))
+    emit_block(active)
+    if outer_ops:
+        ins.append(Instruction(Op.INIT_EMITTER, (1 - active,)))
+        if swap:
+            ins.append(Instruction(Op.SWAP, (0, 1)))
+            active = 0
+    for op in outer_ops:
+        other = 1 - active
+        emit_block(other)
+        ins.append(Instruction(Op.CZ, (active, other)))
+        if op == "P":
+            if swap:
+                ins.append(Instruction(Op.SWAP, (0, 1)))
             else:
-                ins.append(Instruction(Op.MEASURE_X, (active,)))
-                ins.append(Instruction(Op.REINIT, (active,)))
-                active = other
-        ins.append(Instruction(Op.MEASURE_X, (active,)))
+                active, other = other, active
+        ins += [Instruction(Op.MEASURE_X, (other,)), Instruction(Op.REINIT, (other,))]
+    ins.append(Instruction(Op.MEASURE_X, (active,)))
+    if not (swap and outer_ops):
         ins.append(Instruction(Op.REINIT, (active,)))
-    else:
-        memory, emitter = 0, 1
-        init_slot(emitter)
-        emit_block(emitter)
-        if m > 1:
-            init_slot(memory)
-            ins.append(Instruction(Op.SWAP, (memory, emitter)))
-            for op in outer_ops:
-                emit_block(emitter)
-                ins.append(Instruction(Op.CZ, (memory, emitter)))
-                if op == "P":
-                    ins.append(Instruction(Op.SWAP, (memory, emitter)))
-                ins.append(Instruction(Op.MEASURE_X, (emitter,)))
-                ins.append(Instruction(Op.REINIT, (emitter,)))
-            ins.append(Instruction(Op.MEASURE_X, (memory,)))
-        else:
-            ins.append(Instruction(Op.MEASURE_X, (emitter,)))
-            ins.append(Instruction(Op.REINIT, (emitter,)))
     return GenerationSequence(tuple(ins), mode, outer_ops, inner_ops)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import re
 import time
@@ -120,6 +121,18 @@ class TestCompile:
         seq = compile_graph(GraphState(1, frozenset(), 0), "LL", Mode.TWO_EMITTER)
         assert op_count(seq, Op.CZ) == 0
         assert verify_sequence(seq, method="statevector").ok
+
+    def test_instruction_streams_are_pinned(self):
+        # every outer letter string of up to 8 letters x six inner ids x both
+        # modes, as one digest of the JSON instruction stream and its resources
+        digest = hashlib.sha256()
+        outers = ["".join(s) for k in range(9) for s in itertools.product("LP", repeat=k)]
+        assert len(outers) == 511
+        for outer_ops, inner_ops, mode in itertools.product(outers, ("L", "P", "LL", "LPL", "PLPL", "LLPLPLPL"), list(Mode)):
+            seq = compile_generation(outer_ops, inner_ops, mode)
+            digest.update(json.dumps(seq.to_json_dict(), sort_keys=True).encode())
+            digest.update(repr(tuple(count_resources(seq))).encode())
+        assert digest.hexdigest() == "411ef1dde0d95867933bfeab62fb2fd27d37f8c0cd8c3cbee5d070ef19fa7281"
 
 
 def relabel(g, perm, emitter=None):
