@@ -242,12 +242,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .lpoly import FusionSpec, erasure_analysis
+    from .lpoly import erasure_analysis
 
     code = _resolve_code(args.code)
     w = _parse_w(args.w, code.n_code) if args.w is not None else (0,) * code.n_code
     grid = [float(x) for x in args.eta_grid.split(",")] if args.eta_grid else [1.0, 0.95, 0.9]
-    report = erasure_analysis(code, FusionSpec(eta=grid[0], p_fail=args.p_fail, w=w))
+    report = erasure_analysis(code, w, args.p_fail)
     payload = {"manifest": _manifest(args, "analyze"), "report": report.to_json_dict(grid)}
     _write_json(args.out, payload)
     _say(f"analyzed {args.code} w={''.join(map(str, w))} -> {args.out}")

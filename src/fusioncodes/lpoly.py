@@ -40,24 +40,6 @@ from .graphs import PROGENITOR_CAP
 _SPREAD = tuple(int(format(b, "b"), 4) for b in range(256))
 
 
-class _SpecFields(NamedTuple):
-    eta: float
-    p_fail: float = 0.5
-    w: tuple[int, ...] = ()
-
-
-class FusionSpec(_SpecFields):
-    """Physical fusion model: transmission, failure rate, failure bases."""
-
-    __slots__ = ()
-
-    def __new__(cls, eta: float, p_fail: float = 0.5, w: tuple[int, ...] = ()):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta out of range: {eta}")
-        check_failures(p_fail, w)
-        return tuple.__new__(cls, (eta, p_fail, w))
-
-
 def check_failures(p_fail: float, w=()) -> None:
     """ValueError unless p_fail lies in [0, 1] and every failure-basis bit is 0 (ZZ) or 1 (XX), not a bool."""
     if not 0.0 <= p_fail <= 1.0:
@@ -190,7 +172,8 @@ class ErasureReport(NamedTuple):
     """One (code, failure basis) pair's count rows, indexed as in ``erasure_analysis``."""
 
     code: GraphCode
-    spec: FusionSpec
+    w: tuple[int, ...]
+    p_fail: float
     p_success_xx: tuple[int, ...]
     p_success_zz: tuple[int, ...]
 
@@ -202,9 +185,10 @@ class ErasureReport(NamedTuple):
                 s, f = divmod(k, n + 1)
                 yield (s, f, n - s - f), c
 
-    def success_probability(self, basis: str, eta: float | None = None) -> float:
-        eta = self.spec.eta if eta is None else eta
-        p_fail = self.spec.p_fail
+    def success_probability(self, basis: str, eta: float) -> float:
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta out of range: {eta}")
+        p_fail = self.p_fail
         a = eta * eta
         b = 1.0 - a
         total = 0.0
@@ -212,16 +196,15 @@ class ErasureReport(NamedTuple):
             total += c * (1.0 - p_fail) ** s * p_fail**f * a ** (s + f) * b**l
         return total
 
-    def erasure_rate(self, basis: str, eta: float | None = None) -> float:
+    def erasure_rate(self, basis: str, eta: float) -> float:
         return 1.0 - self.success_probability(basis, eta)
 
     def to_json_dict(self, eta_grid=()) -> dict:
-        spec = self.spec
         return {
             "code_id": self.code.code_id,
             "n_code": self.code.n_code,
-            "w": list(spec.w),
-            "p_fail": spec.p_fail,
+            "w": list(self.w),
+            "p_fail": self.p_fail,
             "p_success_xx_counts": {f"{s},{f},{l}": c for (s, f, l), c in self.terms("X")},
             "p_success_zz_counts": {f"{s},{f},{l}": c for (s, f, l), c in self.terms("Z")},
             "rates": [
@@ -235,17 +218,18 @@ class ErasureReport(NamedTuple):
         }
 
 
-def erasure_analysis(code: GraphCode, spec: FusionSpec) -> ErasureReport:
+def erasure_analysis(code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5) -> ErasureReport:
     """Exact success counts of the two paired logical parities: row w = sum w_i 2^i of ``transfer_counts``.
 
     With weights NONE 1, failure y and BOTH y^(n+1), entry s(n+1)+f of a
     row counts the readable patterns with s successes and f failures.
     """
     n = code.n_code
-    if len(spec.w) != n:
-        raise ValueError(f"failure basis length {len(spec.w)} != {n} code qubits")
+    if len(w) != n:
+        raise ValueError(f"failure basis length {len(w)} != {n} code qubits")
+    check_failures(p_fail, w)
     reps = packed_cosets(code)[1]
     weights = ((1,), (0, 1), (0,) * (n + 1) + (1,))
-    w = sum(b << i for i, b in enumerate(spec.w))
-    xx, zz = (transfer_counts(readable_set(reps[basis], n), n, weights)[w] for basis in ("X", "Z"))
-    return ErasureReport(code=code, spec=spec, p_success_xx=xx, p_success_zz=zz)
+    row = sum(b << i for i, b in enumerate(w))
+    xx, zz = (transfer_counts(readable_set(reps[basis], n), n, weights)[row] for basis in ("X", "Z"))
+    return ErasureReport(code=code, w=tuple(w), p_fail=p_fail, p_success_xx=xx, p_success_zz=zz)

@@ -108,10 +108,8 @@ class BiasConfig(_BiasFields):
         if bs != sorted(set(bs)):
             raise ConfigError("p_tilde_biased bias values must be sorted and unique")
         for b, p in p_tilde_biased:
-            if not 0.0 <= b <= 1.0:
-                raise ConfigError(f"bias ratio out of range: {b}")
-            if not 0.0 < p < 1.0:
-                raise ConfigError(f"threshold out of range: {p}")
+            if not (0.0 <= b <= 1.0 and 0.0 < p < 1.0):
+                raise ConfigError(f"bad p_tilde_biased row: ({b}, {p})")
         if mode is BiasMode.PASSIVE and not p_tilde_biased:
             raise ConfigError("passive mode needs a p_tilde_biased table")
         return tuple.__new__(cls, (mode, p_tilde_randomized, p_tilde_biased))

@@ -76,7 +76,7 @@ import numpy as np
 from fusioncodes.codes import GraphCode, packed_cosets
 from fusioncodes.compiler import _run, compile_generation, derive_outer_sequence
 from fusioncodes.graphs import GenerationOp, GraphState, ProgenitorRecord, build_progenitor
-from fusioncodes.lpoly import FusionSpec, readable_set
+from fusioncodes.lpoly import readable_set
 from fusioncodes.pauli import VerificationError, gf2_reduce, product_phase
 from fusioncodes.thresholds import BISECTION_TOL, BiasMode, ThresholdResult
 from fusioncodes.thresholds import loss_threshold as package_loss_threshold
@@ -893,7 +893,7 @@ class MeasurementPattern:
     probability: LossPolynomial
 
 
-def pattern_probability(outcomes, spec: FusionSpec) -> LossPolynomial:
+def pattern_probability(outcomes) -> LossPolynomial:
     """Occurrence probability of one SUCCESS/FAIL/LOSS assignment."""
     outs = tuple(outcomes)
     s = sum(1 for o in outs if o is Outcome.SUCCESS)
@@ -936,17 +936,17 @@ def pattern_outcomes(table, avail_idx: int) -> tuple[Outcome, ...]:
     )
 
 
-def measurement_patterns(code, spec: FusionSpec, basis: str):
+def measurement_patterns(code, w, basis: str):
     """The recovering patterns M_X or M_Z with representatives, in index order."""
     table = CodeFusionTable(code)
     index = rep_index_scan(table, basis)
-    select = consistent(table.n, basis_mask(spec.w)) & (index >= 0)
+    select = consistent(table.n, basis_mask(w)) & (index >= 0)
     reps = signed_logical_set(code, basis)
     out = []
     for avail_idx in np.nonzero(select)[0]:
         outcomes = pattern_outcomes(table, int(avail_idx))
         rep = reps[int(index[avail_idx])]
-        out.append((MeasurementPattern(outcomes, pattern_probability(outcomes, spec)), rep))
+        out.append((MeasurementPattern(outcomes, pattern_probability(outcomes)), rep))
     return out
 
 

@@ -11,7 +11,7 @@ from fusioncodes.codes import code_from_progenitor, dual_code_with_map
 from fusioncodes.compiler import Mode, count_resources, verify_sequence
 from fusioncodes.fusion import ErrorAnalyzer, correctable_region
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
-from fusioncodes.lpoly import FusionSpec, erasure_analysis
+from fusioncodes.lpoly import erasure_analysis
 from fusioncodes.thresholds import (
     BiasMode,
     ErrorThresholdConfig,
@@ -127,7 +127,7 @@ def test_a6_oracle_equivalence():
         for code in codes_of_size(n):
             table = CodeFusionTable(code)
             for w in all_w(n):
-                report = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
+                report = erasure_analysis(code, w)
                 for eta in etas:
                     for basis in ("X", "Z"):
                         want = oracle_success_probability(code, w, eta, 0.5, basis)

@@ -267,7 +267,23 @@ class TestThreshold:
 
     # falsy values too: only a missing key, null and [] read as no rows
     @pytest.mark.parametrize("key", ["p_tilde_biased", "epsilon_M"])
-    @pytest.mark.parametrize("rows", [[[0.1]], [[0.1, "x"]], [0.1, 0.2], {"a": 1}, [[0.1, 1e999]], 0, False, "", {}])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.1]],
+            [[0.1, "x"]],
+            [0.1, 0.2],
+            {"a": 1},
+            [[0.1, 1e999]],
+            0,
+            False,
+            "",
+            {},
+            [[1.5, 0.1]],
+            [[0.2, 0.1], [0.1, 0.2]],  # unsorted
+            [[0.1, 10**400]],  # overflows a float
+        ],
+    )
     def test_malformed_config_rows_are_config_errors(self, tmp_path, capsys, key, rows):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p_tilde_randomized": 0.14, key: rows}))
@@ -983,22 +999,13 @@ assert "fractions" in sys.modules
             tmp_path,
         )
 
-    def test_package_resolves_fusion_names_on_access(self, tmp_path):
+    def test_package_import_skips_the_analysis_modules(self, tmp_path):
         _fresh_python(
             """
 import sys
 import fusioncodes
-assert "fusioncodes.fusion" not in sys.modules
-from fusioncodes import FusionSpec, code_from_progenitor, erasure_analysis
-assert "fusioncodes.fusion" not in sys.modules and "numpy" not in sys.modules
-import fusioncodes.lpoly
-assert fusioncodes.erasure_analysis is fusioncodes.lpoly.erasure_analysis
-try:
-    fusioncodes.nope
-except AttributeError:
-    pass
-else:
-    raise AssertionError("fusioncodes.nope resolved")
+from fusioncodes import code_from_progenitor
+assert not {"fusioncodes.lpoly", "fusioncodes.fusion", "numpy"} & sys.modules.keys(), sorted(sys.modules)
 """,
             tmp_path,
         )

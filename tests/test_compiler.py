@@ -42,6 +42,7 @@ from oracles import (
     multiply,
     outer_sequence_scan,
     pauli_from_string,
+    pauli_matrix,
     photon_order,
     photon_statevector,
     progenitor_scan,
@@ -530,6 +531,30 @@ class TestStabilizerTableau:
         zero.xs, zero.zs = [0, 0b10], [0b01, 0]  # |0+>
         k, rest = zero.first_non_member(*rows)
         assert k == 0 and rest
+
+    def test_cz_conjugation_matches_dense_oracle(self):
+        # every signed Pauli row on 3 wires, every ordered wire pair: the row
+        # cz leaves must be the signed Pauli that CZ P CZ is as a matrix
+        n, idx = 3, np.arange(8)
+
+        def row_matrix(x, z, minus):
+            return pauli_matrix("".join("IZXY"[(x >> i & 1) << 1 | z >> i & 1] for i in range(n)), (-1) ** minus)
+
+        checked = 0
+        for x, z, minus in itertools.product(range(8), range(8), (0, 1)):
+            for a, b in itertools.permutations(range(n), 2):
+                tab = StabilizerTableau(n)
+                tab.xs[1], tab.zs[1], tab.signs = x, z, minus << 1
+                tab.cz(a, b)
+                cz = np.diag(np.where(idx >> a & idx >> b & 1, -1.0, 1.0))
+                want = cz @ row_matrix(x, z, minus) @ cz
+                assert np.array_equal(row_matrix(tab.xs[1], tab.zs[1], tab.signs >> 1 & 1), want), (x, z, minus, a, b)
+                checked += 1
+        assert checked == 64 * 2 * 6
+        tab = StabilizerTableau(2)
+        tab.xs, tab.zs = [0b11, 0b10], [0b01, 0]  # +Y0 X1
+        tab.cz(0, 1)
+        assert (tab.xs[0], tab.zs[0], tab.signs & 1) == (0b11, 0b10, 1)  # -X0 Y1
 
     def test_measurement_multiplies_in_the_pivot_sign(self):
         # |11> as <-Z0, Z0 Z1>: both rows anticommute with X0, so the pivot

@@ -12,7 +12,6 @@ from fusioncodes.fusion import ErrorAnalyzer, _descartes, _flip_bias, _walsh
 from fusioncodes.graphs import build_progenitor, enumerate_progenitor_records
 from fusioncodes.lpoly import (
     _SPREAD,
-    FusionSpec,
     basis_numerators,
     erasure_analysis,
     readable_set,
@@ -234,12 +233,12 @@ def oracle_pattern_error(code, outcomes, w, basis, eps):
 
 class TestPatternProbability:
     def test_all_success_two_qubits(self):
-        poly = pattern_probability((S, S), FusionSpec(1.0, 0.5, (0, 0)))
+        poly = pattern_probability((S, S))
         assert poly.eval(1.0, 0.5) == pytest.approx(0.25)
         assert poly.counts == {(2, 0, 0): 1}
 
     def test_all_loss_single_qubit(self):
-        poly = pattern_probability((L,), FusionSpec(0.8, 0.5, (0,)))
+        poly = pattern_probability((L,))
         assert poly.eval(0.8, 0.5) == pytest.approx(1 - 0.64)
 
     def test_patterns_sum_to_one_exactly(self):
@@ -270,26 +269,25 @@ class TestErasureAnalysis:
         # Xbar = Z so its pair needs the ZZ parity: success only when the
         # failure basis recovers XX; Zbar = X rides on XX.
         code = code_of("L")
-        rep = erasure_analysis(code, FusionSpec(1.0, 0.5, (1,)))
-        assert rep.success_probability("X") == pytest.approx(0.5)
-        assert rep.success_probability("Z") == pytest.approx(1.0)
-        rep0 = erasure_analysis(code, FusionSpec(1.0, 0.5, (0,)))
-        assert rep0.success_probability("X") == pytest.approx(1.0)
-        assert rep0.success_probability("Z") == pytest.approx(0.5)
+        rep = erasure_analysis(code, (1,))
+        assert rep.success_probability("X", 1.0) == pytest.approx(0.5)
+        assert rep.success_probability("Z", 1.0) == pytest.approx(1.0)
+        rep0 = erasure_analysis(code, (0,))
+        assert rep0.success_probability("X", 1.0) == pytest.approx(1.0)
+        assert rep0.success_probability("Z", 1.0) == pytest.approx(0.5)
 
     def test_everything_erased_at_zero_transmission(self):
         for seq in ("L", "LL", "LPL"):
             code = code_of(seq)
-            spec = FusionSpec(0.0, 0.5, (0,) * code.n_code)
-            rep = erasure_analysis(code, spec)
-            assert rep.success_probability("X") == 0.0
-            assert rep.success_probability("Z") == 0.0
+            rep = erasure_analysis(code, (0,) * code.n_code)
+            assert rep.success_probability("X", 0.0) == 0.0
+            assert rep.success_probability("Z", 0.0) == 0.0
 
     def test_star_code_matches_hand_count(self):
         # w = (0,0): ZZ needs z on both pairs -> eta^4; XX via X0 or X1,
         # each available only on success -> eta^2 - eta^4/4.
         code = code_of("LL")
-        rep = erasure_analysis(code, FusionSpec(1.0, 0.5, (0, 0)))
+        rep = erasure_analysis(code, (0, 0))
         for eta in (1.0, 0.9, 0.6):
             assert rep.success_probability("X", eta) == pytest.approx(eta**4)
             assert rep.success_probability("Z", eta) == pytest.approx(eta**2 - eta**4 / 4)
@@ -298,7 +296,7 @@ class TestErasureAnalysis:
         for seq in ("LL", "LPL"):
             code = code_of(seq)
             for w in all_w(code.n_code)[:4]:
-                rep = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
+                rep = erasure_analysis(code, w)
                 grid = np.linspace(0, 1, 101)
                 for basis in ("X", "Z"):
                     vals = [rep.success_probability(basis, e) for e in grid]
@@ -309,7 +307,7 @@ class TestErasureAnalysis:
     def test_matches_state_vector_oracle(self, seq):
         code = code_of(seq)
         for w in all_w(code.n_code):
-            rep = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
+            rep = erasure_analysis(code, w)
             for eta in (0.7, 0.9, 1.0):
                 for basis in ("X", "Z"):
                     want = oracle_success_probability(code, w, eta, 0.5, basis)
@@ -319,14 +317,26 @@ class TestErasureAnalysis:
         for rec in enumerate_progenitor_records(3):
             code = code_from_progenitor(rec.graph, code_id=rec.sequence)
             for w in [(0, 0, 0), (1, 0, 1)]:
-                rep = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
+                rep = erasure_analysis(code, w)
                 for basis in ("X", "Z"):
                     want = oracle_success_probability(code, w, 0.9, 0.5, basis)
                     assert abs(rep.success_probability(basis, 0.9) - want) < 1e-12
 
+    def test_inputs_are_checked(self):
+        code = code_of("LLPL")
+        for w, p_fail in (((0, 1, 0), 0.5), ((0, 1, 0, 0, 1), 0.5), ((1, 0, 0, 0), 1.5), ((True, 0, 0, 0), 0.5)):
+            with pytest.raises(ValueError):
+                erasure_analysis(code, w, p_fail)
+        rep = erasure_analysis(code, (1, 0, 0, 0))
+        for eta in (1.5, -0.1):
+            with pytest.raises(ValueError, match="eta out of range"):
+                rep.erasure_rate("X", eta)
+        with pytest.raises(ValueError):
+            ErrorAnalyzer(code, (0, 1, 0))
+
     def test_measurement_pattern_listing(self):
         code = code_of("L")
-        pats = measurement_patterns(code, FusionSpec(1.0, 0.5, (1,)), "Z")
+        pats = measurement_patterns(code, (1,), "Z")
         outcome_sets = {p.outcomes for p, _ in pats}
         assert outcome_sets == {(S,), (F,)}
 
@@ -382,11 +392,11 @@ class TestErrorAnalysis:
         ],
     )
     def test_inputs_checked_as_fusion_spec_checks_them(self, w, p_fail):
-        with pytest.raises(ValueError) as spec_error:
-            FusionSpec(1.0, p_fail, w)
+        with pytest.raises(ValueError) as erasure_error:
+            erasure_analysis(code_of("LLPL"), w, p_fail)
         with pytest.raises(ValueError) as analyzer_error:
             ErrorAnalyzer(code_of("LLPL"), w, p_fail)
-        assert str(analyzer_error.value) == str(spec_error.value)
+        assert str(analyzer_error.value) == str(erasure_error.value)
 
     def test_zero_epsilon_means_zero_error(self):
         # exactly 0.0 at every eta, which lets a region skip probing epsilon = 0
@@ -405,7 +415,10 @@ class TestErrorAnalysis:
         with pytest.raises(ValueError) as got:
             ana.rates(eta, eps)
         with pytest.raises(ValueError) as want:
-            FusionSpec(eta, 0.5, (1, 0, 1)) if not 0.0 <= eta <= 1.0 else pauli_flip_probability(eps)
+            if 0.0 <= eta <= 1.0:
+                pauli_flip_probability(eps)
+            else:
+                erasure_analysis(code_of("LPL"), (1, 0, 1)).erasure_rate("X", eta)
         assert str(got.value) == str(want.value)
 
     def test_bare_code_has_nothing_to_correct(self):
@@ -766,8 +779,8 @@ class TestDualSwap:
             double, s2 = dual_code_with_map(dual)
             for w in all_w(3):
                 w2 = dual_failure_basis(dual_failure_basis(w, s1), s2)
-                a = erasure_analysis(code, FusionSpec(1.0, 0.5, w))
-                b = erasure_analysis(double, FusionSpec(1.0, 0.5, w2))
+                a = erasure_analysis(code, w)
+                b = erasure_analysis(double, w2)
                 pf = Fraction(1, 2)
                 for row_a, row_b in ((a.p_success_xx, b.p_success_xx), (a.p_success_zz, b.p_success_zz)):
                     counts_a, counts_b = (LossPolynomial.from_counts(3, row).counts for row in (row_a, row_b))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,12 +43,12 @@ class TestBiasRates:
 
     def test_bare_qubit_reproduces_standard_fusion_average(self):
         # 1 - (1 - p_fail/2) eta^2 for the unencoded qubit
-        from fusioncodes.lpoly import FusionSpec, erasure_analysis
+        from fusioncodes.lpoly import erasure_analysis
 
         code = code_of("L")
         for eta in (1.0, 0.9, 0.7):
-            rep = erasure_analysis(code, FusionSpec(eta, 0.5, (0,)))
-            avg = randomized_bias_rate(rep.erasure_rate("X"), rep.erasure_rate("Z"))
+            rep = erasure_analysis(code, (0,))
+            avg = randomized_bias_rate(rep.erasure_rate("X", eta), rep.erasure_rate("Z", eta))
             assert avg == pytest.approx(1 - 0.75 * eta**2)
 
     def test_bias_ratio(self):
@@ -104,11 +105,11 @@ class TestLossThreshold:
         g = res.gamma_star
         assert g > 0
 
-        from fusioncodes.lpoly import FusionSpec, erasure_analysis
+        from fusioncodes.lpoly import erasure_analysis
 
         def avg(gamma):
-            rep = erasure_analysis(code, FusionSpec(1.0 - gamma, 0.5, res.w_star))
-            return randomized_bias_rate(rep.erasure_rate("X"), rep.erasure_rate("Z"))
+            rep = erasure_analysis(code, res.w_star)
+            return randomized_bias_rate(rep.erasure_rate("X", 1.0 - gamma), rep.erasure_rate("Z", 1.0 - gamma))
 
         assert avg(g - 1e-6) <= bias.p_tilde_randomized + 1e-12
         assert avg(g + 1e-6) > bias.p_tilde_randomized
@@ -432,6 +433,9 @@ class TestConfig:
             BiasConfig(BiasMode.PASSIVE, 0.14, ())
         with pytest.raises(ConfigError):
             BiasConfig(BiasMode.PASSIVE, 0.14, ((0.5, 0.2), (0.1, 0.3)))
+        for row in ((1.5, 0.1), (0.5, 1.5), (0.5, 0.0)):  # a bias ratio outside [0, 1], a threshold outside (0, 1)
+            with pytest.raises(ConfigError, match=re.escape(f"bad p_tilde_biased row: {row}")):
+                BiasConfig(BiasMode.RANDOMIZED, 0.14, (row,))
         with pytest.raises(ConfigError):
             ErrorThresholdConfig(((0.0, -0.1),))
 
