@@ -307,7 +307,7 @@ def cmd_threshold(args) -> int:
                     "w_star": list(best.w_star),
                     "diagnostics": best.diagnostics,
                 },
-                "code": _resolve_code(best.code_id).to_json_dict(),
+                "code": best.code.to_json_dict(),
             }
         )
         _say(f"n={n}: best {best.code_id} gamma*={best.gamma_star:.6f}")
@@ -319,7 +319,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_region(args) -> int:
     from .fusion import correctable_region
-    from .thresholds import search_best_code
+    from .thresholds import loss_threshold, search_best_code
 
     if args.grid_points > GRID_POINTS_CAP:
         raise ResourceCapExceeded(f"{args.grid_points} grid points exceeds cap {GRID_POINTS_CAP}")
@@ -328,14 +328,12 @@ def cmd_region(args) -> int:
     rand, err, raw = _load_bias(args)
     if err is None:
         raise ConfigError("missing key: epsilon_M (required for region computation)")
-    winner = None
     if args.code is not None:
-        code = _resolve_code(args.code)
+        result = loss_threshold(_resolve_code(args.code), rand, p_fail=args.p_fail)
     else:
-        winner = search_best_code(args.n, rand, p_fail=args.p_fail)[0]
-        code = _resolve_code(winner.code_id)
-        _say(f"using n={args.n} winner {code.code_id}")
-    points = correctable_region(code, rand, err, p_fail=args.p_fail, grid_points=args.grid_points, result=winner)
+        result = search_best_code(args.n, rand, p_fail=args.p_fail)[0]
+        _say(f"using n={args.n} winner {result.code_id}")
+    points = correctable_region(result, err, args.grid_points)
     manifest = _manifest(args, "region", raw)
     if not points or all(p.epsilon_boundary == 0.0 for p in points):
         print("warning: correctable region is empty for this configuration", file=sys.stderr)

@@ -24,8 +24,7 @@ from typing import NamedTuple
 from .codes import GraphCode, packed_cosets
 from .lpoly import check_failures, signed_digits
 from .pauli import gf2_reduce, span
-from .thresholds import BiasConfig, BiasMode, ErrorThresholdConfig, ThresholdResult, _bisect, _rates
-from .thresholds import loss_threshold, randomized_bias_rate
+from .thresholds import BiasMode, ErrorThresholdConfig, ThresholdResult, _bisect, _rates, randomized_bias_rate
 
 def _flip_bias(epsilon):
     """Common bias factor beta = E[(-1)^flip] per touched pair.
@@ -100,9 +99,7 @@ class ErrorAnalyzer:
     """
 
     def __init__(self, code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5):
-        if len(w) != code.n_code:
-            raise ValueError("failure basis length mismatch")
-        check_failures(p_fail, w)
+        check_failures(p_fail, w, code.n_code)
         self.code, self.w, self.p_fail, self.n = code, tuple(w), p_fail, code.n_code
         n = self.n
         stab, reps = packed_cosets(code)
@@ -227,34 +224,27 @@ class RegionPoint(NamedTuple):
     epsilon_boundary: float
 
 
-def correctable_region(
-    code: GraphCode,
-    bias: BiasConfig,
-    err: ErrorThresholdConfig,
-    p_fail: float = 0.5,
-    grid_points: int = 21,
-    result: ThresholdResult | None = None,
-) -> list[RegionPoint]:
-    """Boundary of the jointly correctable (loss, error) region.
+def correctable_region(result: ThresholdResult, err: ErrorThresholdConfig, grid_points: int = 21) -> list[RegionPoint]:
+    """Boundary of the jointly correctable (loss, error) region of ``result``'s code.
 
-    Under randomized bias: for each loss value below the loss threshold,
-    the boundary error rate is the largest epsilon whose averaged logical
+    ``result`` is the code's loss-threshold result under randomized bias,
+    one code's or a ``search_best_code`` entry: the region is drawn at
+    its failure basis ``w_star`` and ``p_fail``, on ``grid_points`` evenly
+    spaced loss values from 0 to its ``gamma_star``.  At each, the
+    boundary error rate is the largest epsilon whose averaged logical
     error stays below the tolerable fusion error at the corresponding
     logical erasure rate: ``EPSILON_CAP`` where the cap holds, else
     bisected to ``BISECTION_TOL``.
-    ``result`` is the code's ``loss_threshold`` under the same bias and
-    ``p_fail`` when the caller already has it, as ``search_best_code``
-    returns it; otherwise it is computed here.
     """
-    if bias.mode is not BiasMode.RANDOMIZED:
+    if result.bias_mode is not BiasMode.RANDOMIZED:
         raise ValueError("correctable regions are computed under randomized bias")
-    if result is None:
-        result = loss_threshold(code, bias, p_fail)
+    if grid_points < 2:
+        raise ValueError(f"a grid needs at least 2 points, got {grid_points}")
     gamma_star = result.gamma_star
     if gamma_star <= 0.0:
         return []
     cx, cz = result.coeffs
-    analyzer = ErrorAnalyzer(code, result.w_star, p_fail)
+    analyzer = ErrorAnalyzer(result.code, result.w_star, result.p_fail)
     points = []
     for i in range(grid_points):
         gamma = gamma_star * i / (grid_points - 1)

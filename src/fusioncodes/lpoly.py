@@ -40,8 +40,10 @@ from .graphs import PROGENITOR_CAP
 _SPREAD = tuple(int(format(b, "b"), 4) for b in range(256))
 
 
-def check_failures(p_fail: float, w=()) -> None:
-    """ValueError unless p_fail lies in [0, 1] and every failure-basis bit is 0 (ZZ) or 1 (XX), not a bool."""
+def check_failures(p_fail: float, w=(), n: int = 0) -> None:
+    """ValueError unless w has n failure-basis bits, each 0 (ZZ) or 1 (XX) and no bool, and p_fail lies in [0, 1]."""
+    if len(w) != n:
+        raise ValueError(f"failure basis length {len(w)} != {n} code qubits")
     if not 0.0 <= p_fail <= 1.0:
         raise ValueError(f"p_fail out of range: {p_fail}")
     if any(b not in (0, 1) or isinstance(b, bool) for b in w):
@@ -225,9 +227,7 @@ def erasure_analysis(code: GraphCode, w: tuple[int, ...], p_fail: float = 0.5) -
     row counts the readable patterns with s successes and f failures.
     """
     n = code.n_code
-    if len(w) != n:
-        raise ValueError(f"failure basis length {len(w)} != {n} code qubits")
-    check_failures(p_fail, w)
+    check_failures(p_fail, w, n)
     reps = packed_cosets(code)[1]
     weights = ((1,), (0, 1), (0,) * (n + 1) + (1,))
     row = sum(b << i for i, b in enumerate(w))

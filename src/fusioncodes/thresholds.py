@@ -249,27 +249,33 @@ def config_to_json_dict(bias: BiasConfig) -> dict:
 
 
 class ThresholdResult:
-    """Best failure basis and loss threshold of one code under one bias.
+    """Best failure basis and loss threshold of one code under one bias and ``p_fail``.
 
-    ``coeffs`` is (cx, cz): w_star's eta^2 coefficients, n+1 floats each,
-    for ``fusion.correctable_region``; it is in no output.
+    ``coeffs`` is (cx, cz): w_star's eta^2 coefficients, n+1 floats each.
+    ``fusion.correctable_region`` reads the code, ``w_star``, ``p_fail``
+    and ``coeffs`` off the result; ``coeffs`` is in no output.
     """
 
-    __slots__ = ("code_id", "w_star", "gamma_star", "bias_mode", "diagnostics", "coeffs")
+    __slots__ = ("code", "bias_mode", "p_fail", "w_star", "gamma_star", "diagnostics", "coeffs")
 
     def __init__(
         self,
-        code_id: str,
+        code: GraphCode,
+        bias_mode: BiasMode,
+        p_fail: float,
         w_star: tuple[int, ...],
         gamma_star: float,
-        bias_mode: BiasMode,
         diagnostics: dict,
-        coeffs: tuple | None = None,
+        coeffs: tuple,
     ):
         if not 0.0 <= gamma_star < 1.0:
             raise ValueError(f"gamma_star out of range: {gamma_star}")
-        self.code_id, self.w_star, self.gamma_star = code_id, w_star, gamma_star
-        self.bias_mode, self.diagnostics, self.coeffs = bias_mode, diagnostics, coeffs
+        self.code, self.bias_mode, self.p_fail = code, bias_mode, p_fail
+        self.w_star, self.gamma_star, self.diagnostics, self.coeffs = w_star, gamma_star, diagnostics, coeffs
+
+    @property
+    def code_id(self) -> str:
+        return self.code.code_id
 
 
 def _rates(cx: list[float], cz: list[float], gamma: float) -> tuple[float, float]:
@@ -363,7 +369,7 @@ def loss_threshold(code: GraphCode, bias: BiasConfig, p_fail: float = 0.5) -> Th
         "feasible_at_zero_loss": ok_best,
     }
     w_star = tuple((best >> i) & 1 for i in range(code.n_code))
-    return ThresholdResult(code.code_id, w_star, g_best, bias.mode, diagnostics, (cx, cz))
+    return ThresholdResult(code, bias.mode, p_fail, w_star, g_best, diagnostics, (cx, cz))
 
 
 def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list[ThresholdResult]:
@@ -379,7 +385,7 @@ def search_best_code(n_code: int, bias: BiasConfig, p_fail: float = 0.5) -> list
     return results
 
 
-def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> ThresholdResult:
+def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> float:
     """Loss threshold of bare boosted fusion, no code concatenation.
 
     Any lost photon, fused or ancillary, erases both parities, so the
@@ -393,14 +399,7 @@ def boosted_baseline(p_fail: float, n_ancilla_photons: int, p_tilde: float) -> T
     def feasible(gamma):
         return 1.0 - (1.0 - p_fail / 2.0) * (1.0 - gamma) ** n_photons <= p_tilde
 
-    gamma = _bisect(feasible) if feasible(0.0) else 0.0
-    return ThresholdResult(
-        code_id=f"boosted-pfail-{p_fail}",
-        w_star=(),
-        gamma_star=gamma,
-        bias_mode=BiasMode.RANDOMIZED,
-        diagnostics={"n_photons": n_photons, "p_fail": p_fail},
-    )
+    return _bisect(feasible) if feasible(0.0) else 0.0
 
 
 def boost_level_parameters(level: int) -> tuple[float, int]:

@@ -811,7 +811,7 @@ def lockstep_loss_thresholds(codes, bias, p_fail) -> list[ThresholdResult]:
         }
         w_star = tuple(((best % size) >> i) & 1 for i in range(n))
         coeffs = (cx[best].tolist(), cz[best].tolist())
-        out.append(ThresholdResult(code.code_id, w_star, g[best], bias.mode, diagnostics, coeffs))
+        out.append(ThresholdResult(code, bias.mode, p_fail, w_star, g[best], diagnostics, coeffs))
     return out
 
 

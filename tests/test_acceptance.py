@@ -99,7 +99,7 @@ def test_a3_monotonicity_and_bias_winner_coincidence(randomized_scan, passive_sc
 def test_a4_boosted_baseline_ladder():
     """A4: boosting reproduces 0.52%, then ~1%, then declines."""
     p_tilde = invert_baseline_threshold()
-    g = {k: boosted_baseline(*boost_level_parameters(k), p_tilde).gamma_star for k in (1, 2, 3)}
+    g = {k: boosted_baseline(*boost_level_parameters(k), p_tilde) for k in (1, 2, 3)}
     assert g[1] == pytest.approx(0.0052, rel=0.2)
     assert g[2] == pytest.approx(0.01, rel=0.2)
     assert g[3] < g[2]
@@ -210,15 +210,13 @@ def test_a8_error_region_endpoint(randomized_scan):
     """A8: with the supplied error-threshold table the n=8 region endpoint
     lands at 0.47%; unconditional substitutes hold regardless."""
     best = randomized_scan[8][0]
-    code = code_from_progenitor(build_progenitor(best.code_id), code_id=best.code_id)
-    bias = default_bias_config(BiasMode.RANDOMIZED)
     err = ErrorThresholdConfig(example_error_threshold_table())
-    points = correctable_region(code, bias, err, grid_points=11)
+    points = correctable_region(best, err, grid_points=11)
     assert points, "region unexpectedly empty"
     intercept = points[0].epsilon_boundary
     assert intercept == pytest.approx(0.0047, abs=0.001)
     # substitutes: zero error at eps=0, ML dominance, monotone shrinkage
-    ana = ErrorAnalyzer(code, best.w_star)
+    ana = ErrorAnalyzer(best.code, best.w_star)
     rates0 = ana.rates(1.0 - best.gamma_star / 2, 0.0)
     assert rates0["X"] == 0.0 and rates0["Z"] == 0.0
     for eps in (0.002, 0.005):

@@ -119,6 +119,14 @@ class TestAnalyze:
         assert not out.exists()
         assert "failure basis '' must be 2 bits of 0/1" in capsys.readouterr().err
 
+    def test_out_on_a_directory_removes_the_temp_file(self, tmp_path, capsys):
+        # the rename onto a directory fails after the temp file is written; the write removes it again
+        (tmp_path / "d.csv").mkdir()
+        assert main(["analyze", "--code", "LPL", "--out", str(tmp_path / "d.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+        assert not any((tmp_path / "d.csv").iterdir())
+
     def test_report_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "a.json"
         for code, digest in ANALYZE_JSON_SHA256.items():
@@ -473,9 +481,7 @@ class TestRegion:
 
     def test_size_region_reuses_the_search_result(self, tmp_path, monkeypatch):
         # the region of the n=4 winner takes its threshold from the search:
-        # one loss_threshold call per n=4 code and none more; fusion imports the name, so it is patched there too
-        from fusioncodes import fusion
-
+        # one loss_threshold call per n=4 code and none more
         calls = []
         real = thresholds.loss_threshold
 
@@ -483,8 +489,7 @@ class TestRegion:
             calls.append(code.code_id)
             return real(code, *args, **kwargs)
 
-        for module in (thresholds, fusion):
-            monkeypatch.setattr(module, "loss_threshold", counting)
+        monkeypatch.setattr(thresholds, "loss_threshold", counting)
         cfg = write_config(tmp_path)
         assert main(["region", "--n", "4", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
         assert sorted(calls) == sorted(r.sequence for r in enumerate_progenitor_records(4))

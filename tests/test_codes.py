@@ -139,6 +139,11 @@ class TestLogicalSets:
         prod = op_matrix(signed_code(code).logical_x) @ op_matrix(signed_code(code).stabilizers.generators[0])
         assert np.allclose(prod, pauli_matrix("YY", sign=-1), atol=1e-12)
 
+    def test_basis_is_x_or_z(self):
+        code = code_from_progenitor(build_progenitor("LL"))
+        with pytest.raises(ValueError, match="basis must be 'X' or 'Z'"):
+            logical_set(code, "Y")
+
     def test_set_sizes(self):
         for code in all_codes(6):
             assert len(logical_set(code, "X")) == 2 ** (code.n_code - 1)

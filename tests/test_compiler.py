@@ -520,6 +520,12 @@ class TestStabilizerTableau:
         with pytest.raises(BranchImpossible, match="forced \\+1 outcome on wire 0 has zero probability"):
             tab.measure_x(0)
 
+    def test_cz_needs_two_wires(self):
+        tab = StabilizerTableau(2)
+        with pytest.raises(ValueError, match="CZ needs two distinct wires"):
+            tab.cz(1, 1)
+        assert (tab.xs, tab.zs, tab.signs) == ([0b01, 0b10], [0, 0], 0)  # left |++>
+
     def test_membership_check_sees_signs(self):
         plus = StabilizerTableau(2)  # |++>
         rows = plus.xs, plus.zs, plus.signs

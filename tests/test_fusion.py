@@ -389,6 +389,8 @@ class TestErrorAnalysis:
             ((True, 0, 0, 0), 0.5),
             ((1, 0, 0, 0), 1.5),
             ((1, 0, 0, 0), -0.5),
+            ((1, 0, 0), 0.5),
+            ((1, 0, 0, 0, 0), 1.5),
         ],
     )
     def test_inputs_checked_as_fusion_spec_checks_them(self, w, p_fail):
@@ -397,6 +399,8 @@ class TestErrorAnalysis:
         with pytest.raises(ValueError) as analyzer_error:
             ErrorAnalyzer(code_of("LLPL"), w, p_fail)
         assert str(analyzer_error.value) == str(erasure_error.value)
+        if len(w) != 4:  # the length is checked first
+            assert str(erasure_error.value) == f"failure basis length {len(w)} != 4 code qubits"
 
     def test_zero_epsilon_means_zero_error(self):
         # exactly 0.0 at every eta, which lets a region skip probing epsilon = 0

@@ -23,7 +23,7 @@ def test_python_blocks_run_in_order(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     # the last block prints the boosted level-2 baseline, which its comment rounds
-    claimed = re.search(r"gamma_star\)  # ~([\d.]+)% loss", blocks[-1])
+    claimed = re.search(r"invert_baseline_threshold\(\)\)\)  # ~([\d.]+)% loss", blocks[-1])
     assert claimed
     gamma = float(proc.stdout.split()[-1])
     assert f"{100 * gamma:.1f}" == claimed.group(1), gamma

@@ -15,6 +15,7 @@ from fusioncodes.thresholds import (
     BiasMode,
     ConfigError,
     ErrorThresholdConfig,
+    ThresholdResult,
     _bisect,
     boost_level_parameters,
     boosted_baseline,
@@ -75,13 +76,14 @@ class TestBaselineInversion:
 
     def test_round_trip_through_boosted_baseline(self):
         pt = invert_baseline_threshold()
-        res = boosted_baseline(0.25, 2, pt)
-        assert res.gamma_star == pytest.approx(0.0052, abs=1e-6)
+        assert boosted_baseline(0.25, 2, pt) == pytest.approx(0.0052, abs=1e-6)
 
     def test_boost_levels(self):
         assert boost_level_parameters(1) == (0.25, 2)
         assert boost_level_parameters(2) == (0.125, 6)
         assert boost_level_parameters(3) == (0.0625, 14)
+        with pytest.raises(ValueError, match="boost level starts at 1"):
+            boost_level_parameters(0)
 
 
 class TestLossThreshold:
@@ -97,6 +99,13 @@ class TestLossThreshold:
         res = loss_threshold(code, BiasConfig(BiasMode.RANDOMIZED, 0.134))
         assert res.gamma_star == 0.0
         assert not res.diagnostics["feasible_at_zero_loss"]
+
+    @pytest.mark.parametrize("gamma_star", [-0.1, 1.0, math.nan])
+    def test_result_gamma_star_in_unit_interval(self, gamma_star):
+        res = loss_threshold(code_of("LL"), default_bias_config())
+        assert res.code_id == res.code.code_id == "LL" and res.p_fail == 0.5
+        with pytest.raises(ValueError, match=re.escape(f"gamma_star out of range: {gamma_star}")):
+            ThresholdResult(res.code, res.bias_mode, res.p_fail, res.w_star, gamma_star, res.diagnostics, res.coeffs)
 
     def test_bisection_brackets_the_feasibility_boundary(self):
         code = code_of("LL")
@@ -273,18 +282,21 @@ class TestSearch:
 class TestBoostedBaseline:
     def test_level_ladder(self):
         pt = invert_baseline_threshold()
-        g1 = boosted_baseline(*boost_level_parameters(1), pt).gamma_star
-        g2 = boosted_baseline(*boost_level_parameters(2), pt).gamma_star
-        g3 = boosted_baseline(*boost_level_parameters(3), pt).gamma_star
+        g1 = boosted_baseline(*boost_level_parameters(1), pt)
+        g2 = boosted_baseline(*boost_level_parameters(2), pt)
+        g3 = boosted_baseline(*boost_level_parameters(3), pt)
         assert g1 == pytest.approx(0.0052, rel=0.01)
         assert g2 == pytest.approx(0.01, rel=0.2)
         assert g3 < g2
 
     def test_closed_form(self):
         pt = 0.14
-        res = boosted_baseline(0.25, 2, pt)
         want = 1.0 - ((1.0 - pt) / (1.0 - 0.125)) ** 0.25
-        assert res.gamma_star == pytest.approx(want, abs=1e-8)
+        assert boosted_baseline(0.25, 2, pt) == pytest.approx(want, abs=1e-8)
+
+    def test_negative_ancilla_count_rejected(self):
+        with pytest.raises(ValueError, match="negative ancilla count"):
+            boosted_baseline(0.25, -1, 0.14)
 
 
 class TestRegion:
@@ -292,14 +304,14 @@ class TestRegion:
         code = code_of("LL")
         bias = BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold())
         err = ErrorThresholdConfig(((0.0, 0.0), (1.0, 0.0)))
-        pts = correctable_region(code, bias, err, grid_points=5)
+        pts = correctable_region(loss_threshold(code, bias), err, grid_points=5)
         assert pts and all(p.epsilon_boundary == 0.0 for p in pts)
 
     def test_region_closes_at_loss_threshold(self):
         code = code_of("LL")
         bias = BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold())
         err = ErrorThresholdConfig(example_error_threshold_table())
-        pts = correctable_region(code, bias, err, grid_points=9)
+        pts = correctable_region(loss_threshold(code, bias), err, grid_points=9)
         assert pts[-1].epsilon_boundary == pytest.approx(0.0, abs=1e-6)
         assert pts[0].epsilon_boundary > 0.0
 
@@ -307,7 +319,7 @@ class TestRegion:
         code = code_of("LLL")
         bias = BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold())
         err = ErrorThresholdConfig(example_error_threshold_table())
-        pts = correctable_region(code, bias, err, grid_points=9)
+        pts = correctable_region(loss_threshold(code, bias), err, grid_points=9)
         eps = [p.epsilon_boundary for p in pts]
         assert all(b <= a + 1e-9 for a, b in zip(eps, eps[1:]))
 
@@ -315,7 +327,7 @@ class TestRegion:
         code = code_of("L")
         bias = BiasConfig(BiasMode.RANDOMIZED, 0.1)
         err = ErrorThresholdConfig(example_error_threshold_table())
-        assert correctable_region(code, bias, err) == []
+        assert correctable_region(loss_threshold(code, bias), err) == []
 
     def test_contracts_only_in_the_threshold_search(self, monkeypatch):
         # the region reads the winner's coefficient rows off its result
@@ -330,19 +342,27 @@ class TestRegion:
         code = code_of("LLPL")
         bias = BiasConfig(BiasMode.RANDOMIZED, invert_baseline_threshold())
         err = ErrorThresholdConfig(example_error_threshold_table())
-        alone = correctable_region(code, bias, err, grid_points=5)
-        assert calls == ["LLPL"]
         result = loss_threshold(code, bias)
+        assert calls == ["LLPL"]
         calls.clear()
-        assert correctable_region(code, bias, err, grid_points=5, result=result) == alone
+        assert correctable_region(result, err, grid_points=5)
         assert calls == []
 
     def test_passive_mode_rejected(self):
         pt = invert_baseline_threshold()
         bias = BiasConfig(BiasMode.PASSIVE, pt, default_passive_table(pt))
         err = ErrorThresholdConfig(example_error_threshold_table())
-        with pytest.raises(ValueError):
-            correctable_region(code_of("LL"), bias, err)
+        with pytest.raises(ValueError, match="correctable regions are computed under randomized bias"):
+            correctable_region(loss_threshold(code_of("LL"), bias), err)
+
+    @pytest.mark.parametrize("grid_points", [1, 0, -3])
+    def test_grid_needs_two_points(self, grid_points):
+        # as the CLI refuses them (``cli._grid_size``); the empty region of code L at p~ 0.1 checks its grid too
+        err = ErrorThresholdConfig(example_error_threshold_table())
+        for seq, p_tilde in (("LL", invert_baseline_threshold()), ("L", 0.1)):
+            result = loss_threshold(code_of(seq), BiasConfig(BiasMode.RANDOMIZED, p_tilde))
+            with pytest.raises(ValueError, match=f"a grid needs at least 2 points, got {grid_points}"):
+                correctable_region(result, err, grid_points)
 
 
 class TestRegionAgainstOracle:
@@ -352,7 +372,7 @@ class TestRegionAgainstOracle:
     def _both(code, p_fail=0.5, grid_points=21, epsilon_m_map=None):
         bias = default_bias_config(BiasMode.RANDOMIZED)
         err = ErrorThresholdConfig(example_error_threshold_table() if epsilon_m_map is None else epsilon_m_map)
-        got = correctable_region(code, bias, err, p_fail=p_fail, grid_points=grid_points)
+        got = correctable_region(loss_threshold(code, bias, p_fail), err, grid_points)
         want = oracles.correctable_region(code, bias, err, p_fail=p_fail, grid_points=grid_points)
         return [(p.gamma, p.epsilon_boundary) for p in got], want
 
